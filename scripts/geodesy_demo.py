@@ -27,11 +27,11 @@ import numpy as np
 from darbouxkit import (
     CigarProductPotential,
     GeodesicState,
-    RunConfig,
     SolitonProfile,
     curve_distance,
     geodesic_integrate,
     graph_counterexample_pair,
+    resolve_out,
     soliton_potential,
     standard_catalog,
 )
@@ -58,8 +58,8 @@ def main() -> None:
         model = CigarProductPotential(args.n)
     else:
         model = soliton_potential(SolitonProfile(args.n))
-    outdir = RunConfig(outdir=args.out).resolve_outdir()
-    outdir.mkdir(parents=True, exist_ok=True)
+    confined_path = resolve_out("geodesy_confined.csv", args.out)
+    departure_path = resolve_out("geodesy_departure.csv", args.out)
 
     rng = np.random.default_rng(args.seed)
     emb = standard_catalog(args.n)[-1]
@@ -71,7 +71,7 @@ def main() -> None:
     stride = max(1, traj.steps // 64)
     confined_t = traj.times[::stride]
     confined_d = [emb.distance_to_image(z) for z in traj.points[::stride]]
-    write_csv(outdir / "geodesy_confined.csv", confined_t, confined_d)
+    write_csv(confined_path, confined_t, confined_d)
     print(f"{model.name}: subspace sigma={emb.sigma}")
     print(f"  confined geodesic, length {args.length}: "
           f"max distance to subspace = {max(confined_d):.3e}")
@@ -86,12 +86,12 @@ def main() -> None:
     stride = max(1, traj.steps // 64)
     graph_t = traj.times[::stride]
     graph_d = [curve_distance(pair, z) for z in traj.points[::stride]]
-    write_csv(outdir / "geodesy_departure.csv", graph_t, graph_d)
+    write_csv(departure_path, graph_t, graph_d)
     print(f"{two_cigar.name}: graph curve launched at w0={w0}")
     print(f"  departing geodesic, length {args.length}: "
           f"max distance to curve = {max(graph_d):.3e}")
-    print(f"wrote {outdir / 'geodesy_confined.csv'}")
-    print(f"wrote {outdir / 'geodesy_departure.csv'}")
+    print(f"wrote {confined_path}")
+    print(f"wrote {departure_path}")
 
 
 if __name__ == "__main__":

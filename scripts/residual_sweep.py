@@ -19,7 +19,7 @@ import csv
 
 import numpy as np
 
-from darbouxkit import DarbouxMap, RunConfig, shipped_models
+from darbouxkit import DarbouxMap, resolve_out, shipped_models
 
 
 def sphere_points(n: int, radius: float, count: int, rng: np.random.Generator):
@@ -38,9 +38,7 @@ def main() -> None:
     args = parser.parse_args()
 
     radii = args.radii or list(np.logspace(-1.0, np.log10(30.0), 8))
-    outdir = RunConfig(outdir=args.out).resolve_outdir()
-    outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / "residual_sweep.csv"
+    path = resolve_out("residual_sweep.csv", args.out)
 
     rng = np.random.default_rng(args.seed)
     rows = []

@@ -17,7 +17,7 @@ shrinking-soliton potentials, and polynomial test potentials — and checks:
 See the ``darbouxkit`` CLI (``suite`` runs everything) or ``reporting.run_suite``.
 """
 
-from .soliton import FIntegral, SolitonProfile, f_eval, profile_table
+from .soliton import FIntegral, SolitonProfile, profile_table
 from .potentials import (
     CigarProductPotential,
     Cond0Report,
@@ -34,6 +34,7 @@ from .potentials import (
     model_from_descriptor,
     poly_test_model,
     radial_coords,
+    sample_polydisc,
     shipped_models,
     soliton_potential,
     two_form_at,
@@ -78,6 +79,7 @@ from .reporting import (
     VerificationReport,
     emit_plot_data,
     pullback_report,
+    resolve_out,
     run_claim,
     run_suite,
     suite_passed,
@@ -88,7 +90,6 @@ __version__ = "0.1.0"
 __all__ = [
     "FIntegral",
     "SolitonProfile",
-    "f_eval",
     "profile_table",
     "PotentialModel",
     "CigarProductPotential",
@@ -105,6 +106,7 @@ __all__ = [
     "two_form_at",
     "hermitian_to_two_form",
     "cigar_radial_deriv",
+    "sample_polydisc",
     "SampleRegion",
     "Cond0Report",
     "cond0_scan",
@@ -145,5 +147,6 @@ __all__ = [
     "suite_passed",
     "pullback_report",
     "emit_plot_data",
+    "resolve_out",
     "OUTDIR_ENV",
 ]

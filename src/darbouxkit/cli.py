@@ -3,13 +3,13 @@
 Subcommands: verify-pullback, soliton-profile, geodesic, curvature, ciriza,
 defect, suite.  Model arguments accept a path to a JSON descriptor file,
 inline JSON, or the shorthand "kind:n" (e.g. "cigar:2", "soliton:3",
-"poly:2").  Relative output paths land in the directory named by the
-DARBOUXKIT_OUTDIR environment variable (default: current directory).  All
-numeric output is full double-precision decimal.
+"poly:2").  Relative output paths are placed by ``reporting.resolve_out``.
+All numeric output is full double-precision decimal.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -19,12 +19,12 @@ import numpy as np
 
 from .curvature import curvature_at, curvature_symmetry_residual, holomorphic_sectional
 from .darboux import DarbouxMap
-from .potentials import model_from_descriptor
+from .potentials import model_from_descriptor, sample_polydisc
 from .reporting import (
-    OUTDIR_ENV,
     RunConfig,
     emit_plot_data,
     pullback_report,
+    resolve_out,
     run_suite,
     suite_passed,
 )
@@ -73,19 +73,12 @@ def _load_model(value: str):
     )
 
 
-def _write_json(payload: dict, out: str | None, default_name: str) -> Path | None:
+def _write_json(payload: dict, out: str | None, outdir: str | None = None) -> None:
     if out is None:
-        return None
-    path = Path(out)
-    if not path.is_absolute():
-        import os
-
-        base = os.environ.get(OUTDIR_ENV)
-        if base:
-            path = Path(base) / path
-    path.parent.mkdir(parents=True, exist_ok=True)
+        return
+    path = resolve_out(out, outdir)
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    return path
+    click.echo(f"wrote {path}")
 
 
 @click.group()
@@ -108,9 +101,7 @@ def verify_pullback_cmd(model_arg, points, radius, seed, tolerance, method, out)
         model, points=points, radius=radius, seed=seed, tolerance=tolerance, method=method
     )
     click.echo(json.dumps(report, sort_keys=True, indent=2))
-    path = _write_json(report, out, "pullback.json")
-    if path:
-        click.echo(f"wrote {path}")
+    _write_json(report, out)
     sys.exit(0 if report["pass"] else 1)
 
 
@@ -190,9 +181,7 @@ def curvature_cmd(model_arg, point, method, out) -> None:
             indent=2,
         )
     )
-    path = _write_json(payload, out, "tensor.json")
-    if path:
-        click.echo(f"wrote {path}")
+    _write_json(payload, out)
 
 
 def _parse_embedding_spec(n: int, spec: str) -> PhaseBlockEmbedding:
@@ -224,9 +213,7 @@ def ciriza_cmd(n, spec, samples, kind, seed, tolerance, out) -> None:
         dm, embedding, samples=samples, seed=seed, tolerance=tolerance
     )
     click.echo(json.dumps(report.as_dict(), sort_keys=True, indent=2))
-    path = _write_json(report.as_dict(), out, "ciriza.json")
-    if path:
-        click.echo(f"wrote {path}")
+    _write_json(report.as_dict(), out)
     sys.exit(0 if report.passed else 1)
 
 
@@ -243,8 +230,7 @@ def defect_cmd(f1, f2, points, radius, seed, at_point) -> None:
         [_parse_complex(c) for c in f1.split(",")],
         [_parse_complex(c) for c in f2.split(",")],
     )
-    rng = np.random.default_rng(seed)
-    zs = radius * np.sqrt(rng.uniform(size=points)) * np.exp(2j * np.pi * rng.uniform(size=points))
+    zs = sample_polydisc(np.random.default_rng(seed), points, 1, radius)[:, 0]
     max_gap = 0.0
     max_direct = -np.inf
     for z in zs:
@@ -292,21 +278,7 @@ def suite_cmd(config_path, seed, points, claims, out, outdir) -> None:
             overrides["claims"] = tuple(c.strip() for c in claims.split(","))
         if outdir is not None:
             overrides["outdir"] = outdir
-        if overrides:
-            data = {
-                "seed": cfg.seed,
-                "points": cfg.points,
-                "radius": cfg.radius,
-                "rays": cfg.rays,
-                "properness_threshold": cfg.properness_threshold,
-                "geodesic_length": cfg.geodesic_length,
-                "tolerances": dict(cfg.tolerances),
-                "claims": cfg.claims,
-                "model_file": cfg.model_file,
-                "outdir": cfg.outdir,
-            }
-            data.update(overrides)
-            cfg = RunConfig.from_dict(data)
+        cfg = dataclasses.replace(cfg, **overrides)
     except (ValueError, OSError) as err:
         raise click.ClickException(str(err)) from err
     reports = run_suite(cfg)
@@ -319,9 +291,7 @@ def suite_cmd(config_path, seed, points, claims, out, outdir) -> None:
         "pass": all_passed,
         "reports": [r.as_dict() for r in reports],
     }
-    path = _write_json(payload, out, "suite.json")
-    if path:
-        click.echo(f"wrote {path}")
+    _write_json(payload, out, cfg.outdir)
     sys.exit(0 if all_passed else 1)
 
 

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .potentials import PotentialModel, radial_coords, two_form_at
+from .potentials import PotentialModel, radial_coords, sample_polydisc, two_form_at
 
 __all__ = [
     "MapDomainError",
@@ -268,10 +268,7 @@ class ProbeGrid:
             pts = np.zeros((self.count, n), dtype=complex)
             pts[:, 0] = np.sqrt(t)
             return pts
-        rng = np.random.default_rng(self.seed)
-        radii = self.radius * np.sqrt(rng.uniform(size=(self.count, n)))
-        angles = rng.uniform(0.0, 2.0 * np.pi, size=(self.count, n))
-        return radii * np.exp(1j * angles)
+        return sample_polydisc(np.random.default_rng(self.seed), self.count, n, self.radius)
 
 
 @dataclass(frozen=True)

@@ -52,6 +52,7 @@ __all__ = [
     "two_form_at",
     "hermitian_to_two_form",
     "cigar_radial_deriv",
+    "sample_polydisc",
     "SampleRegion",
     "Cond0Report",
     "cond0_scan",
@@ -102,6 +103,13 @@ def cigar_radial_deriv(t: float, order: int) -> float:
     for j in range(1, p + 1):
         inner -= 1.0 / (j * (1.0 + t) ** j * t ** (p + 1 - j))
     return (-1.0) ** p * factorial(p) * inner
+
+
+def _log_ray_coords(log_r: float, direction: Sequence[complex]) -> np.ndarray:
+    """log t_j at z = r * direction; -inf where direction_j = 0."""
+    d = np.asarray(direction, dtype=complex)
+    with np.errstate(divide="ignore"):
+        return 2.0 * (log_r + np.log(np.abs(d)))
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +208,7 @@ class CigarProductPotential(PotentialModel):
         return tuple(out)
 
     def log_ray_growth(self, log_r, direction):
-        d = np.asarray(direction, dtype=complex)
-        with np.errstate(divide="ignore"):
-            log_t = 2.0 * (log_r + np.log(np.abs(d)))
+        log_t = _log_ray_coords(log_r, direction)
         summands = np.logaddexp(0.0, log_t)  # log(1 + t_j)
         total = float(np.sum(summands))
         return log(total) if total > 0.0 else -np.inf
@@ -294,9 +300,7 @@ class SolitonPotential(PotentialModel):
         return tuple(np.full((n,) * q, self.radial_deriv(s, q)) for q in range(1, order + 1))
 
     def log_ray_growth(self, log_r, direction):
-        d = np.asarray(direction, dtype=complex)
-        with np.errstate(divide="ignore"):
-            log_t = 2.0 * (log_r + np.log(np.abs(d)))
+        log_t = _log_ray_coords(log_r, direction)
         t_s = float(logsumexp(log_t))  # log s
         if t_s < -700.0:
             return t_s  # u'(t) ~ e^t, so log S ~ t
@@ -383,9 +387,7 @@ class PolyTestPotential(PotentialModel):
         return tuple(out)
 
     def log_ray_growth(self, log_r, direction):
-        d = np.asarray(direction, dtype=complex)
-        with np.errstate(divide="ignore"):
-            log_t = 2.0 * (log_r + np.log(np.abs(d)))
+        log_t = _log_ray_coords(log_r, direction)
         terms, signs = [], []
         for a, c in self.monomials.items():
             degree = sum(a)
@@ -512,6 +514,19 @@ def two_form_at(model: PotentialModel, z: Sequence[complex]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def sample_polydisc(
+    rng: np.random.Generator, count: int, n: int, radius: float
+) -> np.ndarray:
+    """(count, n) complex array, uniform per coordinate over the radius disc.
+
+    Every sampled disc or polydisc in the package comes from here, so one rng
+    stream always yields the same points: all radii are drawn, then all angles.
+    """
+    radii = radius * np.sqrt(rng.uniform(size=(count, n)))
+    angles = rng.uniform(0.0, 2.0 * np.pi, size=(count, n))
+    return radii * np.exp(1j * angles)
+
+
 @dataclass(frozen=True)
 class SampleRegion:
     """Polydisc sampling spec: ``count`` points, each |z_j| <= radius."""
@@ -529,9 +544,7 @@ class SampleRegion:
         """(count, n) complex array, uniform per coordinate over the disc."""
         if rng is None:
             rng = np.random.default_rng(self.seed)
-        radii = self.radius * np.sqrt(rng.uniform(size=(self.count, n)))
-        angles = rng.uniform(0.0, 2.0 * np.pi, size=(self.count, n))
-        pts = radii * np.exp(1j * angles)
+        pts = sample_polydisc(rng, self.count, n, self.radius)
         if self.include_origin:
             pts[0] = 0.0
         return pts

@@ -19,10 +19,10 @@ import json
 import os
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from math import exp, log1p
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from .potentials import (
     model_from_descriptor,
     poly_test_model,
     radial_coords,
+    sample_polydisc,
     shipped_models,
 )
 from .soliton import SolitonProfile, profile_table
@@ -62,6 +63,7 @@ __all__ = [
     "suite_passed",
     "pullback_report",
     "emit_plot_data",
+    "resolve_out",
     "OUTDIR_ENV",
 ]
 
@@ -79,6 +81,7 @@ class RunConfig:
 
     ``tolerances`` overrides the final pass tolerance per claim id (values
     must be positive).  ``claims`` restricts which claims run (default all).
+    ``outdir`` is the directory relative output paths land in (``resolve_out``).
     """
 
     seed: int = 20260814
@@ -89,7 +92,6 @@ class RunConfig:
     geodesic_length: float = 10.0
     tolerances: Mapping[str, float] = field(default_factory=dict)
     claims: tuple[str, ...] | None = None
-    model_file: str | None = None
     outdir: str | None = None
 
     def __post_init__(self) -> None:
@@ -115,18 +117,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "RunConfig":
-        known = {
-            "seed",
-            "points",
-            "radius",
-            "rays",
-            "properness_threshold",
-            "geodesic_length",
-            "tolerances",
-            "claims",
-            "model_file",
-            "outdir",
-        }
+        known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"config error: unknown keys {sorted(unknown)}")
@@ -153,12 +144,6 @@ class RunConfig:
 
     def rng_for(self, claim: str) -> np.random.Generator:
         return np.random.default_rng((self.seed, zlib.crc32(claim.encode())))
-
-    def resolve_outdir(self) -> Path:
-        base = self.outdir or os.environ.get(OUTDIR_ENV) or "."
-        path = Path(base)
-        path.mkdir(parents=True, exist_ok=True)
-        return path
 
 
 # ---------------------------------------------------------------------------
@@ -230,13 +215,46 @@ class VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# shared helpers
+# the claim skeleton
 # ---------------------------------------------------------------------------
 
+_CLAIM_FUNCTIONS: dict[str, Callable[[RunConfig], VerificationReport]] = {}
 
-def _sample_points(rng: np.random.Generator, count: int, n: int, radius: float) -> np.ndarray:
-    region = SampleRegion(radius=radius, count=count, include_origin=False)
-    return region.sample(n, rng=rng)
+_ClaimBody = Callable[[RunConfig, np.random.Generator], tuple[object, int, float, Mapping]]
+
+
+def _claim(claim: str, tolerance: float) -> Callable[[_ClaimBody], _ClaimBody]:
+    """Register ``body(cfg, rng) -> (models, samples, residual, details)`` as a
+    claim with this id and default tolerance; ``rng`` is the claim's own
+    stream from ``cfg.rng_for``."""
+
+    def register(body: _ClaimBody) -> _ClaimBody:
+        def run(cfg: RunConfig) -> VerificationReport:
+            models, samples, residual, details = body(cfg, cfg.rng_for(claim))
+            return VerificationReport(
+                claim=claim,
+                model=models,
+                samples=samples,
+                seed=cfg.seed,
+                max_residual=float(residual),
+                tolerance=cfg.tolerance_for(claim, tolerance),
+                details=details,
+            )
+
+        _CLAIM_FUNCTIONS[claim] = run
+        return body
+
+    return register
+
+
+def _worst(values: Iterable[float]) -> float:
+    """Largest of ``values`` (0.0 if none): every residual and every
+    observed / bound ratio of a claim is reduced here.
+
+    A NaN value makes the result NaN, which fails every tolerance; Python's
+    ``max`` would silently drop it unless it came first.
+    """
+    return float(np.max(list(values), initial=0.0))
 
 
 def _pullback_part(
@@ -244,40 +262,20 @@ def _pullback_part(
 ) -> tuple[float, dict]:
     analytic_bound, fd_bound = 1e-8, 1e-5
     per_model = {}
-    worst = 0.0
+    ratios = []
     for model in models:
         dm = DarbouxMap(model)
-        pts = _sample_points(rng, cfg.points, model.n, cfg.radius)
-        analytic = max(dm.pullback_residual(z) for z in pts)
-        fd = max(dm.pullback_residual(z, method="fd") for z in pts)
+        pts = sample_polydisc(rng, cfg.points, model.n, cfg.radius)
+        analytic = _worst(dm.pullback_residual(z) for z in pts)
+        fd = _worst(dm.pullback_residual(z, method="fd") for z in pts)
         per_model[model.name] = {"analytic": analytic, "fd": fd}
-        worst = max(worst, analytic / analytic_bound, fd / fd_bound)
+        ratios += [analytic / analytic_bound, fd / fd_bound]
     details = {
         "bounds": {"analytic": analytic_bound, "fd": fd_bound},
         "per_model": per_model,
         "radius": cfg.radius,
     }
-    return worst, details
-
-
-def _report(
-    cfg: RunConfig,
-    claim: str,
-    models: object,
-    samples: int,
-    residual: float,
-    tolerance: float,
-    details: Mapping,
-) -> VerificationReport:
-    return VerificationReport(
-        claim=claim,
-        model=models,
-        samples=samples,
-        seed=cfg.seed,
-        max_residual=float(residual),
-        tolerance=float(tolerance),
-        details=details,
-    )
+    return _worst(ratios), details
 
 
 def _descriptors(models: Sequence[PotentialModel]) -> list[dict]:
@@ -289,132 +287,114 @@ def _descriptors(models: Sequence[PotentialModel]) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-def _claim_soliton_pullback(cfg: RunConfig) -> VerificationReport:
-    claim = "soliton-pullback"
-    rng = cfg.rng_for(claim)
+@_claim("soliton-pullback", 1.0)
+def _claim_soliton_pullback(cfg: RunConfig, rng: np.random.Generator):
     models = [SolitonPotential(SolitonProfile(n)) for n in (1, 2, 3)]
-    worst, details = _pullback_part(cfg, rng, models)
-    tol = cfg.tolerance_for(claim, 1.0)
-    return _report(cfg, claim, _descriptors(models), cfg.points, worst, tol, details)
+    return (_descriptors(models), cfg.points, *_pullback_part(cfg, rng, models))
 
 
-def _claim_cigar_pullback(cfg: RunConfig) -> VerificationReport:
-    claim = "cigar-pullback"
-    rng = cfg.rng_for(claim)
+@_claim("cigar-pullback", 1.0)
+def _claim_cigar_pullback(cfg: RunConfig, rng: np.random.Generator):
     models = [CigarProductPotential(n) for n in (1, 2, 3, 4)]
     models.append(poly_test_model())
-    worst, details = _pullback_part(cfg, rng, models)
-    tol = cfg.tolerance_for(claim, 1.0)
-    return _report(cfg, claim, _descriptors(models), cfg.points, worst, tol, details)
+    return (_descriptors(models), cfg.points, *_pullback_part(cfg, rng, models))
 
 
-def _claim_profile_ode(cfg: RunConfig) -> VerificationReport:
-    claim = "profile-ode"
+@_claim("profile-ode", 1e-9)
+def _claim_profile_ode(cfg: RunConfig, rng: np.random.Generator):
     grid = np.linspace(-10.0, 10.0, 200)
     per_n = {}
-    worst = 0.0
     for n in (1, 2, 3):
         profile = SolitonProfile(n)
-        resid = max(profile.ode_residual(t) for t in grid)
-        inv = max(profile.inversion_residual(t) for t in (-25.0, -5.0, 0.0, 5.0, 25.0, 400.0))
+        resid = _worst(profile.ode_residual(t) for t in grid)
+        inv = _worst(
+            profile.inversion_residual(t) for t in (-25.0, -5.0, 0.0, 5.0, 25.0, 400.0)
+        )
         per_n[f"n={n}"] = {"ode_residual": resid, "inversion_residual": inv}
-        worst = max(worst, resid)
-    tol = cfg.tolerance_for(claim, 1e-9)
+    worst = _worst(part["ode_residual"] for part in per_n.values())
     details = {"grid": [-10.0, 10.0, 200], "per_n": per_n}
-    return _report(cfg, claim, [{"kind": "soliton", "n": n} for n in (1, 2, 3)], 200, worst, tol, details)
+    return [{"kind": "soliton", "n": n} for n in (1, 2, 3)], 200, worst, details
 
 
-def _claim_profile_closed_form(cfg: RunConfig) -> VerificationReport:
-    claim = "profile-closed-form"
+@_claim("profile-closed-form", 1e-10)
+def _claim_profile_closed_form(cfg: RunConfig, rng: np.random.Generator):
     profile = SolitonProfile(1)
     grid = np.linspace(-20.0, 20.0, 200)
-    gap_prime = max(abs(profile.u_prime(t) - log1p(exp(t))) for t in grid)
-    gap_second = max(
-        abs(profile.u_second(t) - exp(t) / (1.0 + exp(t))) for t in grid
-    )
-    tol = cfg.tolerance_for(claim, 1e-10)
+    gap_prime = _worst(abs(profile.u_prime(t) - log1p(exp(t))) for t in grid)
+    gap_second = _worst(abs(profile.u_second(t) - exp(t) / (1.0 + exp(t))) for t in grid)
     details = {
         "grid": [-20.0, 20.0, 200],
         "max_gap_u_prime": gap_prime,
         "max_gap_u_second": gap_second,
     }
-    return _report(cfg, claim, {"kind": "soliton", "n": 1}, 200, gap_prime, tol, details)
+    return {"kind": "soliton", "n": 1}, 200, gap_prime, details
 
 
-def _claim_profile_limits(cfg: RunConfig) -> VerificationReport:
-    claim = "profile-limits"
+@_claim("profile-limits", 1.0)
+def _claim_profile_limits(cfg: RunConfig, rng: np.random.Generator):
     checkpoints = (50.0, 100.0, 200.0)
     per_n = {}
-    worst = 0.0
+    ratios = []
     for n in (1, 2, 3):
         profile = SolitonProfile(n)
         slope_gaps = [abs(profile.u_prime(t) / t - n) for t in checkpoints]
         second_gaps = [abs(profile.u_second(t) - n) for t in checkpoints]
-        slope_part = slope_gaps[-1] / (0.05 * n)
-        second_part = second_gaps[-1] / 0.05
         # gaps below the solver-noise floor count as converged: their ups and
         # downs are roundoff, not a monotonicity signal
         floor = 1e-9
-        mono_violation = max(
-            max(np.diff(np.maximum(slope_gaps, floor))),
-            max(np.diff(np.maximum(second_gaps, floor))),
-        )
-        mono_part = 0.0 if mono_violation <= 1e-12 else 1.0 + mono_violation
+        mono_violation = np.max(np.diff(np.maximum([slope_gaps, second_gaps], floor), axis=1))
+        ratios += [
+            slope_gaps[-1] / (0.05 * n),
+            second_gaps[-1] / 0.05,
+            0.0 if mono_violation <= 1e-12 else 1.0 + mono_violation,
+        ]
         per_n[f"n={n}"] = {
             "slope_gaps": slope_gaps,
             "second_gaps": second_gaps,
             "bounds": {"slope": 0.05 * n, "second": 0.05},
         }
-        worst = max(worst, slope_part, second_part, mono_part)
-    tol = cfg.tolerance_for(claim, 1.0)
     details = {"checkpoints": list(checkpoints), "per_n": per_n}
-    return _report(cfg, claim, [{"kind": "soliton", "n": n} for n in (1, 2, 3)], len(checkpoints), worst, tol, details)
+    models = [{"kind": "soliton", "n": n} for n in (1, 2, 3)]
+    return models, len(checkpoints), _worst(ratios), details
 
 
-def _claim_cigar_curvature(cfg: RunConfig) -> VerificationReport:
-    claim = "cigar-curvature"
-    rng = cfg.rng_for(claim)
-    identity_bound, mixed_bound, fd_bound = 1e-8, 1e-8, 1e-5
+@_claim("cigar-curvature", 1.0)
+def _claim_cigar_curvature(cfg: RunConfig, rng: np.random.Generator):
+    bounds = {"identity": 1e-8, "mixed": 1e-8, "fd": 1e-5}
     per_model = {}
-    worst = 0.0
+    ratios = []
     for n in (1, 2, 3):
         model = CigarProductPotential(n)
-        pts = _sample_points(rng, cfg.points, n, cfg.radius)
-        identity_res = 0.0
-        mixed_res = 0.0
-        symmetry_res = 0.0
-        for z in pts:
-            r = curvature_at(model, z)
+        pts = sample_polydisc(rng, cfg.points, n, cfg.radius)
+        tensors = [curvature_at(model, z) for z in pts]
+        idx = np.arange(n)
+        off_diagonal = np.ones((n,) * 4, dtype=bool)
+        off_diagonal[idx, idx, idx, idx] = False
+        identity, mixed, symmetry = [], [], []
+        for z, r in zip(pts, tensors):
             t = radial_coords(z)
-            for j in range(n):
-                identity_res = max(
-                    identity_res, abs(r[j, j, j, j].real * (1.0 + t[j]) ** 3 - 1.0)
-                )
-            mask = np.ones((n,) * 4, dtype=bool)
-            idx = np.arange(n)
-            mask[idx, idx, idx, idx] = False
-            mixed_res = max(mixed_res, float(np.max(np.abs(r[mask]), initial=0.0)))
-            symmetry_res = max(symmetry_res, curvature_symmetry_residual(r))
-        fd_res = 0.0
-        for z in pts[:25]:
-            r = curvature_at(model, z)
-            r_fd = curvature_at(model, z, method="fd")
-            fd_res = max(fd_res, float(np.max(np.abs(r - r_fd))))
-        per_model[model.name] = {
-            "identity": identity_res,
-            "mixed": mixed_res,
-            "fd_agreement": fd_res,
-            "symmetry": symmetry_res,
+            identity += [abs(r[j, j, j, j].real * (1.0 + t[j]) ** 3 - 1.0) for j in range(n)]
+            mixed.append(np.max(np.abs(r[off_diagonal]), initial=0.0))
+            symmetry.append(curvature_symmetry_residual(r))
+        fd = [
+            np.max(np.abs(r - curvature_at(model, z, method="fd")))
+            for z, r in zip(pts[:25], tensors)
+        ]
+        part = {
+            "identity": _worst(identity),
+            "mixed": _worst(mixed),
+            "fd_agreement": _worst(fd),
+            "symmetry": _worst(symmetry),
         }
-        worst = max(
-            worst, identity_res / identity_bound, mixed_res / mixed_bound, fd_res / fd_bound
-        )
-    tol = cfg.tolerance_for(claim, 1.0)
-    details = {
-        "bounds": {"identity": identity_bound, "mixed": mixed_bound, "fd": fd_bound},
-        "per_model": per_model,
-    }
-    return _report(cfg, claim, [{"kind": "cigar", "n": n} for n in (1, 2, 3)], cfg.points, worst, tol, details)
+        per_model[model.name] = part
+        ratios += [
+            part["identity"] / bounds["identity"],
+            part["mixed"] / bounds["mixed"],
+            part["fd_agreement"] / bounds["fd"],
+        ]
+    details = {"bounds": bounds, "per_model": per_model}
+    models = [{"kind": "cigar", "n": n} for n in (1, 2, 3)]
+    return models, cfg.points, _worst(ratios), details
 
 
 def _random_pair(rng: np.random.Generator) -> HoloCurvePair:
@@ -424,35 +404,23 @@ def _random_pair(rng: np.random.Generator) -> HoloCurvePair:
     return HoloCurvePair(coeffs(), coeffs())
 
 
-def _claim_defect_identity(cfg: RunConfig) -> VerificationReport:
-    claim = "defect-identity"
-    rng = cfg.rng_for(claim)
+@_claim("defect-identity", 1.0)
+def _claim_defect_identity(cfg: RunConfig, rng: np.random.Generator):
     agree_bound, phase_bound, sign_bound = 1e-8, 1e-12, 1e-12
-    agree_res = 0.0
-    sign_res = 0.0
+    agreement, directs = [], []
     for _ in range(20):
         pair = _random_pair(rng)
-        pts = 1.5 * np.sqrt(rng.uniform(size=50)) * np.exp(
-            2j * np.pi * rng.uniform(size=50)
-        )
-        for z in pts:
+        for z in sample_polydisc(rng, 50, 1, 1.5)[:, 0]:
             direct, via_a = curvature_defect(pair, complex(z))
-            agree_res = max(agree_res, abs(direct - via_a) / max(1.0, abs(direct)))
-            sign_res = max(sign_res, direct)
-    phase_res = 0.0
-    identity_pair_coeffs = (1.0,)
+            agreement.append(abs(direct - via_a) / max(1.0, abs(direct)))
+            directs.append(direct)
+    phase = []
     for _ in range(20):
         theta = rng.uniform(0.0, 2.0 * np.pi)
-        alpha = complex(np.cos(theta), np.sin(theta))
-        pair = HoloCurvePair(identity_pair_coeffs, (alpha,))
-        for z in 1.5 * np.sqrt(rng.uniform(size=10)) * np.exp(
-            2j * np.pi * rng.uniform(size=10)
-        ):
-            phase_res = max(phase_res, abs(a_obstruction(pair, complex(z))))
-    worst = max(
-        agree_res / agree_bound, phase_res / phase_bound, max(sign_res, 0.0) / sign_bound
-    )
-    tol = cfg.tolerance_for(claim, 1.0)
+        pair = HoloCurvePair((1.0,), (complex(np.cos(theta), np.sin(theta)),))
+        phase += [abs(a_obstruction(pair, complex(z))) for z in sample_polydisc(rng, 10, 1, 1.5)[:, 0]]
+    agree_res, phase_res, sign_res = _worst(agreement), _worst(phase), _worst(directs)
+    worst = _worst([agree_res / agree_bound, phase_res / phase_bound, sign_res / sign_bound])
     details = {
         "bounds": {"agreement": agree_bound, "phase_curves": phase_bound, "sign": sign_bound},
         "agreement": agree_res,
@@ -461,41 +429,30 @@ def _claim_defect_identity(cfg: RunConfig) -> VerificationReport:
         "pairs": 20,
         "points_per_pair": 50,
     }
-    return _report(cfg, claim, {"kind": "cigar", "n": 2}, 20 * 50, worst, tol, details)
+    return {"kind": "cigar", "n": 2}, 20 * 50, worst, details
 
 
-def _claim_total_geodesy(cfg: RunConfig) -> VerificationReport:
-    claim = "total-geodesy"
-    rng = cfg.rng_for(claim)
+@_claim("total-geodesy", 1.0)
+def _claim_total_geodesy(cfg: RunConfig, rng: np.random.Generator):
     catalog_bound, counter_bound = 1e-7, 1e-2
-    catalog_res = 0.0
+    models = [
+        CigarProductPotential(2),
+        CigarProductPotential(3),
+        SolitonPotential(SolitonProfile(2)),
+    ]
     per_embedding = {}
-    for n in (2, 3):
-        model = CigarProductPotential(n)
-        for i, emb in enumerate(standard_catalog(n, seed=cfg.seed % 1000)):
+    for model in models:
+        for i, emb in enumerate(standard_catalog(model.n, seed=cfg.seed % 1000)):
             p = 0.8 * (rng.standard_normal(emb.k) + 1j * rng.standard_normal(emb.k))
             q = rng.standard_normal(emb.k) + 1j * rng.standard_normal(emb.k)
-            res = total_geodesy_residual(
+            per_embedding[f"{model.name}/{i}:sigma={emb.sigma}"] = total_geodesy_residual(
                 model, emb, emb.embed(p), emb.matrix @ q, cfg.geodesic_length
             )
-            per_embedding[f"cigar-n{n}/{i}:sigma={emb.sigma}"] = res
-            catalog_res = max(catalog_res, res)
-    soliton = SolitonPotential(SolitonProfile(2))
-    for i, emb in enumerate(standard_catalog(2, seed=cfg.seed % 1000)):
-        p = 0.8 * (rng.standard_normal(emb.k) + 1j * rng.standard_normal(emb.k))
-        q = rng.standard_normal(emb.k) + 1j * rng.standard_normal(emb.k)
-        res = total_geodesy_residual(
-            soliton, emb, emb.embed(p), emb.matrix @ q, cfg.geodesic_length
-        )
-        per_embedding[f"soliton-n2/{i}:sigma={emb.sigma}"] = res
-        catalog_res = max(catalog_res, res)
+    catalog_res = _worst(per_embedding.values())
     pair = graph_counterexample_pair()
-    departure = max(
-        curve_geodesy_residual(CigarProductPotential(2), pair, w0, cfg.geodesic_length)
-        for w0 in (0.5, 0.9)
+    departure = _worst(
+        curve_geodesy_residual(models[0], pair, w0, cfg.geodesic_length) for w0 in (0.5, 0.9)
     )
-    worst = max(catalog_res / catalog_bound, counter_bound / departure)
-    tol = cfg.tolerance_for(claim, 1.0)
     details = {
         "bounds": {"catalog": catalog_bound, "counterexample_min": counter_bound},
         "catalog_max_residual": catalog_res,
@@ -503,23 +460,16 @@ def _claim_total_geodesy(cfg: RunConfig) -> VerificationReport:
         "per_embedding": per_embedding,
         "arclength": cfg.geodesic_length,
     }
-    return _report(
-        cfg,
-        claim,
-        [{"kind": "cigar", "n": 2}, {"kind": "cigar", "n": 3}, {"kind": "soliton", "n": 2}],
-        len(per_embedding),
-        worst,
-        tol,
-        details,
-    )
+    worst = _worst([catalog_res / catalog_bound, counter_bound / departure])
+    descriptors = [{"kind": m.kind, "n": m.n} for m in models]
+    return descriptors, len(per_embedding), worst, details
 
 
-def _claim_ciriza(cfg: RunConfig) -> VerificationReport:
-    claim = "ciriza-linearity"
-    rng = cfg.rng_for(claim)
+@_claim("ciriza-linearity", 1.0)
+def _claim_ciriza(cfg: RunConfig, rng: np.random.Generator):
     residual_bound = 1e-9
-    worst = 0.0
     per_embedding = {}
+    ratios = []
     for n in (2, 3, 4):
         dm = DarbouxMap(CigarProductPotential(n))
         for i, emb in enumerate(standard_catalog(n, seed=cfg.seed % 1000)):
@@ -531,86 +481,52 @@ def _claim_ciriza(cfg: RunConfig) -> VerificationReport:
                 "rank": report.rank,
                 "k": report.expected_rank,
             }
-            worst = max(worst, report.max_residual / residual_bound)
-            if report.rank != report.expected_rank:
-                worst = max(worst, 2.0)
+            ratios.append(report.max_residual / residual_bound)
+            ratios.append(0.0 if report.rank == report.expected_rank else 2.0)
     dm2 = DarbouxMap(CigarProductPotential(2))
     counter_rank = curve_image_rank(dm2, graph_counterexample_pair(), seed=int(rng.integers(2**31)))
-    if counter_rank < 2:
-        worst = max(worst, 2.0)
-    tol = cfg.tolerance_for(claim, 1.0)
+    ratios.append(0.0 if counter_rank >= 2 else 2.0)
     details = {
         "bounds": {"residual": residual_bound},
         "per_embedding": per_embedding,
         "counterexample_rank": counter_rank,
         "samples_per_embedding": 50,
     }
-    return _report(
-        cfg,
-        claim,
-        [{"kind": "cigar", "n": n} for n in (2, 3, 4)],
-        50,
-        worst,
-        tol,
-        details,
-    )
+    return [{"kind": "cigar", "n": n} for n in (2, 3, 4)], 50, _worst(ratios), details
 
 
-def _claim_side_conditions(cfg: RunConfig) -> VerificationReport:
-    claim = "map-side-conditions"
-    rng = cfg.rng_for(claim)
+@_claim("map-side-conditions", 1.0)
+def _claim_side_conditions(cfg: RunConfig, rng: np.random.Generator):
+    models = shipped_models()
     per_model = {}
-    worst = 0.0
-    for model in shipped_models():
+    ratios = []
+    for model in models:
         region = SampleRegion(
             radius=cfg.radius, count=cfg.points, seed=int(rng.integers(2**31))
         )
         cond0 = cond0_scan(model, region)
-        dm = DarbouxMap(model)
         directions = unit_directions(model.n, cfg.rays, rng)
-        properness = properness_auto_scan(dm, directions, cfg.properness_threshold)
-        cond0_part = 0.0 if cond0.min_value >= 0.0 else 1.0 + abs(cond0.min_value)
-        eig_part = 0.0 if cond0.min_metric_eigenvalue > 0.0 else 1.0 + abs(
-            cond0.min_metric_eigenvalue
-        )
-        proper_part = 0.0 if properness.passed else 1.0
+        properness = properness_auto_scan(DarbouxMap(model), directions, cfg.properness_threshold)
+        min_eig = cond0.min_metric_eigenvalue
+        ratios += [
+            0.0 if cond0.min_value >= 0.0 else 1.0 + abs(cond0.min_value),
+            0.0 if min_eig > 0.0 else 1.0 + abs(min_eig),
+            0.0 if properness.passed else 1.0,
+        ]
         per_model[model.name] = {
             "min_first_deriv": cond0.min_value,
-            "min_metric_eigenvalue": cond0.min_metric_eigenvalue,
+            "min_metric_eigenvalue": min_eig,
             "properness_pass": properness.passed,
             "final_log_growth": [float(v) for v in properness.final_log_values],
             "top_radius": properness.radii[-1],
         }
-        worst = max(worst, cond0_part, eig_part, proper_part)
-    tol = cfg.tolerance_for(claim, 1.0)
     details = {
         "per_model": per_model,
         "rays": cfg.rays,
         "threshold": cfg.properness_threshold,
     }
-    return _report(
-        cfg,
-        claim,
-        [m.descriptor() for m in shipped_models()],
-        cfg.points,
-        worst,
-        tol,
-        details,
-    )
+    return _descriptors(models), cfg.points, _worst(ratios), details
 
-
-_CLAIM_FUNCTIONS: dict[str, Callable[[RunConfig], VerificationReport]] = {
-    "soliton-pullback": _claim_soliton_pullback,
-    "cigar-pullback": _claim_cigar_pullback,
-    "profile-ode": _claim_profile_ode,
-    "profile-closed-form": _claim_profile_closed_form,
-    "profile-limits": _claim_profile_limits,
-    "cigar-curvature": _claim_cigar_curvature,
-    "defect-identity": _claim_defect_identity,
-    "total-geodesy": _claim_total_geodesy,
-    "ciriza-linearity": _claim_ciriza,
-    "map-side-conditions": _claim_side_conditions,
-}
 
 CLAIM_IDS: tuple[str, ...] = tuple(sorted(_CLAIM_FUNCTIONS))
 
@@ -632,17 +548,7 @@ def run_claim(claim: str, cfg: RunConfig) -> VerificationReport:
             tolerance=cfg.tolerance_for(claim, 1.0),
             details={"error": f"{type(err).__name__}: {err}"},
         )
-    elapsed = time.perf_counter() - start
-    return VerificationReport(
-        claim=report.claim,
-        model=report.model,
-        samples=report.samples,
-        seed=report.seed,
-        max_residual=report.max_residual,
-        tolerance=report.tolerance,
-        details=report.details,
-        wall_time_s=elapsed,
-    )
+    return replace(report, wall_time_s=time.perf_counter() - start)
 
 
 def run_suite(cfg: RunConfig) -> list[VerificationReport]:
@@ -671,8 +577,8 @@ def pullback_report(
     """The fixed five-key JSON report for the pullback identity check."""
     rng = np.random.default_rng(seed)
     dm = DarbouxMap(model)
-    pts = _sample_points(rng, points, model.n, radius)
-    residual = max(dm.pullback_residual(z, method=method) for z in pts)
+    pts = sample_polydisc(rng, points, model.n, radius)
+    residual = _worst(dm.pullback_residual(z, method=method) for z in pts)
     return {
         "model": model.name,
         "n": model.n,
@@ -687,13 +593,14 @@ def pullback_report(
 # ---------------------------------------------------------------------------
 
 
-def _resolve_out(out: str | Path | None, default_name: str, outdir: str | None = None) -> Path:
-    if out is not None:
-        path = Path(out)
-        if not path.is_absolute() and (outdir or os.environ.get(OUTDIR_ENV)):
-            path = Path(outdir or os.environ[OUTDIR_ENV]) / path
-    else:
-        path = Path(outdir or os.environ.get(OUTDIR_ENV) or ".") / default_name
+def resolve_out(out: str | Path, outdir: str | Path | None = None) -> Path:
+    """The one output-path rule; creates the parent directory.
+
+    A relative ``out`` lands in ``outdir`` if given, else in the directory
+    named by $DARBOUXKIT_OUTDIR, else in the current directory.  An absolute
+    ``out`` is used as is.
+    """
+    path = Path(outdir or os.environ.get(OUTDIR_ENV) or ".") / out
     path.parent.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -714,8 +621,9 @@ def emit_plot_data(
 
     Kinds: "profile" (t, u_prime, u_second, ode_residual), "geodesic"
     (tau, coordinates, energy drift), "residual-heatmap" (x, y, pullback
-    residual over a complex-plane slice).  Relative outputs land in the
-    directory named by the DARBOUXKIT_OUTDIR environment variable.
+    residual over a complex-plane slice).  ``out`` defaults to a name built
+    from the kind and model; it is placed by ``resolve_out`` with the
+    optional ``params["outdir"]``.
     """
     params = dict(params or {})
     outdir = params.pop("outdir", None)
@@ -726,9 +634,8 @@ def emit_plot_data(
         count = int(params.pop("count", 200))
         _reject_extras(kind, params)
         rows = profile_table(SolitonProfile(n), t_min, t_max, count)
-        path = _resolve_out(out, f"profile-n{n}.csv", outdir)
-        return _write_csv(path, ["t", "u_prime", "u_second", "ode_residual"], rows)
-    if kind == "geodesic":
+        name, header = f"profile-n{n}.csv", ["t", "u_prime", "u_second", "ode_residual"]
+    elif kind == "geodesic":
         desc = params.pop("model", {"kind": "cigar", "n": 2})
         model = model_from_descriptor(desc)
         start = np.asarray(params.pop("start", [0.0] * model.n), dtype=complex)
@@ -752,9 +659,8 @@ def emit_plot_data(
                 row += [trajectory.points[i, j].real, trajectory.points[i, j].imag]
             row.append(drift[i])
             rows.append(row)
-        path = _resolve_out(out, f"geodesic-{model.name}.csv", outdir)
-        return _write_csv(path, header, rows)
-    if kind == "residual-heatmap":
+        name = f"geodesic-{model.name}.csv"
+    elif kind == "residual-heatmap":
         desc = params.pop("model", {"kind": "cigar", "n": 1})
         model = model_from_descriptor(desc)
         radius = float(params.pop("radius", 3.0))
@@ -768,9 +674,10 @@ def emit_plot_data(
                 z = np.zeros(model.n, dtype=complex)
                 z[0] = complex(x, y)
                 rows.append([x, y, dm.pullback_residual(z)])
-        path = _resolve_out(out, f"residual-heatmap-{model.name}.csv", outdir)
-        return _write_csv(path, ["x", "y", "residual"], rows)
-    raise ValueError(f"unknown plot-data kind {kind!r}")
+        name, header = f"residual-heatmap-{model.name}.csv", ["x", "y", "residual"]
+    else:
+        raise ValueError(f"unknown plot-data kind {kind!r}")
+    return _write_csv(resolve_out(name if out is None else out, outdir), header, rows)
 
 
 def _reject_extras(kind: str, params: Mapping) -> None:

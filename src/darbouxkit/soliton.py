@@ -27,7 +27,7 @@ from math import exp, expm1, factorial, log, log1p
 
 import numpy as np
 
-__all__ = ["FIntegral", "SolitonProfile", "f_eval", "profile_table"]
+__all__ = ["FIntegral", "SolitonProfile", "profile_table"]
 
 _F_SERIES_CUTOFF = 0.5   # F_n power series below, closed form above
 _SERIES_T = -3.0         # profile series branch for t at or below this
@@ -130,11 +130,6 @@ class FIntegral:
             power *= x
             kfact *= k + 1
         return acc
-
-
-def f_eval(f: FIntegral, phi: float) -> float:
-    """Value of the integral F_n at phi (functional alias for F.eval)."""
-    return f.eval(phi)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from scipy.optimize import minimize
 
 from .darboux import DarbouxMap
 from .geodesics import GeodesicState, geodesic_integrate
-from .potentials import PotentialModel, metric_at
+from .potentials import PotentialModel, metric_at, sample_polydisc
 
 __all__ = [
     "PhaseBlockEmbedding",
@@ -398,10 +398,7 @@ def ciriza_image_check(
     model = darboux_map.model
     if model.n != embedding.n:
         raise ValueError("embedding dimension does not match the model")
-    rng = np.random.default_rng(seed)
-    radii = radius * np.sqrt(rng.uniform(size=(samples, embedding.k)))
-    angles = rng.uniform(0.0, 2.0 * np.pi, size=(samples, embedding.k))
-    params = radii * np.exp(1j * angles)
+    params = sample_polydisc(np.random.default_rng(seed), samples, embedding.k, radius)
     # differential of the map at 0 is the diagonal of sqrt(Phi_j(0)), so the
     # mapped tangent frame is that scaling applied to the embedding matrix
     psi0 = np.sqrt(model.first_derivs(np.zeros(model.n)))
@@ -431,10 +428,7 @@ def curve_image_rank(
     seed: int = 202615,
 ) -> int:
     """Complex rank of mapped curve samples (2 for the (z, z^2) non-example)."""
-    rng = np.random.default_rng(seed)
-    radii = radius * np.sqrt(rng.uniform(size=samples))
-    angles = rng.uniform(0.0, 2.0 * np.pi, size=samples)
-    params = radii * np.exp(1j * angles)
+    params = sample_polydisc(np.random.default_rng(seed), samples, 1, radius)[:, 0]
     images = np.array([darboux_map.map_point(pair.point(w)) for w in params])
     return _complex_rank(images)
 

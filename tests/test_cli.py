@@ -223,3 +223,16 @@ class TestOutdirEnv:
         )
         assert result.exit_code == 0
         assert (tmp_path / "rep.json").exists()
+
+    def test_suite_out_goes_to_outdir_before_env(self, runner, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        result = runner.invoke(
+            main,
+            ["suite", "--points", "3", "--claims", "profile-closed-form",
+             "--out", "s.json", "--outdir", "sub"],
+            env={"DARBOUXKIT_OUTDIR": str(tmp_path / "env")},
+            catch_exceptions=False,
+        )
+        assert result.exit_code == 0, result.output
+        assert (tmp_path / "sub" / "s.json").exists()
+        assert not (tmp_path / "env" / "s.json").exists()

@@ -3,6 +3,7 @@ emission."""
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,10 +12,13 @@ from darbouxkit import (
     CLAIM_IDS,
     OUTDIR_ENV,
     CigarProductPotential,
+    DarbouxMap,
     RunConfig,
+    SolitonProfile,
     emit_plot_data,
     flat_potential,
     pullback_report,
+    resolve_out,
     run_claim,
     run_suite,
     suite_passed,
@@ -87,12 +91,15 @@ class TestRunConfig:
         assert not np.array_equal(a, c)
 
     def test_resolve_outdir_priority(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         monkeypatch.delenv(OUTDIR_ENV, raising=False)
-        assert RunConfig().resolve_outdir() == reporting_mod.Path(".")
+        assert resolve_out("r.json", RunConfig().outdir) == Path("r.json")
         monkeypatch.setenv(OUTDIR_ENV, str(tmp_path / "env"))
-        assert RunConfig().resolve_outdir() == tmp_path / "env"
+        assert resolve_out("r.json", RunConfig().outdir) == tmp_path / "env" / "r.json"
         cfg = RunConfig(outdir=str(tmp_path / "explicit"))
-        assert cfg.resolve_outdir() == tmp_path / "explicit"
+        assert resolve_out("r.json", cfg.outdir) == tmp_path / "explicit" / "r.json"
+        assert (tmp_path / "explicit").is_dir()
+        assert resolve_out(tmp_path / "abs.json", cfg.outdir) == tmp_path / "abs.json"
 
 
 class TestClaimExecution:
@@ -154,6 +161,19 @@ class TestClaimExecution:
         reports = run_suite(cfg)
         assert [r.claim for r in reports] == ["profile-closed-form", "profile-ode"]
         assert suite_passed(reports)
+
+    @pytest.mark.parametrize(
+        "claim, owner, attr",
+        [
+            ("cigar-pullback", DarbouxMap, "pullback_residual"),
+            ("profile-ode", SolitonProfile, "ode_residual"),
+        ],
+    )
+    def test_nan_residual_fails_claim(self, monkeypatch, claim, owner, attr):
+        monkeypatch.setattr(owner, attr, lambda *args, **kwargs: float("nan"))
+        rep = run_claim(claim, RunConfig(points=3))
+        assert not rep.passed
+        assert np.isnan(rep.max_residual)
 
     def test_tolerance_override_can_force_failure(self):
         cfg = RunConfig(points=10, tolerances={"profile-ode": 1e-30})

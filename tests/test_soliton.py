@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from darbouxkit import FIntegral, SolitonProfile, f_eval, profile_table
+from darbouxkit import FIntegral, SolitonProfile, profile_table
 
 NS = (1, 2, 3, 5)
 
@@ -73,10 +73,6 @@ class TestFIntegral:
             assert f.log_derivative(x) == pytest.approx(
                 f.derivative(x) / f.eval(x), rel=1e-12
             )
-
-    def test_f_eval_helper(self):
-        f = FIntegral(2)
-        assert f_eval(f, 1.0) == f.eval(1.0)
 
     @given(st.floats(min_value=1e-6, max_value=0.499))
     def test_series_positive_below_cutoff(self, x):
