@@ -17,7 +17,7 @@ shrinking-soliton potentials, and polynomial test potentials — and checks:
 See the ``darbouxkit`` CLI (``suite`` runs everything) or ``reporting.run_suite``.
 """
 
-from .soliton import FIntegral, SolitonProfile, profile_table
+from .soliton import FIntegral, ProfileSolveError, SolitonProfile, profile_table
 from .potentials import (
     CigarProductPotential,
     Cond0Report,
@@ -90,6 +90,7 @@ __version__ = "0.1.0"
 __all__ = [
     "FIntegral",
     "SolitonProfile",
+    "ProfileSolveError",
     "profile_table",
     "PotentialModel",
     "CigarProductPotential",

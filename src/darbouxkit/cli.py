@@ -231,12 +231,14 @@ def defect_cmd(f1, f2, points, radius, seed, at_point) -> None:
         [_parse_complex(c) for c in f2.split(",")],
     )
     zs = sample_polydisc(np.random.default_rng(seed), points, 1, radius)[:, 0]
-    max_gap = 0.0
-    max_direct = -np.inf
+    directs, gaps = [], []
     for z in zs:
         direct, via_a = curvature_defect(pair, complex(z))
-        max_gap = max(max_gap, abs(direct - via_a) / max(1.0, abs(direct)))
-        max_direct = max(max_direct, direct)
+        directs.append(direct)
+        gaps.append(abs(direct - via_a) / max(1.0, abs(direct)))
+    # numpy reductions propagate a NaN from any point; Python's max drops it
+    max_gap = float(np.max(gaps, initial=0.0))
+    max_direct = float(np.max(directs, initial=-np.inf))
     payload = {
         "f1": f1,
         "f2": f2,

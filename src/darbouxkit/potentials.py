@@ -562,7 +562,7 @@ class Cond0Report:
 
     @property
     def min_value(self) -> float:
-        return min(self.min_first_derivs)
+        return float(np.min(self.min_first_derivs))  # NaN-propagating, unlike min()
 
     @property
     def passed(self) -> bool:
@@ -586,17 +586,16 @@ def cond0_scan(model: PotentialModel, region: SampleRegion) -> Cond0Report:
     """
     pts = region.sample(model.n)
     mins = np.full(model.n, np.inf)
-    min_eig = np.inf
+    eig_mins = []
     for z in pts:
-        d1 = model.first_derivs(radial_coords(z))
-        mins = np.minimum(mins, d1)
-        eigs = np.linalg.eigvalsh(metric_at(model, z))
-        min_eig = min(min_eig, float(eigs[0]))
+        mins = np.minimum(mins, model.first_derivs(radial_coords(z)))
+        eig_mins.append(np.linalg.eigvalsh(metric_at(model, z))[0])
+    # numpy reductions propagate a NaN from any point; Python's min drops it
     return Cond0Report(
         model=model.name,
         points_checked=len(pts),
         min_first_derivs=tuple(float(v) for v in mins),
-        min_metric_eigenvalue=min_eig,
+        min_metric_eigenvalue=float(np.min(eig_mins, initial=np.inf)),
     )
 
 

@@ -14,25 +14,33 @@ root solve.  Three branches keep the solve stable on the whole line:
 * t <= -3:        power series in s = e^t, u'(log s) = sum_k b_k s^k, with
                   the b_k obtained by order-by-order inversion of
                   F_n(phi(s)) = s^n / n (cancellation-free near the origin);
-* moderate t:     bracketed Newton directly on F_n;
-* n*t > 60:       Newton on log F_n, which never forms e^(nt) and therefore
+* moderate t:     Newton on log F_n(x) = n t - log n, with log F_n taken
+                  as log(F_n);
+* n*t > 60:       the same Newton with log F_n formed without e^x, which
                   works far beyond the overflow range of the direct form.
+
+Both Newton branches share one loop: seeded from the asymptotic inverses of
+F_n, safeguarded by a bracket, and raising ``ProfileSolveError`` instead of
+returning an unconverged iterate.  Each t costs one solve: ``derivatives``
+gets u'' ... u'''' from u' through the profile equation (Cao 1996), or from
+the same series on the series branch.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from math import exp, expm1, factorial, log, log1p
+from math import exp, expm1, factorial, isfinite, log, log1p
 
 import numpy as np
 
-__all__ = ["FIntegral", "SolitonProfile", "profile_table"]
+__all__ = ["FIntegral", "ProfileSolveError", "SolitonProfile", "profile_table"]
 
 _F_SERIES_CUTOFF = 0.5   # F_n power series below, closed form above
 _SERIES_T = -3.0         # profile series branch for t at or below this
 _LOG_BRANCH_NT = 60.0    # switch to the log-space solve once n*t exceeds this
 _N_SERIES_TERMS = 24
+_MAX_NEWTON_ITER = 100  # cap of the profile root solve
 
 
 @functools.lru_cache(maxsize=None)
@@ -75,6 +83,11 @@ def _series_coefficients(n: int, terms: int = _N_SERIES_TERMS) -> np.ndarray:
         b[r + 1] = -coeff
     b.flags.writeable = False
     return b
+
+
+class ProfileSolveError(ArithmeticError):
+    """The profile root solve met a non-finite F_n value or did not reach
+    ``newton_tol`` within the iteration cap."""
 
 
 @dataclass(frozen=True)
@@ -162,44 +175,28 @@ class SolitonProfile:
         return self._solve_log(t)
 
     def u_second(self, t: float) -> float:
-        t = float(t)
-        if t <= _SERIES_T:
-            return self._series_sum(exp(t), weight_power=1)
-        up = self.u_prime(t)
-        return exp(self.n * t - up - (self.n - 1) * log(up))
+        return self.derivatives(t)[1]
 
     def u_third(self, t: float) -> float:
-        t = float(t)
-        if t <= _SERIES_T:
-            return self._series_sum(exp(t), weight_power=2)
-        up = self.u_prime(t)
-        us = self.u_second(t)
-        return us * (self.n - us - (self.n - 1) * us / up)
+        return self.derivatives(t)[2]
 
     def u_fourth(self, t: float) -> float:
-        t = float(t)
-        if t <= _SERIES_T:
-            return self._series_sum(exp(t), weight_power=3)
-        up = self.u_prime(t)
-        us = self.u_second(t)
-        ut = self.u_third(t)
-        return ut * ut / us - us * ut - (self.n - 1) * us * (ut / up - (us / up) ** 2)
+        return self.derivatives(t)[3]
 
     def derivatives(self, t: float) -> tuple[float, float, float, float]:
-        return (self.u_prime(t), self.u_second(t), self.u_third(t), self.u_fourth(t))
+        """The jet (u', u'', u''', u'''') at t from a single root solve."""
+        t = float(t)
+        up = self.u_prime(t)
+        if t <= _SERIES_T:
+            s = exp(t)
+            return (up, self._series_sum(s, 1), self._series_sum(s, 2), self._series_sum(s, 3))
+        return self._recursion_jet(t, up)
 
     def ode_residual(self, t: float) -> float:
         """Relative residual of (u')^(n-1) u'' e^(u') against e^(nt)."""
         t = float(t)
-        up = self.u_prime(t)
-        us = self.u_second(t)
-        nt = self.n * t
-        if up <= 0.0 or us <= 0.0:
-            return float("inf")
-        if abs(nt) > 600.0:
-            log_lhs = (self.n - 1) * log(up) + log(us) + up
-            return abs(expm1(log_lhs - nt))
-        return abs(up ** (self.n - 1) * us * exp(up) - exp(nt)) / exp(nt)
+        up, us = self.derivatives(t)[:2]
+        return self._ode_residual(t, up, us)
 
     def series_coefficients(self) -> np.ndarray:
         return _series_coefficients(self.n)
@@ -216,6 +213,24 @@ class SolitonProfile:
 
     # -- internals -------------------------------------------------------------
 
+    def _recursion_jet(self, t: float, up: float) -> tuple[float, float, float, float]:
+        # log u'' = n t - u' - (n-1) log u' is the profile equation; the
+        # higher orders differentiate it
+        n = self.n
+        us = exp(n * t - up - (n - 1) * log(up))
+        ut = us * (n - us - (n - 1) * us / up)
+        uf = ut * ut / us - us * ut - (n - 1) * us * (ut / up - (us / up) ** 2)
+        return (up, us, ut, uf)
+
+    def _ode_residual(self, t: float, up: float, us: float) -> float:
+        nt = self.n * t
+        if up <= 0.0 or us <= 0.0:
+            return float("inf")
+        if abs(nt) > 600.0:
+            log_lhs = (self.n - 1) * log(up) + log(us) + up
+            return abs(expm1(log_lhs - nt))
+        return abs(up ** (self.n - 1) * us * exp(up) - exp(nt)) / exp(nt)
+
     def _series_sum(self, s: float, weight_power: int) -> float:
         """sum_k k^p b_k s^k by Horner; p = 0,1,2,3 gives u', u'', u''', u''''."""
         b = _series_coefficients(self.n)
@@ -226,41 +241,63 @@ class SolitonProfile:
 
     def _solve_direct(self, t: float) -> float:
         f = FIntegral(self.n)
-        target = exp(self.n * t) / self.n
-        lo, hi = 0.0, self.n * max(t, 0.0) + 10.0
-        phi = exp(t) if t <= 0.0 else max(self.n * t - log(self.n), 0.5)
-        for _ in range(200):
-            resid = f.eval(phi) - target
-            if resid > 0.0:
-                hi = min(hi, phi)
-            else:
-                lo = max(lo, phi)
-            nxt = phi - resid / f.derivative(phi)
-            if not lo < nxt < hi:
-                nxt = 0.5 * (lo + hi)
-            if abs(nxt - phi) <= self.newton_tol * max(1.0, abs(phi)):
-                return nxt
-            phi = nxt
-        return phi
+
+        def log_f(x: float) -> tuple[float, float]:
+            value = f.eval(x)
+            return log(value), f.derivative(x) / value
+
+        return self._newton(t, log_f, lo=0.0)
 
     def _solve_log(self, t: float) -> float:
         f = FIntegral(self.n)
-        target = self.n * t - log(self.n)
-        lo, hi = 1.0, target + 10.0
-        phi = max(target - (self.n - 1) * log(max(target, 2.0)), 1.0)
-        for _ in range(200):
-            resid = f.log_eval(phi) - target
+        n = self.n
+
+        def log_f(x: float) -> tuple[float, float]:
+            value = f.log_eval(x)
+            return value, x ** (n - 1) * exp(x - value)
+
+        # log F_n(x) <= x + (n-1) log x and the root lies below target + 1,
+        # so it lies above this bound (which keeps log_eval's tail positive)
+        target = n * t - log(n)
+        return self._newton(t, log_f, lo=target - (n - 1) * log(target + 1.0))
+
+    def _newton(self, t: float, log_f, lo: float) -> float:
+        """Root x = u'(t) of log F_n(x) = n t - log n, given ``log_f(x)`` =
+        (log F_n(x), its slope) from one F_n evaluation and a lower bound.
+
+        F_n integrates the log-concave x^(n-1) e^x, so log F_n is concave: a
+        Newton step never overshoots the root from below, and after the first
+        step the iterates rise monotonically to it.  The seed is the larger
+        of the two asymptotic inverses, e^t (F_n ~ x^n / n at small x) and
+        L - (n-1) log L (log F_n ~ x + (n-1) log x at large x).  A step that
+        leaves the bracket is replaced by bisection (rtsafe, Numerical Recipes
+        section 9.4).
+        """
+        n = self.n
+        target = n * t - log(n)
+        hi = float("inf")
+        phi = max(exp(min(t, 0.0)), target - (n - 1) * log(max(target, 1.0)))
+        for _ in range(_MAX_NEWTON_ITER):
+            value, slope = log_f(phi)
+            resid = value - target
+            if not (isfinite(resid) and slope > 0.0):
+                raise ProfileSolveError(
+                    f"log F_{n}({phi!r}) = {value!r} with slope {slope!r} while solving at t={t!r}"
+                )
             if resid > 0.0:
-                hi = min(hi, phi)
+                hi = phi
             else:
-                lo = max(lo, phi)
-            nxt = phi - resid / f.log_derivative(phi)
+                lo = phi
+            nxt = phi - resid / slope
+            if abs(nxt - phi) <= self.newton_tol * phi:
+                return nxt
             if not lo < nxt < hi:
                 nxt = 0.5 * (lo + hi)
-            if abs(nxt - phi) <= self.newton_tol * max(1.0, abs(phi)):
-                return nxt
             phi = nxt
-        return phi
+        raise ProfileSolveError(
+            f"no convergence to newton_tol={self.newton_tol} in {_MAX_NEWTON_ITER} "
+            f"iterations at t={t!r} (n={n}); last iterate {phi!r}"
+        )
 
 
 def profile_table(
@@ -272,5 +309,6 @@ def profile_table(
     ts = np.linspace(t_min, t_max, count)
     rows = np.empty((count, 4))
     for i, t in enumerate(ts):
-        rows[i] = (t, profile.u_prime(t), profile.u_second(t), profile.ode_residual(t))
+        up, us = profile.derivatives(t)[:2]
+        rows[i] = (t, up, us, profile._ode_residual(float(t), up, us))
     return rows

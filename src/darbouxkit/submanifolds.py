@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .darboux import DarbouxMap
 from .geodesics import GeodesicState, geodesic_integrate
@@ -303,6 +302,9 @@ def curve_distance(
     first coordinate and both square roots of the second (good heuristics for
     low-degree graphs like (z, z^2)).
     """
+    # imported here, its only use: scipy.optimize adds ~24 MB to `import darbouxkit`
+    from scipy.optimize import minimize
+
     point = np.asarray(point, dtype=complex)
     if starts is None:
         root = np.sqrt(complex(point[1]))

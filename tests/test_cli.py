@@ -1,10 +1,12 @@
 """CLI tests driven through click's isolated runner."""
 
 import json
+import math
 
 import pytest
 from click.testing import CliRunner
 
+from darbouxkit import cli
 from darbouxkit.cli import main
 
 
@@ -171,6 +173,23 @@ class TestDefectCommand:
     def test_degenerate_pair_errors_cleanly(self, runner):
         result = runner.invoke(main, ["defect", "--f1", "0", "--f2", "0", "--points", "2"])
         assert result.exit_code != 0
+
+    def test_nan_defect_past_first_point_fails(self, runner, monkeypatch):
+        real = cli.curvature_defect
+        calls = []
+
+        def defect(pair, z):
+            calls.append(z)
+            direct, via_a = real(pair, z)
+            return (float("nan"), via_a) if len(calls) == 3 else (direct, via_a)
+
+        monkeypatch.setattr(cli, "curvature_defect", defect)
+        result = invoke(runner, ["defect", "--f1", "1", "--f2", "0,1", "--points", "6"])
+        assert result.exit_code == 1
+        data = json.loads(result.output)
+        assert data["pass"] is False
+        assert math.isnan(data["max_relative_gap"])
+        assert math.isnan(data["max_direct_defect"])
 
 
 class TestSuiteCommand:

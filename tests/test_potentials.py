@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from darbouxkit import (
     CigarProductPotential,
+    Cond0Report,
     PolyTestPotential,
     SampleRegion,
     SolitonPotential,
@@ -279,6 +280,25 @@ class TestCond0:
     def test_decreasing_potential_fails(self):
         bad = PolyTestPotential(1, {(1,): -1.0}, label="neg")
         rep = cond0_scan(bad, SampleRegion(count=10))
+        assert not rep.passed
+
+    def test_nan_metric_eigenvalue_past_first_point_propagates(self, monkeypatch):
+        real = np.linalg.eigvalsh
+        calls = []
+
+        def eigvalsh(a):
+            calls.append(None)
+            eigs = real(a)
+            return np.full_like(eigs, np.nan) if len(calls) == 3 else eigs
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        rep = cond0_scan(soliton_potential(SolitonProfile(2)), SampleRegion(count=5))
+        assert len(calls) == 5
+        assert math.isnan(rep.min_metric_eigenvalue)
+
+    def test_nan_first_derivative_fails(self):
+        rep = Cond0Report("m", 2, (0.5, float("nan")), min_metric_eigenvalue=1.0)
+        assert math.isnan(rep.min_value)
         assert not rep.passed
 
 

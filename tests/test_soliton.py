@@ -16,9 +16,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from darbouxkit import FIntegral, SolitonProfile, profile_table
+from darbouxkit import FIntegral, ProfileSolveError, SolitonPotential, SolitonProfile, profile_table
+from darbouxkit import soliton
 
 NS = (1, 2, 3, 5)
+SEAM_NS = (1, 2, 3, 4)
 
 
 class TestFIntegral:
@@ -160,6 +162,100 @@ class TestProfileResiduals:
             for seam in (-3.0, 60.0 / n):
                 lo, hi = p.u_prime(seam - 1e-9), p.u_prime(seam + 1e-9)
                 assert hi == pytest.approx(lo, rel=1e-8)
+
+
+class TestSolveErrors:
+    @pytest.mark.parametrize("n", SEAM_NS)
+    def test_nan_evaluation_raises(self, n, monkeypatch):
+        monkeypatch.setattr(FIntegral, "eval", lambda self, x: float("nan"))
+        with pytest.raises(ProfileSolveError):
+            SolitonProfile(n).u_prime(0.5)
+
+    @pytest.mark.parametrize("n", SEAM_NS)
+    def test_nan_log_evaluation_raises(self, n, monkeypatch):
+        monkeypatch.setattr(FIntegral, "log_eval", lambda self, x: float("nan"))
+        with pytest.raises(ProfileSolveError):
+            SolitonProfile(n).u_prime(100.0)
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        # one Newton iteration cannot meet newton_tol here; the last iterate
+        # must not come back as an answer
+        monkeypatch.setattr(soliton, "_MAX_NEWTON_ITER", 1)
+        with pytest.raises(ProfileSolveError):
+            SolitonProfile(2).u_prime(0.5)
+
+
+class TestBranchSeams:
+    """Both branches of each profile seam evaluated at the same point.
+
+    Measured: series vs Newton u' <= 1.5e-16 relative at t = -3, the full jet
+    <= 3.4e-15, direct vs log Newton at n t = 60 identical.
+    """
+
+    @pytest.mark.parametrize("n", SEAM_NS)
+    def test_series_vs_newton_u_prime(self, n):
+        p = SolitonProfile(n)
+        series = p.u_prime(-3.0)
+        newton = p._solve_direct(-3.0)
+        assert abs(series - newton) <= 2e-15 * series
+
+    @pytest.mark.parametrize("n", SEAM_NS)
+    def test_series_vs_recursion_jet(self, n):
+        p = SolitonProfile(n)
+        series = p.derivatives(-3.0)
+        recursion = p._recursion_jet(-3.0, p._solve_direct(-3.0))
+        for a, b in zip(series, recursion):
+            assert abs(a - b) <= 5e-14 * abs(a)
+
+    @pytest.mark.parametrize("n", SEAM_NS)
+    def test_direct_vs_log_newton(self, n):
+        p = SolitonProfile(n)
+        t = 60.0 / n
+        direct, log_form = p._solve_direct(t), p._solve_log(t)
+        assert abs(direct - log_form) <= 1e-15 * direct
+
+
+def _count_calls(monkeypatch, cls, attr) -> list:
+    calls = []
+    original = getattr(cls, attr)
+
+    def counted(self, *args):
+        calls.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(cls, attr, counted)
+    return calls
+
+
+class TestSolveCost:
+    @pytest.mark.parametrize("n", SEAM_NS)
+    def test_one_solve_per_jet(self, n, monkeypatch):
+        solves = _count_calls(monkeypatch, SolitonProfile, "u_prime")
+        p = SolitonProfile(n)
+        for t in (-5.0, 0.5, 100.0 / n):  # series, direct and log branches
+            solves.clear()
+            p.derivatives(t)
+            assert len(solves) == 1, t
+
+    @pytest.mark.parametrize("n", SEAM_NS)
+    def test_fourth_order_tensors_cost_at_most_four_solves(self, n, monkeypatch):
+        solves = _count_calls(monkeypatch, SolitonProfile, "u_prime")
+        model = SolitonPotential(SolitonProfile(n))
+        for s in (0.1001, 0.7, 30.0):
+            solves.clear()
+            model.derivative_tensors(np.full(n, s / n), 4)
+            assert len(solves) <= 4, s
+
+    @pytest.mark.parametrize("n", SEAM_NS)
+    def test_newton_evaluations_per_solve(self, n, monkeypatch):
+        evals = _count_calls(monkeypatch, FIntegral, "eval")
+        log_evals = _count_calls(monkeypatch, FIntegral, "log_eval")
+        p = SolitonProfile(n)
+        for t in np.linspace(-3.0, 400.0, 2000):
+            evals.clear()
+            log_evals.clear()
+            p.u_prime(t)
+            assert len(evals) + len(log_evals) <= 8, t
 
 
 class TestProfileTable:

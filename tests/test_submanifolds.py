@@ -4,6 +4,12 @@ Frozen oracles for the (z, z^2) pair at z = 1:
   A = 4, induced-vs-ambient curvature defect = -0.1 by both formulas.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import darbouxkit
 import numpy as np
 import pytest
 from hypothesis import given
@@ -201,6 +207,19 @@ class TestCurveDistance:
         pair = graph_counterexample_pair()
         off = pair.point(0.5) + np.array([0.0, 0.25])
         assert curve_distance(pair, off) > 0.05
+
+    def test_package_import_leaves_scipy_optimize_unloaded(self):
+        # curve_distance imports it on first use; a fresh `import darbouxkit` must not
+        src = str(Path(darbouxkit.__file__).resolve().parents[1])
+        code = "import sys, darbouxkit; print('scipy.optimize' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestCirizaProperty:
