@@ -56,7 +56,7 @@ from .curvature import (
     holomorphic_sectional,
     metric_z_derivative,
 )
-from .geodesics import GeodesicState, GeodesicTrajectory, geodesic_integrate
+from .geodesics import GeodesicDriftError, GeodesicState, GeodesicTrajectory, geodesic_integrate
 from .submanifolds import (
     CirizaReport,
     HoloCurvePair,
@@ -126,6 +126,7 @@ __all__ = [
     "metric_z_derivative",
     "GeodesicState",
     "GeodesicTrajectory",
+    "GeodesicDriftError",
     "geodesic_integrate",
     "PhaseBlockEmbedding",
     "standard_catalog",

@@ -10,8 +10,9 @@ shipped models) is
     R_{i jbar k lbar} = - d^2 g_{i jbar} / dz_k dzbar_l
                         + sum_{p,q} g^{p qbar} (dg_{i qbar}/dz_k)(dg_{p jbar}/dzbar_l).
 
-Both ingredients come in an analytic path (tensor assembly from the
-potential's t-derivatives to order four) and a finite-difference path
+Both ingredients come in an analytic path (tensor assembly from one
+``derivative_tensors`` jet, the potential's t-derivatives to order four,
+taken once per point) and a finite-difference path
 (Richardson-extrapolated Wirtinger differences of ``metric_at``), kept
 independent so they can cross-validate each other.
 """
@@ -22,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .potentials import PotentialModel, metric_at, radial_coords
+from .potentials import PotentialModel, metric_at, metric_energy, metric_from_jet, radial_coords
 
 __all__ = [
     "christoffel_at",
@@ -38,15 +39,14 @@ def _inverse_metric_conj(g: np.ndarray) -> np.ndarray:
     return np.conj(np.linalg.inv(g))
 
 
-def metric_z_derivative(model: PotentialModel, z: Sequence[complex]) -> np.ndarray:
-    """Tensor D[i, l, j] = d g_{i lbar} / d z_j from the potential derivatives."""
+def metric_z_derivative(z: Sequence[complex], jet: Sequence[np.ndarray]) -> np.ndarray:
+    """Tensor D[i, l, j] = d g_{i lbar} / d z_j from a ``derivative_tensors`` jet
+    of order >= 3 at z."""
     z = np.asarray(z, dtype=complex)
-    n = model.n
-    t = radial_coords(z)
-    _, d2, d3 = model.derivative_tensors(t, 3)
+    _, d2, d3 = jet[:3]
     zb = np.conj(z)
     d = np.einsum("i,l,j,ilj->ilj", zb, z, zb, d3.astype(complex))
-    idx = np.arange(n)
+    idx = np.arange(len(z))
     d[idx, idx, :] += d2 * zb[None, :]
     d[:, idx, idx] += zb[:, None] * d2
     return d
@@ -54,19 +54,17 @@ def metric_z_derivative(model: PotentialModel, z: Sequence[complex]) -> np.ndarr
 
 def christoffel_at(model: PotentialModel, z: Sequence[complex]) -> np.ndarray:
     """Gamma[m, i, j] at z; symmetric in (i, j)."""
-    g = metric_at(model, z)
-    d = metric_z_derivative(model, z)
-    return np.einsum("ml,ilj->mij", _inverse_metric_conj(g), d)
+    jet = model.derivative_tensors(radial_coords(z), 3)
+    g = metric_from_jet(z, jet)
+    return np.einsum("ml,ilj->mij", _inverse_metric_conj(g), metric_z_derivative(z, jet))
 
 
-def _second_metric_derivative(model: PotentialModel, z: np.ndarray) -> np.ndarray:
+def _second_metric_derivative(z: np.ndarray, jet: Sequence[np.ndarray]) -> np.ndarray:
     """Tensor H[i, j, k, l] = d^2 g_{i jbar} / dz_k dzbar_l, analytic path."""
-    n = model.n
-    t = radial_coords(z)
-    _, d2, d3, d4 = model.derivative_tensors(t, 4)
+    _, d2, d3, d4 = jet
     d3 = d3.astype(complex)
     zb = np.conj(z)
-    idx = np.arange(n)
+    idx = np.arange(len(z))
     h = np.einsum("i,j,k,l,ijkl->ijkl", zb, z, zb, z, d4.astype(complex))
     m1 = np.einsum("l,k,ikl->ikl", z, zb, d3)
     m1[:, idx, idx] += d2
@@ -89,11 +87,13 @@ def curvature_at(
     metric stays exact); it exists to cross-check the analytic path.
     """
     z = np.asarray(z, dtype=complex)
-    g = metric_at(model, z)
     if method == "analytic":
-        d = metric_z_derivative(model, z)
-        h = _second_metric_derivative(model, z)
+        jet = model.derivative_tensors(radial_coords(z), 4)
+        g = metric_from_jet(z, jet)
+        d = metric_z_derivative(z, jet)
+        h = _second_metric_derivative(z, jet)
     elif method == "fd":
+        g = metric_at(model, z)
         d = _fd_metric_z_derivative(model, z)
         h = _fd_second_metric_derivative(model, z)
     else:
@@ -106,14 +106,11 @@ def holomorphic_sectional(
     model: PotentialModel, z: Sequence[complex], v: Sequence[complex]
 ) -> float:
     """R(v, vbar, v, vbar) / g(v, vbar)^2 at z."""
-    z = np.asarray(z, dtype=complex)
-    v = np.asarray(v, dtype=complex)
     if np.linalg.norm(v) == 0.0:
         raise ValueError("direction must be nonzero")
     r = curvature_at(model, z)
     num = np.einsum("ijkl,i,j,k,l->", r, v, np.conj(v), v, np.conj(v))
-    den = np.einsum("jk,j,k->", metric_at(model, z), v, np.conj(v))
-    return float(np.real(num)) / float(np.real(den)) ** 2
+    return float(np.real(num)) / metric_energy(model, z, v) ** 2
 
 
 def curvature_symmetry_residual(r: np.ndarray) -> float:

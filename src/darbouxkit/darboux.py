@@ -127,9 +127,8 @@ class DarbouxMap:
         """
         pts = grid.points(self.n)
         images = np.array([self.map_point(z) for z in pts])
-        min_det = np.inf
-        for z in pts:
-            min_det = min(min_det, abs(np.linalg.det(self.jacobian(z))))
+        # NaN-propagating, unlike min(): a NaN determinant anywhere fails the probe
+        min_det = np.min([abs(np.linalg.det(self.jacobian(z))) for z in pts], initial=np.inf)
         collisions: list[tuple[int, int]] = []
         for i in range(len(pts)):
             dw = np.linalg.norm(images[i + 1 :] - images[i], axis=1)

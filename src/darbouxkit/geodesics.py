@@ -13,15 +13,19 @@ exceeds the requested bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .curvature import christoffel_at
-from .potentials import PotentialModel, metric_at
+from .potentials import PotentialModel, metric_energy
 
-__all__ = ["GeodesicState", "GeodesicTrajectory", "geodesic_integrate"]
+__all__ = ["GeodesicState", "GeodesicTrajectory", "GeodesicDriftError", "geodesic_integrate"]
+
+
+class GeodesicDriftError(ArithmeticError):
+    """The energy drift stayed above its bound after every refinement."""
 
 
 @dataclass(frozen=True)
@@ -45,6 +49,7 @@ class GeodesicTrajectory:
     velocities: np.ndarray  # (samples, n) complex
     energies: np.ndarray
     steps: int
+    converged: bool = False  # drift met the drift_tol of geodesic_integrate
 
     @property
     def drift(self) -> float:
@@ -53,10 +58,6 @@ class GeodesicTrajectory:
         if e0 == 0.0:
             return float(np.max(np.abs(self.energies)))
         return float(np.max(np.abs(self.energies - e0)) / abs(e0))
-
-
-def _energy(model: PotentialModel, z: np.ndarray, v: np.ndarray) -> float:
-    return float(np.real(np.einsum("jk,j,k->", metric_at(model, z), v, np.conj(v))))
 
 
 def _acceleration(model: PotentialModel, z: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -76,7 +77,8 @@ def geodesic_integrate(
 
     Starts from ``steps`` RK4 steps (default scales with length) and doubles
     the count until the energy drift falls below ``drift_tol`` or the
-    refinement budget runs out; the last trajectory is returned either way.
+    refinement budget runs out; the last trajectory is returned either way,
+    with ``converged`` saying which.
     """
     if length <= 0.0:
         raise ValueError("length must be positive")
@@ -86,7 +88,7 @@ def geodesic_integrate(
     for _ in range(max_refinements + 1):
         trajectory = _rk4_run(model, state, length, steps)
         if trajectory.drift <= drift_tol:
-            return trajectory
+            return replace(trajectory, converged=True)
         steps *= 2
     return trajectory
 
@@ -100,9 +102,7 @@ def _rk4_run(
     v = state.v.copy()
     points = np.empty((steps + 1, n), dtype=complex)
     velocities = np.empty((steps + 1, n), dtype=complex)
-    energies = np.empty(steps + 1)
     points[0], velocities[0] = z, v
-    energies[0] = _energy(model, z, v)
     for i in range(steps):
         k1z, k1v = v, _acceleration(model, z, v)
         k2z, k2v = v + 0.5 * h * k1v, _acceleration(model, z + 0.5 * h * k1z, v + 0.5 * h * k1v)
@@ -113,6 +113,6 @@ def _rk4_run(
         if not (np.all(np.isfinite(z)) and np.all(np.isfinite(v))):
             raise RuntimeError(f"geodesic integration blew up at step {i + 1}/{steps}")
         points[i + 1], velocities[i + 1] = z, v
-        energies[i + 1] = _energy(model, z, v)
+    energies = np.array([metric_energy(model, z, v) for z, v in zip(points, velocities)])
     times = np.linspace(0.0, length, steps + 1)
     return GeodesicTrajectory(times, points, velocities, energies, steps)

@@ -144,7 +144,7 @@ class PotentialModel(ABC):
 
     @abstractmethod
     def derivative_tensors(self, t: Sequence[float], order: int) -> tuple[np.ndarray, ...]:
-        """Tensors (D1, ..., D_order): D_q[j1..jq] = d^q Phi / dt_{j1}..dt_{jq}."""
+        """The point's jet (D1, ..., D_order): D_q[j1..jq] = d^q Phi / dt_{j1}..dt_{jq}."""
 
     @abstractmethod
     def log_ray_growth(self, log_r: float, direction: Sequence[complex]) -> float:
@@ -245,26 +245,27 @@ class SolitonPotential(PotentialModel):
         q = sum(m)
         if q == 0:
             return self.value_from_radial(t)
-        return self.radial_deriv(float(t.sum()), q)
+        return self.radial_deriv(float(t.sum()), q)[q - 1]
 
-    def radial_deriv(self, s: float, q: int) -> float:
-        """C_q(s) = d^q Phi / (any q radial coordinates) at s = sum t_j."""
+    def radial_deriv(self, s: float, order: int) -> tuple[float, ...]:
+        """(C_1, ..., C_order) at s = sum t_j, C_q = d^q Phi / (any q radial coordinates)."""
         if s < 0.0:
             raise ValueError("s must be nonnegative")
         if s < _RADIAL_SERIES_S:
             # Phi'(s) = u'(log s)/s = sum_k b_k s^(k-1), so q-th derivatives
             # carry the falling factorial (k-1)...(k-q+1), zero for k < q
             b = _series_coefficients(self.profile.n)
-            acc = 0.0
-            for k in range(q, len(b)):
+            acc = [0.0] * order
+            for k in range(1, len(b)):
                 weight = 1.0
-                for i in range(1, q):
-                    weight *= k - i
-                acc += weight * b[k] * s ** (k - q)
-            return acc
+                for q in range(1, min(k, order) + 1):
+                    acc[q - 1] += weight * b[k] * s ** (k - q)
+                    weight *= k - q
+            return tuple(acc)
         derivs = self.profile.derivatives(log(s))
-        row = self._CHAIN_ROWS[q]
-        return sum(c * d for c, d in zip(row, derivs)) / s**q
+        return tuple(
+            sum(c * d for c, d in zip(self._CHAIN_ROWS[q], derivs)) / s**q for q in range(1, order + 1)
+        )
 
     def value_from_radial(self, t):
         t = np.asarray(t, dtype=float)
@@ -291,13 +292,12 @@ class SolitonPotential(PotentialModel):
         half = 0.5 * (hi - lo)
         mid = 0.5 * (hi + lo)
         pts = mid + half * nodes
-        return half * float(sum(w * self.radial_deriv(x, 1) for w, x in zip(weights, pts)))
+        return half * float(sum(w * self.radial_deriv(x, 1)[0] for w, x in zip(weights, pts)))
 
     def derivative_tensors(self, t, order):
         t = np.asarray(t, dtype=float)
         s = float(t.sum())
-        n = self.n
-        return tuple(np.full((n,) * q, self.radial_deriv(s, q)) for q in range(1, order + 1))
+        return tuple(np.full((self.n,) * q, c) for q, c in enumerate(self.radial_deriv(s, order), 1))
 
     def log_ray_growth(self, log_r, direction):
         log_t = _log_ray_coords(log_r, direction)
@@ -477,15 +477,24 @@ def shipped_models() -> list[PotentialModel]:
 
 def metric_at(model: PotentialModel, z: Sequence[complex]) -> np.ndarray:
     """Hermitian matrix G[j,k] = delta_jk Phi_j + conj(z_j) z_k Phi_jk."""
+    return metric_from_jet(z, model.derivative_tensors(radial_coords(z), 2))
+
+
+def metric_from_jet(z: Sequence[complex], jet: Sequence[np.ndarray]) -> np.ndarray:
+    """``metric_at`` assembled from a ``derivative_tensors`` jet of order >= 2 at z."""
     z = np.asarray(z, dtype=complex)
-    t = radial_coords(z)
-    d1, d2 = model.derivative_tensors(t, 2)
+    d1, d2 = jet[:2]
     if not (np.all(np.isfinite(d1)) and np.all(np.isfinite(d2))):
         raise ValueError("potential derivatives are not finite at this point")
     g = np.diag(d1).astype(complex) + np.outer(np.conj(z), z) * d2
     # fused-multiply-add kernels leave ~1e-17 asymmetry in the outer product;
     # averaging with the adjoint restores exact Hermitian symmetry
     return 0.5 * (g + g.conj().T)
+
+
+def metric_energy(model: PotentialModel, z: Sequence[complex], v: Sequence[complex]) -> float:
+    """g(v, vbar) = sum_jk G[j,k] v_j conj(v_k) at z."""
+    return float(np.real(np.einsum("jk,j,k->", metric_at(model, z), v, np.conj(v))))
 
 
 def hermitian_to_two_form(g: np.ndarray) -> np.ndarray:

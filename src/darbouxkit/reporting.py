@@ -18,6 +18,7 @@ import csv
 import json
 import os
 import time
+import traceback
 import zlib
 from dataclasses import dataclass, field, fields, replace
 from math import exp, log1p
@@ -546,7 +547,7 @@ def run_claim(claim: str, cfg: RunConfig) -> VerificationReport:
             seed=cfg.seed,
             max_residual=float("inf"),
             tolerance=cfg.tolerance_for(claim, 1.0),
-            details={"error": f"{type(err).__name__}: {err}"},
+            details={"error": f"{type(err).__name__}: {err}", "traceback": traceback.format_exc()},
         )
     return replace(report, wall_time_s=time.perf_counter() - start)
 

@@ -24,8 +24,8 @@ from typing import Sequence
 import numpy as np
 
 from .darboux import DarbouxMap
-from .geodesics import GeodesicState, geodesic_integrate
-from .potentials import PotentialModel, metric_at, sample_polydisc
+from .geodesics import GeodesicDriftError, GeodesicState, GeodesicTrajectory, geodesic_integrate
+from .potentials import PotentialModel, metric_energy, sample_polydisc
 
 __all__ = [
     "PhaseBlockEmbedding",
@@ -157,14 +157,20 @@ def total_geodesy_residual(
     if embedding.distance_to_image(vel) > 1e-9 * max(1.0, float(np.linalg.norm(vel))):
         raise ValueError("velocity is not tangent to the embedded subspace")
     if normalize:
-        energy = np.real(np.einsum("jk,j,k->", metric_at(model, start), vel, np.conj(vel)))
-        vel = vel / np.sqrt(energy)
+        vel = vel / np.sqrt(metric_energy(model, start, vel))
     trajectory = geodesic_integrate(
         model, GeodesicState(start, vel), length, steps=steps, drift_tol=drift_tol
     )
-    p = embedding.projector()
-    offsets = trajectory.points - trajectory.points @ p.T
+    points = _converged_points(trajectory)
+    offsets = points - points @ embedding.projector().T
     return float(np.max(np.linalg.norm(offsets, axis=1)))
+
+
+def _converged_points(trajectory: GeodesicTrajectory) -> np.ndarray:
+    """The trajectory's points; GeodesicDriftError if it missed its drift bound."""
+    if not trajectory.converged:
+        raise GeodesicDriftError(f"energy drift {trajectory.drift:.3e} unmet at {trajectory.steps} steps")
+    return trajectory.points
 
 
 # ---------------------------------------------------------------------------
@@ -314,16 +320,17 @@ def curve_distance(
         w = complex(x[0], x[1])
         return float(np.linalg.norm(pair.point(w) - point) ** 2)
 
-    best = np.inf
-    for w0 in starts:
-        res = minimize(
+    values = [
+        minimize(
             objective,
             np.array([w0.real, w0.imag]),
             method="Nelder-Mead",
             options={"xatol": 1e-12, "fatol": 1e-24, "maxiter": 600},
-        )
-        best = min(best, float(res.fun))
-    return float(np.sqrt(max(best, 0.0)))
+        ).fun
+        for w0 in starts
+    ]
+    # numpy reductions propagate a NaN from any start; Python's min drops it
+    return float(np.sqrt(np.maximum(np.min(values), 0.0)))
 
 
 def curve_geodesy_residual(
@@ -339,13 +346,13 @@ def curve_geodesy_residual(
         raise ValueError("curve geodesy runs in the two-cigar model")
     start = pair.point(w0)
     vel = pair.tangent(w0)
-    energy = np.real(np.einsum("jk,j,k->", metric_at(model, start), vel, np.conj(vel)))
+    energy = metric_energy(model, start, vel)
     if energy <= 0.0:
         raise ValueError("degenerate tangent at the launch point")
     vel = vel / np.sqrt(energy)
     trajectory = geodesic_integrate(model, GeodesicState(start, vel), length, steps=steps)
-    samples = trajectory.points[::stride]
-    return max(curve_distance(pair, p) for p in samples)
+    samples = _converged_points(trajectory)[::stride]
+    return float(np.max([curve_distance(pair, p) for p in samples]))
 
 
 # ---------------------------------------------------------------------------

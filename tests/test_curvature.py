@@ -80,7 +80,8 @@ class TestFlat:
         z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         assert np.max(np.abs(curvature_at(model, z))) == 0.0
         assert np.max(np.abs(christoffel_at(model, z))) == 0.0
-        assert np.max(np.abs(metric_z_derivative(model, z))) == 0.0
+        d = metric_z_derivative(z, model.derivative_tensors(radial_coords(z), 3))
+        assert np.max(np.abs(d)) == 0.0
 
 
 class TestSymmetries:
@@ -99,7 +100,7 @@ class TestSymmetries:
     def test_first_derivative_symmetric_in_holomorphic_slots(self, rng):
         model = soliton_potential(SolitonProfile(2))
         z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        d = metric_z_derivative(model, z)
+        d = metric_z_derivative(z, model.derivative_tensors(radial_coords(z), 3))
         # d g_{i lbar} / dz_j is symmetric in (i, j)
         assert np.max(np.abs(d - np.transpose(d, (2, 1, 0)))) <= 1e-13
 
@@ -122,7 +123,7 @@ class TestFirstDerivativeTensor:
     def test_matches_fd_of_metric(self, rng):
         model = soliton_potential(SolitonProfile(2))
         z = 0.8 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
-        d = metric_z_derivative(model, z)
+        d = metric_z_derivative(z, model.derivative_tensors(radial_coords(z), 3))
         h = 1e-5  # large enough that profile-solver noise (~1e-13) stays small
         for j in range(2):
             dz = np.zeros(2, dtype=complex)
@@ -141,10 +142,35 @@ class TestFirstDerivativeTensor:
         z = 0.7 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
         g = metric_at(model, z)
         gamma = christoffel_at(model, z)
-        d = metric_z_derivative(model, z)
+        d = metric_z_derivative(z, model.derivative_tensors(radial_coords(z), 3))
         rebuilt = np.einsum("ml,mij->ilj", g, gamma)
         # rebuilt[i,l,j] should equal d[(j,l,i)] ordering d g_{j lbar l}/dz_i
         assert np.max(np.abs(rebuilt - np.transpose(d, (2, 1, 0)))) <= 1e-12
+
+
+class TestOneJetPerPoint:
+    @pytest.mark.parametrize("make", [
+        lambda: CigarProductPotential(2),
+        poly_test_model,
+        lambda: soliton_potential(SolitonProfile(2)),
+    ], ids=["cigar", "poly", "soliton"])
+    def test_one_tensor_call_per_christoffel_and_curvature(self, make, monkeypatch):
+        model = make()
+        cls = type(model)
+        original = cls.derivative_tensors
+        orders = []
+
+        def counted(self, t, order):
+            orders.append(order)
+            return original(self, t, order)
+
+        monkeypatch.setattr(cls, "derivative_tensors", counted)
+        z = np.array([0.6 + 0.2j, -0.3 + 0.5j])
+        christoffel_at(model, z)
+        assert orders == [3]
+        orders.clear()
+        curvature_at(model, z)
+        assert orders == [4]
 
 
 class TestSectionalGeneralProperties:

@@ -175,6 +175,21 @@ class TestInjectivity:
         assert np.linalg.norm(w1 - w2) < 1e-9
         assert np.linalg.norm(z1 - z2) > 1e-6
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in det:RuntimeWarning")
+    def test_nan_determinant_past_first_point_fails(self, monkeypatch):
+        original = DarbouxMap.jacobian
+        calls = []
+
+        def jacobian(self, z, method="analytic"):
+            calls.append(z)
+            j = original(self, z, method)
+            return j * np.nan if len(calls) == 3 else j
+
+        monkeypatch.setattr(DarbouxMap, "jacobian", jacobian)
+        rep = DarbouxMap(CigarProductPotential(1)).injectivity_probe(ProbeGrid(count=5))
+        assert np.isnan(rep.min_abs_det)
+        assert not rep.passed
+
     def test_report_dict(self):
         dm = DarbouxMap(CigarProductPotential(1))
         rep = dm.injectivity_probe(ProbeGrid(count=50))

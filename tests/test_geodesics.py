@@ -103,6 +103,14 @@ class TestControls:
         traj = geodesic_integrate(model, GeodesicState([0.9], [2.0]), 8.0)
         assert traj.drift <= 1e-8
 
+    def test_converged_flag(self):
+        model = CigarProductPotential(1)
+        state = GeodesicState([0.9], [2.0])
+        assert geodesic_integrate(model, state, 8.0).converged
+        traj = geodesic_integrate(model, state, 8.0, steps=24, drift_tol=1e-300)
+        assert not traj.converged
+        assert traj.steps == 24 * 2**4
+
     def test_state_coercion(self):
         st = GeodesicState([1, 2], [3, 4])
         assert st.z.dtype == complex and st.v.dtype == complex

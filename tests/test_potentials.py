@@ -84,8 +84,8 @@ class TestSolitonRadial:
         # contributes ~1e-9 and any branch mismatch dominates
         m = SolitonPotential(SolitonProfile(n))
         for q in (1, 2, 3, 4):
-            lo = m.radial_deriv(0.1 - 1e-9, q)
-            hi = m.radial_deriv(0.1 + 1e-9, q)
+            lo = m.radial_deriv(0.1 - 1e-9, q)[q - 1]
+            hi = m.radial_deriv(0.1 + 1e-9, q)[q - 1]
             assert hi == pytest.approx(lo, rel=1e-6, abs=1e-8)
 
     @pytest.mark.parametrize("n", (1, 2, 3))
@@ -93,7 +93,7 @@ class TestSolitonRadial:
         m = SolitonPotential(SolitonProfile(n))
         for s in (0.05, 0.5, 0.9999, 1.0001, 3.0, 40.0):
             fd = fd_scalar(m.value_from_radial, s, h=1e-6 * max(1.0, s))
-            assert m.radial_deriv(s, 1) == pytest.approx(fd, rel=1e-7)
+            assert m.radial_deriv(s, 1)[0] == pytest.approx(fd, rel=1e-7)
 
     @pytest.mark.parametrize("n", (1, 2, 3))
     @pytest.mark.parametrize("q", (1, 2, 3))
@@ -102,15 +102,15 @@ class TestSolitonRadial:
         # central-difference signal
         m = SolitonPotential(SolitonProfile(n))
         for s in (0.05, 0.7, 5.0):
-            fd = fd_scalar(lambda x: m.radial_deriv(x, q), s, h=1e-4 * max(1.0, s))
-            assert m.radial_deriv(s, q + 1) == pytest.approx(fd, rel=1e-5, abs=1e-10)
+            fd = fd_scalar(lambda x: m.radial_deriv(x, q)[q - 1], s, h=1e-4 * max(1.0, s))
+            assert m.radial_deriv(s, q + 1)[q] == pytest.approx(fd, rel=1e-5, abs=1e-10)
 
     def test_n1_matches_cigar(self):
         # n=1 profile satisfies e^{u'} - 1 = e^t, i.e. the same metric as the
         # single cigar factor; their first radial derivatives agree
         m = SolitonPotential(SolitonProfile(1))
         for s in np.linspace(1e-3, 100.0, 37):
-            assert m.radial_deriv(s, 1) == pytest.approx(
+            assert m.radial_deriv(s, 1)[0] == pytest.approx(
                 cigar_radial_deriv(s, 1), rel=1e-10
             )
 

@@ -140,6 +140,15 @@ class TestClaimExecution:
         assert rep.max_residual == np.inf
         assert "synthetic failure" in json.dumps(rep.details)
 
+    def test_exception_keeps_traceback(self, monkeypatch):
+        def raising_claim_body(cfg):
+            raise RuntimeError("synthetic failure")
+
+        monkeypatch.setitem(reporting_mod._CLAIM_FUNCTIONS, "profile-ode", raising_claim_body)
+        trace = run_claim("profile-ode", RunConfig()).details["traceback"]
+        assert 'in raising_claim_body\n    raise RuntimeError("synthetic failure")' in trace
+        assert trace.rstrip().endswith("RuntimeError: synthetic failure")
+
     def test_body_excludes_wall_time_and_is_canonical(self):
         cfg = RunConfig(points=10)
         a = run_claim("profile-closed-form", cfg)
@@ -229,6 +238,13 @@ class TestEmitPlotData:
         # step count may double to meet the drift tolerance
         assert len(lines) >= 18
         assert float(lines[-1].split(",")[-1]) <= 1e-8
+
+    def test_geodesic_csv_keeps_unconverged_drift(self, tmp_path):
+        params = {"model": {"kind": "cigar", "n": 1}, "start": [0.9], "vel": [2.0], "length": 8.0, "steps": 1}
+        out = emit_plot_data("geodesic", params, out=tmp_path / "g.csv")
+        lines = out.read_text().strip().splitlines()
+        assert len(lines) == 1 + 16 + 1  # header, then the fourth refinement's 16 steps
+        assert float(lines[-1].split(",")[-1]) > 1e-8
 
     def test_heatmap_csv(self, tmp_path):
         out = emit_plot_data(

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from darbouxkit import (
     CigarProductPotential,
     DarbouxMap,
+    GeodesicDriftError,
     HoloCurvePair,
     InducedMetric1D,
     PhaseBlockEmbedding,
@@ -33,6 +34,7 @@ from darbouxkit import (
     standard_catalog,
     total_geodesy_residual,
 )
+from darbouxkit import submanifolds as submanifolds_mod
 
 unit_angle = st.floats(min_value=-np.pi, max_value=np.pi)
 
@@ -123,6 +125,27 @@ class TestTotalGeodesy:
         with pytest.raises(ValueError):
             total_geodesy_residual(model, emb, [0.3, 0.0], [0.0, 1.0], 1.0)
 
+    def test_unmet_drift_bound_raises(self):
+        model = CigarProductPotential(2)
+        emb = standard_catalog(2)[1]
+        with pytest.raises(GeodesicDriftError):
+            total_geodesy_residual(
+                model, emb, emb.embed([0.4 + 0.1j]), emb.matrix @ [1.0], 1.0, steps=8, drift_tol=1e-300
+            )
+        with pytest.raises(ArithmeticError):
+            curve_geodesy_residual(model, graph_counterexample_pair(), 0.5, 4.0, steps=1)
+
+    def test_nan_distance_past_first_sample_propagates(self, monkeypatch):
+        calls = []
+
+        def distance(pair, point):
+            calls.append(point)
+            return np.nan if len(calls) == 2 else 1.0
+
+        monkeypatch.setattr(submanifolds_mod, "curve_distance", distance)
+        model = CigarProductPotential(2)
+        assert np.isnan(curve_geodesy_residual(model, graph_counterexample_pair(), 0.5, 1.0))
+
     def test_counterexample_departs(self):
         model = CigarProductPotential(2)
         pair = graph_counterexample_pair()
@@ -207,6 +230,23 @@ class TestCurveDistance:
         pair = graph_counterexample_pair()
         off = pair.point(0.5) + np.array([0.0, 0.25])
         assert curve_distance(pair, off) > 0.05
+
+    def test_nan_objective_past_first_start_propagates(self, monkeypatch):
+        import scipy.optimize
+
+        original = scipy.optimize.minimize
+        calls = []
+
+        def minimize(*args, **kwargs):
+            res = original(*args, **kwargs)
+            calls.append(res)
+            if len(calls) == 2:
+                res.fun = np.nan
+            return res
+
+        monkeypatch.setattr(scipy.optimize, "minimize", minimize)
+        pair = graph_counterexample_pair()
+        assert np.isnan(curve_distance(pair, pair.point(0.5) + np.array([0.0, 0.25])))
 
     def test_package_import_leaves_scipy_optimize_unloaded(self):
         # curve_distance imports it on first use; a fresh `import darbouxkit` must not
