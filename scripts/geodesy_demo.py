@@ -26,6 +26,7 @@ import numpy as np
 
 from darbouxkit import (
     CigarProductPotential,
+    GeodesicDriftError,
     GeodesicState,
     SolitonProfile,
     curve_distance,
@@ -43,6 +44,13 @@ def write_csv(path, times, distances) -> None:
         writer.writerow(["tau", "distance"])
         for tau, dist in zip(times, distances):
             writer.writerow([f"{tau:.6f}", f"{dist:.6e}"])
+
+
+def converged_points(traj):
+    """The trajectory's points; GeodesicDriftError if it missed its drift bound."""
+    if not traj.converged:
+        raise GeodesicDriftError(f"energy drift {traj.drift:.3e} unmet at {traj.steps} steps")
+    return traj.points
 
 
 def main() -> None:
@@ -70,11 +78,11 @@ def main() -> None:
     )
     stride = max(1, traj.steps // 64)
     confined_t = traj.times[::stride]
-    confined_d = [emb.distance_to_image(z) for z in traj.points[::stride]]
+    confined_d = [emb.distance_to_image(z) for z in converged_points(traj)[::stride]]
     write_csv(confined_path, confined_t, confined_d)
     print(f"{model.name}: subspace sigma={emb.sigma}")
     print(f"  confined geodesic, length {args.length}: "
-          f"max distance to subspace = {max(confined_d):.3e}")
+          f"max distance to subspace = {np.max(confined_d):.3e}")
 
     two_cigar = CigarProductPotential(2)
     pair = graph_counterexample_pair()
@@ -85,11 +93,11 @@ def main() -> None:
     traj = geodesic_integrate(two_cigar, GeodesicState(z0, v0), args.length)
     stride = max(1, traj.steps // 64)
     graph_t = traj.times[::stride]
-    graph_d = [curve_distance(pair, z) for z in traj.points[::stride]]
+    graph_d = [curve_distance(pair, z) for z in converged_points(traj)[::stride]]
     write_csv(departure_path, graph_t, graph_d)
     print(f"{two_cigar.name}: graph curve launched at w0={w0}")
     print(f"  departing geodesic, length {args.length}: "
-          f"max distance to curve = {max(graph_d):.3e}")
+          f"max distance to curve = {np.max(graph_d):.3e}")
     print(f"wrote {confined_path}")
     print(f"wrote {departure_path}")
 

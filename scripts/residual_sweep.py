@@ -46,8 +46,9 @@ def main() -> None:
         dm = DarbouxMap(model)
         for radius in radii:
             pts = sphere_points(model.n, radius, args.points, rng)
-            analytic = max(dm.pullback_residual(z) for z in pts)
-            fd = max(dm.pullback_residual(z, method="fd") for z in pts)
+            # np.max propagates a NaN from any point; Python's max drops it
+            analytic = float(np.max([dm.pullback_residual(z) for z in pts]))
+            fd = float(np.max([dm.pullback_residual(z, method="fd") for z in pts]))
             rows.append((model.name, model.n, radius, analytic, fd))
             print(f"{model.name:>12s}  r={radius:8.3f}  "
                   f"analytic={analytic:9.2e}  fd={fd:9.2e}")
@@ -59,7 +60,7 @@ def main() -> None:
         for row in rows:
             writer.writerow([row[0], row[1], f"{row[2]:.6g}",
                              f"{row[3]:.6e}", f"{row[4]:.6e}"])
-    worst = max(r[3] for r in rows)
+    worst = float(np.max([r[3] for r in rows]))
     print(f"\nworst analytic residual over all models/radii: {worst:.3e}")
     print(f"wrote {path}")
 

@@ -1,8 +1,9 @@
 """Rotation-invariant Kahler potentials on C^n and their pointwise metric data.
 
 A model is a smooth function Phi(t_1, ..., t_n) of the radial coordinates
-t_j = |z_j|^2 together with its t-derivatives up to fourth order.  The
-associated Kahler form is omega_Phi = (i/2) d dbar Phi, whose Hermitian
+t_j = |z_j|^2 together with its t-derivatives up to fourth order, which it
+evaluates in one place: ``derivative_tensors(t, order)``, the point's jet.
+The associated Kahler form is omega_Phi = (i/2) d dbar Phi, whose Hermitian
 matrix in complex coordinates is
 
     g_{j kbar} = delta_{jk} Phi_j + conj(z_j) z_k Phi_{jk},
@@ -17,7 +18,8 @@ Shipped families:
 * ``SolitonPotential``      — radial potential u(log sum t_j) wrapping a
   ``SolitonProfile`` (the n = 1 case coincides with the cigar);
 * ``PolyTestPotential``     — polynomial in t (plumbing-test family; the
-  default coupled instance is t1*t2 + t1 + t2).
+  default coupled instance is t1*t2 + t1 + t2), its jet read from one
+  exponent table built at construction.
 
 Real tangent vectors use the interleaved ordering (x_1, y_1, ..., x_n, y_n),
 which makes the standard two-form block-diagonal with [[0, 1], [-1, 0]].
@@ -26,9 +28,10 @@ which makes the standard two-form block-diagonal with [[0, 1], [-1, 0]].
 from __future__ import annotations
 
 import functools
+import itertools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from math import factorial, log, log1p
+from math import factorial, log, log1p, perm, prod
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -120,23 +123,17 @@ def _log_ray_coords(log_r: float, direction: Sequence[complex]) -> np.ndarray:
 class PotentialModel(ABC):
     """Potential Phi(t_1..t_n) with t-derivatives to order four.
 
-    Subclasses provide ``deriv`` (arbitrary multi-index, |m| <= 4),
-    ``value_from_radial``, fast tensor assembly, and an overflow-safe
+    Subclasses provide ``value_from_radial``, the jet ``derivative_tensors``
+    (the one per-point derivative evaluator), and an overflow-safe
     log-domain evaluator of the ray functional S(r) = sum_j Phi_j t_j.
     """
 
     n: int
     kind: str
-    is_radial: bool = False
-    is_separable: bool = False
 
     @property
     def name(self) -> str:
         return f"{self.kind}-n{self.n}"
-
-    @abstractmethod
-    def deriv(self, orders: Sequence[int], t: Sequence[float]) -> float:
-        """d^|m| Phi / dt^m at t, for a per-coordinate order multi-index m."""
 
     @abstractmethod
     def value_from_radial(self, t: Sequence[float]) -> float:
@@ -153,43 +150,19 @@ class PotentialModel(ABC):
     def descriptor(self) -> dict:
         return {"kind": self.kind, "n": self.n}
 
-    def value(self, z: Sequence[complex]) -> float:
-        return self.value_from_radial(radial_coords(z))
-
     def first_derivs(self, t: Sequence[float]) -> np.ndarray:
         return self.derivative_tensors(t, 1)[0]
-
-    def _check_orders(self, orders: Sequence[int]) -> tuple[int, ...]:
-        m = tuple(int(q) for q in orders)
-        if len(m) != self.n or any(q < 0 for q in m):
-            raise ValueError(f"multi-index {orders!r} invalid for n={self.n}")
-        if sum(m) > 4:
-            raise ValueError("derivatives available only to total order 4")
-        return m
 
 
 class CigarProductPotential(PotentialModel):
     """Separable product-of-cigars potential: Phi(t) = sum_j phi(t_j)."""
 
     kind = "cigar"
-    is_separable = True
 
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("n must be >= 1")
         self.n = int(n)
-        self.is_radial = self.n == 1
-
-    def deriv(self, orders, t):
-        m = self._check_orders(orders)
-        t = np.asarray(t, dtype=float)
-        active = [j for j, q in enumerate(m) if q > 0]
-        if not active:
-            return self.value_from_radial(t)
-        if len(active) > 1:
-            return 0.0
-        j = active[0]
-        return cigar_radial_deriv(float(t[j]), m[j])
 
     def value_from_radial(self, t):
         t = np.asarray(t, dtype=float)
@@ -225,7 +198,6 @@ class SolitonPotential(PotentialModel):
     """
 
     kind = "soliton"
-    is_radial = True
 
     # rows of signed Stirling numbers: C_q = sum_m row[m] * u^(m+1) / s^q
     _CHAIN_ROWS = {1: (1.0,), 2: (-1.0, 1.0), 3: (2.0, -3.0, 1.0), 4: (-6.0, 11.0, -6.0, 1.0)}
@@ -233,19 +205,10 @@ class SolitonPotential(PotentialModel):
     def __init__(self, profile: SolitonProfile):
         self.profile = profile
         self.n = profile.n
-        self.is_separable = self.n == 1
         self._value_at_one: float | None = None
 
     def descriptor(self) -> dict:
         return {"kind": self.kind, "n": self.n, "newton_tol": self.profile.newton_tol, "a0": self.profile.a0}
-
-    def deriv(self, orders, t):
-        m = self._check_orders(orders)
-        t = np.asarray(t, dtype=float)
-        q = sum(m)
-        if q == 0:
-            return self.value_from_radial(t)
-        return self.radial_deriv(float(t.sum()), q)[q - 1]
 
     def radial_deriv(self, s: float, order: int) -> tuple[float, ...]:
         """(C_1, ..., C_order) at s = sum t_j, C_q = d^q Phi / (any q radial coordinates)."""
@@ -340,10 +303,30 @@ class PolyTestPotential(PotentialModel):
                 raise ValueError(f"bad exponent multi-index {a!r}")
             if c != 0.0:
                 self.monomials[a] = float(c)
-        degrees = [sum(a) for a in self.monomials]
-        self.is_radial = self.n == 1
-        self.is_separable = all(sum(1 for q in a if q > 0) <= 1 for a in self.monomials)
-        self._max_degree = max(degrees, default=0)
+        # One exponent table for orders 0..4: row i is an index tuple (order by
+        # order, each in the flattened tensor's order) with multiplicity m, and
+        # monomial c_a t^a enters it with weight c_a * prod_j a_j! / (a_j - m_j)!
+        # (0 when some a_j < m_j) and exponents max(a - m, 0), stored as
+        # positions in the list of powers t_j^e that ``_evaluate`` builds.
+        exps = np.array(list(self.monomials), dtype=int).reshape(-1, self.n)
+        self._exponents = range(int(exps.max(initial=0)) + 1)
+        rows = [idx for q in range(5) for idx in itertools.product(range(self.n), repeat=q)]
+        self._order_start = list(itertools.accumulate((self.n**q for q in range(5)), initial=0))
+        self._weights = np.zeros((len(rows), len(exps)))
+        self._powers = np.zeros((len(rows), len(exps), self.n), dtype=int)
+        for i, idx in enumerate(rows):
+            m = [idx.count(j) for j in range(self.n)]
+            self._powers[i] = np.maximum(exps - m, 0) + len(self._exponents) * np.arange(self.n)
+            for k, (a, c) in enumerate(self.monomials.items()):
+                self._weights[i, k] = c * prod(perm(aj, mj) for aj, mj in zip(a, m))
+
+    def _evaluate(self, t, rows: int) -> np.ndarray:
+        """The first ``rows`` table rows at t: sum_a weight * prod_j t_j^exponent."""
+        # t_j ** e by scalar pow, not numpy's vectorised power, which rounds
+        # differently in the last bit on some CPUs
+        t_powers = np.array([tj**e for tj in np.asarray(t, dtype=float).tolist() for e in self._exponents])
+        terms = np.multiply.reduce(t_powers[self._powers[:rows]], axis=2)
+        return np.add.reduce(self._weights[:rows] * terms, axis=1)
 
     def descriptor(self) -> dict:
         return {
@@ -353,38 +336,13 @@ class PolyTestPotential(PotentialModel):
             "monomials": {",".join(map(str, a)): c for a, c in sorted(self.monomials.items())},
         }
 
-    def deriv(self, orders, t):
-        m = self._check_orders(orders)
-        t = np.asarray(t, dtype=float)
-        acc = 0.0
-        for a, c in self.monomials.items():
-            term = c
-            for j in range(self.n):
-                if a[j] < m[j]:
-                    term = 0.0
-                    break
-                for i in range(m[j]):
-                    term *= a[j] - i
-                term *= t[j] ** (a[j] - m[j])
-            acc += term
-        return acc
-
     def value_from_radial(self, t):
-        return self.deriv((0,) * self.n, t)
+        return float(self._evaluate(t, 1)[0])
 
     def derivative_tensors(self, t, order):
-        t = np.asarray(t, dtype=float)
-        n = self.n
-        out = []
-        for q in range(1, order + 1):
-            tensor = np.empty((n,) * q)
-            for idx in np.ndindex(*tensor.shape):
-                m = [0] * n
-                for j in idx:
-                    m[j] += 1
-                tensor[idx] = self.deriv(m, t)
-            out.append(tensor)
-        return tuple(out)
+        start = self._order_start
+        flat = self._evaluate(t, start[order + 1])
+        return tuple(flat[start[q]:start[q + 1]].reshape((self.n,) * q) for q in range(1, order + 1))
 
     def log_ray_growth(self, log_r, direction):
         log_t = _log_ray_coords(log_r, direction)

@@ -321,8 +321,9 @@ def _claim_profile_ode(cfg: RunConfig, rng: np.random.Generator):
 def _claim_profile_closed_form(cfg: RunConfig, rng: np.random.Generator):
     profile = SolitonProfile(1)
     grid = np.linspace(-20.0, 20.0, 200)
-    gap_prime = _worst(abs(profile.u_prime(t) - log1p(exp(t))) for t in grid)
-    gap_second = _worst(abs(profile.u_second(t) - exp(t) / (1.0 + exp(t))) for t in grid)
+    jets = [profile.derivatives(t)[:2] for t in grid]
+    gap_prime = _worst(abs(up - log1p(exp(t))) for t, (up, _) in zip(grid, jets))
+    gap_second = _worst(abs(us - exp(t) / (1.0 + exp(t))) for t, (_, us) in zip(grid, jets))
     details = {
         "grid": [-20.0, 20.0, 200],
         "max_gap_u_prime": gap_prime,
@@ -338,8 +339,9 @@ def _claim_profile_limits(cfg: RunConfig, rng: np.random.Generator):
     ratios = []
     for n in (1, 2, 3):
         profile = SolitonProfile(n)
-        slope_gaps = [abs(profile.u_prime(t) / t - n) for t in checkpoints]
-        second_gaps = [abs(profile.u_second(t) - n) for t in checkpoints]
+        jets = [profile.derivatives(t)[:2] for t in checkpoints]
+        slope_gaps = [abs(up / t - n) for t, (up, _) in zip(checkpoints, jets)]
+        second_gaps = [abs(us - n) for _, us in jets]
         # gaps below the solver-noise floor count as converged: their ups and
         # downs are roundoff, not a monotonicity signal
         floor = 1e-9

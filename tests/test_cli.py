@@ -6,7 +6,7 @@ import math
 import pytest
 from click.testing import CliRunner
 
-from darbouxkit import cli
+from darbouxkit import SolitonProfile, cli
 from darbouxkit.cli import main
 
 
@@ -73,6 +73,22 @@ class TestSolitonProfileCommand:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "t,u_prime,u_second,ode_residual"
         assert len(lines) == 8
+
+    def test_table_computed_once(self, runner, tmp_path, monkeypatch):
+        calls = []
+        original = SolitonProfile.derivatives
+
+        def counted(self, t):
+            calls.append(t)
+            return original(self, t)
+
+        monkeypatch.setattr(SolitonProfile, "derivatives", counted)
+        out = tmp_path / "prof.csv"
+        result = invoke(runner, ["soliton-profile", "--count", "11", "--out", str(out)])
+        assert result.exit_code == 0
+        assert len(calls) == 11
+        column = [float(line.split(",")[3]) for line in out.read_text().splitlines()[1:]]
+        assert result.output.splitlines()[0].endswith(repr(max(column)))
 
 
 class TestGeodesicCommand:

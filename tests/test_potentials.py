@@ -6,6 +6,7 @@ Frozen oracles:
   coupled polynomial t1*t2 + t1 + t2: metric at z=(1,1) is [[2,1],[1,2]].
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -206,6 +207,71 @@ class TestDerivativeTensors:
         assert np.allclose(d1, [3.0, 2.0])
         assert np.allclose(d2, [[0.0, 1.0], [1.0, 0.0]])
 
+    @pytest.mark.parametrize(
+        "t", [(0.0, 0.0, 0.0), (0.01, 0.03, 0.02), (1.0, 2.0, 3.0), (0.4, 5.5, 1.7), (7.0, 0.0, 0.2)]
+    )
+    def test_mixed_poly_tensors_oracle(self, t):
+        m = PolyTestPotential(
+            3, {(2, 1, 0): 0.7, (1, 1, 1): -1.3, (0, 0, 4): 0.25, (1, 0, 0): 2.0, (0, 3, 1): 0.1}
+        )
+        x, y, z = t
+        # Phi = 0.7 x^2 y - 1.3 x y z + 0.25 z^4 + 2 x + 0.1 y^3 z; nonzero
+        # partials keyed by sorted index tuple (0 = x, 1 = y, 2 = z)
+        partials = {
+            (0,): 1.4 * x * y - 1.3 * y * z + 2.0,
+            (1,): 0.7 * x**2 - 1.3 * x * z + 0.3 * y**2 * z,
+            (2,): -1.3 * x * y + z**3 + 0.1 * y**3,
+            (0, 0): 1.4 * y,
+            (0, 1): 1.4 * x - 1.3 * z,
+            (0, 2): -1.3 * y,
+            (1, 1): 0.6 * y * z,
+            (1, 2): -1.3 * x + 0.3 * y**2,
+            (2, 2): 3.0 * z**2,
+            (0, 0, 1): 1.4,
+            (0, 1, 2): -1.3,
+            (1, 1, 1): 0.6 * z,
+            (1, 1, 2): 0.6 * y,
+            (2, 2, 2): 6.0 * z,
+            (1, 1, 1, 2): 0.6,
+            (2, 2, 2, 2): 6.0,
+        }
+        value = 0.7 * x**2 * y - 1.3 * x * y * z + 0.25 * z**4 + 2.0 * x + 0.1 * y**3 * z
+        assert m.value_from_radial(np.array(t)) == pytest.approx(value, rel=1e-12, abs=1e-12)
+        for q, tensor in enumerate(m.derivative_tensors(np.array(t), 4), 1):
+            assert tensor.shape == (3,) * q
+            for idx in itertools.product(range(3), repeat=q):
+                expected = partials.get(tuple(sorted(idx)), 0.0)
+                assert tensor[idx] == pytest.approx(expected, rel=1e-12, abs=1e-12), idx
+
+    def test_fold_tensors_oracle(self):
+        # Phi = t - t^2/2
+        m = fold_test_model()
+        for t in (0.0, 0.02, 0.5, 3.0):
+            d1, d2 = m.derivative_tensors(np.array([t]), 2)
+            assert d1[0] == pytest.approx(1.0 - t, rel=1e-12, abs=1e-12)
+            assert d2[0, 0] == -1.0
+            assert m.value_from_radial(np.array([t])) == pytest.approx(t - 0.5 * t**2, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "model", [poly_test_model(), flat_potential(3), fold_test_model()], ids=lambda m: m.name
+    )
+    def test_poly_tensors_equal_monomial_loop(self, model, rng):
+        # the exponent table reproduces the term-by-term loop bit for bit on
+        # the stock polynomials, whose weights are exact in binary
+        for i in range(200):
+            t = rng.uniform(0.0, 0.04 if i % 2 else 6.0, model.n)
+            for q, tensor in enumerate(model.derivative_tensors(t, 4), 1):
+                for idx in itertools.product(range(model.n), repeat=q):
+                    assert tensor[idx] == _loop_partial(model, [idx.count(j) for j in range(model.n)], t)
+            assert model.value_from_radial(t) == _loop_partial(model, [0] * model.n, t)
+
+    def test_empty_poly_is_zero(self):
+        m = PolyTestPotential(2, {})
+        assert m.value_from_radial(np.array([0.3, 2.0])) == 0.0
+        for q, tensor in enumerate(m.derivative_tensors(np.array([0.3, 2.0]), 4), 1):
+            assert tensor.shape == (2,) * q
+            assert not np.any(tensor)
+
     @pytest.mark.parametrize("model", shipped_models(), ids=lambda m: m.name)
     def test_first_tensor_matches_fd_of_value(self, model, rng):
         for _ in range(5):
@@ -216,6 +282,22 @@ class TestDerivativeTensors:
             for j in range(model.n):
                 fd = fd_scalar(lambda s: _value_at(model, t, j, s), t[j])
                 assert d1[j] == pytest.approx(fd, rel=5e-6, abs=1e-8)
+
+
+def _loop_partial(model, m, t):
+    """d^|m| Phi / dt^m of a PolyTestPotential, summed monomial by monomial."""
+    acc = 0.0
+    for a, c in model.monomials.items():
+        term = c
+        for j in range(model.n):
+            if a[j] < m[j]:
+                term = 0.0
+                break
+            for i in range(m[j]):
+                term *= a[j] - i
+            term *= t[j] ** (a[j] - m[j])
+        acc += term
+    return acc
 
 
 def _value_at(model, t, j, s):

@@ -130,6 +130,19 @@ class TestClaimExecution:
         assert rep.max_residual <= rep.tolerance
         assert rep.wall_time_s > 0.0
 
+    @pytest.mark.parametrize("claim, solves", [("profile-closed-form", 200), ("profile-limits", 9)])
+    def test_profile_claims_solve_once_per_t(self, monkeypatch, claim, solves):
+        calls = []
+        original = SolitonProfile.u_prime
+
+        def counted(self, t):
+            calls.append(t)
+            return original(self, t)
+
+        monkeypatch.setattr(SolitonProfile, "u_prime", counted)
+        assert run_claim(claim, RunConfig()).passed
+        assert len(calls) == solves
+
     def test_exception_becomes_failed_report(self, monkeypatch):
         def boom(cfg):
             raise RuntimeError("synthetic failure")

@@ -1,0 +1,56 @@
+"""Smoke tests: each experiment script runs end to end on small arguments."""
+
+import runpy
+import sys
+from pathlib import Path
+
+import pytest
+
+from darbouxkit import DarbouxMap, GeodesicDriftError, geodesic_integrate
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def run_script(name, args, monkeypatch):
+    monkeypatch.setattr(sys, "argv", [name, *args])
+    runpy.run_path(str(SCRIPTS / name), run_name="__main__")
+
+
+def test_residual_sweep(tmp_path, monkeypatch, capsys):
+    run_script("residual_sweep.py", ["--points", "2", "--radii", "0.5", "1.0", "--out", str(tmp_path)],
+               monkeypatch)
+    rows = (tmp_path / "residual_sweep.csv").read_text().splitlines()
+    assert rows[0] == "model,n,radius,max_residual_analytic,max_residual_fd"
+    assert len(rows) == 1 + 8 * 2
+    assert "worst analytic residual over all models/radii" in capsys.readouterr().out
+
+
+def test_residual_sweep_keeps_nan_past_first_point(tmp_path, monkeypatch, capsys):
+    original = DarbouxMap.pullback_residual
+    calls = []
+
+    def nan_on_second(self, z, method="analytic"):
+        calls.append(z)
+        return float("nan") if len(calls) == 2 else original(self, z, method=method)
+
+    monkeypatch.setattr(DarbouxMap, "pullback_residual", nan_on_second)
+    run_script("residual_sweep.py", ["--points", "2", "--radii", "0.5", "1.0", "--out", str(tmp_path)],
+               monkeypatch)
+    assert "worst analytic residual over all models/radii: nan" in capsys.readouterr().out
+
+
+def test_geodesy_demo(tmp_path, monkeypatch, capsys):
+    run_script("geodesy_demo.py", ["--length", "1", "--out", str(tmp_path)], monkeypatch)
+    out = capsys.readouterr().out
+    assert "max distance to subspace" in out and "max distance to curve" in out
+    for name in ("geodesy_confined.csv", "geodesy_departure.csv"):
+        assert (tmp_path / name).read_text().startswith("tau,distance")
+
+
+def test_geodesy_demo_rejects_unconverged_trajectory(tmp_path, monkeypatch):
+    def unconverged(model, state, length):
+        return geodesic_integrate(model, state, length, steps=1, drift_tol=1e-300)
+
+    monkeypatch.setattr("darbouxkit.geodesic_integrate", unconverged)
+    with pytest.raises(GeodesicDriftError):
+        run_script("geodesy_demo.py", ["--length", "1", "--out", str(tmp_path)], monkeypatch)
