@@ -41,9 +41,7 @@ from .potentials import (
 )
 from .darboux import (
     DarbouxMap,
-    InjectivityReport,
     MapDomainError,
-    ProbeGrid,
     PropernessReport,
     properness_auto_scan,
     std_symplectic,
@@ -117,8 +115,6 @@ __all__ = [
     "unit_directions",
     "PropernessReport",
     "properness_auto_scan",
-    "ProbeGrid",
-    "InjectivityReport",
     "christoffel_at",
     "curvature_at",
     "holomorphic_sectional",

@@ -53,20 +53,19 @@ def _parse_cvector(text: str) -> np.ndarray:
 
 def _load_model(value: str):
     path = Path(value)
-    if path.is_file():
-        try:
-            desc = json.loads(path.read_text())
-        except json.JSONDecodeError as err:
-            raise click.BadParameter(
-                f"{value}: line {err.lineno} column {err.colno}: {err.msg}"
-            ) from err
-        return model_from_descriptor(desc)
     stripped = value.strip()
-    if stripped.startswith("{"):
-        return model_from_descriptor(json.loads(stripped))
-    if ":" in stripped:
-        kind, _, n = stripped.partition(":")
-        return model_from_descriptor({"kind": kind, "n": int(n)})
+    try:
+        if path.is_file():
+            return model_from_descriptor(json.loads(path.read_text()))
+        if stripped.startswith("{"):
+            return model_from_descriptor(json.loads(stripped))
+        if ":" in stripped:
+            kind, _, n = stripped.partition(":")
+            return model_from_descriptor({"kind": kind, "n": int(n)})
+    except json.JSONDecodeError as err:
+        raise click.BadParameter(f"{value}: line {err.lineno} column {err.colno}: {err.msg}") from err
+    except ValueError as err:
+        raise click.BadParameter(f"model {value!r}: {err}") from err
     raise click.BadParameter(
         f"model {value!r} is neither a file, inline JSON, nor 'kind:n' shorthand"
     )
@@ -189,11 +188,13 @@ def _parse_embedding_spec(n: int, spec: str) -> PhaseBlockEmbedding:
         raise click.BadParameter("spec must look like sigma=1,1,alpha=1,i")
     sigma_part, _, alpha_part = spec.partition("alpha=")
     sigma_part = sigma_part[len("sigma="):].rstrip(",")
-    sigma = tuple(int(s) for s in sigma_part.split(","))
     phases = tuple(_parse_complex(p) for p in alpha_part.split(","))
     if len(phases) < n:
         phases = phases + (1.0 + 0.0j,) * (n - len(phases))
-    return PhaseBlockEmbedding(n, sigma, phases)
+    try:
+        return PhaseBlockEmbedding(n, tuple(int(s) for s in sigma_part.split(",")), phases)
+    except ValueError as err:
+        raise click.BadParameter(f"spec {spec!r}: {err}") from err
 
 
 @main.command("ciriza")

@@ -9,7 +9,7 @@ potential; numerically this is checked as the max-norm residual
 with J the full real 2n x 2n Jacobian (no diagonality shortcut).  The side
 conditions that make the map a global symplectomorphism (nonnegative first
 derivatives and a proper radial functional S(r) = sum_j Phi_j t_j) get their
-own scans, plus a brute-force injectivity probe.
+own scans.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .potentials import PotentialModel, radial_coords, sample_polydisc, two_form_at
+from .potentials import PotentialModel, radial_coords, two_form_at
 
 __all__ = [
     "MapDomainError",
@@ -29,8 +29,6 @@ __all__ = [
     "unit_directions",
     "PropernessReport",
     "properness_auto_scan",
-    "ProbeGrid",
-    "InjectivityReport",
 ]
 
 
@@ -119,34 +117,6 @@ class DarbouxMap:
             log_values=log_values,
         )
 
-    def injectivity_probe(self, grid: "ProbeGrid") -> "InjectivityReport":
-        """Brute-force pairwise collision scan plus a min |det J| check.
-
-        Finding nothing certifies nothing; the report just says no
-        counterexample was found on this grid.
-        """
-        pts = grid.points(self.n)
-        images = np.array([self.map_point(z) for z in pts])
-        # NaN-propagating, unlike min(): a NaN determinant anywhere fails the probe
-        min_det = np.min([abs(np.linalg.det(self.jacobian(z))) for z in pts], initial=np.inf)
-        collisions: list[tuple[int, int]] = []
-        for i in range(len(pts)):
-            dw = np.linalg.norm(images[i + 1 :] - images[i], axis=1)
-            dz = np.linalg.norm(pts[i + 1 :] - pts[i], axis=1)
-            hits = np.nonzero((dw < grid.collision_tol) & (dz > grid.separation))[0]
-            collisions.extend((i, i + 1 + int(h)) for h in hits)
-        witness = None
-        if collisions:
-            i, j = collisions[0]
-            witness = (pts[i].tolist(), pts[j].tolist())
-        return InjectivityReport(
-            model=self.model.name,
-            points_checked=len(pts),
-            collisions=len(collisions),
-            witness=witness,
-            min_abs_det=float(min_det),
-        )
-
     # -- internals -------------------------------------------------------------
 
     def _jacobian_analytic(self, z: np.ndarray) -> np.ndarray:
@@ -211,19 +181,6 @@ class PropernessReport:
     def passed(self) -> bool:
         return bool(np.all(self.ray_passed))
 
-    def as_dict(self) -> dict:
-        with np.errstate(over="ignore"):
-            finals = np.exp(self.final_log_values)
-        return {
-            "model": self.model,
-            "threshold": self.threshold,
-            "radii": list(self.radii),
-            "rays": len(self.directions),
-            "final_values": [float(v) for v in finals],
-            "strictly_increasing": [bool(v) for v in self.strictly_increasing],
-            "pass": self.passed,
-        }
-
 
 def properness_auto_scan(
     darboux_map: DarbouxMap,
@@ -243,52 +200,3 @@ def properness_auto_scan(
         if report.passed:
             return report
     return report
-
-
-@dataclass(frozen=True)
-class ProbeGrid:
-    """Point grid for the injectivity probe.
-
-    ``ray=False`` samples the polydisc; ``ray=True`` walks the first
-    coordinate axis with |z|^2 uniformly spaced (so radial folds t <-> c - t
-    produce exact collisions on symmetric grids).
-    """
-
-    count: int = 1000
-    radius: float = 2.0
-    seed: int = 7
-    ray: bool = False
-    collision_tol: float = 1e-9
-    separation: float = 1e-6
-
-    def points(self, n: int) -> np.ndarray:
-        if self.ray:
-            t = np.linspace(0.0, self.radius**2, self.count + 1)[1:]
-            pts = np.zeros((self.count, n), dtype=complex)
-            pts[:, 0] = np.sqrt(t)
-            return pts
-        return sample_polydisc(np.random.default_rng(self.seed), self.count, n, self.radius)
-
-
-@dataclass(frozen=True)
-class InjectivityReport:
-    model: str
-    points_checked: int
-    collisions: int
-    witness: tuple | None
-    min_abs_det: float
-
-    @property
-    def passed(self) -> bool:
-        return self.collisions == 0 and self.min_abs_det > 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "points_checked": self.points_checked,
-            "collisions": self.collisions,
-            "witness": [[str(c) for c in w] for w in self.witness] if self.witness else None,
-            "min_abs_det": self.min_abs_det,
-            "pass": self.passed,
-            "note": "probe only: no counterexample found" if self.passed else "counterexample found",
-        }

@@ -23,6 +23,8 @@ from .potentials import PotentialModel, metric_energy
 
 __all__ = ["GeodesicState", "GeodesicTrajectory", "GeodesicDriftError", "geodesic_integrate"]
 
+_MAX_REFINEMENTS = 4  # step doublings after the first RK4 run
+
 
 class GeodesicDriftError(ArithmeticError):
     """The energy drift stayed above its bound after every refinement."""
@@ -59,6 +61,12 @@ class GeodesicTrajectory:
             return float(np.max(np.abs(self.energies)))
         return float(np.max(np.abs(self.energies - e0)) / abs(e0))
 
+    def converged_points(self) -> np.ndarray:
+        """The points; GeodesicDriftError if the drift bound was not met."""
+        if not self.converged:
+            raise GeodesicDriftError(f"energy drift {self.drift:.3e} unmet at {self.steps} steps")
+        return self.points
+
 
 def _acceleration(model: PotentialModel, z: np.ndarray, v: np.ndarray) -> np.ndarray:
     gamma = christoffel_at(model, z)
@@ -71,21 +79,20 @@ def geodesic_integrate(
     length: float,
     steps: int | None = None,
     drift_tol: float = 1e-8,
-    max_refinements: int = 4,
 ) -> GeodesicTrajectory:
     """Integrate the geodesic through ``state`` for parameter time ``length``.
 
     Starts from ``steps`` RK4 steps (default scales with length) and doubles
     the count until the energy drift falls below ``drift_tol`` or the
-    refinement budget runs out; the last trajectory is returned either way,
-    with ``converged`` saying which.
+    ``_MAX_REFINEMENTS`` doublings are spent; the last trajectory is returned
+    either way, with ``converged`` saying which.
     """
     if length <= 0.0:
         raise ValueError("length must be positive")
     if steps is None:
         steps = max(240, int(48 * length))
     trajectory = None
-    for _ in range(max_refinements + 1):
+    for _ in range(_MAX_REFINEMENTS + 1):
         trajectory = _rk4_run(model, state, length, steps)
         if trajectory.drift <= drift_tol:
             return replace(trajectory, converged=True)

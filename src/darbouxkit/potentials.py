@@ -375,8 +375,9 @@ def poly_test_model() -> PolyTestPotential:
 def fold_test_model() -> PolyTestPotential:
     """Phi = t - t^2/2 on C: violates the positivity condition past t = 1.
 
-    Its coordinate map folds the disc |z| < 1 (the radii t and 1 - t collide),
-    so it exercises the domain-error and injectivity-failure paths.
+    Its coordinate map folds the disc |z| < 1 (the radii t and 1 - t collide)
+    and S(r) = r^2 (1 - r^2) is not proper, so it exercises the domain-error
+    and properness-failure paths.
     """
     return PolyTestPotential(1, {(1,): 1.0, (2,): -0.5}, label="fold")
 
@@ -501,19 +502,16 @@ class SampleRegion:
     radius: float = 5.0
     count: int = 100
     seed: int = 20260814
-    include_origin: bool = True
 
     def __post_init__(self) -> None:
         if self.radius <= 0 or self.count < 1:
             raise ValueError("radius must be positive and count >= 1")
 
-    def sample(self, n: int, rng: np.random.Generator | None = None) -> np.ndarray:
-        """(count, n) complex array, uniform per coordinate over the disc."""
-        if rng is None:
-            rng = np.random.default_rng(self.seed)
-        pts = sample_polydisc(rng, self.count, n, self.radius)
-        if self.include_origin:
-            pts[0] = 0.0
+    def sample(self, n: int) -> np.ndarray:
+        """(count, n) complex array, uniform per coordinate over the disc, with
+        the origin as its first point."""
+        pts = sample_polydisc(np.random.default_rng(self.seed), self.count, n, self.radius)
+        pts[0] = 0.0
         return pts
 
 
@@ -525,7 +523,6 @@ class Cond0Report:
     points_checked: int
     min_first_derivs: tuple[float, ...]
     min_metric_eigenvalue: float
-    tolerance: float = 0.0
 
     @property
     def min_value(self) -> float:
@@ -533,16 +530,7 @@ class Cond0Report:
 
     @property
     def passed(self) -> bool:
-        return self.min_value >= -self.tolerance
-
-    def as_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "points_checked": self.points_checked,
-            "min_first_derivs": list(self.min_first_derivs),
-            "min_metric_eigenvalue": self.min_metric_eigenvalue,
-            "pass": self.passed,
-        }
+        return self.min_value >= 0.0
 
 
 def cond0_scan(model: PotentialModel, region: SampleRegion) -> Cond0Report:

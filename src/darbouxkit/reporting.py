@@ -153,12 +153,13 @@ class RunConfig:
 
 
 def _jsonable(value):
+    # bool before int: bool subclasses int, and True must stay true, not 1
+    if isinstance(value, (np.bool_, bool)):
+        return bool(value)
     if isinstance(value, (np.floating, float)):
         return float(value)
     if isinstance(value, (np.integer, int)):
         return int(value)
-    if isinstance(value, (np.bool_, bool)):
-        return bool(value)
     if isinstance(value, np.ndarray):
         return [_jsonable(v) for v in value.tolist()]
     if isinstance(value, complex):
@@ -476,9 +477,7 @@ def _claim_ciriza(cfg: RunConfig, rng: np.random.Generator):
     for n in (2, 3, 4):
         dm = DarbouxMap(CigarProductPotential(n))
         for i, emb in enumerate(standard_catalog(n, seed=cfg.seed % 1000)):
-            report = ciriza_image_check(
-                dm, emb, samples=50, radius=2.0, seed=int(rng.integers(2**31))
-            )
+            report = ciriza_image_check(dm, emb, samples=50, seed=int(rng.integers(2**31)))
             per_embedding[f"cigar-n{n}/{i}:sigma={emb.sigma}"] = {
                 "residual": report.max_residual,
                 "rank": report.rank,

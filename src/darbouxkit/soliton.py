@@ -123,13 +123,6 @@ class FIntegral:
         corr = const * exp(-x) / tail if x < 700.0 else 0.0
         return x + log(tail) + log1p(corr)
 
-    def log_derivative(self, x: float) -> float:
-        """d/dx log F_n(x) = x^(n-1) e^x / F_n(x), in overflow-safe form."""
-        tail = np.polynomial.polynomial.polyval(x, _tail_polynomial(self.n))
-        const = (-1.0) ** self.n * factorial(self.n - 1)
-        denom = tail + (const * exp(-x) if x < 700.0 else 0.0)
-        return x ** (self.n - 1) / denom
-
     def _series(self, x: float) -> float:
         n = self.n
         acc = 0.0
@@ -176,12 +169,6 @@ class SolitonProfile:
 
     def u_second(self, t: float) -> float:
         return self.derivatives(t)[1]
-
-    def u_third(self, t: float) -> float:
-        return self.derivatives(t)[2]
-
-    def u_fourth(self, t: float) -> float:
-        return self.derivatives(t)[3]
 
     def derivatives(self, t: float) -> tuple[float, float, float, float]:
         """The jet (u', u'', u''', u'''') at t from a single root solve."""

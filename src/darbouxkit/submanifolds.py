@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .darboux import DarbouxMap
-from .geodesics import GeodesicDriftError, GeodesicState, GeodesicTrajectory, geodesic_integrate
+from .geodesics import GeodesicState, geodesic_integrate
 from .potentials import PotentialModel, metric_energy, sample_polydisc
 
 __all__ = [
@@ -96,13 +96,6 @@ class PhaseBlockEmbedding:
         w = np.asarray(w, dtype=complex)
         return float(np.linalg.norm(w - self.projector() @ w))
 
-    def with_phase_multiplied(self, j: int, phase: complex) -> "PhaseBlockEmbedding":
-        if abs(abs(phase) - 1.0) > 1e-12:
-            raise ValueError("phase must be unit modulus")
-        phases = list(self.phases)
-        phases[j] = phases[j] * phase
-        return PhaseBlockEmbedding(self.n, self.sigma, tuple(phases))
-
     def describe(self) -> dict:
         return {
             "n": self.n,
@@ -139,15 +132,12 @@ def total_geodesy_residual(
     start: Sequence[complex],
     vel: Sequence[complex],
     length: float,
-    steps: int | None = None,
-    drift_tol: float = 1e-8,
-    normalize: bool = True,
 ) -> float:
     """Max distance of an ambient geodesic from the embedding's image.
 
-    ``start`` must lie on the image and ``vel`` must be tangent to it; with
-    ``normalize`` the velocity is rescaled to unit metric energy so ``length``
-    is the arclength.
+    ``start`` must lie on the image and ``vel`` must be tangent to it.  The
+    velocity is rescaled to unit metric energy, so ``length`` is the
+    arclength; GeodesicDriftError if the geodesic misses its drift bound.
     """
     start = np.asarray(start, dtype=complex)
     vel = np.asarray(vel, dtype=complex)
@@ -156,21 +146,10 @@ def total_geodesy_residual(
         raise ValueError("start point is not on the embedded subspace")
     if embedding.distance_to_image(vel) > 1e-9 * max(1.0, float(np.linalg.norm(vel))):
         raise ValueError("velocity is not tangent to the embedded subspace")
-    if normalize:
-        vel = vel / np.sqrt(metric_energy(model, start, vel))
-    trajectory = geodesic_integrate(
-        model, GeodesicState(start, vel), length, steps=steps, drift_tol=drift_tol
-    )
-    points = _converged_points(trajectory)
+    vel = vel / np.sqrt(metric_energy(model, start, vel))
+    points = geodesic_integrate(model, GeodesicState(start, vel), length).converged_points()
     offsets = points - points @ embedding.projector().T
     return float(np.max(np.linalg.norm(offsets, axis=1)))
-
-
-def _converged_points(trajectory: GeodesicTrajectory) -> np.ndarray:
-    """The trajectory's points; GeodesicDriftError if it missed its drift bound."""
-    if not trajectory.converged:
-        raise GeodesicDriftError(f"energy drift {trajectory.drift:.3e} unmet at {trajectory.steps} steps")
-    return trajectory.points
 
 
 # ---------------------------------------------------------------------------
@@ -199,12 +178,6 @@ class HoloCurvePair:
 
     def tangent(self, z: complex) -> np.ndarray:
         return np.array([self.df1(z), self.df2(z)], dtype=complex)
-
-    def describe(self) -> dict:
-        return {
-            "f1": [str(c) for c in self.f1.coef[1:]],
-            "f2": [str(c) for c in self.f2.coef[1:]],
-        }
 
 
 def graph_counterexample_pair() -> HoloCurvePair:
@@ -299,12 +272,10 @@ def curvature_defect(pair: HoloCurvePair, z: complex) -> tuple[float, float]:
     return float(direct), float(via_a)
 
 
-def curve_distance(
-    pair: HoloCurvePair, point: Sequence[complex], starts: Sequence[complex] | None = None
-) -> float:
+def curve_distance(pair: HoloCurvePair, point: Sequence[complex]) -> float:
     """Euclidean distance from a point in C^2 to the curve image (numeric).
 
-    Multi-start Nelder-Mead over the curve parameter; default starts are the
+    Nelder-Mead over the curve parameter from three initial guesses: the
     first coordinate and both square roots of the second (good heuristics for
     low-degree graphs like (z, z^2)).
     """
@@ -312,9 +283,7 @@ def curve_distance(
     from scipy.optimize import minimize
 
     point = np.asarray(point, dtype=complex)
-    if starts is None:
-        root = np.sqrt(complex(point[1]))
-        starts = [complex(point[0]), root, -root]
+    root = np.sqrt(complex(point[1]))
 
     def objective(x: np.ndarray) -> float:
         w = complex(x[0], x[1])
@@ -327,7 +296,7 @@ def curve_distance(
             method="Nelder-Mead",
             options={"xatol": 1e-12, "fatol": 1e-24, "maxiter": 600},
         ).fun
-        for w0 in starts
+        for w0 in (complex(point[0]), root, -root)
     ]
     # numpy reductions propagate a NaN from any start; Python's min drops it
     return float(np.sqrt(np.maximum(np.min(values), 0.0)))
@@ -338,10 +307,9 @@ def curve_geodesy_residual(
     pair: HoloCurvePair,
     w0: complex,
     length: float,
-    steps: int | None = None,
-    stride: int = 12,
 ) -> float:
-    """Max distance to the curve image of the geodesic launched tangent at w0."""
+    """Max distance to the curve image of the geodesic launched tangent at w0,
+    over every 12th trajectory point."""
     if model.n != 2:
         raise ValueError("curve geodesy runs in the two-cigar model")
     start = pair.point(w0)
@@ -350,8 +318,7 @@ def curve_geodesy_residual(
     if energy <= 0.0:
         raise ValueError("degenerate tangent at the launch point")
     vel = vel / np.sqrt(energy)
-    trajectory = geodesic_integrate(model, GeodesicState(start, vel), length, steps=steps)
-    samples = _converged_points(trajectory)[::stride]
+    samples = geodesic_integrate(model, GeodesicState(start, vel), length).converged_points()[::12]
     return float(np.max([curve_distance(pair, p) for p in samples]))
 
 
@@ -393,21 +360,21 @@ def ciriza_image_check(
     darboux_map: DarbouxMap,
     embedding: PhaseBlockEmbedding,
     samples: int = 50,
-    radius: float = 2.0,
     seed: int = 202614,
     tolerance: float = 1e-9,
 ) -> CirizaReport:
     """Check that the coordinate map sends the embedded subspace into the
     complex span of its mapped tangent frame at the origin.
 
-    Residuals are distances of mapped samples to that span; the report also
+    Parameters are sampled from the radius-2 polydisc.  Residuals are
+    distances of mapped samples to that span; the report also
     carries the numerical complex rank of the stacked images, which must
     equal the subspace dimension k.
     """
     model = darboux_map.model
     if model.n != embedding.n:
         raise ValueError("embedding dimension does not match the model")
-    params = sample_polydisc(np.random.default_rng(seed), samples, embedding.k, radius)
+    params = sample_polydisc(np.random.default_rng(seed), samples, embedding.k, 2.0)
     # differential of the map at 0 is the diagonal of sqrt(Phi_j(0)), so the
     # mapped tangent frame is that scaling applied to the embedding matrix
     psi0 = np.sqrt(model.first_derivs(np.zeros(model.n)))
@@ -432,12 +399,11 @@ def ciriza_image_check(
 def curve_image_rank(
     darboux_map: DarbouxMap,
     pair: HoloCurvePair,
-    samples: int = 50,
-    radius: float = 2.0,
     seed: int = 202615,
 ) -> int:
-    """Complex rank of mapped curve samples (2 for the (z, z^2) non-example)."""
-    params = sample_polydisc(np.random.default_rng(seed), samples, 1, radius)[:, 0]
+    """Complex rank of 50 mapped curve samples over the radius-2 disc (2 for
+    the (z, z^2) non-example)."""
+    params = sample_polydisc(np.random.default_rng(seed), 50, 1, 2.0)[:, 0]
     images = np.array([darboux_map.map_point(pair.point(w)) for w in params])
     return _complex_rank(images)
 

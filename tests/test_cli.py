@@ -61,6 +61,28 @@ class TestVerifyPullback:
         assert result.exit_code != 0
 
 
+class TestBadInputIsUsageError:
+    @pytest.mark.parametrize("args", [
+        ["verify-pullback", "--model", "foo:2"],
+        ["verify-pullback", "--model", "cigar:x"],
+        ["verify-pullback", "--model", "{bad"],
+        ["ciriza", "--spec", "sigma=1,x,alpha=1"],
+        ["ciriza", "--spec", "sigma=3,0,alpha=1"],
+    ], ids=["unknown-kind", "bad-n", "bad-json", "bad-sigma-entry", "missing-sigma-index"])
+    def test_exit_2_without_traceback(self, runner, args):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert "Invalid value" in result.output
+        assert "Traceback" not in result.output
+
+    def test_bad_descriptor_file(self, runner, tmp_path):
+        desc = tmp_path / "model.json"
+        desc.write_text(json.dumps({"kind": "nope", "n": 2}))
+        result = runner.invoke(main, ["verify-pullback", "--model", str(desc)])
+        assert result.exit_code == 2, result.output
+        assert "unknown model kind 'nope'" in result.output
+
+
 class TestSolitonProfileCommand:
     def test_csv_written(self, runner, tmp_path):
         out = tmp_path / "prof.csv"

@@ -1,4 +1,4 @@
-"""Coordinate-map tests: pullback identity, Jacobians, properness, injectivity.
+"""Coordinate-map tests: pullback identity, Jacobians, properness.
 
 Frozen oracles:
   cigar at z = 1: first radial derivative log(2), so the image is
@@ -17,7 +17,6 @@ from darbouxkit import (
     CigarProductPotential,
     DarbouxMap,
     MapDomainError,
-    ProbeGrid,
     SampleRegion,
     SolitonProfile,
     flat_potential,
@@ -127,9 +126,7 @@ class TestProperness:
         rep = properness_auto_scan(dm, dirs)
         assert rep.passed
         assert np.all(rep.final_log_values > math.log(1e3))
-        d = rep.as_dict()
-        assert d["pass"] is True
-        assert len(d["final_values"]) == 8
+        assert rep.ray_passed.shape == (8,)
 
     def test_bounded_potential_fails(self, rng):
         # Phi' = 1 - t has S(r) = r^2(1 - r^2) falling back to 0: not proper
@@ -151,48 +148,3 @@ class TestProperness:
         assert dirs.shape == (8, 3)
         assert np.allclose(dirs[:3], np.eye(3))
         assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0, rtol=1e-13)
-
-
-class TestInjectivity:
-    def test_cigar_probe_clean(self):
-        dm = DarbouxMap(CigarProductPotential(1))
-        rep = dm.injectivity_probe(ProbeGrid(count=300, radius=2.0))
-        assert rep.passed
-        assert rep.collisions == 0
-        assert rep.min_abs_det > 0.0
-
-    def test_fold_collisions_found(self):
-        # w = sqrt(1 - t) z folds t <-> 1 - t; grid symmetric about t = 1/2
-        dm = DarbouxMap(fold_test_model())
-        rep = dm.injectivity_probe(
-            ProbeGrid(count=200, radius=math.sqrt(0.8), ray=True)
-        )
-        assert rep.collisions > 0
-        assert not rep.passed
-        assert rep.witness is not None
-        z1, z2 = np.asarray(rep.witness[0]), np.asarray(rep.witness[1])
-        w1, w2 = dm.map_point(z1), dm.map_point(z2)
-        assert np.linalg.norm(w1 - w2) < 1e-9
-        assert np.linalg.norm(z1 - z2) > 1e-6
-
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in det:RuntimeWarning")
-    def test_nan_determinant_past_first_point_fails(self, monkeypatch):
-        original = DarbouxMap.jacobian
-        calls = []
-
-        def jacobian(self, z, method="analytic"):
-            calls.append(z)
-            j = original(self, z, method)
-            return j * np.nan if len(calls) == 3 else j
-
-        monkeypatch.setattr(DarbouxMap, "jacobian", jacobian)
-        rep = DarbouxMap(CigarProductPotential(1)).injectivity_probe(ProbeGrid(count=5))
-        assert np.isnan(rep.min_abs_det)
-        assert not rep.passed
-
-    def test_report_dict(self):
-        dm = DarbouxMap(CigarProductPotential(1))
-        rep = dm.injectivity_probe(ProbeGrid(count=50))
-        d = rep.as_dict()
-        assert d["points_checked"] == 50
-        assert d["pass"] is True

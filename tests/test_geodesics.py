@@ -6,6 +6,7 @@ import pytest
 
 from darbouxkit import (
     CigarProductPotential,
+    GeodesicDriftError,
     GeodesicState,
     SolitonProfile,
     flat_potential,
@@ -110,6 +111,8 @@ class TestControls:
         traj = geodesic_integrate(model, state, 8.0, steps=24, drift_tol=1e-300)
         assert not traj.converged
         assert traj.steps == 24 * 2**4
+        with pytest.raises(GeodesicDriftError):
+            traj.converged_points()
 
     def test_state_coercion(self):
         st = GeodesicState([1, 2], [3, 4])

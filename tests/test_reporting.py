@@ -172,6 +172,18 @@ class TestClaimExecution:
         assert "wall_time_s" not in parsed
         assert "wall_time_s" in a.as_dict()
 
+    def test_jsonable_keeps_bools_apart_from_ints(self):
+        # bool subclasses int; a True in the details must serialise as true
+        data = reporting_mod._jsonable(
+            {"a": True, "b": np.bool_(False), "c": 3, "d": np.int64(4), "e": (True, 1)}
+        )
+        assert json.dumps(data, sort_keys=True) == '{"a": true, "b": false, "c": 3, "d": 4, "e": [true, 1]}'
+
+    def test_side_conditions_body_reads_properness_pass_as_bool(self):
+        body = json.loads(run_claim("map-side-conditions", RunConfig(points=2, rays=1)).body())
+        per_model = body["details"]["per_model"].values()
+        assert all(part["properness_pass"] is True for part in per_model)
+
     def test_summary_line_format(self):
         rep = run_claim("profile-closed-form", RunConfig(points=10))
         line = rep.summary_line()
