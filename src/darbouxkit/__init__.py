@@ -57,6 +57,7 @@ from .curvature import (
 from .geodesics import GeodesicDriftError, GeodesicState, GeodesicTrajectory, geodesic_integrate
 from .submanifolds import (
     CirizaReport,
+    CurveDistanceError,
     HoloCurvePair,
     InducedMetric1D,
     PhaseBlockEmbedding,
@@ -134,6 +135,7 @@ __all__ = [
     "total_geodesy_residual",
     "curve_geodesy_residual",
     "curve_distance",
+    "CurveDistanceError",
     "CirizaReport",
     "ciriza_image_check",
     "curve_image_rank",

@@ -382,12 +382,21 @@ def fold_test_model() -> PolyTestPotential:
     return PolyTestPotential(1, {(1,): 1.0, (2,): -0.5}, label="fold")
 
 
+def _field(cast, value, name: str):
+    """``cast(value)``, with a wrong-typed descriptor field raising ValueError."""
+    try:
+        return cast(value)
+    except TypeError:
+        raise ValueError(f"model descriptor field {name!r} cannot be {type(value).__name__}") from None
+
+
 def model_from_descriptor(desc: Mapping) -> PotentialModel:
     """Build a model from a JSON-style descriptor {"kind": ..., "n": ..., ...}.
 
     Kinds: "cigar", "soliton" (optional "newton_tol", "a0"), "poly"
     (optional "monomials" mapping "a1,a2,..." -> coefficient, and "label";
     labels "flat" and "fold" select the corresponding stock polynomials).
+    A wrong-typed field raises ValueError.
     """
     if not isinstance(desc, Mapping):
         raise ValueError("model descriptor must be a mapping")
@@ -396,20 +405,22 @@ def model_from_descriptor(desc: Mapping) -> PotentialModel:
     except KeyError:
         raise ValueError("model descriptor missing 'kind'") from None
     if kind == "cigar":
-        return CigarProductPotential(int(desc.get("n", 1)))
+        return CigarProductPotential(_field(int, desc.get("n", 1), "n"))
     if kind == "soliton":
         profile = SolitonProfile(
-            int(desc.get("n", 1)),
-            newton_tol=float(desc.get("newton_tol", 1e-13)),
-            a0=float(desc.get("a0", 0.0)),
+            _field(int, desc.get("n", 1), "n"),
+            newton_tol=_field(float, desc.get("newton_tol", 1e-13), "newton_tol"),
+            a0=_field(float, desc.get("a0", 0.0), "a0"),
         )
         return SolitonPotential(profile)
     if kind == "poly":
-        n = int(desc.get("n", 2))
+        n = _field(int, desc.get("n", 2), "n")
         label = desc.get("label", "poly")
         if "monomials" in desc:
+            if not isinstance(desc["monomials"], Mapping):
+                raise ValueError("model descriptor field 'monomials' must map 'a1,a2,...' to numbers")
             monomials = {
-                tuple(int(q) for q in key.split(",")): float(c)
+                tuple(int(q) for q in key.split(",")): _field(float, c, "monomials")
                 for key, c in desc["monomials"].items()
             }
             return PolyTestPotential(n, monomials, label=label)

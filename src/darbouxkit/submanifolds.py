@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.polynomial.polynomial import polyder, polyval
 
 from .darboux import DarbouxMap
 from .geodesics import GeodesicState, geodesic_integrate
@@ -38,6 +39,7 @@ __all__ = [
     "total_geodesy_residual",
     "curve_geodesy_residual",
     "curve_distance",
+    "CurveDistanceError",
     "CirizaReport",
     "ciriza_image_check",
     "curve_image_rank",
@@ -165,19 +167,19 @@ class HoloCurvePair:
     """
 
     def __init__(self, coeffs1: Sequence[complex], coeffs2: Sequence[complex]):
-        poly = np.polynomial.Polynomial
-        self.f1 = poly([0.0, *np.asarray(coeffs1, dtype=complex)])
-        self.f2 = poly([0.0, *np.asarray(coeffs2, dtype=complex)])
-        self.df1 = self.f1.deriv()
-        self.df2 = self.f2.deriv()
-        self.ddf1 = self.f1.deriv(2)
-        self.ddf2 = self.f2.deriv(2)
+        coeffs = [np.array([0.0, *np.asarray(c, dtype=complex)]) for c in (coeffs1, coeffs2)]
+        self._rows = tuple(tuple(polyder(c, m) for c in coeffs) for m in range(3))
+
+    def jet(self, z: complex) -> np.ndarray:
+        """(3, 2) array whose rows are f, f' and f'' of (f1, f2) at z."""
+        # scalar Horner per polynomial; a stacked vectorised polyval rounds differently
+        return np.array([[polyval(z, c) for c in row] for row in self._rows], dtype=complex)
 
     def point(self, z: complex) -> np.ndarray:
-        return np.array([self.f1(z), self.f2(z)], dtype=complex)
+        return self.jet(z)[0]
 
     def tangent(self, z: complex) -> np.ndarray:
-        return np.array([self.df1(z), self.df2(z)], dtype=complex)
+        return self.jet(z)[1]
 
 
 def graph_counterexample_pair() -> HoloCurvePair:
@@ -187,9 +189,7 @@ def graph_counterexample_pair() -> HoloCurvePair:
 
 def a_obstruction(pair: HoloCurvePair, z: complex) -> complex:
     """The obstruction A(f1, f2)(z); the curve is totally geodesic iff A = 0."""
-    f1, f2 = pair.f1(z), pair.f2(z)
-    d1, d2 = pair.df1(z), pair.df2(z)
-    s1, s2 = pair.ddf1(z), pair.ddf2(z)
+    (f1, f2), (d1, d2), (s1, s2) = pair.jet(z)
     m1 = 1.0 + abs(f1) ** 2
     m2 = 1.0 + abs(f2) ** 2
     return complex(
@@ -203,68 +203,51 @@ class InducedMetric1D:
     """Pullback metric of the two-cigar model along a HoloCurvePair.
 
     g(z) = sum_m |f_m'|^2 / (1 + |f_m|^2), with analytic z / zbar derivatives
-    from polynomial arithmetic (no finite differences) and the 1-d curvature
+    from one curve jet (no finite differences) and the 1-d curvature
     R = -g_zzbar + |g_z|^2 / g.
     """
 
     def __init__(self, pair: HoloCurvePair):
         self.pair = pair
 
-    def _parts(self, z: complex):
-        p = self.pair
-        for f, df, ddf in ((p.f1, p.df1, p.ddf1), (p.f2, p.df2, p.ddf2)):
-            a, b = f(z), np.conj(f(z))
-            da, db = df(z), np.conj(df(z))
-            dda, ddb = ddf(z), np.conj(ddf(z))
+    def _metric_jet(self, z: complex) -> tuple[float, complex, float]:
+        """(g, g_z, g_zzbar) at z."""
+        g, g_z, g_zzbar = 0.0, 0.0 + 0.0j, 0.0 + 0.0j
+        for a, da, dda in self.pair.jet(z).T:
+            b, db, ddb = np.conj(a), np.conj(da), np.conj(dda)
             h = 1.0 / (1.0 + a * b)
-            yield a, b, da, db, dda, ddb, h
-
-    def value(self, z: complex) -> float:
-        return float(sum((da * db * h).real for _, _, da, db, _, _, h in self._parts(z)))
-
-    def dz(self, z: complex) -> complex:
-        acc = 0.0 + 0.0j
-        for a, b, da, db, dda, _, h in self._parts(z):
-            acc += dda * db * h - da**2 * db * b * h**2
-        return complex(acc)
-
-    def dz_dzbar(self, z: complex) -> float:
-        acc = 0.0 + 0.0j
-        for a, b, da, db, dda, ddb, h in self._parts(z):
-            acc += (
+            g += (da * db * h).real
+            g_z += dda * db * h - da**2 * db * b * h**2
+            g_zzbar += (
                 dda * ddb * h
                 - (dda * a * db**2 + da**2 * b * ddb + da**2 * db**2) * h**2
                 + 2.0 * da**2 * db**2 * a * b * h**3
             )
-        return float(acc.real)
+        return float(g), complex(g_z), float(g_zzbar.real)
+
+    def value(self, z: complex) -> float:
+        return self._metric_jet(z)[0]
 
     def curvature(self, z: complex) -> float:
-        g = self.value(z)
+        g, g_z, g_zzbar = self._metric_jet(z)
         if g <= 0.0:
             raise ValueError("degenerate induced metric (both derivatives vanish)")
-        return -self.dz_dzbar(z) + abs(self.dz(z)) ** 2 / g
-
-
-def _restricted_ambient_curvature(pair: HoloCurvePair, z: complex) -> float:
-    """R(T, Tbar, T, Tbar) of the two-cigar model along the curve tangent."""
-    acc = 0.0
-    for f, df in ((pair.f1, pair.df1), (pair.f2, pair.df2)):
-        acc += abs(df(z)) ** 4 / (1.0 + abs(f(z)) ** 2) ** 3
-    return acc
+        return -g_zzbar + abs(g_z) ** 2 / g
 
 
 def curvature_defect(pair: HoloCurvePair, z: complex) -> tuple[float, float]:
     """(direct, viaA): induced-minus-restricted curvature, both routes.
 
-    The direct route differentiates the induced metric; the closed route is
+    The direct route differentiates the induced metric and subtracts the
+    ambient R(T, Tbar, T, Tbar) along the tangent; the closed route is
     -|A|^2 / D.  Totally geodesic curves give 0; the defect is never positive.
     """
-    induced = InducedMetric1D(pair)
-    direct = induced.curvature(z) - _restricted_ambient_curvature(pair, z)
-    m1 = 1.0 + abs(pair.f1(z)) ** 2
-    m2 = 1.0 + abs(pair.f2(z)) ** 2
-    d1 = abs(pair.df1(z)) ** 2
-    d2 = abs(pair.df2(z)) ** 2
+    (f1, f2), (df1, df2), _ = pair.jet(z)
+    m1 = 1.0 + abs(f1) ** 2
+    m2 = 1.0 + abs(f2) ** 2
+    direct = InducedMetric1D(pair).curvature(z) - (abs(df1) ** 4 / m1**3 + abs(df2) ** 4 / m2**3)
+    d1 = abs(df1) ** 2
+    d2 = abs(df2) ** 2
     denom = (d1 * m2 + d2 * m1) * m1**2 * m2**2
     if denom == 0.0:
         raise ValueError("degenerate tangent: both derivatives vanish")
@@ -272,34 +255,51 @@ def curvature_defect(pair: HoloCurvePair, z: complex) -> tuple[float, float]:
     return float(direct), float(via_a)
 
 
+class CurveDistanceError(ArithmeticError):
+    """A curve_distance Newton start did not converge."""
+
+
+_NEWTON_CAP = 300  # jet evaluations per start, backtracking included
+_STEP_RTOL = 1e-14
+
+
 def curve_distance(pair: HoloCurvePair, point: Sequence[complex]) -> float:
-    """Euclidean distance from a point in C^2 to the curve image (numeric).
+    """Euclidean distance from a point p in C^2 to the curve image.
 
-    Nelder-Mead over the curve parameter from three initial guesses: the
-    first coordinate and both square roots of the second (good heuristics for
-    low-degree graphs like (z, z^2)).
+    Newton on the stationarity condition G = sum_m conj(f_m')(f_m - p) = 0 of
+    E(w) = |f(w) - p|^2 from three starts: the first coordinate and both square
+    roots of the second (good heuristics for low-degree graphs like (z, z^2)).
+    Each start converges or raises CurveDistanceError; a NaN propagates.
     """
-    # imported here, its only use: scipy.optimize adds ~24 MB to `import darbouxkit`
-    from scipy.optimize import minimize
-
     point = np.asarray(point, dtype=complex)
     root = np.sqrt(complex(point[1]))
-
-    def objective(x: np.ndarray) -> float:
-        w = complex(x[0], x[1])
-        return float(np.linalg.norm(pair.point(w) - point) ** 2)
-
-    values = [
-        minimize(
-            objective,
-            np.array([w0.real, w0.imag]),
-            method="Nelder-Mead",
-            options={"xatol": 1e-12, "fatol": 1e-24, "maxiter": 600},
-        ).fun
-        for w0 in (complex(point[0]), root, -root)
-    ]
+    values = [_newton_energy(pair, point, w0) for w0 in (complex(point[0]), root, -root)]
     # numpy reductions propagate a NaN from any start; Python's min drops it
     return float(np.sqrt(np.maximum(np.min(values), 0.0)))
+
+
+def _newton_energy(pair: HoloCurvePair, point: np.ndarray, w: complex) -> float:
+    """E at the stationary point Newton reaches from w, halving steps that raise E."""
+    dw, e = 0.0, np.inf
+    for _ in range(_NEWTON_CAP):
+        jet = pair.jet(w + dw)
+        e_trial = np.linalg.norm(jet[0] - point) ** 2
+        if e_trial > e:
+            dw /= 2.0
+        else:
+            w, e = w + dw, e_trial
+            f, df, ddf = jet
+            a = np.vdot(df, df).real
+            b = np.vdot(ddf, f - point)
+            g = np.vdot(df, f - point)
+            # Newton step of a dw + b conj(dw) = -g while E's Hessian is definite, else Gauss-Newton
+            dw = (b * np.conj(g) - a * g) / (a * a - abs(b) ** 2) if a > abs(b) else -g / a
+            if not abs(g * dw) > np.finfo(float).eps * e:  # E cannot move beyond roundoff, or NaN
+                return e
+        # a Newton or halved step below roundoff in w: no representable step lowers E
+        if not abs(dw) > _STEP_RTOL * max(1.0, abs(w)):
+            return e
+    raise CurveDistanceError(f"Newton did not converge in {_NEWTON_CAP} jets (w = {w})")
 
 
 def curve_geodesy_residual(
@@ -312,8 +312,7 @@ def curve_geodesy_residual(
     over every 12th trajectory point."""
     if model.n != 2:
         raise ValueError("curve geodesy runs in the two-cigar model")
-    start = pair.point(w0)
-    vel = pair.tangent(w0)
+    start, vel = pair.jet(w0)[:2]
     energy = metric_energy(model, start, vel)
     if energy <= 0.0:
         raise ValueError("degenerate tangent at the launch point")

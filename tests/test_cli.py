@@ -68,7 +68,10 @@ class TestBadInputIsUsageError:
         ["verify-pullback", "--model", "{bad"],
         ["ciriza", "--spec", "sigma=1,x,alpha=1"],
         ["ciriza", "--spec", "sigma=3,0,alpha=1"],
-    ], ids=["unknown-kind", "bad-n", "bad-json", "bad-sigma-entry", "missing-sigma-index"])
+        ["verify-pullback", "--model", '{"kind": "cigar", "n": null}'],
+        ["verify-pullback", "--model", '{"kind": "poly", "n": 2, "monomials": 3}'],
+    ], ids=["unknown-kind", "bad-n", "bad-json", "bad-sigma-entry", "missing-sigma-index",
+            "null-n", "monomials-not-a-mapping"])
     def test_exit_2_without_traceback(self, runner, args):
         result = runner.invoke(main, args)
         assert result.exit_code == 2, result.output

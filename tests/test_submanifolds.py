@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from darbouxkit import (
     CigarProductPotential,
+    CurveDistanceError,
     DarbouxMap,
     GeodesicDriftError,
     HoloCurvePair,
@@ -189,6 +190,18 @@ class TestObstruction:
         direct, _ = curvature_defect(pair, z)
         assert direct <= 1e-12
 
+    def test_defect_reads_at_most_three_jets(self, monkeypatch):
+        original = HoloCurvePair.jet
+        calls = []
+
+        def jet(self, z):
+            calls.append(z)
+            return original(self, z)
+
+        monkeypatch.setattr(HoloCurvePair, "jet", jet)
+        curvature_defect(graph_counterexample_pair(), 0.6 + 0.3j)
+        assert 1 <= len(calls) <= 3
+
     def test_identical_components_zero_defect(self):
         pair = HoloCurvePair((1.0,), (1.0,))
         direct, via = curvature_defect(pair, 0.7 + 0.2j)
@@ -228,27 +241,50 @@ class TestCurveDistance:
         off = pair.point(0.5) + np.array([0.0, 0.25])
         assert curve_distance(pair, off) > 0.05
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_nan_objective_past_first_start_propagates(self, monkeypatch):
-        import scipy.optimize
-
-        original = scipy.optimize.minimize
-        calls = []
-
-        def minimize(*args, **kwargs):
-            res = original(*args, **kwargs)
-            calls.append(res)
-            if len(calls) == 2:
-                res.fun = np.nan
-            return res
-
-        monkeypatch.setattr(scipy.optimize, "minimize", minimize)
         pair = graph_counterexample_pair()
-        assert np.isnan(curve_distance(pair, pair.point(0.5) + np.array([0.0, 0.25])))
+        point = pair.point(0.5) + np.array([0.0, 0.25])
+        second_start = np.sqrt(complex(point[1]))
+        original = HoloCurvePair.jet
+        starts = []
+
+        def jet(self, z):
+            out = original(self, z)
+            if z == second_start:
+                starts.append(z)
+                out = np.full_like(out, np.nan)
+            return out
+
+        monkeypatch.setattr(HoloCurvePair, "jet", jet)
+        assert np.isnan(curve_distance(pair, point))
+        assert starts == [second_start]
+
+    def test_complex_line_oracle(self, rng):
+        # w -> (w, beta w) is the line spanned by v = (1, beta): distance |p - proj_v p|
+        for _ in range(20):
+            beta = complex(*rng.standard_normal(2))
+            p = 3.0 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
+            v = np.array([1.0, beta])
+            expected = np.linalg.norm(p - np.vdot(v, p) / np.vdot(v, v) * v)
+            got = curve_distance(HoloCurvePair((1.0,), (beta,)), p)
+            assert got == pytest.approx(expected, rel=1e-12, abs=1e-14)
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(submanifolds_mod, "_NEWTON_CAP", 1)
+        pair = graph_counterexample_pair()
+        with pytest.raises(CurveDistanceError):
+            curve_distance(pair, pair.point(0.5) + np.array([0.0, 0.25]))
 
     def test_package_import_leaves_scipy_optimize_unloaded(self):
-        # curve_distance imports it on first use; a fresh `import darbouxkit` must not
+        # neither `import darbouxkit` nor a curve_distance solve may load scipy.optimize
         src = str(Path(darbouxkit.__file__).resolve().parents[1])
-        code = "import sys, darbouxkit; print('scipy.optimize' in sys.modules)"
+        code = (
+            "import sys, darbouxkit\n"
+            "print('scipy.optimize' in sys.modules)\n"
+            "darbouxkit.curve_distance(darbouxkit.graph_counterexample_pair(), [0.5, 0.5])\n"
+            "print('scipy.optimize' in sys.modules)"
+        )
         out = subprocess.run(
             [sys.executable, "-c", code],
             env={**os.environ, "PYTHONPATH": src},
@@ -256,7 +292,7 @@ class TestCurveDistance:
             text=True,
             check=True,
         )
-        assert out.stdout.strip() == "False"
+        assert out.stdout.split() == ["False", "False"]
 
 
 class TestCirizaProperty:
@@ -298,3 +334,17 @@ class TestHoloCurvePair:
         # f1 = z + 2z^2, f2 = z^2
         assert np.allclose(pair.point(1.0), [3.0, 1.0])
         assert np.allclose(pair.tangent(1.0), [5.0, 2.0])
+
+    def test_jet_matches_polynomial_reference_bitwise(self, rng):
+        for degrees in ((1, 1), (1, 2), (3, 2), (4, 1)):
+            for _ in range(10):
+                c1, c2 = (rng.standard_normal(d) + 1j * rng.standard_normal(d) for d in degrees)
+                pair = HoloCurvePair(c1, c2)
+                for z in (complex(*rng.standard_normal(2)), float(rng.standard_normal())):
+                    assert pair.jet(z).tobytes() == _polynomial_jet(c1, c2, z).tobytes()
+
+
+def _polynomial_jet(coeffs1, coeffs2, z):
+    """Rows f, f', f'' of a HoloCurvePair at z from np.polynomial.Polynomial objects."""
+    polys = [np.polynomial.Polynomial([0.0, *np.asarray(c, dtype=complex)]) for c in (coeffs1, coeffs2)]
+    return np.array([[f.deriv(m)(z) if m else f(z) for f in polys] for m in range(3)], dtype=complex)
