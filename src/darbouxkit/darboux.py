@@ -14,7 +14,7 @@ own scans.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import log
 from typing import Sequence
 
@@ -100,8 +100,14 @@ class DarbouxMap:
         domain so radii far beyond floating range of r^2 are usable.
         """
         radii = np.asarray(radii, dtype=float)
-        if radii.ndim != 1 or len(radii) < 2 or np.any(np.diff(radii) <= 0.0) or radii[0] <= 0.0:
-            raise ValueError("radii must be a strictly increasing positive sequence")
+        if (
+            radii.ndim != 1
+            or len(radii) < 2
+            or not np.all(np.isfinite(radii))
+            or np.any(np.diff(radii) <= 0.0)
+            or radii[0] <= 0.0
+        ):
+            raise ValueError("radii must be a strictly increasing finite positive sequence")
         directions = np.asarray(directions, dtype=complex)
         log_values = np.empty((len(directions), len(radii)))
         for i, d in enumerate(directions):
@@ -191,12 +197,22 @@ def properness_auto_scan(
 
     Slowly growing functionals (logarithmic in r) need astronomically large
     radii to clear the threshold, so the ladder's top exponent is raised until
-    the scan passes or the float-representable ceiling 1e250 is reached.
+    the scan passes or the float-representable ceiling 1e250 is reached.  The
+    rungs' half-decade grids are nested, so each rung scans only the radii
+    above the previous one and extends its table.
     """
     report = None
     for top in (8, 30, 80, 250):
         radii = np.logspace(0, top, 2 * top + 1)
-        report = darboux_map.properness_scan(directions, radii, threshold)
+        if report is None:
+            report = darboux_map.properness_scan(directions, radii, threshold)
+        else:
+            rung = darboux_map.properness_scan(directions, radii[len(report.radii):], threshold)
+            report = replace(
+                report,
+                radii=report.radii + rung.radii,
+                log_values=np.concatenate([report.log_values, rung.log_values], axis=1),
+            )
         if report.passed:
             return report
     return report

@@ -35,7 +35,6 @@ from math import factorial, log, log1p, perm, prod
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import logsumexp, spence
 
 from .soliton import SolitonProfile, _series_coefficients
 
@@ -87,6 +86,8 @@ def cigar_radial_deriv(t: float, order: int) -> float:
     if t < 0.0:
         raise ValueError("radial coordinate must be nonnegative")
     if order == 0:
+        from scipy.special import spence  # the only scipy use; kept off the import path
+
         return -float(spence(1.0 + t))
     p = order - 1
     if t < _CIGAR_SERIES_T:
@@ -106,6 +107,37 @@ def cigar_radial_deriv(t: float, order: int) -> float:
     for j in range(1, p + 1):
         inner -= 1.0 / (j * (1.0 + t) ** j * t ** (p + 1 - j))
     return (-1.0) ** p * factorial(p) * inner
+
+
+def _logsumexp(x: np.ndarray, signs: np.ndarray) -> tuple[float, float]:
+    """log |sum_i signs_i e^(x_i)| and the sign of the sum.
+
+    scipy.special.logsumexp(x, b=signs, return_sign=True) for nonzero signs,
+    bitwise, without loading scipy.  The terms equal to max(x) are split off,
+    so the sum is e^(x_max) (m + m s) with m their signed count, and the log
+    is taken through log1p.  Where that form is not finite (m = 0, s = -1, a
+    NaN or +inf maximum) the direct log |sum| answers, as in scipy.  An all
+    -inf input gives (-inf, 0).
+    """
+    a_max = x.max()
+    if a_max == -np.inf:
+        return -np.inf, 0.0
+    top = x == a_max
+    m = signs[top].sum()
+    if m != 0.0 and a_max < np.inf:  # False for a NaN maximum
+        e = signs * np.exp(x - a_max)
+        e[top] = 0.0
+        s = e.sum()
+        if s != 0.0:
+            s /= m
+        if s != -1.0:
+            sign = np.sign(s + 1.0) * np.sign(m)
+            if s < -1.0:
+                s = -s - 2.0
+            return float(np.log1p(s) + np.log(np.abs(m)) + a_max), float(sign)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        total = (signs * np.exp(x)).sum()
+        return float(np.log(np.abs(total))), float(np.sign(total))
 
 
 def _log_ray_coords(log_r: float, direction: Sequence[complex]) -> np.ndarray:
@@ -264,7 +296,7 @@ class SolitonPotential(PotentialModel):
 
     def log_ray_growth(self, log_r, direction):
         log_t = _log_ray_coords(log_r, direction)
-        t_s = float(logsumexp(log_t))  # log s
+        t_s = _logsumexp(log_t, np.ones(self.n))[0]  # log s
         if t_s < -700.0:
             return t_s  # u'(t) ~ e^t, so log S ~ t
         return log(self.profile.u_prime(t_s))
@@ -357,8 +389,8 @@ class PolyTestPotential(PotentialModel):
             signs.append(1.0 if c > 0 else -1.0)
         if not terms:
             return -np.inf
-        total, sign = logsumexp(terms, b=signs, return_sign=True)
-        return float(total) if sign > 0 else -np.inf
+        total, sign = _logsumexp(np.array(terms), np.array(signs))
+        return total if sign > 0 else -np.inf
 
 
 def flat_potential(n: int) -> PolyTestPotential:

@@ -142,9 +142,62 @@ class TestProperness:
             dm.properness_scan([[1.0]], radii=[-1.0, 1.0])
         with pytest.raises(ValueError):
             dm.properness_scan([[0.0]], radii=[1.0, 2.0])
+        with pytest.raises(ValueError):
+            dm.properness_scan([[1.0]], radii=[1.0, 2.0, math.inf])
+        with pytest.raises(ValueError):
+            dm.properness_scan([[1.0]], radii=[1.0, math.nan, 3.0])
 
     def test_unit_directions_layout(self, rng):
         dirs = unit_directions(3, 8, rng)
         assert dirs.shape == (8, 3)
         assert np.allclose(dirs[:3], np.eye(3))
         assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0, rtol=1e-13)
+
+
+def _reference_auto_scan(dm, directions, threshold=1e3):
+    """The properness ladder rung by rung, each rung scanning its whole grid."""
+    for top in (8, 30, 80, 250):
+        report = dm.properness_scan(directions, np.logspace(0, top, 2 * top + 1), threshold)
+        if report.passed:
+            break
+    return report
+
+
+class TestPropernessLadder:
+    @pytest.mark.parametrize(
+        "model, rungs",
+        [
+            (lambda: soliton_potential(SolitonProfile(2)), [17, 44, 100, 340]),
+            (poly_test_model, [17]),
+        ],
+        ids=["soliton-n2", "poly-n2"],
+    )
+    def test_each_radius_evaluated_once(self, model, rungs, rng, monkeypatch):
+        model = model()
+        log_radii = []
+        growth = model.log_ray_growth
+        monkeypatch.setattr(model, "log_ray_growth", lambda log_r, d: log_radii.append(log_r) or growth(log_r, d))
+        scans = []
+        scan = DarbouxMap.properness_scan
+
+        def counting_scan(self, directions, radii, threshold=1e3):
+            scans.append(len(radii))
+            return scan(self, directions, radii, threshold)
+
+        monkeypatch.setattr(DarbouxMap, "properness_scan", counting_scan)
+        rep = properness_auto_scan(DarbouxMap(model), unit_directions(2, 8, rng))
+        assert rep.passed
+        assert scans == rungs  # one scan per rung, over that rung's new radii only
+        assert len(log_radii) == 8 * sum(rungs) == 8 * len(rep.radii)
+        assert len(set(log_radii)) == len(rep.radii)
+
+    @pytest.mark.parametrize("model", [*shipped_models(), fold_test_model()], ids=lambda m: m.name)
+    def test_matches_rung_by_rung_reference(self, model, rng):
+        dirs = unit_directions(model.n, 8, rng)
+        rep = properness_auto_scan(DarbouxMap(model), dirs)
+        ref = _reference_auto_scan(DarbouxMap(model), dirs)
+        assert rep.radii == ref.radii  # so the claim's top_radius, radii[-1], too
+        assert rep.log_values.shape == ref.log_values.shape
+        assert rep.log_values.tobytes() == ref.log_values.tobytes()
+        assert rep.passed == ref.passed
+        assert rep.passed == (model.name != "fold-n1")

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import logsumexp, spence
 
 from darbouxkit import (
     CigarProductPotential,
@@ -34,6 +35,7 @@ from darbouxkit import (
     soliton_potential,
     two_form_at,
 )
+from darbouxkit.potentials import _logsumexp
 
 complex_coord = st.complex_numbers(
     max_magnitude=3.0, allow_nan=False, allow_infinity=False
@@ -48,6 +50,11 @@ class TestCigarRadialDerivatives:
     def test_value_is_dilogarithm(self):
         assert cigar_radial_deriv(1.0, 0) == pytest.approx(math.pi**2 / 12.0, rel=1e-14)
         assert cigar_radial_deriv(0.0, 0) == 0.0
+
+    def test_value_equals_scipy_spence(self):
+        # the order-0 value still comes from scipy's spence, imported on call
+        for t in (0.0, 1e-9, 0.1, 0.25, 1.0, 3.7, 1e6):
+            assert cigar_radial_deriv(t, 0) == -spence(1.0 + t)
 
     def test_first_derivative_closed_form(self):
         for t in (1e-7, 0.2499, 0.2501, 1.0, 50.0):
@@ -395,3 +402,50 @@ class TestRayGrowth:
             assert model.log_ray_growth(math.log(r), dvec) == pytest.approx(
                 math.log(direct), rel=1e-10
             )
+
+
+def _log_terms(rng, signed):
+    """A log_ray_growth-like input: 1-4 exponents up to 1e3 in size, some -inf
+    (all of them now and then), tied maxima and, when signed, mixed signs with
+    the leading pair cancelling exactly or to about 1e-12."""
+    n = int(rng.integers(1, 5))
+    x = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+    x[rng.random(n) < 0.2] = -np.inf
+    if n > 1 and rng.random() < 0.1:
+        x[rng.integers(1, n)] = x[0]
+    signs = np.ones(n)
+    if signed:
+        signs[rng.random(n) < 0.5] = -1.0
+        if n > 1 and rng.random() < 0.2:
+            x[1] = x[0] + (1e-12 * rng.standard_normal() if rng.random() < 0.5 else 0.0)
+            signs[1] = -signs[0]
+    return x, signs
+
+
+def _bits(*values):
+    return np.array(values, dtype=float).tobytes()
+
+
+class TestLogSumExp:
+    """The numpy _logsumexp reproduces scipy.special.logsumexp bit for bit."""
+
+    def test_unsigned_matches_scipy_bitwise(self):
+        rng = np.random.default_rng(8)
+        for _ in range(20_000):
+            x, ones = _log_terms(rng, signed=False)
+            assert _bits(_logsumexp(x, ones)[0]) == _bits(logsumexp(x)), x
+
+    def test_signed_matches_scipy_bitwise(self):
+        rng = np.random.default_rng(9)
+        for _ in range(20_000):
+            x, signs = _log_terms(rng, signed=True)
+            value, sign = _logsumexp(x, signs)
+            ref, ref_sign = logsumexp(x, b=signs, return_sign=True)
+            assert _bits(value, sign) == _bits(ref, ref_sign), (x, signs)
+
+    def test_all_minus_inf(self):
+        for n in (1, 3):
+            assert _logsumexp(np.full(n, -np.inf), np.ones(n)) == (-np.inf, 0.0)
+        # a zero direction makes every log t_j -inf in both callers
+        assert soliton_potential(SolitonProfile(2)).log_ray_growth(0.0, [0.0, 0.0]) == -np.inf
+        assert poly_test_model().log_ray_growth(0.0, [0.0, 0.0]) == -np.inf

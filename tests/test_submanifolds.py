@@ -276,14 +276,19 @@ class TestCurveDistance:
         with pytest.raises(CurveDistanceError):
             curve_distance(pair, pair.point(0.5) + np.array([0.0, 0.25]))
 
-    def test_package_import_leaves_scipy_optimize_unloaded(self):
-        # neither `import darbouxkit` nor a curve_distance solve may load scipy.optimize
+    def test_package_import_leaves_scipy_unloaded(self):
+        # neither `import darbouxkit`, a curve_distance solve nor the properness
+        # claim may load any scipy module
         src = str(Path(darbouxkit.__file__).resolve().parents[1])
         code = (
             "import sys, darbouxkit\n"
-            "print('scipy.optimize' in sys.modules)\n"
+            "def loaded():\n"
+            "    print(any(m.split('.')[0] == 'scipy' for m in sys.modules))\n"
+            "loaded()\n"
             "darbouxkit.curve_distance(darbouxkit.graph_counterexample_pair(), [0.5, 0.5])\n"
-            "print('scipy.optimize' in sys.modules)"
+            "loaded()\n"
+            "assert darbouxkit.run_claim('map-side-conditions', darbouxkit.RunConfig()).passed\n"
+            "loaded()"
         )
         out = subprocess.run(
             [sys.executable, "-c", code],
@@ -292,7 +297,7 @@ class TestCurveDistance:
             text=True,
             check=True,
         )
-        assert out.stdout.split() == ["False", "False"]
+        assert out.stdout.split() == ["False", "False", "False"]
 
 
 class TestCirizaProperty:
