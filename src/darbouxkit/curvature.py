@@ -40,23 +40,30 @@ def _inverse_metric_conj(g: np.ndarray) -> np.ndarray:
 
 
 def metric_z_derivative(z: Sequence[complex], jet: Sequence[np.ndarray]) -> np.ndarray:
-    """Tensor D[i, l, j] = d g_{i lbar} / d z_j from a ``derivative_tensors`` jet
-    of order >= 3 at z."""
+    """Tensor D[..., i, l, j] = d g_{i lbar} / d z_j from a ``derivative_tensors``
+    jet of order >= 3 at z, over the leading batch axes of z."""
     z = np.asarray(z, dtype=complex)
     _, d2, d3 = jet[:3]
     zb = np.conj(z)
-    d = np.einsum("i,l,j,ilj->ilj", zb, z, zb, d3.astype(complex))
-    idx = np.arange(len(z))
-    d[idx, idx, :] += d2 * zb[None, :]
-    d[:, idx, idx] += zb[:, None] * d2
+    d = np.einsum("...i,...l,...j,...ilj->...ilj", zb, z, zb, d3.astype(complex))
+    idx = np.arange(z.shape[-1])
+    d[..., idx, idx, :] += d2 * zb[..., None, :]
+    d[..., :, idx, idx] += zb[..., :, None] * d2
     return d
 
 
-def christoffel_at(model: PotentialModel, z: Sequence[complex]) -> np.ndarray:
-    """Gamma[m, i, j] at z; symmetric in (i, j)."""
+def christoffel_at(
+    model: PotentialModel, z: Sequence[complex], return_metric: bool = False
+) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    """Gamma[..., m, i, j] at z of shape (..., n); symmetric in (i, j).
+
+    ``return_metric`` also returns the metric G[..., j, k] that the same jet gives.
+    """
+    z = np.asarray(z, dtype=complex)
     jet = model.derivative_tensors(radial_coords(z), 3)
     g = metric_from_jet(z, jet)
-    return np.einsum("ml,ilj->mij", _inverse_metric_conj(g), metric_z_derivative(z, jet))
+    gamma = np.einsum("...ml,...ilj->...mij", _inverse_metric_conj(g), metric_z_derivative(z, jet))
+    return (gamma, g) if return_metric else gamma
 
 
 def _second_metric_derivative(z: np.ndarray, jet: Sequence[np.ndarray]) -> np.ndarray:

@@ -173,7 +173,8 @@ class PropernessReport:
 
     @property
     def strictly_increasing(self) -> np.ndarray:
-        return np.all(np.diff(self.log_values, axis=1) > 0.0, axis=1)
+        # neighbours compared, not differenced: -inf - (-inf) would warn
+        return np.all(self.log_values[:, 1:] > self.log_values[:, :-1], axis=1)
 
     @property
     def final_log_values(self) -> np.ndarray:

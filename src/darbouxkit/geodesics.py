@@ -9,6 +9,13 @@ so the integrator works directly on complex (z, v) pairs.  The scheme is
 classical fourth-order Runge-Kutta with fixed steps, re-run at doubled
 resolution while the relative drift of the conserved energy g(v, vbar)
 exceeds the requested bound.
+
+Trajectories of one model run as a batch: the state is a (batch, n) stack,
+and each RK4 stage is one ``christoffel_at`` call over the whole stack, whose
+jets carry the batch as a leading axis.  Every reduction is written so that a
+member's numbers do not depend on what else is in its batch; a single state
+is a batch of one.  The energy at a stored point comes from the metric of
+the jet its k1 stage already takes.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .curvature import christoffel_at
-from .potentials import PotentialModel, metric_energy
+from .potentials import PotentialModel, _energy, metric_at
 
 __all__ = ["GeodesicState", "GeodesicTrajectory", "GeodesicDriftError", "geodesic_integrate"]
 
@@ -68,58 +75,87 @@ class GeodesicTrajectory:
         return self.points
 
 
-def _acceleration(model: PotentialModel, z: np.ndarray, v: np.ndarray) -> np.ndarray:
-    gamma = christoffel_at(model, z)
-    return -np.einsum("mij,i,j->m", gamma, v, v)
+def _acceleration(gamma: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return -np.einsum("...mij,...i,...j->...m", gamma, v, v)
 
 
 def geodesic_integrate(
     model: PotentialModel,
-    state: GeodesicState,
+    states: GeodesicState | Sequence[GeodesicState],
     length: float,
     steps: int | None = None,
     drift_tol: float = 1e-8,
-) -> GeodesicTrajectory:
-    """Integrate the geodesic through ``state`` for parameter time ``length``.
+) -> GeodesicTrajectory | list[GeodesicTrajectory]:
+    """Integrate the geodesic through each state for parameter time ``length``.
 
-    Starts from ``steps`` RK4 steps (default scales with length) and doubles
-    the count until the energy drift falls below ``drift_tol`` or the
-    ``_MAX_REFINEMENTS`` doublings are spent; the last trajectory is returned
-    either way, with ``converged`` saying which.
+    ``states`` is one state, answered with one trajectory, or a sequence of
+    states of one model, answered with a list of trajectories in the same
+    order; a single state is run as a batch of one.  Every run starts from
+    ``steps`` RK4 steps (default scales with length) and doubles the count
+    until the energy drift falls below ``drift_tol`` or the
+    ``_MAX_REFINEMENTS`` doublings are spent; only the trajectories still
+    above the bound run again.  Each trajectory is the last run of its state,
+    with ``converged`` saying whether it met the bound.
     """
     if length <= 0.0:
         raise ValueError("length must be positive")
+    single = isinstance(states, GeodesicState)
+    batch = [states] if single else list(states)
+    if not batch:
+        return []
     if steps is None:
         steps = max(240, int(48 * length))
-    trajectory = None
+    z0 = np.array([state.z for state in batch])
+    v0 = np.array([state.v for state in batch])
+    trajectories: list[GeodesicTrajectory] = [None] * len(batch)
+    active = list(range(len(batch)))
     for _ in range(_MAX_REFINEMENTS + 1):
-        trajectory = _rk4_run(model, state, length, steps)
-        if trajectory.drift <= drift_tol:
-            return replace(trajectory, converged=True)
+        runs = _rk4_run(model, z0[active], v0[active], length, steps)
+        unmet = []
+        for k, trajectory in zip(active, runs):
+            if trajectory.drift <= drift_tol:
+                trajectory = replace(trajectory, converged=True)
+            else:
+                unmet.append(k)
+            trajectories[k] = trajectory
+        if not unmet:
+            break
+        active = unmet
         steps *= 2
-    return trajectory
+    return trajectories[0] if single else trajectories
 
 
 def _rk4_run(
-    model: PotentialModel, state: GeodesicState, length: float, steps: int
-) -> GeodesicTrajectory:
-    n = len(state.z)
+    model: PotentialModel, z0: np.ndarray, v0: np.ndarray, length: float, steps: int
+) -> list[GeodesicTrajectory]:
+    """One fixed-step RK4 run of every trajectory in the (batch, n) stack (z0, v0).
+
+    The energy at each stored point is read from the metric of the jet that
+    its k1 stage takes; the last point, which starts no step, gets its own.
+    """
     h = length / steps
-    z = state.z.copy()
-    v = state.v.copy()
-    points = np.empty((steps + 1, n), dtype=complex)
-    velocities = np.empty((steps + 1, n), dtype=complex)
-    points[0], velocities[0] = z, v
+    z, v = z0.copy(), v0.copy()
+    points = np.empty((len(z), steps + 1, z.shape[1]), dtype=complex)
+    velocities = np.empty_like(points)
+    energies = np.empty((len(z), steps + 1))
+    points[:, 0], velocities[:, 0] = z, v
     for i in range(steps):
-        k1z, k1v = v, _acceleration(model, z, v)
-        k2z, k2v = v + 0.5 * h * k1v, _acceleration(model, z + 0.5 * h * k1z, v + 0.5 * h * k1v)
-        k3z, k3v = v + 0.5 * h * k2v, _acceleration(model, z + 0.5 * h * k2z, v + 0.5 * h * k2v)
-        k4z, k4v = v + h * k3v, _acceleration(model, z + h * k3z, v + h * k3v)
+        gamma, g = christoffel_at(model, z, return_metric=True)
+        energies[:, i] = _energy(g, v)
+        k1z, k1v = v, _acceleration(gamma, v)
+        k2z = v + 0.5 * h * k1v
+        k2v = _acceleration(christoffel_at(model, z + 0.5 * h * k1z), k2z)
+        k3z = v + 0.5 * h * k2v
+        k3v = _acceleration(christoffel_at(model, z + 0.5 * h * k2z), k3z)
+        k4z = v + h * k3v
+        k4v = _acceleration(christoffel_at(model, z + h * k3z), k4z)
         z = z + (h / 6.0) * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
         v = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
         if not (np.all(np.isfinite(z)) and np.all(np.isfinite(v))):
             raise RuntimeError(f"geodesic integration blew up at step {i + 1}/{steps}")
-        points[i + 1], velocities[i + 1] = z, v
-    energies = np.array([metric_energy(model, z, v) for z, v in zip(points, velocities)])
+        points[:, i + 1], velocities[:, i + 1] = z, v
+    energies[:, steps] = _energy(metric_at(model, z), v)
     times = np.linspace(0.0, length, steps + 1)
-    return GeodesicTrajectory(times, points, velocities, energies, steps)
+    return [
+        GeodesicTrajectory(times, points[k], velocities[k], energies[k], steps) for k in range(len(z))
+    ]

@@ -3,6 +3,8 @@
 A model is a smooth function Phi(t_1, ..., t_n) of the radial coordinates
 t_j = |z_j|^2 together with its t-derivatives up to fourth order, which it
 evaluates in one place: ``derivative_tensors(t, order)``, the point's jet.
+t may carry leading batch axes, (..., n); each tensor then has shape
+(..., n, ..., n), and row by row it equals the jet of that point alone.
 The associated Kahler form is omega_Phi = (i/2) d dbar Phi, whose Hermitian
 matrix in complex coordinates is
 
@@ -81,7 +83,9 @@ def cigar_radial_deriv(t: float, order: int) -> float:
 
     order 0 is phi itself, the antiderivative of log(1+t)/t vanishing at 0
     (equivalently -Li2(-t)).  Orders 1..4 use a power series below
-    t = 0.25 and an exact closed form above, both cancellation-safe.
+    t = 0.25 and an exact closed form above.  The model's jet evaluates the
+    same branches vectorised (``_cigar_diagonals``); this scalar form is the
+    reference it is tested against.
     """
     if t < 0.0:
         raise ValueError("radial coordinate must be nonnegative")
@@ -107,6 +111,49 @@ def cigar_radial_deriv(t: float, order: int) -> float:
     for j in range(1, p + 1):
         inner -= 1.0 / (j * (1.0 + t) ** j * t ** (p + 1 - j))
     return (-1.0) ** p * factorial(p) * inner
+
+
+# _CIGAR_SERIES[m, p]: coefficient of t^m in the p-th derivative of the series
+# phi'(t) = sum_k (-1)^k t^k / (k+1); 48 terms reach 1e-20 relative below the seam
+_CIGAR_SERIES = np.array(
+    [[(-1.0) ** (m + p) * perm(m + p, p) / (m + p + 1) for p in range(4)] for m in range(48)]
+)
+_CIGAR_POWERS = np.arange(len(_CIGAR_SERIES))[:, None]
+_CIGAR_SIGNED_FACTORIALS = [(-1.0) ** p * factorial(p) for p in range(4)]
+
+
+def _cigar_diagonals(t: np.ndarray, order: int) -> list[np.ndarray]:
+    """[cigar_radial_deriv(t_j, q) at every entry of t for q = 1..order].
+
+    The same two branches, vectorised.  Above t = 0.25 the closed form, written
+    as (-1)^p p! t^-(p+1) (log(1+t) - sum_{j<=p} x^j / j) with x = t / (1+t)
+    and built up order by order, so a low order costs few array operations;
+    below it the series, one table of powers times ``_CIGAR_SERIES`` summed
+    term by term (a matmul would round differently with the batch size).
+    """
+    series = t < _CIGAR_SERIES_T
+    any_series = series.any()
+    tc = np.where(series, 1.0, t) if any_series else t
+    inv_t = 1.0 / tc
+    bracket = np.log1p(tc)
+    power = inv_t  # t^-(p+1)
+    out = [bracket * power]
+    if order > 1:
+        x = tc / (1.0 + tc)
+        x_p = x
+        for p in range(1, order):
+            bracket = bracket - x_p / p
+            power = power * inv_t
+            out.append(_CIGAR_SIGNED_FACTORIALS[p] * power * bracket)
+            x_p = x_p * x
+    if any_series:
+        ts = t[series]
+        if ts.min() < 0.0:
+            raise ValueError("radial coordinate must be nonnegative")
+        values = np.sum(np.power(ts[:, None, None], _CIGAR_POWERS) * _CIGAR_SERIES[:, :order], axis=1)
+        for p, diagonal in enumerate(out):
+            diagonal[series] = values[:, p]
+    return out
 
 
 def _logsumexp(x: np.ndarray, signs: np.ndarray) -> tuple[float, float]:
@@ -173,7 +220,8 @@ class PotentialModel(ABC):
 
     @abstractmethod
     def derivative_tensors(self, t: Sequence[float], order: int) -> tuple[np.ndarray, ...]:
-        """The point's jet (D1, ..., D_order): D_q[j1..jq] = d^q Phi / dt_{j1}..dt_{jq}."""
+        """The point's jet (D1, ..., D_order): D_q[..., j1..jq] = d^q Phi / dt_{j1}..dt_{jq}
+        at t of shape (..., n), one jet per leading index."""
 
     @abstractmethod
     def log_ray_growth(self, log_r: float, direction: Sequence[complex]) -> float:
@@ -202,13 +250,12 @@ class CigarProductPotential(PotentialModel):
 
     def derivative_tensors(self, t, order):
         t = np.asarray(t, dtype=float)
-        n = self.n
-        out: list[np.ndarray] = []
-        for q in range(1, order + 1):
-            diag = np.array([cigar_radial_deriv(tj, q) for tj in t])
-            tensor = np.zeros((n,) * q)
-            idx = tuple(np.arange(n) for _ in range(q))
-            tensor[idx] = diag
+        diagonals = _cigar_diagonals(t, order)
+        idx = np.arange(self.n)
+        out = [diagonals[0]]
+        for q in range(2, order + 1):
+            tensor = np.zeros(t.shape + (self.n,) * (q - 1))
+            tensor[(Ellipsis,) + (idx,) * q] = diagonals[q - 1]
             out.append(tensor)
         return tuple(out)
 
@@ -238,6 +285,9 @@ class SolitonPotential(PotentialModel):
         self.profile = profile
         self.n = profile.n
         self._value_at_one: float | None = None
+        # order q + 1 is C_(q+1) (slot q of the last axis) spread over (n,) * (q + 1)
+        self._slots = [(Ellipsis, q) + (None,) * (q + 1) for q in range(4)]
+        self._ones = [np.ones((self.n,) * (q + 1)) for q in range(4)]
 
     def descriptor(self) -> dict:
         return {"kind": self.kind, "n": self.n, "newton_tol": self.profile.newton_tol, "a0": self.profile.a0}
@@ -290,9 +340,12 @@ class SolitonPotential(PotentialModel):
         return half * float(sum(w * self.radial_deriv(x, 1)[0] for w, x in zip(weights, pts)))
 
     def derivative_tensors(self, t, order):
-        t = np.asarray(t, dtype=float)
-        s = float(t.sum())
-        return tuple(np.full((self.n,) * q, c) for q, c in enumerate(self.radial_deriv(s, order), 1))
+        # radial_deriv stays scalar (its branch and root solve are per s), so
+        # a batch loops over the flattened s = sum_j t_j
+        s = np.add.reduce(np.asarray(t, dtype=float), axis=-1)
+        c = np.array([self.radial_deriv(si, order) for si in s.ravel().tolist()])
+        c = c.reshape(s.shape + (order,))
+        return tuple(c[self._slots[q]] * self._ones[q] for q in range(order))
 
     def log_ray_growth(self, log_r, direction):
         log_t = _log_ray_coords(log_r, direction)
@@ -356,9 +409,11 @@ class PolyTestPotential(PotentialModel):
         """The first ``rows`` table rows at t: sum_a weight * prod_j t_j^exponent."""
         # t_j ** e by scalar pow, not numpy's vectorised power, which rounds
         # differently in the last bit on some CPUs
-        t_powers = np.array([tj**e for tj in np.asarray(t, dtype=float).tolist() for e in self._exponents])
-        terms = np.multiply.reduce(t_powers[self._powers[:rows]], axis=2)
-        return np.add.reduce(self._weights[:rows] * terms, axis=1)
+        t = np.asarray(t, dtype=float)
+        t_powers = np.array([tj**e for tj in t.ravel().tolist() for e in self._exponents])
+        t_powers = t_powers.reshape(t.shape[:-1] + (-1,))
+        terms = np.multiply.reduce(t_powers[..., self._powers[:rows]], axis=-1)
+        return np.add.reduce(self._weights[:rows] * terms, axis=-1)
 
     def descriptor(self) -> dict:
         return {
@@ -369,12 +424,15 @@ class PolyTestPotential(PotentialModel):
         }
 
     def value_from_radial(self, t):
-        return float(self._evaluate(t, 1)[0])
+        return float(self._evaluate(t, 1)[..., 0])
 
     def derivative_tensors(self, t, order):
         start = self._order_start
         flat = self._evaluate(t, start[order + 1])
-        return tuple(flat[start[q]:start[q + 1]].reshape((self.n,) * q) for q in range(1, order + 1))
+        shape = flat.shape[:-1]
+        return tuple(
+            flat[..., start[q]:start[q + 1]].reshape(shape + (self.n,) * q) for q in range(1, order + 1)
+        )
 
     def log_ray_growth(self, log_r, direction):
         log_t = _log_ray_coords(log_r, direction)
@@ -478,7 +536,10 @@ def shipped_models() -> list[PotentialModel]:
 
 
 def metric_at(model: PotentialModel, z: Sequence[complex]) -> np.ndarray:
-    """Hermitian matrix G[j,k] = delta_jk Phi_j + conj(z_j) z_k Phi_jk."""
+    """Hermitian matrix G[j,k] = delta_jk Phi_j + conj(z_j) z_k Phi_jk.
+
+    z may carry leading batch axes, (..., n) -> (..., n, n).
+    """
     return metric_from_jet(z, model.derivative_tensors(radial_coords(z), 2))
 
 
@@ -486,17 +547,28 @@ def metric_from_jet(z: Sequence[complex], jet: Sequence[np.ndarray]) -> np.ndarr
     """``metric_at`` assembled from a ``derivative_tensors`` jet of order >= 2 at z."""
     z = np.asarray(z, dtype=complex)
     d1, d2 = jet[:2]
-    if not (np.all(np.isfinite(d1)) and np.all(np.isfinite(d2))):
+    if not (np.isfinite(d1).all() and np.isfinite(d2).all()):
         raise ValueError("potential derivatives are not finite at this point")
-    g = np.diag(d1).astype(complex) + np.outer(np.conj(z), z) * d2
+    idx = np.arange(z.shape[-1])
+    g = np.zeros(d2.shape, dtype=complex)
+    g[..., idx, idx] = d1
+    g += np.conj(z)[..., :, None] * z[..., None, :] * d2
     # fused-multiply-add kernels leave ~1e-17 asymmetry in the outer product;
     # averaging with the adjoint restores exact Hermitian symmetry
-    return 0.5 * (g + g.conj().T)
+    return 0.5 * (g + np.conj(np.swapaxes(g, -1, -2)))
 
 
-def metric_energy(model: PotentialModel, z: Sequence[complex], v: Sequence[complex]) -> float:
-    """g(v, vbar) = sum_jk G[j,k] v_j conj(v_k) at z."""
-    return float(np.real(np.einsum("jk,j,k->", metric_at(model, z), v, np.conj(v))))
+def metric_energy(model: PotentialModel, z: Sequence[complex], v: Sequence[complex]) -> float | np.ndarray:
+    """g(v, vbar) = sum_jk G[j,k] v_j conj(v_k) at z; a float, or an array over
+    the leading batch axes of z and v."""
+    energy = _energy(metric_at(model, z), np.asarray(v, dtype=complex))
+    return float(energy) if energy.ndim == 0 else energy
+
+
+def _energy(g: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Re sum_jk g[..., j, k] v[..., j] conj(v[..., k]) over the leading axes."""
+    # summed term by term: einsum's reduction order depends on the batch size
+    return np.real(np.sum(g * v[..., :, None] * np.conj(v)[..., None, :], axis=(-2, -1)))
 
 
 def hermitian_to_two_form(g: np.ndarray) -> np.ndarray:

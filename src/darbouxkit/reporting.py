@@ -446,17 +446,19 @@ def _claim_total_geodesy(cfg: RunConfig, rng: np.random.Generator):
     ]
     per_embedding = {}
     for model in models:
-        for i, emb in enumerate(standard_catalog(model.n, seed=cfg.seed % 1000)):
+        catalog = standard_catalog(model.n, seed=cfg.seed % 1000)
+        starts, vels = [], []
+        for emb in catalog:
             p = 0.8 * (rng.standard_normal(emb.k) + 1j * rng.standard_normal(emb.k))
             q = rng.standard_normal(emb.k) + 1j * rng.standard_normal(emb.k)
-            per_embedding[f"{model.name}/{i}:sigma={emb.sigma}"] = total_geodesy_residual(
-                model, emb, emb.embed(p), emb.matrix @ q, cfg.geodesic_length
-            )
+            starts.append(emb.embed(p))
+            vels.append(emb.matrix @ q)
+        residuals = total_geodesy_residual(model, catalog, starts, vels, cfg.geodesic_length)
+        for i, (emb, res) in enumerate(zip(catalog, residuals)):
+            per_embedding[f"{model.name}/{i}:sigma={emb.sigma}"] = float(res)
     catalog_res = _worst(per_embedding.values())
     pair = graph_counterexample_pair()
-    departure = _worst(
-        curve_geodesy_residual(models[0], pair, w0, cfg.geodesic_length) for w0 in (0.5, 0.9)
-    )
+    departure = _worst(curve_geodesy_residual(models[0], pair, np.array([0.5, 0.9]), cfg.geodesic_length))
     details = {
         "bounds": {"catalog": catalog_bound, "counterexample_min": counter_bound},
         "catalog_max_residual": catalog_res,

@@ -1,5 +1,5 @@
 """Geodesic integrator tests: flat straight lines, energy conservation,
-symmetry confinement, refinement control."""
+symmetry confinement, refinement control, batches and torus momenta."""
 
 import numpy as np
 import pytest
@@ -8,12 +8,14 @@ from darbouxkit import (
     CigarProductPotential,
     GeodesicDriftError,
     GeodesicState,
+    GeodesicTrajectory,
     SolitonProfile,
     flat_potential,
     geodesic_integrate,
     metric_at,
     soliton_potential,
 )
+from darbouxkit.potentials import metric_energy
 
 
 class TestFlatModel:
@@ -118,3 +120,76 @@ class TestControls:
         st = GeodesicState([1, 2], [3, 4])
         assert st.z.dtype == complex and st.v.dtype == complex
         assert st.z.shape == (2,)
+
+
+class TestBatch:
+    # cigar-n2 at drift_tol 1e-10 from 24 steps: the slow geodesic converges
+    # at the first level, the middle one after three doublings, and the fast
+    # one never
+    STATES = [
+        GeodesicState([0.3, 0.1j], [0.05, 0.02]),
+        GeodesicState([0.5, 0.1j], [0.4, 0.16]),
+        GeodesicState([0.9, 0.2], [2.0, 0.5j]),
+    ]
+
+    def test_members_match_their_batch_of_one(self):
+        model = CigarProductPotential(2)
+        batch = geodesic_integrate(model, self.STATES, 8.0, steps=24, drift_tol=1e-10)
+        assert [t.steps for t in batch] == [24, 24 * 2**4, 24 * 2**4]
+        assert [t.converged for t in batch] == [True, True, False]
+        for state, traj in zip(self.STATES, batch):
+            alone = geodesic_integrate(model, state, 8.0, steps=24, drift_tol=1e-10)
+            assert isinstance(alone, GeodesicTrajectory)
+            assert (traj.steps, traj.converged, traj.drift) == (alone.steps, alone.converged, alone.drift)
+            np.testing.assert_allclose(traj.points, alone.points, rtol=1e-12, atol=0.0)
+            np.testing.assert_array_equal(traj.times, alone.times)
+        batch[0].converged_points()
+        with pytest.raises(GeodesicDriftError):
+            batch[2].converged_points()
+
+    def test_order_and_empty_batch(self):
+        model = CigarProductPotential(2)
+        fwd = geodesic_integrate(model, self.STATES[:2], 2.0)
+        back = geodesic_integrate(model, self.STATES[1::-1], 2.0)
+        assert [t.points.tobytes() for t in fwd] == [t.points.tobytes() for t in back[::-1]]
+        assert geodesic_integrate(model, [], 2.0) == []
+
+    def test_rejects_mixed_dimensions(self):
+        states = [GeodesicState([0.0], [1.0]), GeodesicState([0.0, 0.0], [1.0, 0.0])]
+        with pytest.raises(ValueError):
+            geodesic_integrate(flat_potential(2), states, 1.0)
+
+    @pytest.mark.parametrize("make", [
+        lambda: CigarProductPotential(2),
+        lambda: soliton_potential(SolitonProfile(2)),
+    ])
+    def test_energy_equals_metric_energy(self, make):
+        # the energies are read off the order-3 jet of each k1 stage, whose D1
+        # and D2 equal those of metric_at's order-2 jet bit for bit
+        model = make()
+        for traj in geodesic_integrate(model, self.STATES[:2], 3.0):
+            np.testing.assert_array_equal(traj.energies, metric_energy(model, traj.points, traj.velocities))
+
+
+class TestTorusMomenta:
+    """z_j -> e^(i theta) z_j is an isometry of every shipped model, so by
+    Noether J_j = Im(conj(z_j) sum_k g_{k jbar} v_k) is constant along each
+    geodesic.  This checks the Christoffel symbols without the energy."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: CigarProductPotential(2),
+        lambda: soliton_potential(SolitonProfile(2)),
+    ])
+    def test_momenta_conserved(self, make, rng):
+        model = make()
+        states = [
+            GeodesicState(0.8 * (rng.standard_normal(2) + 1j * rng.standard_normal(2)),
+                          rng.standard_normal(2) + 1j * rng.standard_normal(2))
+            for _ in range(3)
+        ]
+        for traj in geodesic_integrate(model, states, 10.0):
+            assert traj.converged
+            g = metric_at(model, traj.points)
+            momenta = np.imag(np.conj(traj.points) * np.einsum("skj,sk->sj", g, traj.velocities))
+            bound = 1e-8 * np.maximum(1.0, np.abs(momenta[0]))
+            assert np.all(np.abs(momenta - momenta[0]) <= bound), np.max(np.abs(momenta - momenta[0]))

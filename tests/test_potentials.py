@@ -291,6 +291,86 @@ class TestDerivativeTensors:
                 assert d1[j] == pytest.approx(fd, rel=5e-6, abs=1e-8)
 
 
+_SEAM = 1e-12  # relative half-width of the straddle around each seam
+
+
+def _straddle(x):
+    return (x * (1.0 - _SEAM), x, x * (1.0 + _SEAM))
+
+
+def _seam_rows(model):
+    """(B, n) radial coordinates whose rows straddle the model's seams.
+
+    Cigar: each coordinate on both sides of t = 0.25.  Soliton: s = sum t_j
+    on both sides of the radial series seam s = 0.1, of s = e^-3 (profile
+    t = -3, answered by the radial series, since log 0.1 > -3) and of
+    s = e^(60/n) (direct/log Newton).  The poly table has no seam; it gets
+    the cigar rows.
+    """
+    n = model.n
+    if isinstance(model, SolitonPotential):
+        sums = [s for x in (0.1, math.exp(-3.0), math.exp(60.0 / n)) for s in _straddle(x)]
+        weights = np.linspace(1.0, 2.0, n)
+        return np.array([s * weights / weights.sum() for s in sums])
+    values = [*_straddle(0.25), 0.0, 1e-9, 0.2, 0.3, 40.0, 1e4]
+    return np.array([np.roll(values, -k)[:n] for k in range(len(values))])
+
+
+class TestBatchedJets:
+    MODELS = [
+        lambda: CigarProductPotential(1),
+        lambda: CigarProductPotential(3),
+        lambda: soliton_potential(SolitonProfile(2)),
+        lambda: soliton_potential(SolitonProfile(3)),
+        lambda: PolyTestPotential(
+            3, {(2, 1, 0): 0.7, (1, 1, 1): -1.3, (0, 0, 4): 0.25, (1, 0, 0): 2.0, (0, 3, 1): 0.1}
+        ),
+    ]
+
+    @pytest.mark.parametrize("make", MODELS)
+    def test_rows_equal_batch_of_one(self, make):
+        model = make()
+        rows = _seam_rows(model)
+        batch = model.derivative_tensors(rows, 4)
+        for q, tensor in enumerate(batch, 1):
+            assert tensor.shape == (len(rows),) + (model.n,) * q
+        for row, t in enumerate(rows):
+            for tensor, alone in zip(batch, model.derivative_tensors(t, 4)):
+                assert tensor[row].tobytes() == alone.tobytes()
+        # any number of leading axes
+        stacked = model.derivative_tensors(np.stack([rows, rows[::-1]]), 2)
+        assert stacked[1][0].tobytes() == batch[1].tobytes()
+        assert stacked[1][1].tobytes() == batch[1][::-1].tobytes()
+
+    @pytest.mark.parametrize("n", (1, 3))
+    def test_cigar_rows_match_scalar_reference(self, n):
+        # above the seam the closed form subtracts sum_j x^j / j from
+        # log(1+t), x = t/(1+t): at orders 3 and 4 near t = 0.25 the result is
+        # ~1e-3 of the terms, so two implementations can only agree to 1e-14
+        # of the largest term, p! log(1+t) / t^(p+1); below it, of the value
+        model = CigarProductPotential(n)
+        rows = _seam_rows(model)
+        batch = model.derivative_tensors(rows, 4)
+        for q, tensor in enumerate(batch, 1):
+            idx = (slice(None),) + (np.arange(n),) * q
+            diagonal = tensor[idx]
+            assert np.count_nonzero(tensor) == np.count_nonzero(diagonal)
+            for (row, j), value in np.ndenumerate(diagonal):
+                t = rows[row, j]
+                ref = cigar_radial_deriv(t, q)
+                scale = abs(ref) if t < 0.25 else math.factorial(q - 1) * math.log1p(t) / t**q
+                assert abs(value - ref) <= 1e-14 * scale, (t, q, value, ref)
+
+    @pytest.mark.parametrize("n", (2, 3))
+    def test_soliton_rows_match_radial_deriv(self, n):
+        model = soliton_potential(SolitonProfile(n))
+        rows = _seam_rows(model)
+        batch = model.derivative_tensors(rows, 4)
+        for row, t in enumerate(rows):
+            for tensor, c in zip(batch, model.radial_deriv(float(np.sum(t)), 4)):
+                assert np.all(tensor[row] == c)
+
+
 def _loop_partial(model, m, t):
     """d^|m| Phi / dt^m of a PolyTestPotential, summed monomial by monomial."""
     acc = 0.0

@@ -113,6 +113,28 @@ class TestTotalGeodesy:
         res = total_geodesy_residual(model, emb, emb.embed(p), emb.matrix @ q, 8.0)
         assert res <= 1e-8
 
+    def test_batch_equals_single_calls(self, rng):
+        model = CigarProductPotential(3)
+        catalog = standard_catalog(3)
+        starts, vels = [], []
+        for emb in catalog:
+            starts.append(emb.embed(0.8 * (rng.standard_normal(emb.k) + 1j * rng.standard_normal(emb.k))))
+            vels.append(emb.matrix @ (rng.standard_normal(emb.k) + 1j * rng.standard_normal(emb.k)))
+        batch = total_geodesy_residual(model, catalog, starts, vels, 4.0)
+        assert batch.shape == (len(catalog),)
+        singles = [total_geodesy_residual(model, e, z, v, 4.0) for e, z, v in zip(catalog, starts, vels)]
+        assert batch.tolist() == singles
+        with pytest.raises(ValueError):
+            total_geodesy_residual(model, catalog, starts[:-1], vels[:-1], 4.0)
+        with pytest.raises(ValueError):  # one velocity off its subspace
+            total_geodesy_residual(model, catalog, starts, vels[::-1], 4.0)
+
+    def test_curve_batch_equals_single_calls(self):
+        model = CigarProductPotential(2)
+        pair = graph_counterexample_pair()
+        batch = curve_geodesy_residual(model, pair, np.array([0.5, 0.9]), 3.0)
+        assert batch.tolist() == [curve_geodesy_residual(model, pair, w0, 3.0) for w0 in (0.5, 0.9)]
+
     def test_rejects_off_image_start(self):
         model = CigarProductPotential(2)
         emb = standard_catalog(2)[0]  # first-axis embedding
