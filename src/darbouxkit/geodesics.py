@@ -107,6 +107,8 @@ def geodesic_integrate(
         steps = max(240, int(48 * length))
     z0 = np.array([state.z for state in batch])
     v0 = np.array([state.v for state in batch])
+    if z0.shape[1] != model.n:
+        raise ValueError(f"states have {z0.shape[1]} coordinates, model {model.name} needs {model.n}")
     trajectories: list[GeodesicTrajectory] = [None] * len(batch)
     active = list(range(len(batch)))
     for _ in range(_MAX_REFINEMENTS + 1):

@@ -154,10 +154,12 @@ class TestBatch:
         assert [t.points.tobytes() for t in fwd] == [t.points.tobytes() for t in back[::-1]]
         assert geodesic_integrate(model, [], 2.0) == []
 
-    def test_rejects_mixed_dimensions(self):
+    def test_rejects_wrong_dimensions(self):
         states = [GeodesicState([0.0], [1.0]), GeodesicState([0.0, 0.0], [1.0, 0.0])]
         with pytest.raises(ValueError):
             geodesic_integrate(flat_potential(2), states, 1.0)
+        with pytest.raises(ValueError, match="needs 2"):
+            geodesic_integrate(CigarProductPotential(2), GeodesicState([0.1], [1.0]), 1.0)
 
     @pytest.mark.parametrize("make", [
         lambda: CigarProductPotential(2),
