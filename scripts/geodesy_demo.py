@@ -11,7 +11,8 @@ Two experiments in one run:
    model and track its distance to the curve.  The distance grows to order
    one: the graph is not totally geodesic.
 
-Each experiment writes a CSV of (tau, distance) rows and prints the maxima.
+Both geodesics are launched at unit metric speed, so tau is arclength.  Each
+experiment writes a CSV of (tau, distance) rows and prints the maxima.
 
 Usage:
     python3 scripts/geodesy_demo.py --kind cigar --n 2 --length 10
@@ -35,6 +36,7 @@ from darbouxkit import (
     soliton_potential,
     standard_catalog,
 )
+from darbouxkit.potentials import metric_energy
 
 
 def write_csv(path, times, distances) -> None:
@@ -43,6 +45,11 @@ def write_csv(path, times, distances) -> None:
         writer.writerow(["tau", "distance"])
         for tau, dist in zip(times, distances):
             writer.writerow([f"{tau:.6f}", f"{dist:.6e}"])
+
+
+def unit_speed_state(model, z, v) -> GeodesicState:
+    """The state at z with velocity v rescaled to metric energy g(v, vbar) = 1."""
+    return GeodesicState(z, v / np.sqrt(metric_energy(model, z, v)))
 
 
 def main() -> None:
@@ -65,9 +72,7 @@ def main() -> None:
     emb = standard_catalog(args.n)[-1]
     p = 0.8 * (rng.standard_normal(emb.k) + 1j * rng.standard_normal(emb.k))
     q = rng.standard_normal(emb.k) + 1j * rng.standard_normal(emb.k)
-    traj = geodesic_integrate(
-        model, GeodesicState(emb.embed(p), emb.matrix @ q), args.length
-    )
+    traj = geodesic_integrate(model, unit_speed_state(model, emb.embed(p), emb.matrix @ q), args.length)
     every = max(1, traj.steps // 64)
     confined_t = traj.times[::every]
     confined_d = [emb.distance_to_image(z) for z in traj.converged_points()[::every]]
@@ -79,10 +84,8 @@ def main() -> None:
     two_cigar = CigarProductPotential(2)
     pair = graph_counterexample_pair()
     w0 = 0.7
-    z0 = pair.point(w0)
-    v0 = pair.tangent(w0)
-    v0 = v0 / np.sqrt(np.linalg.norm(v0))
-    traj = geodesic_integrate(two_cigar, GeodesicState(z0, v0), args.length)
+    state = unit_speed_state(two_cigar, pair.point(w0), pair.tangent(w0))
+    traj = geodesic_integrate(two_cigar, state, args.length)
     every = max(1, traj.steps // 64)
     graph_t = traj.times[::every]
     graph_d = [curve_distance(pair, z) for z in traj.converged_points()[::every]]

@@ -71,6 +71,14 @@ def _load_model(value: str):
     )
 
 
+def _emit(kind: str, params: dict, out: str | None) -> Path:
+    """``emit_plot_data``, with a rejected parameter value as a usage error."""
+    try:
+        return emit_plot_data(kind, params, out)
+    except ValueError as err:
+        raise click.BadParameter(str(err)) from err
+
+
 def _write_json(payload: dict, out: str | None, outdir: str | None = None) -> None:
     if out is None:
         return
@@ -111,9 +119,7 @@ def verify_pullback_cmd(model_arg, points, radius, seed, tolerance, method, out)
 @click.option("--out", default=None, help="CSV path (default profile-n<N>.csv)")
 def soliton_profile_cmd(n, t_min, t_max, count, out) -> None:
     """Tabulate the soliton profile derivatives and the ODE residual."""
-    path = emit_plot_data(
-        "profile", {"n": n, "t_min": t_min, "t_max": t_max, "count": count}, out
-    )
+    path = _emit("profile", {"n": n, "t_min": t_min, "t_max": t_max, "count": count}, out)
     # the CSV holds repr'd floats, so its ode_residual column reads back exactly
     residuals = np.loadtxt(path, delimiter=",", skiprows=1, usecols=3)
     click.echo(f"max ode residual on [{t_min!r}, {t_max!r}]: {float(np.max(residuals))!r}")
@@ -145,7 +151,7 @@ def geodesic_cmd(model_arg, start, vel, length, steps, out) -> None:
     }
     if steps is not None:
         params["steps"] = steps
-    path = emit_plot_data("geodesic", params, out)
+    path = _emit("geodesic", params, out)
     click.echo(f"wrote {path}")
 
 

@@ -97,8 +97,8 @@ def geodesic_integrate(
     above the bound run again.  Each trajectory is the last run of its state,
     with ``converged`` saying whether it met the bound.
     """
-    if length <= 0.0:
-        raise ValueError("length must be positive")
+    if not 0.0 < length < np.inf:
+        raise ValueError(f"length must be finite and positive, got {length!r}")
     single = isinstance(states, GeodesicState)
     batch = [states] if single else list(states)
     if not batch:

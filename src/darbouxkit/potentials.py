@@ -29,7 +29,6 @@ which makes the standard two-form block-diagonal with [[0, 1], [-1, 0]].
 
 from __future__ import annotations
 
-import functools
 import itertools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -64,7 +63,6 @@ __all__ = [
 
 _CIGAR_SERIES_T = 0.25    # per-coordinate series/closed-form switch
 _RADIAL_SERIES_S = 0.1    # radial chain-rule/series switch
-_GAUSS_NODES = 96
 
 
 def radial_coords(z: Sequence[complex]) -> np.ndarray:
@@ -81,18 +79,15 @@ def radial_coords(z: Sequence[complex]) -> np.ndarray:
 def cigar_radial_deriv(t: float, order: int) -> float:
     """Order-q t-derivative of the cigar summand phi(t); phi'(t) = log(1+t)/t.
 
-    order 0 is phi itself, the antiderivative of log(1+t)/t vanishing at 0
-    (equivalently -Li2(-t)).  Orders 1..4 use a power series below
-    t = 0.25 and an exact closed form above.  The model's jet evaluates the
-    same branches vectorised (``_cigar_diagonals``); this scalar form is the
-    reference it is tested against.
+    Orders 1..4 use a power series below t = 0.25 and an exact closed form
+    above.  The model's jet evaluates the same branches vectorised
+    (``_cigar_diagonals``); this scalar form is the reference it is tested
+    against.
     """
     if t < 0.0:
         raise ValueError("radial coordinate must be nonnegative")
-    if order == 0:
-        from scipy.special import spence  # the only scipy use; kept off the import path
-
-        return -float(spence(1.0 + t))
+    if order < 1:
+        raise ValueError(f"derivative order must be >= 1, got {order}")
     p = order - 1
     if t < _CIGAR_SERIES_T:
         # phi'(t) = sum_k (-1)^k t^k / (k+1), differentiated p times
@@ -202,8 +197,8 @@ def _log_ray_coords(log_r: float, direction: Sequence[complex]) -> np.ndarray:
 class PotentialModel(ABC):
     """Potential Phi(t_1..t_n) with t-derivatives to order four.
 
-    Subclasses provide ``value_from_radial``, the jet ``derivative_tensors``
-    (the one per-point derivative evaluator), and an overflow-safe
+    Subclasses provide the jet ``derivative_tensors`` (the one per-point
+    derivative evaluator) and an overflow-safe
     log-domain evaluator of the ray functional S(r) = sum_j Phi_j t_j.
     """
 
@@ -213,10 +208,6 @@ class PotentialModel(ABC):
     @property
     def name(self) -> str:
         return f"{self.kind}-n{self.n}"
-
-    @abstractmethod
-    def value_from_radial(self, t: Sequence[float]) -> float:
-        """Phi(t)."""
 
     @abstractmethod
     def derivative_tensors(self, t: Sequence[float], order: int) -> tuple[np.ndarray, ...]:
@@ -243,10 +234,6 @@ class CigarProductPotential(PotentialModel):
         if n < 1:
             raise ValueError("n must be >= 1")
         self.n = int(n)
-
-    def value_from_radial(self, t):
-        t = np.asarray(t, dtype=float)
-        return float(sum(cigar_radial_deriv(tj, 0) for tj in t))
 
     def derivative_tensors(self, t, order):
         t = np.asarray(t, dtype=float)
@@ -284,13 +271,12 @@ class SolitonPotential(PotentialModel):
     def __init__(self, profile: SolitonProfile):
         self.profile = profile
         self.n = profile.n
-        self._value_at_one: float | None = None
         # order q + 1 is C_(q+1) (slot q of the last axis) spread over (n,) * (q + 1)
         self._slots = [(Ellipsis, q) + (None,) * (q + 1) for q in range(4)]
         self._ones = [np.ones((self.n,) * (q + 1)) for q in range(4)]
 
     def descriptor(self) -> dict:
-        return {"kind": self.kind, "n": self.n, "newton_tol": self.profile.newton_tol, "a0": self.profile.a0}
+        return {"kind": self.kind, "n": self.n, "newton_tol": self.profile.newton_tol}
 
     def radial_deriv(self, s: float, order: int) -> tuple[float, ...]:
         """(C_1, ..., C_order) at s = sum t_j, C_q = d^q Phi / (any q radial coordinates)."""
@@ -311,33 +297,6 @@ class SolitonPotential(PotentialModel):
         return tuple(
             sum(c * d for c, d in zip(self._CHAIN_ROWS[q], derivs)) / s**q for q in range(1, order + 1)
         )
-
-    def value_from_radial(self, t):
-        t = np.asarray(t, dtype=float)
-        s = float(t.sum())
-        a0 = self.profile.a0
-        if s == 0.0:
-            return a0
-        if s < _RADIAL_SERIES_S:
-            b = _series_coefficients(self.profile.n)
-            return a0 + sum(b[k] * s**k / k for k in range(1, len(b)))
-        if s <= 1.0:
-            return a0 + self._integral_c1(0.0, s)
-        # int_1^s C_1(sigma) dsigma = int_0^{log s} u'(tau) dtau
-        if self._value_at_one is None:
-            self._value_at_one = self._integral_c1(0.0, 1.0)
-        nodes, weights = _gauss_nodes()
-        half = 0.5 * log(s)
-        tau = half * (nodes + 1.0)
-        tail = half * float(sum(w * self.profile.u_prime(x) for w, x in zip(weights, tau)))
-        return a0 + self._value_at_one + tail
-
-    def _integral_c1(self, lo: float, hi: float) -> float:
-        nodes, weights = _gauss_nodes()
-        half = 0.5 * (hi - lo)
-        mid = 0.5 * (hi + lo)
-        pts = mid + half * nodes
-        return half * float(sum(w * self.radial_deriv(x, 1)[0] for w, x in zip(weights, pts)))
 
     def derivative_tensors(self, t, order):
         # radial_deriv stays scalar (its branch and root solve are per s), so
@@ -388,15 +347,16 @@ class PolyTestPotential(PotentialModel):
                 raise ValueError(f"bad exponent multi-index {a!r}")
             if c != 0.0:
                 self.monomials[a] = float(c)
-        # One exponent table for orders 0..4: row i is an index tuple (order by
+        # One exponent table for orders 1..4: row i is an index tuple (order by
         # order, each in the flattened tensor's order) with multiplicity m, and
         # monomial c_a t^a enters it with weight c_a * prod_j a_j! / (a_j - m_j)!
         # (0 when some a_j < m_j) and exponents max(a - m, 0), stored as
         # positions in the list of powers t_j^e that ``_evaluate`` builds.
         exps = np.array(list(self.monomials), dtype=int).reshape(-1, self.n)
         self._exponents = range(int(exps.max(initial=0)) + 1)
-        rows = [idx for q in range(5) for idx in itertools.product(range(self.n), repeat=q)]
-        self._order_start = list(itertools.accumulate((self.n**q for q in range(5)), initial=0))
+        rows = [idx for q in range(1, 5) for idx in itertools.product(range(self.n), repeat=q)]
+        # order q occupies rows _order_start[q - 1] : _order_start[q]
+        self._order_start = list(itertools.accumulate((self.n**q for q in range(1, 5)), initial=0))
         self._weights = np.zeros((len(rows), len(exps)))
         self._powers = np.zeros((len(rows), len(exps), self.n), dtype=int)
         for i, idx in enumerate(rows):
@@ -423,15 +383,12 @@ class PolyTestPotential(PotentialModel):
             "monomials": {",".join(map(str, a)): c for a, c in sorted(self.monomials.items())},
         }
 
-    def value_from_radial(self, t):
-        return float(self._evaluate(t, 1)[..., 0])
-
     def derivative_tensors(self, t, order):
         start = self._order_start
-        flat = self._evaluate(t, start[order + 1])
+        flat = self._evaluate(t, start[order])
         shape = flat.shape[:-1]
         return tuple(
-            flat[..., start[q]:start[q + 1]].reshape(shape + (self.n,) * q) for q in range(1, order + 1)
+            flat[..., start[q - 1]:start[q]].reshape(shape + (self.n,) * q) for q in range(1, order + 1)
         )
 
     def log_ray_growth(self, log_r, direction):
@@ -483,7 +440,7 @@ def _field(cast, value, name: str):
 def model_from_descriptor(desc: Mapping) -> PotentialModel:
     """Build a model from a JSON-style descriptor {"kind": ..., "n": ..., ...}.
 
-    Kinds: "cigar", "soliton" (optional "newton_tol", "a0"), "poly"
+    Kinds: "cigar", "soliton" (optional "newton_tol"), "poly"
     (optional "monomials" mapping "a1,a2,..." -> coefficient, and "label";
     labels "flat" and "fold" select the corresponding stock polynomials).
     A wrong-typed field raises ValueError.
@@ -500,7 +457,6 @@ def model_from_descriptor(desc: Mapping) -> PotentialModel:
         profile = SolitonProfile(
             _field(int, desc.get("n", 1), "n"),
             newton_tol=_field(float, desc.get("newton_tol", 1e-13), "newton_tol"),
-            a0=_field(float, desc.get("a0", 0.0), "a0"),
         )
         return SolitonPotential(profile)
     if kind == "poly":
@@ -619,8 +575,8 @@ class SampleRegion:
     seed: int = 20260814
 
     def __post_init__(self) -> None:
-        if self.radius <= 0 or self.count < 1:
-            raise ValueError("radius must be positive and count >= 1")
+        if not 0.0 < self.radius < np.inf or self.count < 1:
+            raise ValueError("radius must be finite and positive, and count >= 1")
 
     def sample(self, n: int) -> np.ndarray:
         """(count, n) complex array, uniform per coordinate over the disc, with
@@ -667,8 +623,3 @@ def cond0_scan(model: PotentialModel, region: SampleRegion) -> Cond0Report:
         min_first_derivs=tuple(float(v) for v in mins),
         min_metric_eigenvalue=float(np.min(eig_mins, initial=np.inf)),
     )
-
-
-@functools.lru_cache(maxsize=None)
-def _gauss_nodes() -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(_GAUSS_NODES)

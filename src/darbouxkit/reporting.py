@@ -21,7 +21,7 @@ import time
 import traceback
 import zlib
 from dataclasses import dataclass, field, fields, replace
-from math import exp, log1p
+from math import exp, inf, log1p
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -98,14 +98,11 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.points < 1:
             raise ValueError("config error: points must be >= 1")
-        if self.radius <= 0.0:
-            raise ValueError("config error: radius must be > 0")
         if self.rays < 1:
             raise ValueError("config error: rays must be >= 1")
-        if self.properness_threshold <= 0.0:
-            raise ValueError("config error: properness_threshold must be > 0")
-        if self.geodesic_length <= 0.0:
-            raise ValueError("config error: geodesic_length must be > 0")
+        for name in ("radius", "properness_threshold", "geodesic_length"):
+            if not 0.0 < getattr(self, name) < inf:
+                raise ValueError(f"config error: {name} must be finite and > 0")
         for claim, tol in dict(self.tolerances).items():
             if not tol > 0.0:
                 raise ValueError(f"config error: tolerance for {claim!r} must be > 0")
@@ -202,10 +199,9 @@ class VerificationReport:
         }
         return json.dumps(payload, sort_keys=True)
 
-    def as_dict(self, include_wall_time: bool = True) -> dict:
+    def as_dict(self) -> dict:
         data = json.loads(self.body())
-        if include_wall_time:
-            data["wall_time_s"] = self.wall_time_s
+        data["wall_time_s"] = self.wall_time_s
         return data
 
     def summary_line(self) -> str:
@@ -624,8 +620,7 @@ def emit_plot_data(
     """Write one CSV data file; returns its path.
 
     Kinds: "profile" (t, u_prime, u_second, ode_residual), "geodesic"
-    (tau, coordinates, energy drift), "residual-heatmap" (x, y, pullback
-    residual over a complex-plane slice).  ``out`` defaults to a name built
+    (tau, coordinates, energy drift).  ``out`` defaults to a name built
     from the kind and model; it is placed by ``resolve_out`` with the
     optional ``params["outdir"]``.
     """
@@ -664,21 +659,6 @@ def emit_plot_data(
             row.append(drift[i])
             rows.append(row)
         name = f"geodesic-{model.name}.csv"
-    elif kind == "residual-heatmap":
-        desc = params.pop("model", {"kind": "cigar", "n": 1})
-        model = model_from_descriptor(desc)
-        radius = float(params.pop("radius", 3.0))
-        count = int(params.pop("count", 41))
-        _reject_extras(kind, params)
-        dm = DarbouxMap(model)
-        axis = np.linspace(-radius, radius, count)
-        rows = []
-        for x in axis:
-            for y in axis:
-                z = np.zeros(model.n, dtype=complex)
-                z[0] = complex(x, y)
-                rows.append([x, y, dm.pullback_residual(z)])
-        name, header = f"residual-heatmap-{model.name}.csv", ["x", "y", "residual"]
     else:
         raise ValueError(f"unknown plot-data kind {kind!r}")
     return _write_csv(resolve_out(name if out is None else out, outdir), header, rows)

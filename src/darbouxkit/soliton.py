@@ -142,14 +142,11 @@ class FIntegral:
 class SolitonProfile:
     """Evaluator for the profile u and its first four derivatives.
 
-    ``newton_tol`` bounds the relative step at which the root solves stop;
-    ``a0`` is the free additive constant of u itself (derivatives do not see
-    it, the potential value does).
+    ``newton_tol`` bounds the relative step at which the root solves stop.
     """
 
     n: int
     newton_tol: float = 1e-13
-    a0: float = 0.0
 
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 1:
@@ -184,9 +181,6 @@ class SolitonProfile:
         t = float(t)
         up, us = self.derivatives(t)[:2]
         return self._ode_residual(t, up, us)
-
-    def series_coefficients(self) -> np.ndarray:
-        return _series_coefficients(self.n)
 
     def inversion_residual(self, t: float) -> float:
         """|F_n(u'(t)) - e^(nt)/n| relative to max(1, e^(nt)/n), log form for huge t."""

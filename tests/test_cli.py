@@ -70,8 +70,14 @@ class TestBadInputIsUsageError:
         ["ciriza", "--spec", "sigma=3,0,alpha=1"],
         ["verify-pullback", "--model", '{"kind": "cigar", "n": null}'],
         ["verify-pullback", "--model", '{"kind": "poly", "n": 2, "monomials": 3}'],
+        ["geodesic", "--model", "cigar:1", "--start", "0.5", "--vel", "1", "--length", "-1"],
+        ["geodesic", "--model", "cigar:1", "--start", "0.5", "--vel", "1", "--length", "nan"],
+        ["geodesic", "--model", "cigar:1", "--start", "0.5", "--vel", "1", "--length", "inf"],
+        ["soliton-profile", "--count", "1"],
+        ["soliton-profile", "--n", "0"],
     ], ids=["unknown-kind", "bad-n", "bad-json", "bad-sigma-entry", "missing-sigma-index",
-            "null-n", "monomials-not-a-mapping"])
+            "null-n", "monomials-not-a-mapping", "negative-length", "nan-length", "inf-length",
+            "one-profile-row", "zero-profile-n"])
     def test_exit_2_without_traceback(self, runner, args):
         result = runner.invoke(main, args)
         assert result.exit_code == 2, result.output

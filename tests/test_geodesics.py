@@ -116,6 +116,11 @@ class TestControls:
         with pytest.raises(GeodesicDriftError):
             traj.converged_points()
 
+    @pytest.mark.parametrize("length", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_length_rejected(self, length):
+        with pytest.raises(ValueError, match="length must be finite and positive"):
+            geodesic_integrate(flat_potential(1), GeodesicState([0.0], [1.0]), length)
+
     def test_state_coercion(self):
         st = GeodesicState([1, 2], [3, 4])
         assert st.z.dtype == complex and st.v.dtype == complex

@@ -56,6 +56,18 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(rays=0)
 
+    @pytest.mark.parametrize("field", ["radius", "properness_threshold", "geodesic_length"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_fields_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"config error: {field} must be finite"):
+            RunConfig(**{field: value})
+
+    def test_from_json_rejects_nan(self, tmp_path):
+        p = tmp_path / "cfg.json"
+        p.write_text('{"radius": NaN}')  # Python's json parser accepts NaN
+        with pytest.raises(ValueError, match="config error: radius"):
+            RunConfig.from_json(p)
+
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="config error"):
             RunConfig.from_dict({"seeed": 1})
@@ -270,16 +282,6 @@ class TestEmitPlotData:
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 1 + 16 + 1  # header, then the fourth refinement's 16 steps
         assert float(lines[-1].split(",")[-1]) > 1e-8
-
-    def test_heatmap_csv(self, tmp_path):
-        out = emit_plot_data(
-            "residual-heatmap",
-            {"model": {"kind": "cigar", "n": 1}, "radius": 1.0, "count": 5},
-            out=tmp_path / "h.csv",
-        )
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "x,y,residual"
-        assert len(lines) == 26
 
     def test_unknown_kind(self, tmp_path):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from darbouxkit import DarbouxMap, GeodesicDriftError, geodesic_integrate
+from darbouxkit.potentials import metric_energy
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -45,6 +46,20 @@ def test_geodesy_demo(tmp_path, monkeypatch, capsys):
     assert "max distance to subspace" in out and "max distance to curve" in out
     for name in ("geodesy_confined.csv", "geodesy_departure.csv"):
         assert (tmp_path / name).read_text().startswith("tau,distance")
+
+
+def test_geodesy_demo_launches_at_unit_speed(tmp_path, monkeypatch):
+    # --length is arclength only if every launch has metric energy 1
+    energies = []
+
+    def recording(model, state, length):
+        energies.append(metric_energy(model, state.z, state.v))
+        return geodesic_integrate(model, state, length)
+
+    monkeypatch.setattr("darbouxkit.geodesic_integrate", recording)
+    run_script("geodesy_demo.py", ["--length", "0.5", "--out", str(tmp_path)], monkeypatch)
+    assert len(energies) == 2
+    assert energies == pytest.approx([1.0, 1.0], rel=0.0, abs=1e-12)
 
 
 def test_geodesy_demo_rejects_unconverged_trajectory(tmp_path, monkeypatch):

@@ -92,14 +92,14 @@ class TestProfileOracles:
             )
 
     def test_n2_series_coefficients(self):
-        b = SolitonProfile(2).series_coefficients()
+        b = soliton._series_coefficients(2)
         assert b[1] == pytest.approx(1.0, abs=0.0)
         assert b[2] == pytest.approx(-1.0 / 3.0, rel=1e-14)
         assert b[3] == pytest.approx(11.0 / 72.0, rel=1e-13)
 
     @pytest.mark.parametrize("n", (1, 2, 3))
     def test_leading_series_coefficient_is_one(self, n):
-        assert SolitonProfile(n).series_coefficients()[1] == pytest.approx(1.0, abs=1e-15)
+        assert soliton._series_coefficients(n)[1] == pytest.approx(1.0, abs=1e-15)
 
     def test_deep_negative_t_asymptotics(self):
         # u'(t) ~ e^t as t -> -inf for every n
