@@ -76,12 +76,13 @@ from .reporting import (
     OUTDIR_ENV,
     RunConfig,
     VerificationReport,
-    emit_plot_data,
     pullback_report,
     resolve_out,
     run_claim,
     run_suite,
     suite_passed,
+    write_geodesic_csv,
+    write_profile_csv,
 )
 
 __version__ = "0.1.0"
@@ -146,7 +147,8 @@ __all__ = [
     "run_suite",
     "suite_passed",
     "pullback_report",
-    "emit_plot_data",
+    "write_profile_csv",
+    "write_geodesic_csv",
     "resolve_out",
     "OUTDIR_ENV",
 ]

@@ -19,15 +19,18 @@ import numpy as np
 
 from .curvature import curvature_at, curvature_symmetry_residual, holomorphic_sectional
 from .darboux import DarbouxMap
+from .geodesics import GeodesicState
 from .potentials import model_from_descriptor, sample_polydisc
 from .reporting import (
     RunConfig,
-    emit_plot_data,
     pullback_report,
     resolve_out,
     run_suite,
     suite_passed,
+    write_geodesic_csv,
+    write_profile_csv,
 )
+from .soliton import SolitonProfile
 from .submanifolds import (
     HoloCurvePair,
     PhaseBlockEmbedding,
@@ -71,14 +74,6 @@ def _load_model(value: str):
     )
 
 
-def _emit(kind: str, params: dict, out: str | None) -> Path:
-    """``emit_plot_data``, with a rejected parameter value as a usage error."""
-    try:
-        return emit_plot_data(kind, params, out)
-    except ValueError as err:
-        raise click.BadParameter(str(err)) from err
-
-
 def _write_json(payload: dict, out: str | None, outdir: str | None = None) -> None:
     if out is None:
         return
@@ -119,7 +114,10 @@ def verify_pullback_cmd(model_arg, points, radius, seed, tolerance, method, out)
 @click.option("--out", default=None, help="CSV path (default profile-n<N>.csv)")
 def soliton_profile_cmd(n, t_min, t_max, count, out) -> None:
     """Tabulate the soliton profile derivatives and the ODE residual."""
-    path = _emit("profile", {"n": n, "t_min": t_min, "t_max": t_max, "count": count}, out)
+    try:
+        path = write_profile_csv(SolitonProfile(n), t_min, t_max, count, out)
+    except ValueError as err:
+        raise click.BadParameter(str(err)) from err
     # the CSV holds repr'd floats, so its ode_residual column reads back exactly
     residuals = np.loadtxt(path, delimiter=",", skiprows=1, usecols=3)
     click.echo(f"max ode residual on [{t_min!r}, {t_max!r}]: {float(np.max(residuals))!r}")
@@ -143,15 +141,10 @@ def geodesic_cmd(model_arg, start, vel, length, steps, out) -> None:
             raise click.BadParameter(
                 f"{name} has {vec.size} coordinates, model {model.name} needs {model.n}"
             )
-    params = {
-        "model": model.descriptor(),
-        "start": z0,
-        "vel": v0,
-        "length": length,
-    }
-    if steps is not None:
-        params["steps"] = steps
-    path = _emit("geodesic", params, out)
+    try:
+        path = write_geodesic_csv(model, GeodesicState(z0, v0), length, steps, out)
+    except ValueError as err:
+        raise click.BadParameter(str(err)) from err
     click.echo(f"wrote {path}")
 
 

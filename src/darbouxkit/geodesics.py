@@ -99,6 +99,9 @@ def geodesic_integrate(
     """
     if not 0.0 < length < np.inf:
         raise ValueError(f"length must be finite and positive, got {length!r}")
+    integral = isinstance(steps, (int, np.integer)) and not isinstance(steps, bool)
+    if steps is not None and not (integral and steps >= 1):
+        raise ValueError(f"steps must be an integer >= 1, got {steps!r}")
     single = isinstance(states, GeodesicState)
     batch = [states] if single else list(states)
     if not batch:

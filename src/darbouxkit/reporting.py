@@ -35,7 +35,6 @@ from .potentials import (
     SampleRegion,
     SolitonPotential,
     cond0_scan,
-    model_from_descriptor,
     poly_test_model,
     radial_coords,
     sample_polydisc,
@@ -63,7 +62,8 @@ __all__ = [
     "run_suite",
     "suite_passed",
     "pullback_report",
-    "emit_plot_data",
+    "write_profile_csv",
+    "write_geodesic_csv",
     "resolve_out",
     "OUTDIR_ENV",
 ]
@@ -96,10 +96,10 @@ class RunConfig:
     outdir: str | None = None
 
     def __post_init__(self) -> None:
-        if self.points < 1:
-            raise ValueError("config error: points must be >= 1")
-        if self.rays < 1:
-            raise ValueError("config error: rays must be >= 1")
+        for name, low in (("points", 1), ("rays", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+                raise ValueError(f"config error: {name} must be an integer >= {low}")
         for name in ("radius", "properness_threshold", "geodesic_length"):
             if not 0.0 < getattr(self, name) < inf:
                 raise ValueError(f"config error: {name} must be finite and > 0")
@@ -589,7 +589,7 @@ def pullback_report(
 
 
 # ---------------------------------------------------------------------------
-# plot-data emission
+# CSV data files
 # ---------------------------------------------------------------------------
 
 
@@ -614,56 +614,32 @@ def _write_csv(path: Path, header: Sequence[str], rows) -> Path:
     return path
 
 
-def emit_plot_data(
-    kind: str, params: Mapping | None = None, out: str | Path | None = None
+def write_profile_csv(
+    profile: SolitonProfile, t_min: float, t_max: float, count: int, out: str | Path | None = None
 ) -> Path:
-    """Write one CSV data file; returns its path.
-
-    Kinds: "profile" (t, u_prime, u_second, ode_residual), "geodesic"
-    (tau, coordinates, energy drift).  ``out`` defaults to a name built
-    from the kind and model; it is placed by ``resolve_out`` with the
-    optional ``params["outdir"]``.
-    """
-    params = dict(params or {})
-    outdir = params.pop("outdir", None)
-    if kind == "profile":
-        n = int(params.pop("n", 2))
-        t_min = float(params.pop("t_min", -10.0))
-        t_max = float(params.pop("t_max", 10.0))
-        count = int(params.pop("count", 200))
-        _reject_extras(kind, params)
-        rows = profile_table(SolitonProfile(n), t_min, t_max, count)
-        name, header = f"profile-n{n}.csv", ["t", "u_prime", "u_second", "ode_residual"]
-    elif kind == "geodesic":
-        desc = params.pop("model", {"kind": "cigar", "n": 2})
-        model = model_from_descriptor(desc)
-        start = np.asarray(params.pop("start", [0.0] * model.n), dtype=complex)
-        vel = np.asarray(params.pop("vel", [1.0] + [0.0] * (model.n - 1)), dtype=complex)
-        length = float(params.pop("length", 10.0))
-        steps = params.pop("steps", None)
-        _reject_extras(kind, params)
-        trajectory = geodesic_integrate(
-            model, GeodesicState(start, vel), length, steps=int(steps) if steps else None
-        )
-        e0 = trajectory.energies[0]
-        drift = np.abs(trajectory.energies - e0) / (abs(e0) if e0 != 0.0 else 1.0)
-        header = ["tau"]
-        for j in range(model.n):
-            header += [f"re_z{j + 1}", f"im_z{j + 1}"]
-        header.append("energy_drift")
-        rows = []
-        for i, tau in enumerate(trajectory.times):
-            row = [tau]
-            for j in range(model.n):
-                row += [trajectory.points[i, j].real, trajectory.points[i, j].imag]
-            row.append(drift[i])
-            rows.append(row)
-        name = f"geodesic-{model.name}.csv"
-    else:
-        raise ValueError(f"unknown plot-data kind {kind!r}")
-    return _write_csv(resolve_out(name if out is None else out, outdir), header, rows)
+    """Write ``profile_table`` as CSV (t, u_prime, u_second, ode_residual);
+    returns its path.  ``out`` defaults to profile-n<n>.csv and is placed by
+    ``resolve_out``."""
+    rows = profile_table(profile, t_min, t_max, count)
+    path = resolve_out(f"profile-n{profile.n}.csv" if out is None else out)
+    return _write_csv(path, ["t", "u_prime", "u_second", "ode_residual"], rows)
 
 
-def _reject_extras(kind: str, params: Mapping) -> None:
-    if params:
-        raise ValueError(f"unknown parameters for {kind!r}: {sorted(params)}")
+def write_geodesic_csv(
+    model: PotentialModel,
+    state: GeodesicState,
+    length: float,
+    steps: int | None = None,
+    out: str | Path | None = None,
+) -> Path:
+    """Write the ``geodesic_integrate`` trajectory as CSV (tau, re_z1, im_z1,
+    ..., energy_drift), converged or not; returns its path.  ``out`` defaults
+    to geodesic-<model name>.csv and is placed by ``resolve_out``."""
+    trajectory = geodesic_integrate(model, state, length, steps=steps)
+    e0 = trajectory.energies[0]
+    drift = np.abs(trajectory.energies - e0) / (abs(e0) if e0 != 0.0 else 1.0)
+    coords = [f"{part}_z{j}" for j in range(1, model.n + 1) for part in ("re", "im")]
+    # a C-contiguous complex row viewed as floats reads re_z1, im_z1, re_z2, ...
+    rows = np.column_stack([trajectory.times, trajectory.points.view(float), drift])
+    path = resolve_out(f"geodesic-{model.name}.csv" if out is None else out)
+    return _write_csv(path, ["tau", *coords, "energy_drift"], rows)

@@ -287,6 +287,8 @@ def profile_table(
     """Columns (t, u', u'', ode_residual) on a uniform grid, one row per t."""
     if count < 2:
         raise ValueError("count must be at least 2")
+    if not (isfinite(t_min) and isfinite(t_max)):
+        raise ValueError(f"t_min and t_max must be finite, got {t_min!r} and {t_max!r}")
     ts = np.linspace(t_min, t_max, count)
     rows = np.empty((count, 4))
     for i, t in enumerate(ts):

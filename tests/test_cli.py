@@ -75,9 +75,14 @@ class TestBadInputIsUsageError:
         ["geodesic", "--model", "cigar:1", "--start", "0.5", "--vel", "1", "--length", "inf"],
         ["soliton-profile", "--count", "1"],
         ["soliton-profile", "--n", "0"],
+        ["geodesic", "--model", "cigar:1", "--start", "0.5", "--vel", "1", "--steps", "0"],
+        ["geodesic", "--model", "cigar:1", "--start", "0.5", "--vel", "1", "--steps", "-5"],
+        ["soliton-profile", "--t-min", "nan"],
+        ["soliton-profile", "--t-max", "inf"],
     ], ids=["unknown-kind", "bad-n", "bad-json", "bad-sigma-entry", "missing-sigma-index",
             "null-n", "monomials-not-a-mapping", "negative-length", "nan-length", "inf-length",
-            "one-profile-row", "zero-profile-n"])
+            "one-profile-row", "zero-profile-n", "zero-steps", "negative-steps",
+            "nan-profile-t-min", "inf-profile-t-max"])
     def test_exit_2_without_traceback(self, runner, args):
         result = runner.invoke(main, args)
         assert result.exit_code == 2, result.output

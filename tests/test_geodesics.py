@@ -121,6 +121,11 @@ class TestControls:
         with pytest.raises(ValueError, match="length must be finite and positive"):
             geodesic_integrate(flat_potential(1), GeodesicState([0.0], [1.0]), length)
 
+    @pytest.mark.parametrize("steps", [0, -1])
+    def test_bad_steps_rejected(self, steps):
+        with pytest.raises(ValueError, match="steps must be an integer >= 1"):
+            geodesic_integrate(flat_potential(1), GeodesicState([0.0], [1.0]), 1.0, steps=steps)
+
     def test_state_coercion(self):
         st = GeodesicState([1, 2], [3, 4])
         assert st.z.dtype == complex and st.v.dtype == complex

@@ -1,6 +1,7 @@
 """Tests for run configuration, claim execution, report schema, and CSV/JSON
 emission."""
 
+import csv
 import json
 import os
 from pathlib import Path
@@ -13,15 +14,18 @@ from darbouxkit import (
     OUTDIR_ENV,
     CigarProductPotential,
     DarbouxMap,
+    GeodesicState,
     RunConfig,
     SolitonProfile,
-    emit_plot_data,
     flat_potential,
+    geodesic_integrate,
     pullback_report,
     resolve_out,
     run_claim,
     run_suite,
     suite_passed,
+    write_geodesic_csv,
+    write_profile_csv,
 )
 from darbouxkit import reporting as reporting_mod
 
@@ -55,6 +59,12 @@ class TestRunConfig:
             RunConfig(radius=-1.0)
         with pytest.raises(ValueError):
             RunConfig(rays=0)
+        for field, value in [
+            ("points", float("nan")), ("points", True), ("points", 2.0),
+            ("rays", 2.5), ("rays", False), ("seed", 1.5), ("seed", -1),
+        ]:
+            with pytest.raises(ValueError, match=f"config error: {field} must be an integer"):
+                RunConfig(**{field: value})
 
     @pytest.mark.parametrize("field", ["radius", "properness_threshold", "geodesic_length"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
@@ -64,9 +74,10 @@ class TestRunConfig:
 
     def test_from_json_rejects_nan(self, tmp_path):
         p = tmp_path / "cfg.json"
-        p.write_text('{"radius": NaN}')  # Python's json parser accepts NaN
-        with pytest.raises(ValueError, match="config error: radius"):
-            RunConfig.from_json(p)
+        for field in ("radius", "points"):
+            p.write_text(f'{{"{field}": NaN}}')  # Python's json parser accepts NaN
+            with pytest.raises(ValueError, match=f"config error: {field}"):
+                RunConfig.from_json(p)
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="config error"):
@@ -248,27 +259,17 @@ class TestPullbackReport:
         assert a == b
 
 
-class TestEmitPlotData:
+class TestCsvWriters:
     def test_profile_csv(self, tmp_path):
-        out = emit_plot_data(
-            "profile", {"n": 2, "t_min": -2.0, "t_max": 2.0, "count": 9},
-            out=tmp_path / "p.csv",
-        )
+        out = write_profile_csv(SolitonProfile(2), -2.0, 2.0, 9, out=tmp_path / "p.csv")
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "t,u_prime,u_second,ode_residual"
         assert len(lines) == 10
 
     def test_geodesic_csv(self, tmp_path):
-        out = emit_plot_data(
-            "geodesic",
-            {
-                "model": {"kind": "cigar", "n": 1},
-                "start": [0.3],
-                "vel": [1.0],
-                "length": 1.0,
-                "steps": 16,
-            },
-            out=tmp_path / "g.csv",
+        state = GeodesicState([0.3], [1.0])
+        out = write_geodesic_csv(
+            CigarProductPotential(1), state, 1.0, steps=16, out=tmp_path / "g.csv"
         )
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "tau,re_z1,im_z1,energy_drift"
@@ -277,19 +278,30 @@ class TestEmitPlotData:
         assert float(lines[-1].split(",")[-1]) <= 1e-8
 
     def test_geodesic_csv_keeps_unconverged_drift(self, tmp_path):
-        params = {"model": {"kind": "cigar", "n": 1}, "start": [0.9], "vel": [2.0], "length": 8.0, "steps": 1}
-        out = emit_plot_data("geodesic", params, out=tmp_path / "g.csv")
+        state = GeodesicState([0.9], [2.0])
+        out = write_geodesic_csv(
+            CigarProductPotential(1), state, 8.0, steps=1, out=tmp_path / "g.csv"
+        )
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 1 + 16 + 1  # header, then the fourth refinement's 16 steps
         assert float(lines[-1].split(",")[-1]) > 1e-8
 
-    def test_unknown_kind(self, tmp_path):
-        with pytest.raises(ValueError):
-            emit_plot_data("surface", out=tmp_path / "x.csv")
+    def test_geodesic_csv_columns_are_the_trajectory(self, tmp_path):
+        # a complex n = 2 state, so a swapped or shifted column cannot pass
+        model = CigarProductPotential(2)
+        state = GeodesicState([0.5 + 0.2j, -0.3 + 0.4j], [1.0 - 0.5j, 0.3 + 0.7j])
+        trajectory = geodesic_integrate(model, state, 2.0, steps=16)
+        out = write_geodesic_csv(model, state, 2.0, steps=16, out=tmp_path / "g.csv")
+        with out.open() as fh:
+            table = {name: np.array(col, dtype=float) for name, *col in zip(*csv.reader(fh))}
+        assert np.array_equal(table["tau"], trajectory.times)
+        for j in range(model.n):
+            assert np.array_equal(table[f"re_z{j + 1}"], trajectory.points[:, j].real)
+            assert np.array_equal(table[f"im_z{j + 1}"], trajectory.points[:, j].imag)
 
     def test_outdir_env_used_for_relative_paths(self, tmp_path, monkeypatch):
         monkeypatch.setenv(OUTDIR_ENV, str(tmp_path))
-        out = emit_plot_data("profile", {"n": 1, "count": 4})
+        out = write_profile_csv(SolitonProfile(1), -10.0, 10.0, 4)
         assert out.parent == tmp_path
         assert out.exists()
 

@@ -260,6 +260,11 @@ class TestProfileTable:
         assert tbl[5, 2] == pytest.approx(p.u_second(0.0))
         assert np.max(np.abs(tbl[:, 3])) <= 1e-12
 
+    @pytest.mark.parametrize("bounds", [(np.nan, 1.0), (-1.0, np.inf), (-np.inf, 1.0)])
+    def test_non_finite_bounds_rejected(self, bounds):
+        with pytest.raises(ValueError, match="t_min and t_max must be finite"):
+            profile_table(SolitonProfile(2), *bounds, 5)
+
 
 class TestValidation:
     def test_bad_n_rejected(self):
