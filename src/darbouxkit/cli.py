@@ -9,6 +9,7 @@ All numeric output is full double-precision decimal.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import sys
@@ -74,6 +75,15 @@ def _load_model(value: str):
     )
 
 
+@contextlib.contextmanager
+def _usage_errors():
+    """Report a ValueError raised inside as a usage error (exit 2)."""
+    try:
+        yield
+    except ValueError as err:
+        raise click.BadParameter(str(err)) from err
+
+
 def _write_json(payload: dict, out: str | None, outdir: str | None = None) -> None:
     if out is None:
         return
@@ -98,9 +108,10 @@ def main() -> None:
 def verify_pullback_cmd(model_arg, points, radius, seed, tolerance, method, out) -> None:
     """Check the symplectic pullback identity at random points."""
     model = _load_model(model_arg)
-    report = pullback_report(
-        model, points=points, radius=radius, seed=seed, tolerance=tolerance, method=method
-    )
+    with _usage_errors():
+        report = pullback_report(
+            model, points=points, radius=radius, seed=seed, tolerance=tolerance, method=method
+        )
     click.echo(json.dumps(report, sort_keys=True, indent=2))
     _write_json(report, out)
     sys.exit(0 if report["pass"] else 1)
@@ -114,10 +125,8 @@ def verify_pullback_cmd(model_arg, points, radius, seed, tolerance, method, out)
 @click.option("--out", default=None, help="CSV path (default profile-n<N>.csv)")
 def soliton_profile_cmd(n, t_min, t_max, count, out) -> None:
     """Tabulate the soliton profile derivatives and the ODE residual."""
-    try:
+    with _usage_errors():
         path = write_profile_csv(SolitonProfile(n), t_min, t_max, count, out)
-    except ValueError as err:
-        raise click.BadParameter(str(err)) from err
     # the CSV holds repr'd floats, so its ode_residual column reads back exactly
     residuals = np.loadtxt(path, delimiter=",", skiprows=1, usecols=3)
     click.echo(f"max ode residual on [{t_min!r}, {t_max!r}]: {float(np.max(residuals))!r}")
@@ -141,10 +150,8 @@ def geodesic_cmd(model_arg, start, vel, length, steps, out) -> None:
             raise click.BadParameter(
                 f"{name} has {vec.size} coordinates, model {model.name} needs {model.n}"
             )
-    try:
+    with _usage_errors():
         path = write_geodesic_csv(model, GeodesicState(z0, v0), length, steps, out)
-    except ValueError as err:
-        raise click.BadParameter(str(err)) from err
     click.echo(f"wrote {path}")
 
 
@@ -157,11 +164,12 @@ def curvature_cmd(model_arg, point, method, out) -> None:
     """Evaluate the curvature tensor at one point."""
     model = _load_model(model_arg)
     z = _parse_cvector(point)
-    if len(z) != model.n:
-        raise click.BadParameter(f"point has {len(z)} coordinates, model has n={model.n}")
-    r = curvature_at(model, z, method=method)
-    v = np.zeros(model.n, dtype=complex)
-    v[0] = 1.0
+    if len(z) != model.n or not np.all(np.isfinite(z)):
+        raise click.BadParameter(f"point {point!r} is not {model.n} finite coordinates")
+    v = np.eye(model.n, dtype=complex)[0]
+    with _usage_errors():
+        r = curvature_at(model, z, method=method)
+        sectional = holomorphic_sectional(model, z, v)
     payload = {
         "model": model.name,
         "n": model.n,
@@ -170,7 +178,7 @@ def curvature_cmd(model_arg, point, method, out) -> None:
         "tensor_re": r.real.tolist(),
         "tensor_im": r.imag.tolist(),
         "symmetry_residual": curvature_symmetry_residual(r),
-        "sectional_first_axis": holomorphic_sectional(model, z, v),
+        "sectional_first_axis": sectional,
     }
     click.echo(
         json.dumps(
@@ -209,9 +217,8 @@ def ciriza_cmd(n, spec, samples, kind, seed, tolerance, out) -> None:
     complex-linear subspace."""
     embedding = _parse_embedding_spec(n, spec)
     dm = DarbouxMap(model_from_descriptor({"kind": kind, "n": n}))
-    report = ciriza_image_check(
-        dm, embedding, samples=samples, seed=seed, tolerance=tolerance
-    )
+    with _usage_errors():
+        report = ciriza_image_check(dm, embedding, samples=samples, seed=seed, tolerance=tolerance)
     click.echo(json.dumps(report.as_dict(), sort_keys=True, indent=2))
     _write_json(report.as_dict(), out)
     sys.exit(0 if report.passed else 1)
@@ -220,7 +227,7 @@ def ciriza_cmd(n, spec, samples, kind, seed, tolerance, out) -> None:
 @main.command("defect")
 @click.option("--f1", required=True, help="ascending coefficients from the linear term, e.g. '1' is z")
 @click.option("--f2", required=True, help="e.g. '0,1' is z^2")
-@click.option("--points", default=50, show_default=True, type=int)
+@click.option("--points", default=50, show_default=True, type=click.IntRange(min=1))
 @click.option("--radius", default=1.5, show_default=True, type=float)
 @click.option("--seed", default=202616, show_default=True, type=int)
 @click.option("--at", "at_point", default=None, help="also print A and both defect routes at this complex point")

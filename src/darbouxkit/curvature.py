@@ -13,13 +13,14 @@ shipped models) is
 Both ingredients come in an analytic path (tensor assembly from one
 ``derivative_tensors`` jet, the potential's t-derivatives to order four,
 taken once per point) and a finite-difference path
-(Richardson-extrapolated Wirtinger differences of ``metric_at``), kept
-independent so they can cross-validate each other.
+(Richardson-extrapolated Wirtinger differences of ``metric_at``, one batched
+call over every stencil point of both step sizes), kept independent so they
+can cross-validate each other.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -100,9 +101,7 @@ def curvature_at(
         d = metric_z_derivative(z, jet)
         h = _second_metric_derivative(z, jet)
     elif method == "fd":
-        g = metric_at(model, z)
-        d = _fd_metric_z_derivative(model, z)
-        h = _fd_second_metric_derivative(model, z)
+        g, d, h = _fd_metric_derivatives(model, z)
     else:
         raise ValueError(f"unknown curvature method {method!r}")
     ginv_c = _inverse_metric_conj(g)
@@ -133,44 +132,37 @@ def curvature_symmetry_residual(r: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 _FD_STEP = 5e-3
+_FD_SIZES = np.array([_FD_STEP / 2.0, _FD_STEP])  # the Richardson pair h/2, h
 
 
-def _wirtinger(
-    f: Callable[[np.ndarray], np.ndarray], z: np.ndarray, k: int, h: float, bar: bool
-) -> np.ndarray:
-    """Central-difference d/dz_k (or d/dzbar_k) of a matrix-valued f."""
-    ek = np.zeros(len(z), dtype=complex)
-    ek[k] = 1.0
-    fx = (f(z + h * ek) - f(z - h * ek)) / (2.0 * h)
-    fy = (f(z + 1j * h * ek) - f(z - 1j * h * ek)) / (2.0 * h)
+def _wirtinger(f: np.ndarray, bar: bool) -> np.ndarray:
+    """Central-difference d/dz_k (or d/dzbar_k) from values f[q, ..., size] at
+    the steps q = (+h e_k, +ih e_k, -h e_k, -ih e_k), h = _FD_SIZES[size]."""
+    fx = (f[0] - f[2]) / (2.0 * _FD_SIZES)
+    fy = (f[1] - f[3]) / (2.0 * _FD_SIZES)
     return 0.5 * (fx + 1j * fy) if bar else 0.5 * (fx - 1j * fy)
 
 
-def _richardson(evaluate: Callable[[float], np.ndarray], h: float) -> np.ndarray:
-    return (4.0 * evaluate(h / 2.0) - evaluate(h)) / 3.0
-
-
-def _fd_metric_z_derivative(model: PotentialModel, z: np.ndarray) -> np.ndarray:
-    n = model.n
-    f = lambda w: metric_at(model, w)
-    d = np.empty((n, n, n), dtype=complex)
-    for j in range(n):
-        d[:, :, j] = _richardson(lambda h: _wirtinger(f, z, j, h, bar=False), _FD_STEP)
-    return d
-
-
-def _fd_second_metric_derivative(model: PotentialModel, z: np.ndarray) -> np.ndarray:
-    n = model.n
-    f = lambda w: metric_at(model, w)
-    h4 = np.empty((n, n, n, n), dtype=complex)
-
-    def composite(k: int, l: int, h: float) -> np.ndarray:
-        # one step size h drives both nesting levels, so the composite has a
-        # clean O(h^2) leading error term and Richardson applies to the pair
-        inner = lambda w: _wirtinger(f, w, k, h, bar=False)
-        return _wirtinger(inner, z, l, h, bar=True)
-
-    for k in range(n):
-        for l in range(n):
-            h4[:, :, k, l] = _richardson(lambda h: composite(k, l, h), _FD_STEP)
-    return h4
+def _fd_metric_derivatives(
+    model: PotentialModel, z: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(G, D, H) at z: the metric, and Richardson-extrapolated Wirtinger
+    differences D[i, l, j] = d g_{i lbar} / dz_j and
+    H[i, j, k, l] = d^2 g_{i jbar} / dz_k dzbar_l, from one batched
+    ``metric_at`` call over z and every stencil point of both step sizes.
+    """
+    n = len(z)
+    base = np.array([1.0, 1j])[:, None, None, None] * np.eye(n)[:, None, :] * _FD_SIZES[:, None]
+    steps = np.concatenate([base, -base])  # [q, k, size, :] = (h, ih, -h, -ih)[q] e_k
+    first = z + steps
+    # one step size drives both nesting levels, so the composite has a clean
+    # O(h^2) leading error term; points nest as (z + s_l) + s_k, outer step first
+    second = first[:, None, :, None] + steps[None, :, None]  # [ql, qk, l, k, size, :]
+    g = metric_at(model, np.concatenate([z[None], first.reshape(-1, n), second.reshape(-1, n)]))
+    g1 = np.moveaxis(g[1:1 + 8 * n].reshape(4, n, 2, n, n), 2, -1)
+    g2 = np.moveaxis(g[1 + 8 * n:].reshape(4, 4, n, n, 2, n, n), 4, -1)
+    e1 = _wirtinger(g1, bar=False)  # [k, i, j, size]
+    e2 = _wirtinger(_wirtinger(g2.swapaxes(0, 1), bar=False), bar=True)  # [l, k, i, j, size]
+    d = (4.0 * e1[..., 0] - e1[..., 1]) / 3.0
+    h = (4.0 * e2[..., 0] - e2[..., 1]) / 3.0
+    return g[0], d.transpose(1, 2, 0), h.transpose(2, 3, 1, 0)

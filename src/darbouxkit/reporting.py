@@ -575,6 +575,8 @@ def pullback_report(
     method: str = "analytic",
 ) -> dict:
     """The fixed five-key JSON report for the pullback identity check."""
+    if points < 1 or not np.isfinite(radius):
+        raise ValueError("points must be >= 1 and radius finite")
     rng = np.random.default_rng(seed)
     dm = DarbouxMap(model)
     pts = sample_polydisc(rng, points, model.n, radius)

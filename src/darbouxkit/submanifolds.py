@@ -394,8 +394,8 @@ def ciriza_image_check(
     equal the subspace dimension k.
     """
     model = darboux_map.model
-    if model.n != embedding.n:
-        raise ValueError("embedding dimension does not match the model")
+    if model.n != embedding.n or samples < 1:
+        raise ValueError("embedding dimension must match the model, and samples >= 1")
     params = sample_polydisc(np.random.default_rng(seed), samples, embedding.k, 2.0)
     # differential of the map at 0 is the diagonal of sqrt(Phi_j(0)), so the
     # mapped tangent frame is that scaling applied to the embedding matrix

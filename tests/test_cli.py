@@ -79,10 +79,17 @@ class TestBadInputIsUsageError:
         ["geodesic", "--model", "cigar:1", "--start", "0.5", "--vel", "1", "--steps", "-5"],
         ["soliton-profile", "--t-min", "nan"],
         ["soliton-profile", "--t-max", "inf"],
+        ["verify-pullback", "--model", "cigar:1", "--points", "0"],
+        ["defect", "--f1", "1", "--f2", "0,1", "--points", "0"],
+        ["verify-pullback", "--model", "cigar:1", "--radius", "nan"],
+        ["curvature", "--model", "cigar:1", "--point", "nan"],
+        ["ciriza", "--spec", "sigma=1,1,alpha=1,i", "--samples", "0"],
     ], ids=["unknown-kind", "bad-n", "bad-json", "bad-sigma-entry", "missing-sigma-index",
             "null-n", "monomials-not-a-mapping", "negative-length", "nan-length", "inf-length",
             "one-profile-row", "zero-profile-n", "zero-steps", "negative-steps",
-            "nan-profile-t-min", "inf-profile-t-max"])
+            "nan-profile-t-min", "inf-profile-t-max", "zero-pullback-points",
+            "zero-defect-points", "nan-pullback-radius", "nan-curvature-point",
+            "zero-ciriza-samples"])
     def test_exit_2_without_traceback(self, runner, args):
         result = runner.invoke(main, args)
         assert result.exit_code == 2, result.output

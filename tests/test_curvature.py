@@ -26,6 +26,7 @@ from darbouxkit import (
     shipped_models,
     soliton_potential,
 )
+from darbouxkit import curvature as curvature_module
 
 small_complex = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
 
@@ -117,6 +118,63 @@ class TestFiniteDifferencePath:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             curvature_at(flat_potential(1), [0.1], method="magic")
+
+    @pytest.mark.parametrize("model", shipped_models(), ids=lambda m: m.name)
+    def test_batched_stencil_matches_scalar_loops_bitwise(self, model, seam_points):
+        for z in seam_points(model.n):
+            fd = curvature_at(model, z, method="fd")
+            ref = _loop_fd_curvature(model, z)
+            assert fd.shape == ref.shape and fd.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("model", shipped_models(), ids=lambda m: m.name)
+    def test_one_metric_call_per_point(self, model, monkeypatch):
+        shapes = []
+
+        def counted(m, z):
+            shapes.append(np.shape(z))
+            return metric_at(m, z)
+
+        monkeypatch.setattr(curvature_module, "metric_at", counted)
+        n = model.n
+        curvature_at(model, np.full(n, 0.3 - 0.2j), method="fd")
+        assert shapes == [(1 + 8 * n + 32 * n * n, n)]
+
+
+_FD_STEP = 5e-3  # curvature._FD_STEP
+
+
+def _loop_wirtinger(f, z, k, h, bar):
+    """Central-difference d/dz_k (or d/dzbar_k) of a matrix-valued f."""
+    ek = np.zeros(len(z), dtype=complex)
+    ek[k] = 1.0
+    fx = (f(z + h * ek) - f(z - h * ek)) / (2.0 * h)
+    fy = (f(z + 1j * h * ek) - f(z - 1j * h * ek)) / (2.0 * h)
+    return 0.5 * (fx + 1j * fy) if bar else 0.5 * (fx - 1j * fy)
+
+
+def _loop_richardson(evaluate, h):
+    return (4.0 * evaluate(h / 2.0) - evaluate(h)) / 3.0
+
+
+def _loop_fd_curvature(model, z):
+    """The FD curvature from nested single-point closures: one ``metric_at``
+    call per stencil point, the reference for the batched stencil."""
+    n = model.n
+    f = lambda w: metric_at(model, w)
+    d = np.empty((n, n, n), dtype=complex)
+    for j in range(n):
+        d[:, :, j] = _loop_richardson(lambda h: _loop_wirtinger(f, z, j, h, bar=False), _FD_STEP)
+
+    def composite(k, l, h):
+        inner = lambda w: _loop_wirtinger(f, w, k, h, bar=False)
+        return _loop_wirtinger(inner, z, l, h, bar=True)
+
+    h4 = np.empty((n, n, n, n), dtype=complex)
+    for k in range(n):
+        for l in range(n):
+            h4[:, :, k, l] = _loop_richardson(lambda h: composite(k, l, h), _FD_STEP)
+    ginv_c = np.conj(np.linalg.inv(metric_at(model, z)))
+    return -h4 + np.einsum("pq,iqk,jpl->ijkl", ginv_c, d, np.conj(d))
 
 
 class TestFirstDerivativeTensor:

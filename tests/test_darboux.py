@@ -81,11 +81,48 @@ class TestJacobian:
         with pytest.raises(ValueError):
             dm.jacobian([0.1], method="exact")
 
+    @pytest.mark.parametrize("model", shipped_models(), ids=lambda m: m.name)
+    def test_batched_fd_matches_column_loop_bitwise(self, model, seam_points):
+        dm = DarbouxMap(model)
+        for z in seam_points(model.n):
+            fd = dm.jacobian(z, method="fd")
+            ref = _loop_jacobian_fd(dm, z)
+            assert fd.shape == ref.shape and fd.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("model", shipped_models(), ids=lambda m: m.name)
+    def test_one_map_call_per_fd_jacobian(self, model, monkeypatch):
+        shapes = []
+        original = DarbouxMap.map_point
+
+        def counted(self, z):
+            shapes.append(np.shape(z))
+            return original(self, z)
+
+        monkeypatch.setattr(DarbouxMap, "map_point", counted)
+        n = model.n
+        DarbouxMap(model).jacobian(np.full(n, 0.3 - 0.2j), method="fd")
+        assert shapes == [(4 * n, n)]
+
     def test_jacobian_at_origin_is_diagonal_scaling(self):
         model = CigarProductPotential(2)
         dm = DarbouxMap(model)
         j = dm.jacobian(np.zeros(2))
         assert np.allclose(j, np.eye(4), atol=1e-14)  # first derivs are 1 at 0
+
+
+def _loop_jacobian_fd(dm, z, h=1e-6):
+    """The FD Jacobian column by column, two single-point ``map_point`` calls
+    each: the reference for the batched stencil."""
+    n = dm.n
+    step = h * max(1.0, float(np.max(np.abs(z))))
+    j = np.empty((2 * n, 2 * n))
+    for col in range(2 * n):
+        dz = np.zeros(n, dtype=complex)
+        dz[col // 2] = step if col % 2 == 0 else 1j * step
+        d = (dm.map_point(z + dz) - dm.map_point(z - dz)) / (2.0 * step)
+        j[0::2, col] = d.real
+        j[1::2, col] = d.imag
+    return j
 
 
 class TestPullback:

@@ -253,6 +253,12 @@ class TestPullbackReport:
         rep = pullback_report(flat_potential(1), points=5, method="fd", tolerance=1e-30)
         assert rep["pass"] is False or rep["max_residual"] == 0.0
 
+    @pytest.mark.parametrize("kwargs", [{"points": 0}, {"radius": float("nan")}, {"radius": float("inf")}])
+    def test_empty_or_nonfinite_sample_rejected(self, kwargs):
+        # a check of no points would pass with max_residual 0.0
+        with pytest.raises(ValueError):
+            pullback_report(CigarProductPotential(1), **kwargs)
+
     def test_seed_determinism(self):
         a = pullback_report(CigarProductPotential(1), points=7, seed=3)
         b = pullback_report(CigarProductPotential(1), points=7, seed=3)

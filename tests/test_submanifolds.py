@@ -347,6 +347,11 @@ class TestCirizaProperty:
         with pytest.raises(ValueError):
             ciriza_image_check(dm, standard_catalog(2)[0])
 
+    def test_no_samples_rejected(self):
+        dm = DarbouxMap(CigarProductPotential(2))
+        with pytest.raises(ValueError, match="samples"):
+            ciriza_image_check(dm, standard_catalog(2)[0], samples=0)
+
     def test_report_dict(self):
         dm = DarbouxMap(CigarProductPotential(2))
         rep = ciriza_image_check(dm, standard_catalog(2)[0], samples=5)
