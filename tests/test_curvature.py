@@ -140,9 +140,6 @@ class TestFiniteDifferencePath:
         assert shapes == [(1 + 8 * n + 32 * n * n, n)]
 
 
-_FD_STEP = 5e-3  # curvature._FD_STEP
-
-
 def _loop_wirtinger(f, z, k, h, bar):
     """Central-difference d/dz_k (or d/dzbar_k) of a matrix-valued f."""
     ek = np.zeros(len(z), dtype=complex)
@@ -159,11 +156,11 @@ def _loop_richardson(evaluate, h):
 def _loop_fd_curvature(model, z):
     """The FD curvature from nested single-point closures: one ``metric_at``
     call per stencil point, the reference for the batched stencil."""
-    n = model.n
+    n, step = model.n, curvature_module._FD_STEP
     f = lambda w: metric_at(model, w)
     d = np.empty((n, n, n), dtype=complex)
     for j in range(n):
-        d[:, :, j] = _loop_richardson(lambda h: _loop_wirtinger(f, z, j, h, bar=False), _FD_STEP)
+        d[:, :, j] = _loop_richardson(lambda h: _loop_wirtinger(f, z, j, h, bar=False), step)
 
     def composite(k, l, h):
         inner = lambda w: _loop_wirtinger(f, w, k, h, bar=False)
@@ -172,7 +169,7 @@ def _loop_fd_curvature(model, z):
     h4 = np.empty((n, n, n, n), dtype=complex)
     for k in range(n):
         for l in range(n):
-            h4[:, :, k, l] = _loop_richardson(lambda h: composite(k, l, h), _FD_STEP)
+            h4[:, :, k, l] = _loop_richardson(lambda h: composite(k, l, h), step)
     ginv_c = np.conj(np.linalg.inv(metric_at(model, z)))
     return -h4 + np.einsum("pq,iqk,jpl->ijkl", ginv_c, d, np.conj(d))
 
