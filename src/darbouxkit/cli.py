@@ -237,7 +237,8 @@ def defect_cmd(f1, f2, points, radius, seed, at_point) -> None:
         [_parse_complex(c) for c in f1.split(",")],
         [_parse_complex(c) for c in f2.split(",")],
     )
-    zs = sample_polydisc(np.random.default_rng(seed), points, 1, radius)[:, 0]
+    with _usage_errors():
+        zs = sample_polydisc(np.random.default_rng(seed), points, 1, radius)[:, 0]
     directs, gaps = [], []
     for z in zs:
         direct, via_a = curvature_defect(pair, complex(z))

@@ -109,12 +109,15 @@ class DarbouxMap:
         ):
             raise ValueError("radii must be a strictly increasing finite positive sequence")
         directions = np.asarray(directions, dtype=complex)
+        if not np.all(np.isfinite(directions)):
+            raise ValueError("ray directions must be finite")
+        # math.log per radius: numpy's array log can round differently in the last bit
+        log_radii = np.array([log(r) for r in radii.tolist()])
         log_values = np.empty((len(directions), len(radii)))
         for i, d in enumerate(directions):
             if np.linalg.norm(d) == 0.0:
                 raise ValueError("zero ray direction")
-            for k, r in enumerate(radii):
-                log_values[i, k] = self.model.log_ray_growth(log(r), d)
+            log_values[i] = self.model.log_ray_growth(log_radii, d)
         return PropernessReport(
             model=self.model.name,
             threshold=float(threshold),

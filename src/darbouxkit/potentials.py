@@ -151,42 +151,43 @@ def _cigar_diagonals(t: np.ndarray, order: int) -> list[np.ndarray]:
     return out
 
 
-def _logsumexp(x: np.ndarray, signs: np.ndarray) -> tuple[float, float]:
-    """log |sum_i signs_i e^(x_i)| and the sign of the sum.
+def _logsumexp(x: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log |sum_i signs_i e^(x_i)| and the sign of the sum, over the last axis of x.
 
     scipy.special.logsumexp(x, b=signs, return_sign=True) for nonzero signs,
-    bitwise, without loading scipy.  The terms equal to max(x) are split off,
-    so the sum is e^(x_max) (m + m s) with m their signed count, and the log
-    is taken through log1p.  Where that form is not finite (m = 0, s = -1, a
-    NaN or +inf maximum) the direct log |sum| answers, as in scipy.  An all
-    -inf input gives (-inf, 0).
+    bitwise, row by row, without loading scipy.  The terms equal to max(x)
+    are split off, so the sum is e^(x_max) (m + m s) with m their signed
+    count, and the log is taken through log1p.  Where that form is not finite
+    (m = 0, s = -1, a NaN or +inf maximum) the direct log |sum| answers, as in
+    scipy.  An all -inf row gives (-inf, 0).
     """
-    a_max = x.max()
-    if a_max == -np.inf:
-        return -np.inf, 0.0
-    top = x == a_max
-    m = signs[top].sum()
-    if m != 0.0 and a_max < np.inf:  # False for a NaN maximum
-        e = signs * np.exp(x - a_max)
-        e[top] = 0.0
-        s = e.sum()
-        if s != 0.0:
-            s /= m
-        if s != -1.0:
-            sign = np.sign(s + 1.0) * np.sign(m)
-            if s < -1.0:
-                s = -s - 2.0
-            return float(np.log1p(s) + np.log(np.abs(m)) + a_max), float(sign)
+    x_max = np.max(x, axis=-1, keepdims=True)
+    a_max = x_max[..., 0]
+    top = x == x_max
+    m = np.add.reduce(np.where(top, signs, 0.0), axis=-1)
+    # every row takes both forms; the masks pick each row's answer
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        total = (signs * np.exp(x)).sum()
-        return float(np.log(np.abs(total))), float(np.sign(total))
+        e = signs * np.exp(x - x_max)
+        e[top] = 0.0
+        s = np.add.reduce(e, axis=-1)
+        s = np.where(s != 0.0, s / m, s)
+        scaled = (m != 0.0) & (a_max < np.inf) & (s != -1.0)  # False for a NaN maximum
+        sign = np.sign(s + 1.0) * np.sign(m)
+        s = np.where(s < -1.0, -s - 2.0, s)
+        value = np.log1p(s) + np.log(np.abs(m)) + a_max
+        total = np.add.reduce(signs * np.exp(x), axis=-1)
+        value = np.where(scaled, value, np.log(np.abs(total)))
+        sign = np.where(scaled, sign, np.sign(total))
+    empty = a_max == -np.inf
+    return np.where(empty, -np.inf, value), np.where(empty, 0.0, sign)
 
 
-def _log_ray_coords(log_r: float, direction: Sequence[complex]) -> np.ndarray:
-    """log t_j at z = r * direction; -inf where direction_j = 0."""
+def _log_ray_coords(log_r: np.ndarray, direction: Sequence[complex]) -> np.ndarray:
+    """(radii, n) table of log t_j at z = r * direction, one row per log r;
+    -inf where direction_j = 0."""
     d = np.asarray(direction, dtype=complex)
     with np.errstate(divide="ignore"):
-        return 2.0 * (log_r + np.log(np.abs(d)))
+        return 2.0 * (np.asarray(log_r, dtype=float)[:, None] + np.log(np.abs(d)))
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +216,12 @@ class PotentialModel(ABC):
         at t of shape (..., n), one jet per leading index."""
 
     @abstractmethod
-    def log_ray_growth(self, log_r: float, direction: Sequence[complex]) -> float:
-        """log of S = sum_j Phi_j t_j at z = r * direction, safe for huge r."""
+    def log_ray_growth(self, log_r: np.ndarray, direction: Sequence[complex]) -> np.ndarray:
+        """log of S = sum_j Phi_j t_j at z = r * direction, safe for huge r.
+
+        ``log_r`` is a 1-D array of log radii; the result holds one log S per
+        radius, each equal to the call on that radius alone.
+        """
 
     def descriptor(self) -> dict:
         return {"kind": self.kind, "n": self.n}
@@ -247,10 +252,10 @@ class CigarProductPotential(PotentialModel):
         return tuple(out)
 
     def log_ray_growth(self, log_r, direction):
-        log_t = _log_ray_coords(log_r, direction)
-        summands = np.logaddexp(0.0, log_t)  # log(1 + t_j)
-        total = float(np.sum(summands))
-        return log(total) if total > 0.0 else -np.inf
+        summands = np.logaddexp(0.0, _log_ray_coords(log_r, direction))  # log(1 + t_j)
+        totals = np.add.reduce(summands, axis=-1).tolist()
+        # math.log per radius: numpy's array log can round differently in the last bit
+        return np.array([log(v) if v > 0.0 else -np.inf for v in totals])
 
 
 class SolitonPotential(PotentialModel):
@@ -307,11 +312,9 @@ class SolitonPotential(PotentialModel):
         return tuple(c[self._slots[q]] * self._ones[q] for q in range(order))
 
     def log_ray_growth(self, log_r, direction):
-        log_t = _log_ray_coords(log_r, direction)
-        t_s = _logsumexp(log_t, np.ones(self.n))[0]  # log s
-        if t_s < -700.0:
-            return t_s  # u'(t) ~ e^t, so log S ~ t
-        return log(self.profile.u_prime(t_s))
+        log_s = _logsumexp(_log_ray_coords(log_r, direction), np.ones(self.n))[0]
+        # u'(t) ~ e^t, so log S ~ t; u_prime stays scalar (per-t branch and solve)
+        return np.array([t if t < -700.0 else log(self.profile.u_prime(t)) for t in log_s.tolist()])
 
 
 def soliton_potential(profile: SolitonProfile) -> SolitonPotential:
@@ -393,19 +396,21 @@ class PolyTestPotential(PotentialModel):
 
     def log_ray_growth(self, log_r, direction):
         log_t = _log_ray_coords(log_r, direction)
-        terms, signs = [], []
+        monomials, signs = [], []
         for a, c in self.monomials.items():
             degree = sum(a)
             if degree == 0:
                 continue
             exps = np.asarray(a, dtype=float)
             mask = exps > 0  # skip zero exponents: 0 * log(0) must not poison the sum
-            terms.append(log(abs(c) * degree) + float(np.dot(exps[mask], log_t[mask])))
+            monomials.append((log(abs(c) * degree), exps[mask], mask))
             signs.append(1.0 if c > 0 else -1.0)
-        if not terms:
-            return -np.inf
-        total, sign = _logsumexp(np.array(terms), np.array(signs))
-        return total if sign > 0 else -np.inf
+        if not monomials:
+            return np.full(len(log_t), -np.inf)
+        # one np.dot per radius and monomial: a dot over the radii axis could round differently
+        terms = np.array([[w + float(np.dot(e, row[mask])) for w, e, mask in monomials] for row in log_t])
+        total, sign = _logsumexp(terms, np.array(signs))
+        return np.where(sign > 0, total, -np.inf)
 
 
 def flat_potential(n: int) -> PolyTestPotential:
@@ -560,7 +565,10 @@ def sample_polydisc(
 
     Every sampled disc or polydisc in the package comes from here, so one rng
     stream always yields the same points: all radii are drawn, then all angles.
+    A non-finite or negative radius raises ValueError.
     """
+    if not 0.0 <= radius < np.inf:
+        raise ValueError(f"sampling radius must be finite and nonnegative, got {radius}")
     radii = radius * np.sqrt(rng.uniform(size=(count, n)))
     angles = rng.uniform(0.0, 2.0 * np.pi, size=(count, n))
     return radii * np.exp(1j * angles)
@@ -611,15 +619,12 @@ def cond0_scan(model: PotentialModel, region: SampleRegion) -> Cond0Report:
     definiteness of G is the companion requirement.
     """
     pts = region.sample(model.n)
-    mins = np.full(model.n, np.inf)
-    eig_mins = []
-    for z in pts:
-        mins = np.minimum(mins, model.first_derivs(radial_coords(z)))
-        eig_mins.append(np.linalg.eigvalsh(metric_at(model, z))[0])
+    d1 = model.first_derivs(radial_coords(pts))
+    eig_mins = np.linalg.eigvalsh(metric_at(model, pts))[:, 0]
     # numpy reductions propagate a NaN from any point; Python's min drops it
     return Cond0Report(
         model=model.name,
         points_checked=len(pts),
-        min_first_derivs=tuple(float(v) for v in mins),
-        min_metric_eigenvalue=float(np.min(eig_mins, initial=np.inf)),
+        min_first_derivs=tuple(float(v) for v in np.min(d1, axis=0)),
+        min_metric_eigenvalue=float(np.min(eig_mins)),
     )

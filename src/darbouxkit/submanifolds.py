@@ -403,7 +403,7 @@ def ciriza_image_check(
     frame = psi0[:, None] * embedding.matrix
     q, _ = np.linalg.qr(frame)
     projector = q @ q.conj().T
-    images = np.array([darboux_map.map_point(embedding.embed(p)) for p in params])
+    images = darboux_map.map_point(np.array([embedding.embed(p) for p in params]))
     offsets = images - images @ projector.T
     max_residual = float(np.max(np.linalg.norm(offsets, axis=1)))
     rank = _complex_rank(images)
@@ -426,7 +426,7 @@ def curve_image_rank(
     """Complex rank of 50 mapped curve samples over the radius-2 disc (2 for
     the (z, z^2) non-example)."""
     params = sample_polydisc(np.random.default_rng(seed), 50, 1, 2.0)[:, 0]
-    images = np.array([darboux_map.map_point(pair.point(w)) for w in params])
+    images = darboux_map.map_point(np.array([pair.point(w) for w in params]))
     return _complex_rank(images)
 
 

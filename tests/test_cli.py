@@ -84,12 +84,14 @@ class TestBadInputIsUsageError:
         ["verify-pullback", "--model", "cigar:1", "--radius", "nan"],
         ["curvature", "--model", "cigar:1", "--point", "nan"],
         ["ciriza", "--spec", "sigma=1,1,alpha=1,i", "--samples", "0"],
+        ["defect", "--f1", "1", "--f2", "0,1", "--radius", "nan"],
+        ["defect", "--f1", "1", "--f2", "0,1", "--radius", "inf"],
     ], ids=["unknown-kind", "bad-n", "bad-json", "bad-sigma-entry", "missing-sigma-index",
             "null-n", "monomials-not-a-mapping", "negative-length", "nan-length", "inf-length",
             "one-profile-row", "zero-profile-n", "zero-steps", "negative-steps",
             "nan-profile-t-min", "inf-profile-t-max", "zero-pullback-points",
             "zero-defect-points", "nan-pullback-radius", "nan-curvature-point",
-            "zero-ciriza-samples"])
+            "zero-ciriza-samples", "nan-defect-radius", "inf-defect-radius"])
     def test_exit_2_without_traceback(self, runner, args):
         result = runner.invoke(main, args)
         assert result.exit_code == 2, result.output

@@ -183,6 +183,10 @@ class TestProperness:
             dm.properness_scan([[1.0]], radii=[1.0, 2.0, math.inf])
         with pytest.raises(ValueError):
             dm.properness_scan([[1.0]], radii=[1.0, math.nan, 3.0])
+        dm2 = DarbouxMap(CigarProductPotential(2))
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="direction"):
+                dm2.properness_scan([[bad, 1.0]], radii=[1.0, 2.0])
 
     def test_unit_directions_layout(self, rng):
         dirs = unit_directions(3, 8, rng)
@@ -211,9 +215,9 @@ class TestPropernessLadder:
     )
     def test_each_radius_evaluated_once(self, model, rungs, rng, monkeypatch):
         model = model()
-        log_radii = []
+        calls = []
         growth = model.log_ray_growth
-        monkeypatch.setattr(model, "log_ray_growth", lambda log_r, d: log_radii.append(log_r) or growth(log_r, d))
+        monkeypatch.setattr(model, "log_ray_growth", lambda log_r, d: calls.append(list(log_r)) or growth(log_r, d))
         scans = []
         scan = DarbouxMap.properness_scan
 
@@ -225,6 +229,11 @@ class TestPropernessLadder:
         rep = properness_auto_scan(DarbouxMap(model), unit_directions(2, 8, rng))
         assert rep.passed
         assert scans == rungs  # one scan per rung, over that rung's new radii only
+        # one log_ray_growth call per ray per rung, covering exactly that rung's radii
+        starts = np.cumsum([0, *rungs])
+        expected = [[math.log(r) for r in rep.radii[a:b]] for a, b in zip(starts, starts[1:])]
+        assert calls == [rung for rung in expected for _ in range(8)]
+        log_radii = [v for call in calls for v in call]
         assert len(log_radii) == 8 * sum(rungs) == 8 * len(rep.radii)
         assert len(set(log_radii)) == len(rep.radii)
 

@@ -31,9 +31,11 @@ from darbouxkit import (
     model_from_descriptor,
     poly_test_model,
     radial_coords,
+    sample_polydisc,
     shipped_models,
     soliton_potential,
     two_form_at,
+    unit_directions,
 )
 from darbouxkit.potentials import _logsumexp
 
@@ -460,6 +462,11 @@ class TestSampleRegion:
         with pytest.raises(ValueError, match="radius"):
             SampleRegion(radius=radius)
 
+    @pytest.mark.parametrize("radius", (-1.0, math.nan, math.inf))
+    def test_sampler_rejects_bad_radius(self, radius):
+        with pytest.raises(ValueError, match="radius"):
+            sample_polydisc(np.random.default_rng(0), 3, 2, radius)
+
     def test_reproducible_and_origin(self):
         region = SampleRegion(radius=2.0, count=10)
         a = region.sample(2)
@@ -487,19 +494,77 @@ class TestCond0:
         calls = []
 
         def eigvalsh(a):
-            calls.append(None)
+            calls.append(a.shape)
             eigs = real(a)
-            return np.full_like(eigs, np.nan) if len(calls) == 3 else eigs
+            eigs[2] = np.nan
+            return eigs
 
         monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
         rep = cond0_scan(soliton_potential(SolitonProfile(2)), SampleRegion(count=5))
-        assert len(calls) == 5
+        assert calls == [(5, 2, 2)]  # one stacked call over the sample
         assert math.isnan(rep.min_metric_eigenvalue)
+
+    @pytest.mark.parametrize("model", [*shipped_models(), fold_test_model()], ids=lambda m: m.name)
+    def test_matches_per_point_reference(self, model):
+        region = SampleRegion(count=40)
+        rep = cond0_scan(model, region)
+        mins, eig_min = _loop_cond0(model, region)
+        assert rep.points_checked == 40
+        assert _bits(*rep.min_first_derivs) == _bits(*mins)
+        assert _bits(rep.min_metric_eigenvalue) == _bits(eig_min)
 
     def test_nan_first_derivative_fails(self):
         rep = Cond0Report("m", 2, (0.5, float("nan")), min_metric_eigenvalue=1.0)
         assert math.isnan(rep.min_value)
         assert not rep.passed
+
+
+def _loop_cond0(model, region):
+    """cond0_scan one point at a time: the minimum first derivatives and the
+    minimum metric eigenvalue, NaN-propagating, the reference for the batch."""
+    mins = np.full(model.n, np.inf)
+    eig_mins = []
+    for z in region.sample(model.n):
+        mins = np.minimum(mins, model.first_derivs(radial_coords(z)))
+        eig_mins.append(np.linalg.eigvalsh(metric_at(model, z))[0])
+    return tuple(float(v) for v in mins), float(np.min(eig_mins))
+
+
+def _scalar_log_ray_growth(model, log_r, direction):
+    """log S at one radius by the single-radius bodies, the reference for the
+    batched ``log_ray_growth``."""
+    d = np.asarray(direction, dtype=complex)
+    with np.errstate(divide="ignore"):
+        log_t = 2.0 * (log_r + np.log(np.abs(d)))
+    if isinstance(model, CigarProductPotential):
+        total = float(np.sum(np.logaddexp(0.0, log_t)))
+        return math.log(total) if total > 0.0 else -np.inf
+    if isinstance(model, SolitonPotential):
+        t_s = float(logsumexp(log_t))
+        return t_s if t_s < -700.0 else math.log(model.profile.u_prime(t_s))
+    terms, signs = [], []
+    for a, c in model.monomials.items():
+        if sum(a) == 0:
+            continue
+        exps = np.asarray(a, dtype=float)
+        mask = exps > 0
+        terms.append(math.log(abs(c) * sum(a)) + float(np.dot(exps[mask], log_t[mask])))
+        signs.append(1.0 if c > 0 else -1.0)
+    if not terms:
+        return -np.inf
+    total, sign = logsumexp(terms, b=signs, return_sign=True)
+    return float(total) if sign > 0 else -np.inf
+
+
+# log radii: the properness ladder's decades, log s = 2 log r across -700 (the
+# soliton's small-s branch), the seam n * log s = 60 for n = 1, 2, 3 from both
+# sides, and moderate radii
+_LOG_RADII = np.concatenate([
+    [math.log(r) for r in np.logspace(0, 250, 126)],
+    np.linspace(-400.0, -300.0, 11),
+    *(30.0 / n + np.array([-0.5, -1e-9, 0.0, 1e-9, 0.5]) for n in (1, 2, 3)),
+    np.linspace(-5.0, 5.0, 21),
+])
 
 
 class TestRayGrowth:
@@ -508,8 +573,29 @@ class TestRayGrowth:
         # regression: zero components on axis rays must not poison the sum
         d = np.zeros(model.n, dtype=complex)
         d[0] = 1.0
-        v = model.log_ray_growth(math.log(10.0), d)
-        assert np.isfinite(v)
+        v = model.log_ray_growth(np.array([math.log(10.0)]), d)
+        assert v.shape == (1,)
+        assert np.isfinite(v[0])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "model",
+        # the 12-monomial poly sums more than 8 terms, past numpy's pairwise-summation block
+        [*shipped_models(), fold_test_model(),
+         PolyTestPotential(2, {(i, j): (-1.0) ** (i * j) * (1 + i + j) for i in range(4) for j in range(3)})],
+        ids=lambda m: m.name,
+    )
+    def test_batch_matches_scalar_reference_bitwise(self, model, rng):
+        directions = [
+            *unit_directions(model.n, model.n + 3, rng),  # axis rays hold zero components
+            np.zeros(model.n),  # every log t_j is -inf
+            np.arange(model.n) * (0.5 - 2j),  # first component zero, not unit length
+        ]
+        for d in directions:
+            batch = model.log_ray_growth(_LOG_RADII, d)
+            ref = np.array([_scalar_log_ray_growth(model, v, d) for v in _LOG_RADII.tolist()])
+            assert batch.shape == _LOG_RADII.shape
+            assert batch.tobytes() == ref.tobytes(), (model.name, d)
 
     def test_matches_direct_sum_at_moderate_radius(self):
         for model in (CigarProductPotential(2), soliton_potential(SolitonProfile(2)), poly_test_model()):
@@ -518,7 +604,7 @@ class TestRayGrowth:
             t = radial_coords(r * dvec)
             d1 = model.derivative_tensors(t, 1)[0]
             direct = float(np.dot(d1, t))
-            assert model.log_ray_growth(math.log(r), dvec) == pytest.approx(
+            assert model.log_ray_growth(np.array([math.log(r)]), dvec)[0] == pytest.approx(
                 math.log(direct), rel=1e-10
             )
 
@@ -546,7 +632,8 @@ def _bits(*values):
 
 
 class TestLogSumExp:
-    """The numpy _logsumexp reproduces scipy.special.logsumexp bit for bit."""
+    """The numpy _logsumexp reproduces scipy.special.logsumexp bit for bit, and
+    each row of a batch equals that row alone."""
 
     def test_unsigned_matches_scipy_bitwise(self):
         rng = np.random.default_rng(8)
@@ -562,9 +649,21 @@ class TestLogSumExp:
             ref, ref_sign = logsumexp(x, b=signs, return_sign=True)
             assert _bits(value, sign) == _bits(ref, ref_sign), (x, signs)
 
+    @pytest.mark.parametrize("signed", (False, True))
+    def test_rows_match_single_calls_bitwise(self, signed):
+        rng = np.random.default_rng(10)
+        batches = {}  # rows sharing a sign vector form one batch
+        for _ in range(4_000):
+            x, signs = _log_terms(rng, signed)
+            batches.setdefault(tuple(signs), []).append(x)
+        for signs, rows in batches.items():
+            value, sign = _logsumexp(np.array(rows), np.array(signs))
+            single = [_logsumexp(row, np.array(signs)) for row in rows]
+            assert _bits(*value, *sign) == _bits(*(v for v, _ in single), *(g for _, g in single)), signs
+
     def test_all_minus_inf(self):
         for n in (1, 3):
             assert _logsumexp(np.full(n, -np.inf), np.ones(n)) == (-np.inf, 0.0)
         # a zero direction makes every log t_j -inf in both callers
-        assert soliton_potential(SolitonProfile(2)).log_ray_growth(0.0, [0.0, 0.0]) == -np.inf
-        assert poly_test_model().log_ray_growth(0.0, [0.0, 0.0]) == -np.inf
+        for model in (soliton_potential(SolitonProfile(2)), poly_test_model()):
+            assert model.log_ray_growth(np.array([0.0]), [0.0, 0.0]).tolist() == [-np.inf]

@@ -352,6 +352,27 @@ class TestCirizaProperty:
         with pytest.raises(ValueError, match="samples"):
             ciriza_image_check(dm, standard_catalog(2)[0], samples=0)
 
+    @pytest.mark.parametrize(
+        "model", [CigarProductPotential(2), soliton_potential(SolitonProfile(2))], ids=lambda m: m.name
+    )
+    def test_one_map_point_call_per_image_loop(self, model, monkeypatch):
+        dm = DarbouxMap(model)
+        batches = []
+        map_point = DarbouxMap.map_point
+
+        def recording(self, z):
+            w = map_point(self, z)
+            batches.append((np.array(z), w))
+            return w
+
+        monkeypatch.setattr(DarbouxMap, "map_point", recording)
+        ciriza_image_check(dm, standard_catalog(2)[0], samples=7)
+        curve_image_rank(dm, graph_counterexample_pair())
+        monkeypatch.undo()
+        assert [z.shape for z, _ in batches] == [(7, 2), (50, 2)]
+        for z, w in batches:  # each row equals its batch-of-one call
+            assert np.array([dm.map_point(row) for row in z]).tobytes() == w.tobytes()
+
     def test_report_dict(self):
         dm = DarbouxMap(CigarProductPotential(2))
         rep = ciriza_image_check(dm, standard_catalog(2)[0], samples=5)
