@@ -32,6 +32,9 @@ __all__ = [
 ]
 
 
+_FD_STEP = 1e-6  # relative central-difference step of the FD Jacobian
+
+
 class MapDomainError(ValueError):
     """A first derivative Phi_j is negative (or zero where 1/psi is needed)."""
 
@@ -119,10 +122,8 @@ class DarbouxMap:
                 raise ValueError("zero ray direction")
             log_values[i] = self.model.log_ray_growth(log_radii, d)
         return PropernessReport(
-            model=self.model.name,
             threshold=float(threshold),
             radii=tuple(float(r) for r in radii),
-            directions=directions,
             log_values=log_values,
         )
 
@@ -149,10 +150,10 @@ class DarbouxMap:
         j[1::2, 1::2] = amb.real
         return j
 
-    def _jacobian_fd(self, z: np.ndarray, h: float = 1e-6) -> np.ndarray:
+    def _jacobian_fd(self, z: np.ndarray) -> np.ndarray:
         """Central differences of ``map_point``, all 4n points in one batched call."""
         n = self.n
-        step = h * max(1.0, float(np.max(np.abs(z))))
+        step = _FD_STEP * max(1.0, float(np.max(np.abs(z))))
         # row col moves x (col even) or y (col odd) of z_{col // 2}
         dz = np.kron(np.eye(n), [[step], [1j * step]])
         w = self.map_point(np.concatenate([z + dz, z - dz]))
@@ -167,10 +168,8 @@ class DarbouxMap:
 class PropernessReport:
     """Ray-wise growth table of S(r), stored as log S."""
 
-    model: str
     threshold: float
     radii: tuple[float, ...]
-    directions: np.ndarray
     log_values: np.ndarray
 
     @property

@@ -8,7 +8,7 @@ components: with velocity v = dz/dtau,
 so the integrator works directly on complex (z, v) pairs.  The scheme is
 classical fourth-order Runge-Kutta with fixed steps, re-run at doubled
 resolution while the relative drift of the conserved energy g(v, vbar)
-exceeds the requested bound.
+exceeds its fixed bound ``_DRIFT_TOL``.
 
 Trajectories of one model run as a batch: the state is a (batch, n) stack,
 and each RK4 stage is one ``christoffel_at`` call over the whole stack, whose
@@ -31,6 +31,7 @@ from .potentials import PotentialModel, _energy, metric_at
 __all__ = ["GeodesicState", "GeodesicTrajectory", "GeodesicDriftError", "geodesic_integrate"]
 
 _MAX_REFINEMENTS = 4  # step doublings after the first RK4 run
+_DRIFT_TOL = 1e-8  # bound on the relative energy drift of a converged run
 
 
 class GeodesicDriftError(ArithmeticError):
@@ -58,7 +59,7 @@ class GeodesicTrajectory:
     velocities: np.ndarray  # (samples, n) complex
     energies: np.ndarray
     steps: int
-    converged: bool = False  # drift met the drift_tol of geodesic_integrate
+    converged: bool = False  # drift met _DRIFT_TOL
 
     @property
     def drift(self) -> float:
@@ -84,7 +85,6 @@ def geodesic_integrate(
     states: GeodesicState | Sequence[GeodesicState],
     length: float,
     steps: int | None = None,
-    drift_tol: float = 1e-8,
 ) -> GeodesicTrajectory | list[GeodesicTrajectory]:
     """Integrate the geodesic through each state for parameter time ``length``.
 
@@ -92,7 +92,7 @@ def geodesic_integrate(
     states of one model, answered with a list of trajectories in the same
     order; a single state is run as a batch of one.  Every run starts from
     ``steps`` RK4 steps (default scales with length) and doubles the count
-    until the energy drift falls below ``drift_tol`` or the
+    until the energy drift falls below ``_DRIFT_TOL`` or the
     ``_MAX_REFINEMENTS`` doublings are spent; only the trajectories still
     above the bound run again.  Each trajectory is the last run of its state,
     with ``converged`` saying whether it met the bound.
@@ -118,7 +118,7 @@ def geodesic_integrate(
         runs = _rk4_run(model, z0[active], v0[active], length, steps)
         unmet = []
         for k, trajectory in zip(active, runs):
-            if trajectory.drift <= drift_tol:
+            if trajectory.drift <= _DRIFT_TOL:
                 trajectory = replace(trajectory, converged=True)
             else:
                 unmet.append(k)

@@ -435,7 +435,9 @@ def fold_test_model() -> PolyTestPotential:
 
 
 def _field(cast, value, name: str):
-    """``cast(value)``, with a wrong-typed descriptor field raising ValueError."""
+    """``cast(value)``; ValueError for a wrong-typed field or a non-integer int field."""
+    if cast is int and (isinstance(value, bool) or not isinstance(value, (int, np.integer))):
+        raise ValueError(f"model descriptor field {name!r} must be an integer, got {value!r}")
     try:
         return cast(value)
     except TypeError:
@@ -448,7 +450,7 @@ def model_from_descriptor(desc: Mapping) -> PotentialModel:
     Kinds: "cigar", "soliton" (optional "newton_tol"), "poly"
     (optional "monomials" mapping "a1,a2,..." -> coefficient, and "label";
     labels "flat" and "fold" select the corresponding stock polynomials).
-    A wrong-typed field raises ValueError.
+    A wrong-typed field, a non-integer ``n`` or the fold label with n != 1 raises ValueError.
     """
     if not isinstance(desc, Mapping):
         raise ValueError("model descriptor must be a mapping")
@@ -478,6 +480,8 @@ def model_from_descriptor(desc: Mapping) -> PotentialModel:
         if label == "flat":
             return flat_potential(n)
         if label == "fold":
+            if n != 1:
+                raise ValueError(f"the fold polynomial lives on C^1, not n = {n}")
             return fold_test_model()
         return PolyTestPotential(n)
     raise ValueError(f"unknown model kind {kind!r}")

@@ -70,6 +70,9 @@ __all__ = [
 
 OUTDIR_ENV = "DARBOUXKIT_OUTDIR"
 
+_RADIUS = 5.0  # polydisc radius of the sampled claims and the cond0 scan
+_PROPERNESS_THRESHOLD = 1e3  # log S along every ray must end above log of this
+
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -80,18 +83,15 @@ OUTDIR_ENV = "DARBOUXKIT_OUTDIR"
 class RunConfig:
     """Suite configuration; every field has a sensible default.
 
-    ``tolerances`` overrides the final pass tolerance per claim id (values
-    must be positive).  ``claims`` restricts which claims run (default all).
-    ``outdir`` is the directory relative output paths land in (``resolve_out``).
+    ``claims`` restricts which claims run (default all).  ``outdir`` is the
+    directory relative output paths land in (``resolve_out``).  Tolerances,
+    the sampling radius and the properness threshold are fixed by the claims.
     """
 
     seed: int = 20260814
     points: int = 100
-    radius: float = 5.0
     rays: int = 8
-    properness_threshold: float = 1e3
     geodesic_length: float = 10.0
-    tolerances: Mapping[str, float] = field(default_factory=dict)
     claims: tuple[str, ...] | None = None
     outdir: str | None = None
 
@@ -100,18 +100,11 @@ class RunConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
                 raise ValueError(f"config error: {name} must be an integer >= {low}")
-        for name in ("radius", "properness_threshold", "geodesic_length"):
-            if not 0.0 < getattr(self, name) < inf:
-                raise ValueError(f"config error: {name} must be finite and > 0")
-        for claim, tol in dict(self.tolerances).items():
-            if not tol > 0.0:
-                raise ValueError(f"config error: tolerance for {claim!r} must be > 0")
+        if not 0.0 < self.geodesic_length < inf:
+            raise ValueError("config error: geodesic_length must be finite and > 0")
+        for claim in self.claims or ():
             if claim not in CLAIM_IDS:
                 raise ValueError(f"config error: unknown claim id {claim!r}")
-        if self.claims is not None:
-            for claim in self.claims:
-                if claim not in CLAIM_IDS:
-                    raise ValueError(f"config error: unknown claim id {claim!r}")
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "RunConfig":
@@ -136,9 +129,6 @@ class RunConfig:
         if not isinstance(data, dict):
             raise ValueError(f"config error: {path}: top level must be an object")
         return cls.from_dict(data)
-
-    def tolerance_for(self, claim: str, default: float) -> float:
-        return float(self.tolerances.get(claim, default))
 
     def rng_for(self, claim: str) -> np.random.Generator:
         return np.random.default_rng((self.seed, zlib.crc32(claim.encode())))
@@ -217,13 +207,14 @@ class VerificationReport:
 # ---------------------------------------------------------------------------
 
 _CLAIM_FUNCTIONS: dict[str, Callable[[RunConfig], VerificationReport]] = {}
+_CLAIM_TOLERANCES: dict[str, float] = {}
 
 _ClaimBody = Callable[[RunConfig, np.random.Generator], tuple[object, int, float, Mapping]]
 
 
 def _claim(claim: str, tolerance: float) -> Callable[[_ClaimBody], _ClaimBody]:
     """Register ``body(cfg, rng) -> (models, samples, residual, details)`` as a
-    claim with this id and default tolerance; ``rng`` is the claim's own
+    claim with this id and tolerance; ``rng`` is the claim's own
     stream from ``cfg.rng_for``."""
 
     def register(body: _ClaimBody) -> _ClaimBody:
@@ -235,11 +226,12 @@ def _claim(claim: str, tolerance: float) -> Callable[[_ClaimBody], _ClaimBody]:
                 samples=samples,
                 seed=cfg.seed,
                 max_residual=float(residual),
-                tolerance=cfg.tolerance_for(claim, tolerance),
+                tolerance=tolerance,
                 details=details,
             )
 
         _CLAIM_FUNCTIONS[claim] = run
+        _CLAIM_TOLERANCES[claim] = tolerance
         return body
 
     return register
@@ -263,7 +255,7 @@ def _pullback_part(
     ratios = []
     for model in models:
         dm = DarbouxMap(model)
-        pts = sample_polydisc(rng, cfg.points, model.n, cfg.radius)
+        pts = sample_polydisc(rng, cfg.points, model.n, _RADIUS)
         analytic = _worst(dm.pullback_residual(z) for z in pts)
         fd = _worst(dm.pullback_residual(z, method="fd") for z in pts)
         per_model[model.name] = {"analytic": analytic, "fd": fd}
@@ -271,7 +263,7 @@ def _pullback_part(
     details = {
         "bounds": {"analytic": analytic_bound, "fd": fd_bound},
         "per_model": per_model,
-        "radius": cfg.radius,
+        "radius": _RADIUS,
     }
     return _worst(ratios), details
 
@@ -365,7 +357,7 @@ def _claim_cigar_curvature(cfg: RunConfig, rng: np.random.Generator):
     ratios = []
     for n in (1, 2, 3):
         model = CigarProductPotential(n)
-        pts = sample_polydisc(rng, cfg.points, n, cfg.radius)
+        pts = sample_polydisc(rng, cfg.points, n, _RADIUS)
         tensors = [curvature_at(model, z) for z in pts]
         idx = np.arange(n)
         off_diagonal = np.ones((n,) * 4, dtype=bool)
@@ -501,12 +493,10 @@ def _claim_side_conditions(cfg: RunConfig, rng: np.random.Generator):
     per_model = {}
     ratios = []
     for model in models:
-        region = SampleRegion(
-            radius=cfg.radius, count=cfg.points, seed=int(rng.integers(2**31))
-        )
+        region = SampleRegion(radius=_RADIUS, count=cfg.points, seed=int(rng.integers(2**31)))
         cond0 = cond0_scan(model, region)
         directions = unit_directions(model.n, cfg.rays, rng)
-        properness = properness_auto_scan(DarbouxMap(model), directions, cfg.properness_threshold)
+        properness = properness_auto_scan(DarbouxMap(model), directions, _PROPERNESS_THRESHOLD)
         min_eig = cond0.min_metric_eigenvalue
         ratios += [
             0.0 if cond0.min_value >= 0.0 else 1.0 + abs(cond0.min_value),
@@ -523,7 +513,7 @@ def _claim_side_conditions(cfg: RunConfig, rng: np.random.Generator):
     details = {
         "per_model": per_model,
         "rays": cfg.rays,
-        "threshold": cfg.properness_threshold,
+        "threshold": _PROPERNESS_THRESHOLD,
     }
     return _descriptors(models), cfg.points, _worst(ratios), details
 
@@ -545,7 +535,7 @@ def run_claim(claim: str, cfg: RunConfig) -> VerificationReport:
             samples=0,
             seed=cfg.seed,
             max_residual=float("inf"),
-            tolerance=cfg.tolerance_for(claim, 1.0),
+            tolerance=_CLAIM_TOLERANCES[claim],
             details={"error": f"{type(err).__name__}: {err}", "traceback": traceback.format_exc()},
         )
     return replace(report, wall_time_s=time.perf_counter() - start)

@@ -59,16 +59,16 @@ def _tail_polynomial(n: int) -> tuple[float, ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _series_coefficients(n: int, terms: int = _N_SERIES_TERMS) -> np.ndarray:
+def _series_coefficients(n: int) -> np.ndarray:
     """Coefficients b with u'(log s) = sum_{k>=1} b_k s^k near s = 0, b_1 = 1.
 
     Determined order by order from F_n(phi(s)) = s^n / n: the s^(n+r)
     coefficient of the composition is linear in b_{r+1} with unit weight, so
     each new coefficient cancels the residual left by the previous ones.
     """
-    b = np.zeros(terms + 1)
+    b = np.zeros(_N_SERIES_TERMS + 1)
     b[1] = 1.0
-    for r in range(1, terms):
+    for r in range(1, _N_SERIES_TERMS):
         length = n + r + 1
         phi = np.zeros(min(r + 2, length))
         upto = min(r + 1, length - 1)

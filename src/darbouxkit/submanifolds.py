@@ -128,6 +128,14 @@ def standard_catalog(n: int, seed: int = 11) -> list[PhaseBlockEmbedding]:
     return catalog
 
 
+def _unit_speed(model: PotentialModel, starts: np.ndarray, vels: np.ndarray) -> np.ndarray:
+    """The (B, n) velocities rescaled to unit metric energy at their starts."""
+    energy = metric_energy(model, starts, vels)
+    if not np.all(energy > 0.0):
+        raise ValueError("launch velocity has no positive metric energy")
+    return vels / np.sqrt(energy)[:, None]
+
+
 def total_geodesy_residual(
     model: PotentialModel,
     embedding: PhaseBlockEmbedding | Sequence[PhaseBlockEmbedding],
@@ -155,7 +163,7 @@ def total_geodesy_residual(
             raise ValueError("start point is not on the embedded subspace")
         if emb.distance_to_image(v) > 1e-9 * max(1.0, float(np.linalg.norm(v))):
             raise ValueError("velocity is not tangent to the embedded subspace")
-    vels = vels / np.sqrt(metric_energy(model, starts, vels))[:, None]
+    vels = _unit_speed(model, starts, vels)
     trajectories = geodesic_integrate(model, [GeodesicState(z, v) for z, v in zip(starts, vels)], length)
     residuals = []
     for emb, trajectory in zip(embeddings, trajectories):
@@ -272,6 +280,7 @@ class CurveDistanceError(ArithmeticError):
 
 _NEWTON_CAP = 300  # jet evaluations per start, backtracking included
 _STEP_RTOL = 1e-14
+_RANK_RTOL = 1e-6  # _complex_rank: singular values below this share of the largest are noise
 
 
 def curve_distance(pair: HoloCurvePair, point: Sequence[complex]) -> float:
@@ -332,10 +341,7 @@ def curve_geodesy_residual(
         raise ValueError("curve geodesy runs in the two-cigar model")
     jets = np.array([pair.jet(w) for w in np.atleast_1d(w0)])
     starts, vels = jets[:, 0], jets[:, 1]
-    energy = metric_energy(model, starts, vels)
-    if np.any(energy <= 0.0):
-        raise ValueError("degenerate tangent at the launch point")
-    vels = vels / np.sqrt(energy)[:, None]
+    vels = _unit_speed(model, starts, vels)
     trajectories = geodesic_integrate(model, [GeodesicState(z, v) for z, v in zip(starts, vels)], length)
     residuals = [
         np.max([curve_distance(pair, p) for p in trajectory.converged_points()[::12]])
@@ -430,8 +436,8 @@ def curve_image_rank(
     return _complex_rank(images)
 
 
-def _complex_rank(rows: np.ndarray, rtol: float = 1e-6) -> int:
+def _complex_rank(rows: np.ndarray) -> int:
     s = np.linalg.svd(rows, compute_uv=False)
     if len(s) == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s > rtol * s[0]))
+    return int(np.sum(s > _RANK_RTOL * s[0]))

@@ -86,12 +86,17 @@ class TestBadInputIsUsageError:
         ["ciriza", "--spec", "sigma=1,1,alpha=1,i", "--samples", "0"],
         ["defect", "--f1", "1", "--f2", "0,1", "--radius", "nan"],
         ["defect", "--f1", "1", "--f2", "0,1", "--radius", "inf"],
+        ["verify-pullback", "--model", '{"kind": "cigar", "n": 2.7}'],
+        ["verify-pullback", "--model", '{"kind": "cigar", "n": true}'],
+        # radius 0.5 stays where fold-n1 maps: the error must come from n = 3
+        ["verify-pullback", "--model", '{"kind": "poly", "n": 3, "label": "fold"}', "--radius", "0.5"],
     ], ids=["unknown-kind", "bad-n", "bad-json", "bad-sigma-entry", "missing-sigma-index",
             "null-n", "monomials-not-a-mapping", "negative-length", "nan-length", "inf-length",
             "one-profile-row", "zero-profile-n", "zero-steps", "negative-steps",
             "nan-profile-t-min", "inf-profile-t-max", "zero-pullback-points",
             "zero-defect-points", "nan-pullback-radius", "nan-curvature-point",
-            "zero-ciriza-samples", "nan-defect-radius", "inf-defect-radius"])
+            "zero-ciriza-samples", "nan-defect-radius", "inf-defect-radius",
+            "fractional-n", "bool-n", "fold-n3"])
     def test_exit_2_without_traceback(self, runner, args):
         result = runner.invoke(main, args)
         assert result.exit_code == 2, result.output
@@ -274,22 +279,33 @@ class TestSuiteCommand:
         assert result.exit_code == 0
         assert "profile-ode" in result.output
 
-    def test_failure_exit_code(self, runner, tmp_path):
+    def test_failure_exit_code(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setattr(SolitonProfile, "ode_residual", lambda self, t: 1.0)
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(
-            json.dumps({"points": 10, "claims": ["profile-ode"],
-                        "tolerances": {"profile-ode": 1e-30}})
-        )
+        cfg.write_text(json.dumps({"points": 10, "claims": ["profile-ode"]}))
         result = invoke(runner, ["suite", "--config", str(cfg)])
         assert result.exit_code != 0
+        assert "FAIL  profile-ode" in result.output
         assert "FAILURES PRESENT" in result.output
 
     def test_invalid_config_is_click_error(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"tolerances": {"profile-ode": 0.0}}))
+        cfg.write_text(json.dumps({"points": 0}))
         result = runner.invoke(main, ["suite", "--config", str(cfg)])
         assert result.exit_code != 0
         assert "config error" in result.output
+
+    def test_loosening_config_is_rejected(self, runner, tmp_path):
+        # these keys once let a config file pass any claim
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "claims": ["profile-ode", "cigar-pullback"], "points": 5, "radius": 1e-300,
+            "tolerances": {"profile-ode": 1e300},
+        }))
+        result = runner.invoke(main, ["suite", "--config", str(cfg)])
+        assert result.exit_code != 0
+        assert "config error: unknown keys ['radius', 'tolerances']" in result.output
+        assert "PASS" not in result.output
 
 
 class TestOutdirEnv:

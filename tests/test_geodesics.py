@@ -15,6 +15,7 @@ from darbouxkit import (
     metric_at,
     soliton_potential,
 )
+from darbouxkit import geodesics as geodesics_mod
 from darbouxkit.potentials import metric_energy
 
 
@@ -91,12 +92,14 @@ class TestControls:
         assert traj.energies.shape == (11,)
         assert traj.steps == 10
 
-    def test_refinement_reduces_drift(self):
+    def test_refinement_reduces_drift(self, monkeypatch):
         # step doubling stops at the tolerance or after four refinements
         model = CigarProductPotential(1)
         state = GeodesicState([0.9], [2.0])
-        coarse = geodesic_integrate(model, state, 8.0, steps=24, drift_tol=np.inf)
-        refined = geodesic_integrate(model, state, 8.0, steps=24, drift_tol=1e-10)
+        monkeypatch.setattr(geodesics_mod, "_DRIFT_TOL", np.inf)
+        coarse = geodesic_integrate(model, state, 8.0, steps=24)
+        monkeypatch.setattr(geodesics_mod, "_DRIFT_TOL", 1e-10)
+        refined = geodesic_integrate(model, state, 8.0, steps=24)
         assert refined.drift < coarse.drift
         assert refined.steps > coarse.steps
         assert refined.drift <= 1e-10 or refined.steps == 24 * 2**4
@@ -106,11 +109,12 @@ class TestControls:
         traj = geodesic_integrate(model, GeodesicState([0.9], [2.0]), 8.0)
         assert traj.drift <= 1e-8
 
-    def test_converged_flag(self):
+    def test_converged_flag(self, monkeypatch):
         model = CigarProductPotential(1)
         state = GeodesicState([0.9], [2.0])
         assert geodesic_integrate(model, state, 8.0).converged
-        traj = geodesic_integrate(model, state, 8.0, steps=24, drift_tol=1e-300)
+        monkeypatch.setattr(geodesics_mod, "_DRIFT_TOL", 1e-300)
+        traj = geodesic_integrate(model, state, 8.0, steps=24)
         assert not traj.converged
         assert traj.steps == 24 * 2**4
         with pytest.raises(GeodesicDriftError):
@@ -133,7 +137,7 @@ class TestControls:
 
 
 class TestBatch:
-    # cigar-n2 at drift_tol 1e-10 from 24 steps: the slow geodesic converges
+    # cigar-n2 at drift bound 1e-10 from 24 steps: the slow geodesic converges
     # at the first level, the middle one after three doublings, and the fast
     # one never
     STATES = [
@@ -142,13 +146,14 @@ class TestBatch:
         GeodesicState([0.9, 0.2], [2.0, 0.5j]),
     ]
 
-    def test_members_match_their_batch_of_one(self):
+    def test_members_match_their_batch_of_one(self, monkeypatch):
+        monkeypatch.setattr(geodesics_mod, "_DRIFT_TOL", 1e-10)
         model = CigarProductPotential(2)
-        batch = geodesic_integrate(model, self.STATES, 8.0, steps=24, drift_tol=1e-10)
+        batch = geodesic_integrate(model, self.STATES, 8.0, steps=24)
         assert [t.steps for t in batch] == [24, 24 * 2**4, 24 * 2**4]
         assert [t.converged for t in batch] == [True, True, False]
         for state, traj in zip(self.STATES, batch):
-            alone = geodesic_integrate(model, state, 8.0, steps=24, drift_tol=1e-10)
+            alone = geodesic_integrate(model, state, 8.0, steps=24)
             assert isinstance(alone, GeodesicTrajectory)
             assert (traj.steps, traj.converged, traj.drift) == (alone.steps, alone.converged, alone.drift)
             np.testing.assert_allclose(traj.points, alone.points, rtol=1e-12, atol=0.0)

@@ -448,6 +448,20 @@ class TestDescriptors:
         with pytest.raises(ValueError):
             model_from_descriptor({"kind": "nope", "n": 1})
 
+    @pytest.mark.parametrize(
+        "desc, match",
+        [
+            ({"kind": "cigar", "n": 2.7}, "must be an integer"),
+            ({"kind": "soliton", "n": True}, "must be an integer"),
+            ({"kind": "poly", "n": 3, "label": "fold"}, "fold polynomial"),
+        ],
+        ids=["fractional-n", "bool-n", "fold-n3"],
+    )
+    def test_descriptor_for_another_model_rejected(self, desc, match):
+        # each of these used to build a different model than the one named
+        with pytest.raises(ValueError, match=match):
+            model_from_descriptor(desc)
+
     def test_shipped_inventory(self):
         names = [m.name for m in shipped_models()]
         assert names == [

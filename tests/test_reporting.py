@@ -2,6 +2,7 @@
 emission."""
 
 import csv
+import dataclasses
 import json
 import os
 from pathlib import Path
@@ -35,28 +36,34 @@ class TestRunConfig:
         cfg = RunConfig()
         assert cfg.seed == 20260814
         assert cfg.points == 100
-        assert cfg.radius == 5.0
         assert cfg.rays == 8
 
-    def test_zero_tolerance_rejected(self):
-        with pytest.raises(ValueError, match="config error"):
-            RunConfig(tolerances={"profile-ode": 0.0})
+    def test_fields_are_pinned(self):
+        # every other run parameter is fixed by the claims themselves
+        assert [f.name for f in dataclasses.fields(RunConfig)] == [
+            "seed", "points", "rays", "geodesic_length", "claims", "outdir",
+        ]
 
-    def test_negative_tolerance_rejected(self):
-        with pytest.raises(ValueError, match="config error"):
-            RunConfig(tolerances={"profile-ode": -1.0})
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"tolerances": {"profile-ode": 1e300}},
+            {"radius": 1e-300},
+            {"properness_threshold": 1.0},
+        ],
+        ids=["tolerances", "radius", "properness_threshold"],
+    )
+    def test_deleted_keys_are_config_errors(self, data):
+        with pytest.raises(ValueError, match="config error: unknown keys"):
+            RunConfig.from_dict({"claims": ["profile-ode"], "points": 5, **data})
 
     def test_unknown_claim_rejected(self):
         with pytest.raises(ValueError, match="config error"):
             RunConfig(claims=("nonexistent-claim",))
-        with pytest.raises(ValueError, match="config error"):
-            RunConfig(tolerances={"nonexistent-claim": 1.0})
 
     def test_bad_counts_rejected(self):
         with pytest.raises(ValueError):
             RunConfig(points=0)
-        with pytest.raises(ValueError):
-            RunConfig(radius=-1.0)
         with pytest.raises(ValueError):
             RunConfig(rays=0)
         for field, value in [
@@ -66,7 +73,7 @@ class TestRunConfig:
             with pytest.raises(ValueError, match=f"config error: {field} must be an integer"):
                 RunConfig(**{field: value})
 
-    @pytest.mark.parametrize("field", ["radius", "properness_threshold", "geodesic_length"])
+    @pytest.mark.parametrize("field", ["geodesic_length"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_fields_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"config error: {field} must be finite"):
@@ -74,7 +81,7 @@ class TestRunConfig:
 
     def test_from_json_rejects_nan(self, tmp_path):
         p = tmp_path / "cfg.json"
-        for field in ("radius", "points"):
+        for field in ("geodesic_length", "points"):
             p.write_text(f'{{"{field}": NaN}}')  # Python's json parser accepts NaN
             with pytest.raises(ValueError, match=f"config error: {field}"):
                 RunConfig.from_json(p)
@@ -84,14 +91,10 @@ class TestRunConfig:
             RunConfig.from_dict({"seeed": 1})
 
     def test_from_dict_round_trip(self):
-        cfg = RunConfig.from_dict(
-            {"seed": 5, "points": 17, "claims": ["profile-ode"], "tolerances": {"profile-ode": 1e-6}}
-        )
+        cfg = RunConfig.from_dict({"seed": 5, "points": 17, "claims": ["profile-ode"]})
         assert cfg.seed == 5
         assert cfg.points == 17
         assert cfg.claims == ("profile-ode",)
-        assert cfg.tolerance_for("profile-ode", 1.0) == 1e-6
-        assert cfg.tolerance_for("cigar-pullback", 2.5) == 2.5
 
     def test_from_json_diagnostics(self, tmp_path):
         bad = tmp_path / "cfg.json"
@@ -176,6 +179,18 @@ class TestClaimExecution:
         assert rep.max_residual == np.inf
         assert "synthetic failure" in json.dumps(rep.details)
 
+    def test_crash_report_keeps_claim_tolerance(self, monkeypatch):
+        # a crashing claim reports its registered tolerance, not 1.0
+        normal = run_claim("profile-ode", RunConfig(points=3))
+
+        def zero_division(self, t):
+            raise ZeroDivisionError("float division by zero")
+
+        monkeypatch.setattr(SolitonProfile, "ode_residual", zero_division)
+        crashed = run_claim("profile-ode", RunConfig(points=3))
+        assert "ZeroDivisionError" in crashed.details["error"]
+        assert crashed.tolerance == normal.tolerance == 1e-9
+
     def test_exception_keeps_traceback(self, monkeypatch):
         def raising_claim_body(cfg):
             raise RuntimeError("synthetic failure")
@@ -231,12 +246,6 @@ class TestClaimExecution:
         rep = run_claim(claim, RunConfig(points=3))
         assert not rep.passed
         assert np.isnan(rep.max_residual)
-
-    def test_tolerance_override_can_force_failure(self):
-        cfg = RunConfig(points=10, tolerances={"profile-ode": 1e-30})
-        rep = run_claim("profile-ode", cfg)
-        assert not rep.passed
-        assert rep.tolerance == 1e-30
 
 
 class TestPullbackReport:

@@ -63,9 +63,10 @@ def test_geodesy_demo_launches_at_unit_speed(tmp_path, monkeypatch):
 
 
 def test_geodesy_demo_rejects_unconverged_trajectory(tmp_path, monkeypatch):
-    def unconverged(model, state, length):
-        return geodesic_integrate(model, state, length, steps=1, drift_tol=1e-300)
+    def coarse(model, state, length):
+        return geodesic_integrate(model, state, length, steps=1)
 
-    monkeypatch.setattr("darbouxkit.geodesic_integrate", unconverged)
+    monkeypatch.setattr("darbouxkit.geodesics._DRIFT_TOL", 1e-300)
+    monkeypatch.setattr("darbouxkit.geodesic_integrate", coarse)
     with pytest.raises(GeodesicDriftError):
         run_script("geodesy_demo.py", ["--length", "1", "--out", str(tmp_path)], monkeypatch)

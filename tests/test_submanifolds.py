@@ -7,6 +7,7 @@ Frozen oracles for the (z, z^2) pair at z = 1:
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import darbouxkit
@@ -36,6 +37,7 @@ from darbouxkit import (
     standard_catalog,
     total_geodesy_residual,
 )
+from darbouxkit import geodesics as geodesics_mod
 from darbouxkit import submanifolds as submanifolds_mod
 
 unit_angle = st.floats(min_value=-np.pi, max_value=np.pi)
@@ -143,11 +145,24 @@ class TestTotalGeodesy:
         with pytest.raises(ValueError):
             total_geodesy_residual(model, emb, [0.3, 0.0], [0.0, 1.0], 1.0)
 
-    def test_unmet_drift_bound_raises(self, monkeypatch):
-        def unconverged(model, state, length):
-            return geodesic_integrate(model, state, length, steps=8, drift_tol=1e-300)
+    def test_zero_launch_velocity_rejected(self):
+        # raised before any sqrt of the zero energy, so no RuntimeWarning either
+        model = CigarProductPotential(2)
+        emb = standard_catalog(2)[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="no positive metric energy"):
+                total_geodesy_residual(model, emb, emb.embed([0.4 + 0.1j]), np.zeros(2), 1.0)
+            flat_at_zero = HoloCurvePair((0.0, 1.0), (0.0, 0.0, 1.0))  # (z^2, z^3)
+            with pytest.raises(ValueError, match="no positive metric energy"):
+                curve_geodesy_residual(model, flat_at_zero, 0.0, 1.0)
 
-        monkeypatch.setattr(submanifolds_mod, "geodesic_integrate", unconverged)
+    def test_unmet_drift_bound_raises(self, monkeypatch):
+        def coarse(model, state, length):
+            return geodesic_integrate(model, state, length, steps=8)
+
+        monkeypatch.setattr(geodesics_mod, "_DRIFT_TOL", 1e-300)
+        monkeypatch.setattr(submanifolds_mod, "geodesic_integrate", coarse)
         model = CigarProductPotential(2)
         emb = standard_catalog(2)[1]
         with pytest.raises(GeodesicDriftError):
