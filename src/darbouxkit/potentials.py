@@ -435,13 +435,12 @@ def fold_test_model() -> PolyTestPotential:
 
 
 def _field(cast, value, name: str):
-    """``cast(value)``; ValueError for a wrong-typed field or a non-integer int field."""
-    if cast is int and (isinstance(value, bool) or not isinstance(value, (int, np.integer))):
-        raise ValueError(f"model descriptor field {name!r} must be an integer, got {value!r}")
-    try:
-        return cast(value)
-    except TypeError:
-        raise ValueError(f"model descriptor field {name!r} cannot be {type(value).__name__}") from None
+    """``cast(value)`` of a JSON number (an integer if ``cast`` is int), else ValueError."""
+    kinds = (int, np.integer) if cast is int else (int, float, np.integer, np.floating)
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        expected = "an integer" if cast is int else "a number"
+        raise ValueError(f"model descriptor field {name!r} must be {expected}, got {value!r}")
+    return cast(value)
 
 
 def model_from_descriptor(desc: Mapping) -> PotentialModel:
@@ -450,7 +449,8 @@ def model_from_descriptor(desc: Mapping) -> PotentialModel:
     Kinds: "cigar", "soliton" (optional "newton_tol"), "poly"
     (optional "monomials" mapping "a1,a2,..." -> coefficient, and "label";
     labels "flat" and "fold" select the corresponding stock polynomials).
-    A wrong-typed field, a non-integer ``n`` or the fold label with n != 1 raises ValueError.
+    A wrong-typed field (a boolean number, a non-string label), a non-integer
+    ``n`` or the fold label with n != 1 raises ValueError.
     """
     if not isinstance(desc, Mapping):
         raise ValueError("model descriptor must be a mapping")
@@ -469,6 +469,8 @@ def model_from_descriptor(desc: Mapping) -> PotentialModel:
     if kind == "poly":
         n = _field(int, desc.get("n", 2), "n")
         label = desc.get("label", "poly")
+        if not isinstance(label, str):
+            raise ValueError(f"model descriptor field 'label' must be a string, got {label!r}")
         if "monomials" in desc:
             if not isinstance(desc["monomials"], Mapping):
                 raise ValueError("model descriptor field 'monomials' must map 'a1,a2,...' to numbers")

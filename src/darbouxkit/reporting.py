@@ -20,7 +20,7 @@ import os
 import time
 import traceback
 import zlib
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from math import exp, inf, log1p
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
@@ -42,6 +42,7 @@ from .potentials import (
 )
 from .soliton import SolitonProfile, profile_table
 from .submanifolds import (
+    _LINEARITY_BOUND,
     HoloCurvePair,
     a_obstruction,
     ciriza_image_check,
@@ -72,6 +73,8 @@ OUTDIR_ENV = "DARBOUXKIT_OUTDIR"
 
 _RADIUS = 5.0  # polydisc radius of the sampled claims and the cond0 scan
 _PROPERNESS_THRESHOLD = 1e3  # log S along every ray must end above log of this
+_PULLBACK_BOUNDS = {"analytic": 1e-8, "fd": 1e-5}  # max pullback residual, per Jacobian method
+_DEFECT_BOUND = 1e-8  # relative gap between the two curvature-defect routes
 
 
 # ---------------------------------------------------------------------------
@@ -83,9 +86,8 @@ _PROPERNESS_THRESHOLD = 1e3  # log S along every ray must end above log of this
 class RunConfig:
     """Suite configuration; every field has a sensible default.
 
-    ``claims`` restricts which claims run (default all).  ``outdir`` is the
-    directory relative output paths land in (``resolve_out``).  Tolerances,
-    the sampling radius and the properness threshold are fixed by the claims.
+    ``claims`` restricts which claims run (default all).  Tolerances, the
+    sampling radius and the properness threshold are fixed by the claims.
     """
 
     seed: int = 20260814
@@ -93,7 +95,6 @@ class RunConfig:
     rays: int = 8
     geodesic_length: float = 10.0
     claims: tuple[str, ...] | None = None
-    outdir: str | None = None
 
     def __post_init__(self) -> None:
         for name, low in (("points", 1), ("rays", 1), ("seed", 0)):
@@ -206,10 +207,10 @@ class VerificationReport:
 # the claim skeleton
 # ---------------------------------------------------------------------------
 
-_CLAIM_FUNCTIONS: dict[str, Callable[[RunConfig], VerificationReport]] = {}
-_CLAIM_TOLERANCES: dict[str, float] = {}
-
 _ClaimBody = Callable[[RunConfig, np.random.Generator], tuple[object, int, float, Mapping]]
+
+# claim id -> (body, tolerance); ``run_claim`` turns a body's result into a report
+_CLAIMS: dict[str, tuple[_ClaimBody, float]] = {}
 
 
 def _claim(claim: str, tolerance: float) -> Callable[[_ClaimBody], _ClaimBody]:
@@ -218,20 +219,7 @@ def _claim(claim: str, tolerance: float) -> Callable[[_ClaimBody], _ClaimBody]:
     stream from ``cfg.rng_for``."""
 
     def register(body: _ClaimBody) -> _ClaimBody:
-        def run(cfg: RunConfig) -> VerificationReport:
-            models, samples, residual, details = body(cfg, cfg.rng_for(claim))
-            return VerificationReport(
-                claim=claim,
-                model=models,
-                samples=samples,
-                seed=cfg.seed,
-                max_residual=float(residual),
-                tolerance=tolerance,
-                details=details,
-            )
-
-        _CLAIM_FUNCTIONS[claim] = run
-        _CLAIM_TOLERANCES[claim] = tolerance
+        _CLAIMS[claim] = (body, tolerance)
         return body
 
     return register
@@ -247,21 +235,24 @@ def _worst(values: Iterable[float]) -> float:
     return float(np.max(list(values), initial=0.0))
 
 
+def _pullback_worst(dm: DarbouxMap, pts: np.ndarray, method: str) -> float:
+    """Worst pullback residual of the ``method`` Jacobian over the points ``pts``."""
+    return _worst(dm.pullback_residual(z, method=method) for z in pts)
+
+
 def _pullback_part(
     cfg: RunConfig, rng: np.random.Generator, models: Sequence[PotentialModel]
 ) -> tuple[float, dict]:
-    analytic_bound, fd_bound = 1e-8, 1e-5
     per_model = {}
     ratios = []
     for model in models:
         dm = DarbouxMap(model)
         pts = sample_polydisc(rng, cfg.points, model.n, _RADIUS)
-        analytic = _worst(dm.pullback_residual(z) for z in pts)
-        fd = _worst(dm.pullback_residual(z, method="fd") for z in pts)
-        per_model[model.name] = {"analytic": analytic, "fd": fd}
-        ratios += [analytic / analytic_bound, fd / fd_bound]
+        part = {method: _pullback_worst(dm, pts, method) for method in _PULLBACK_BOUNDS}
+        per_model[model.name] = part
+        ratios += [part[method] / bound for method, bound in _PULLBACK_BOUNDS.items()]
     details = {
-        "bounds": {"analytic": analytic_bound, "fd": fd_bound},
+        "bounds": dict(_PULLBACK_BOUNDS),
         "per_model": per_model,
         "radius": _RADIUS,
     }
@@ -398,23 +389,19 @@ def _random_pair(rng: np.random.Generator) -> HoloCurvePair:
 
 @_claim("defect-identity", 1.0)
 def _claim_defect_identity(cfg: RunConfig, rng: np.random.Generator):
-    agree_bound, phase_bound, sign_bound = 1e-8, 1e-12, 1e-12
-    agreement, directs = [], []
-    for _ in range(20):
-        pair = _random_pair(rng)
-        for z in sample_polydisc(rng, 50, 1, 1.5)[:, 0]:
-            direct, via_a = curvature_defect(pair, complex(z))
-            agreement.append(abs(direct - via_a) / max(1.0, abs(direct)))
-            directs.append(direct)
+    phase_bound, sign_bound = 1e-12, 1e-12
+    # per pair: draw the pair, then its 50 points
+    maxima = [_defect_maxima(_random_pair(rng), sample_polydisc(rng, 50, 1, 1.5)[:, 0]) for _ in range(20)]
+    agreement, directs = zip(*maxima)
     phase = []
     for _ in range(20):
         theta = rng.uniform(0.0, 2.0 * np.pi)
         pair = HoloCurvePair((1.0,), (complex(np.cos(theta), np.sin(theta)),))
         phase += [abs(a_obstruction(pair, complex(z))) for z in sample_polydisc(rng, 10, 1, 1.5)[:, 0]]
     agree_res, phase_res, sign_res = _worst(agreement), _worst(phase), _worst(directs)
-    worst = _worst([agree_res / agree_bound, phase_res / phase_bound, sign_res / sign_bound])
+    worst = _worst([agree_res / _DEFECT_BOUND, phase_res / phase_bound, sign_res / sign_bound])
     details = {
-        "bounds": {"agreement": agree_bound, "phase_curves": phase_bound, "sign": sign_bound},
+        "bounds": {"agreement": _DEFECT_BOUND, "phase_curves": phase_bound, "sign": sign_bound},
         "agreement": agree_res,
         "phase_curves": phase_res,
         "max_direct_defect": sign_res,
@@ -461,7 +448,6 @@ def _claim_total_geodesy(cfg: RunConfig, rng: np.random.Generator):
 
 @_claim("ciriza-linearity", 1.0)
 def _claim_ciriza(cfg: RunConfig, rng: np.random.Generator):
-    residual_bound = 1e-9
     per_embedding = {}
     ratios = []
     for n in (2, 3, 4):
@@ -473,13 +459,13 @@ def _claim_ciriza(cfg: RunConfig, rng: np.random.Generator):
                 "rank": report.rank,
                 "k": report.expected_rank,
             }
-            ratios.append(report.max_residual / residual_bound)
+            ratios.append(report.max_residual / _LINEARITY_BOUND)
             ratios.append(0.0 if report.rank == report.expected_rank else 2.0)
     dm2 = DarbouxMap(CigarProductPotential(2))
     counter_rank = curve_image_rank(dm2, graph_counterexample_pair(), seed=int(rng.integers(2**31)))
     ratios.append(0.0 if counter_rank >= 2 else 2.0)
     details = {
-        "bounds": {"residual": residual_bound},
+        "bounds": {"residual": _LINEARITY_BOUND},
         "per_embedding": per_embedding,
         "counterexample_rank": counter_rank,
         "samples_per_embedding": 50,
@@ -518,27 +504,31 @@ def _claim_side_conditions(cfg: RunConfig, rng: np.random.Generator):
     return _descriptors(models), cfg.points, _worst(ratios), details
 
 
-CLAIM_IDS: tuple[str, ...] = tuple(sorted(_CLAIM_FUNCTIONS))
+CLAIM_IDS: tuple[str, ...] = tuple(sorted(_CLAIMS))
 
 
 def run_claim(claim: str, cfg: RunConfig) -> VerificationReport:
     """Run one claim; solver failures become failed reports, not crashes."""
-    if claim not in _CLAIM_FUNCTIONS:
+    if claim not in _CLAIMS:
         raise ValueError(f"unknown claim id {claim!r}")
+    body, tolerance = _CLAIMS[claim]
     start = time.perf_counter()
     try:
-        report = _CLAIM_FUNCTIONS[claim](cfg)
+        models, samples, residual, details = body(cfg, cfg.rng_for(claim))
+        residual = float(residual)
     except Exception as err:  # noqa: BLE001 - failures must surface as reports
-        report = VerificationReport(
-            claim=claim,
-            model=None,
-            samples=0,
-            seed=cfg.seed,
-            max_residual=float("inf"),
-            tolerance=_CLAIM_TOLERANCES[claim],
-            details={"error": f"{type(err).__name__}: {err}", "traceback": traceback.format_exc()},
-        )
-    return replace(report, wall_time_s=time.perf_counter() - start)
+        models, samples, residual = None, 0, inf
+        details = {"error": f"{type(err).__name__}: {err}", "traceback": traceback.format_exc()}
+    return VerificationReport(
+        claim=claim,
+        model=models,
+        samples=samples,
+        seed=cfg.seed,
+        max_residual=residual,
+        tolerance=tolerance,
+        details=details,
+        wall_time_s=time.perf_counter() - start,
+    )
 
 
 def run_suite(cfg: RunConfig) -> list[VerificationReport]:
@@ -552,7 +542,7 @@ def suite_passed(reports: Sequence[VerificationReport]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# one-shot pullback report (CLI schema)
+# one-shot checks (CLI schema)
 # ---------------------------------------------------------------------------
 
 
@@ -561,23 +551,34 @@ def pullback_report(
     points: int = 100,
     radius: float = 5.0,
     seed: int = 20260814,
-    tolerance: float = 1e-8,
     method: str = "analytic",
 ) -> dict:
-    """The fixed five-key JSON report for the pullback identity check."""
+    """The fixed five-key JSON report for the pullback identity check, judged
+    by the suite's bound for ``method``."""
     if points < 1:
         raise ValueError("points must be >= 1")
     rng = np.random.default_rng(seed)
-    dm = DarbouxMap(model)
     pts = sample_polydisc(rng, points, model.n, radius)
-    residual = _worst(dm.pullback_residual(z, method=method) for z in pts)
+    residual = _pullback_worst(DarbouxMap(model), pts, method)
     return {
         "model": model.name,
         "n": model.n,
-        "max_residual": float(residual),
+        "max_residual": residual,
         "points_checked": int(points),
-        "pass": bool(residual <= tolerance),
+        "pass": bool(residual <= _PULLBACK_BOUNDS[method]),
     }
+
+
+def _defect_maxima(pair: HoloCurvePair, zs: Iterable[complex]) -> tuple[float, float]:
+    """(max relative gap |direct - viaA| / max(1, |direct|), max direct defect)
+    of ``curvature_defect`` over the points ``zs``; a NaN at any point propagates
+    to both maxima (Python's ``max`` would drop it)."""
+    gaps, directs = [], []
+    for z in zs:
+        direct, via_a = curvature_defect(pair, complex(z))
+        gaps.append(abs(direct - via_a) / max(1.0, abs(direct)))
+        directs.append(direct)
+    return float(np.max(gaps, initial=0.0)), float(np.max(directs, initial=-np.inf))
 
 
 # ---------------------------------------------------------------------------

@@ -281,6 +281,7 @@ class CurveDistanceError(ArithmeticError):
 _NEWTON_CAP = 300  # jet evaluations per start, backtracking included
 _STEP_RTOL = 1e-14
 _RANK_RTOL = 1e-6  # _complex_rank: singular values below this share of the largest are noise
+_LINEARITY_BOUND = 1e-9  # max distance of a mapped sample from the mapped tangent span
 
 
 def curve_distance(pair: HoloCurvePair, point: Sequence[complex]) -> float:
@@ -365,11 +366,10 @@ class CirizaReport:
     max_residual: float
     rank: int
     expected_rank: int
-    tolerance: float
 
     @property
     def passed(self) -> bool:
-        return self.max_residual <= self.tolerance and self.rank == self.expected_rank
+        return self.max_residual <= _LINEARITY_BOUND and self.rank == self.expected_rank
 
     def as_dict(self) -> dict:
         return {
@@ -379,7 +379,7 @@ class CirizaReport:
             "max_residual": self.max_residual,
             "rank": self.rank,
             "expected_rank": self.expected_rank,
-            "tolerance": self.tolerance,
+            "tolerance": _LINEARITY_BOUND,
             "pass": self.passed,
         }
 
@@ -389,7 +389,6 @@ def ciriza_image_check(
     embedding: PhaseBlockEmbedding,
     samples: int = 50,
     seed: int = 202614,
-    tolerance: float = 1e-9,
 ) -> CirizaReport:
     """Check that the coordinate map sends the embedded subspace into the
     complex span of its mapped tangent frame at the origin.
@@ -397,7 +396,8 @@ def ciriza_image_check(
     Parameters are sampled from the radius-2 polydisc.  Residuals are
     distances of mapped samples to that span; the report also
     carries the numerical complex rank of the stacked images, which must
-    equal the subspace dimension k.
+    equal the subspace dimension k.  The report passes when that rank is k
+    and every residual is at most ``_LINEARITY_BOUND``.
     """
     model = darboux_map.model
     if model.n != embedding.n or samples < 1:
@@ -420,7 +420,6 @@ def ciriza_image_check(
         max_residual=max_residual,
         rank=rank,
         expected_rank=embedding.k,
-        tolerance=tolerance,
     )
 
 

@@ -6,7 +6,7 @@ import math
 import pytest
 from click.testing import CliRunner
 
-from darbouxkit import SolitonProfile, cli
+from darbouxkit import CigarProductPotential, DarbouxMap, SolitonProfile, cli, curvature, metric_at, reporting
 from darbouxkit.cli import main
 
 
@@ -43,18 +43,32 @@ class TestVerifyPullback:
     def test_fd_method(self, runner):
         result = invoke(
             runner,
-            ["verify-pullback", "--model", "cigar:1", "--points", "5",
-             "--method", "fd", "--tolerance", "1e-5"],
+            ["verify-pullback", "--model", "cigar:1", "--points", "5", "--method", "fd"],
         )
         assert result.exit_code == 0
+        assert json.loads(result.output)["pass"] is True
 
-    def test_failing_tolerance_sets_exit_code(self, runner):
-        result = invoke(
-            runner,
-            ["verify-pullback", "--model", "cigar:1", "--points", "5",
-             "--tolerance", "1e-30"],
-        )
-        assert result.exit_code != 0
+    def test_failing_tolerance_sets_exit_code(self, runner, monkeypatch):
+        # 1e-6 is inside the FD bound 1e-5 and outside the analytic bound 1e-8
+        monkeypatch.setattr(DarbouxMap, "pullback_residual", lambda self, z, method="analytic": 1e-6)
+        args = ["verify-pullback", "--model", "cigar:1", "--points", "5"]
+        analytic = invoke(runner, args)
+        assert analytic.exit_code == 1
+        assert json.loads(analytic.output)["pass"] is False
+        fd = invoke(runner, [*args, "--method", "fd"])
+        assert fd.exit_code == 0
+        assert json.loads(fd.output)["pass"] is True
+
+    def test_map_domain_error_is_a_failed_check(self, runner):
+        # a valid descriptor whose map folds past t = 1: the check fails, the input is fine
+        fold = '{"kind": "poly", "n": 1, "label": "fold"}'
+        result = runner.invoke(main, ["verify-pullback", "--model", fold])
+        assert result.exit_code == 1, result.output
+        lines = result.output.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("Error: nonpositive first derivative")
+        inside = invoke(runner, ["verify-pullback", "--model", fold, "--radius", "0.5"])
+        assert inside.exit_code == 0
+        assert json.loads(inside.output)["pass"] is True
 
     def test_bad_model_is_click_error(self, runner):
         result = runner.invoke(main, ["verify-pullback", "--model", "wat"])
@@ -90,13 +104,15 @@ class TestBadInputIsUsageError:
         ["verify-pullback", "--model", '{"kind": "cigar", "n": true}'],
         # radius 0.5 stays where fold-n1 maps: the error must come from n = 3
         ["verify-pullback", "--model", '{"kind": "poly", "n": 3, "label": "fold"}', "--radius", "0.5"],
+        ["verify-pullback", "--model", '{"kind": "poly", "n": 1, "monomials": {"1": true, "2": false}}'],
+        ["verify-pullback", "--model", '{"kind": "poly", "n": 1, "label": 7}'],
     ], ids=["unknown-kind", "bad-n", "bad-json", "bad-sigma-entry", "missing-sigma-index",
             "null-n", "monomials-not-a-mapping", "negative-length", "nan-length", "inf-length",
             "one-profile-row", "zero-profile-n", "zero-steps", "negative-steps",
             "nan-profile-t-min", "inf-profile-t-max", "zero-pullback-points",
             "zero-defect-points", "nan-pullback-radius", "nan-curvature-point",
             "zero-ciriza-samples", "nan-defect-radius", "inf-defect-radius",
-            "fractional-n", "bool-n", "fold-n3"])
+            "fractional-n", "bool-n", "fold-n3", "bool-monomial", "int-label"])
     def test_exit_2_without_traceback(self, runner, args):
         result = runner.invoke(main, args)
         assert result.exit_code == 2, result.output
@@ -194,6 +210,28 @@ class TestCurvatureCommand:
         assert data["symmetry_residual"] <= 1e-12
         assert data["sectional_first_axis"] == pytest.approx(0.5, rel=1e-12)
 
+    def test_fd_sectional_comes_from_the_printed_tensor(self, runner, tmp_path, monkeypatch):
+        calls = []
+        real = curvature.curvature_at
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("method"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(curvature, "curvature_at", counted)
+        monkeypatch.setattr(cli, "curvature_at", counted)
+        out = tmp_path / "curv.json"
+        result = invoke(
+            runner,
+            ["curvature", "--model", "cigar:2", "--point", "1,0.3", "--method", "fd", "--out", str(out)],
+        )
+        assert result.exit_code == 0
+        assert calls == ["fd"]
+        data = json.loads(out.read_text())
+        g11 = metric_at(CigarProductPotential(2), [1.0, 0.3])[0, 0].real
+        assert data["sectional_first_axis"] == data["tensor_re"][0][0][0][0] / g11**2
+        assert data["sectional_first_axis"] != 0.5  # the analytic value
+
 
 class TestCirizaCommand:
     def test_spec_parsing_and_pass(self, runner, tmp_path):
@@ -238,10 +276,11 @@ class TestDefectCommand:
 
     def test_degenerate_pair_errors_cleanly(self, runner):
         result = runner.invoke(main, ["defect", "--f1", "0", "--f2", "0", "--points", "2"])
-        assert result.exit_code != 0
+        assert result.exit_code == 2, result.output
+        assert "Invalid value: degenerate induced metric" in result.output
 
     def test_nan_defect_past_first_point_fails(self, runner, monkeypatch):
-        real = cli.curvature_defect
+        real = reporting.curvature_defect
         calls = []
 
         def defect(pair, z):
@@ -249,7 +288,7 @@ class TestDefectCommand:
             direct, via_a = real(pair, z)
             return (float("nan"), via_a) if len(calls) == 3 else (direct, via_a)
 
-        monkeypatch.setattr(cli, "curvature_defect", defect)
+        monkeypatch.setattr(reporting, "curvature_defect", defect)
         result = invoke(runner, ["defect", "--f1", "1", "--f2", "0,1", "--points", "6"])
         assert result.exit_code == 1
         data = json.loads(result.output)
@@ -306,6 +345,21 @@ class TestSuiteCommand:
         assert result.exit_code != 0
         assert "config error: unknown keys ['radius', 'tolerances']" in result.output
         assert "PASS" not in result.output
+
+
+class TestOptionsArePinned:
+    def test_option_names(self):
+        # every option is listed here, so an added knob shows up in review
+        options = {name: [opt for p in cmd.params for opt in p.opts] for name, cmd in main.commands.items()}
+        assert options == {
+            "verify-pullback": ["--model", "--points", "--radius", "--seed", "--method", "--out"],
+            "soliton-profile": ["--n", "--t-min", "--t-max", "--count", "--out"],
+            "geodesic": ["--model", "--start", "--vel", "--length", "--steps", "--out"],
+            "curvature": ["--model", "--point", "--method", "--out"],
+            "ciriza": ["--n", "--spec", "--samples", "--kind", "--seed", "--out"],
+            "defect": ["--f1", "--f2", "--points", "--radius", "--seed", "--at"],
+            "suite": ["--config", "--seed", "--points", "--claims", "--out", "--outdir"],
+        }
 
 
 class TestOutdirEnv:

@@ -454,8 +454,10 @@ class TestDescriptors:
             ({"kind": "cigar", "n": 2.7}, "must be an integer"),
             ({"kind": "soliton", "n": True}, "must be an integer"),
             ({"kind": "poly", "n": 3, "label": "fold"}, "fold polynomial"),
+            ({"kind": "poly", "n": 1, "monomials": {"1": True, "2": False}}, "must be a number"),
+            ({"kind": "poly", "n": 1, "label": 7}, "must be a string"),
         ],
-        ids=["fractional-n", "bool-n", "fold-n3"],
+        ids=["fractional-n", "bool-n", "fold-n3", "bool-monomial", "int-label"],
     )
     def test_descriptor_for_another_model_rejected(self, desc, match):
         # each of these used to build a different model than the one named

@@ -41,7 +41,7 @@ class TestRunConfig:
     def test_fields_are_pinned(self):
         # every other run parameter is fixed by the claims themselves
         assert [f.name for f in dataclasses.fields(RunConfig)] == [
-            "seed", "points", "rays", "geodesic_length", "claims", "outdir",
+            "seed", "points", "rays", "geodesic_length", "claims",
         ]
 
     @pytest.mark.parametrize(
@@ -50,8 +50,9 @@ class TestRunConfig:
             {"tolerances": {"profile-ode": 1e300}},
             {"radius": 1e-300},
             {"properness_threshold": 1.0},
+            {"outdir": "out"},
         ],
-        ids=["tolerances", "radius", "properness_threshold"],
+        ids=["tolerances", "radius", "properness_threshold", "outdir"],
     )
     def test_deleted_keys_are_config_errors(self, data):
         with pytest.raises(ValueError, match="config error: unknown keys"):
@@ -119,13 +120,13 @@ class TestRunConfig:
     def test_resolve_outdir_priority(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         monkeypatch.delenv(OUTDIR_ENV, raising=False)
-        assert resolve_out("r.json", RunConfig().outdir) == Path("r.json")
+        assert resolve_out("r.json") == Path("r.json")
         monkeypatch.setenv(OUTDIR_ENV, str(tmp_path / "env"))
-        assert resolve_out("r.json", RunConfig().outdir) == tmp_path / "env" / "r.json"
-        cfg = RunConfig(outdir=str(tmp_path / "explicit"))
-        assert resolve_out("r.json", cfg.outdir) == tmp_path / "explicit" / "r.json"
+        assert resolve_out("r.json") == tmp_path / "env" / "r.json"
+        explicit = str(tmp_path / "explicit")
+        assert resolve_out("r.json", explicit) == tmp_path / "explicit" / "r.json"
         assert (tmp_path / "explicit").is_dir()
-        assert resolve_out(tmp_path / "abs.json", cfg.outdir) == tmp_path / "abs.json"
+        assert resolve_out(tmp_path / "abs.json", explicit) == tmp_path / "abs.json"
 
 
 class TestClaimExecution:
@@ -170,10 +171,10 @@ class TestClaimExecution:
         assert len(calls) == solves
 
     def test_exception_becomes_failed_report(self, monkeypatch):
-        def boom(cfg):
+        def boom(cfg, rng):
             raise RuntimeError("synthetic failure")
 
-        monkeypatch.setitem(reporting_mod._CLAIM_FUNCTIONS, "profile-ode", boom)
+        monkeypatch.setitem(reporting_mod._CLAIMS, "profile-ode", (boom, 1e-9))
         rep = run_claim("profile-ode", RunConfig())
         assert not rep.passed
         assert rep.max_residual == np.inf
@@ -192,13 +193,20 @@ class TestClaimExecution:
         assert crashed.tolerance == normal.tolerance == 1e-9
 
     def test_exception_keeps_traceback(self, monkeypatch):
-        def raising_claim_body(cfg):
+        def raising_claim_body(cfg, rng):
             raise RuntimeError("synthetic failure")
 
-        monkeypatch.setitem(reporting_mod._CLAIM_FUNCTIONS, "profile-ode", raising_claim_body)
+        monkeypatch.setitem(reporting_mod._CLAIMS, "profile-ode", (raising_claim_body, 1e-9))
         trace = run_claim("profile-ode", RunConfig()).details["traceback"]
         assert 'in raising_claim_body\n    raise RuntimeError("synthetic failure")' in trace
         assert trace.rstrip().endswith("RuntimeError: synthetic failure")
+
+    def test_nan_defect_fails_defect_claim(self, monkeypatch):
+        # the claim reads curvature_defect through the same routine as `darbouxkit defect`
+        monkeypatch.setattr(reporting_mod, "curvature_defect", lambda pair, z: (float("nan"), 0.0))
+        rep = run_claim("defect-identity", RunConfig())
+        assert not rep.passed
+        assert np.isnan(rep.details["agreement"]) and np.isnan(rep.details["max_direct_defect"])
 
     def test_body_excludes_wall_time_and_is_canonical(self):
         cfg = RunConfig(points=10)
@@ -258,9 +266,14 @@ class TestPullbackReport:
         assert rep["pass"] is True
         assert rep["max_residual"] <= 1e-8
 
-    def test_fd_method_and_failure_flag(self):
-        rep = pullback_report(flat_potential(1), points=5, method="fd", tolerance=1e-30)
-        assert rep["pass"] is False or rep["max_residual"] == 0.0
+    def test_fd_method_and_failure_flag(self, monkeypatch):
+        rep = pullback_report(flat_potential(1), points=5, method="fd")
+        assert rep["pass"] is True
+        # each method is judged by its own bound: 1e-6 passes FD (1e-5), fails analytic (1e-8)
+        monkeypatch.setattr(DarbouxMap, "pullback_residual", lambda self, z, method="analytic": 1e-6)
+        model = CigarProductPotential(1)
+        assert pullback_report(model, points=5, method="fd")["pass"] is True
+        assert pullback_report(model, points=5)["pass"] is False
 
     @pytest.mark.parametrize("kwargs", [{"points": 0}, {"radius": float("nan")}, {"radius": float("inf")}])
     def test_empty_or_nonfinite_sample_rejected(self, kwargs):

@@ -4,6 +4,7 @@ Frozen oracles for the (z, z^2) pair at z = 1:
   A = 4, induced-vs-ambient curvature defect = -0.1 by both formulas.
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -394,6 +395,15 @@ class TestCirizaProperty:
         d = rep.as_dict()
         assert d["pass"] is True
         assert d["samples"] == 5
+        assert d["tolerance"] == 1e-9
+
+    def test_verdict_uses_the_fixed_bound(self):
+        # the bound is the suite's 1e-9; no argument or field can move it
+        rep = ciriza_image_check(DarbouxMap(CigarProductPotential(2)), standard_catalog(2)[0], samples=5)
+        assert rep.passed
+        assert not dataclasses.replace(rep, max_residual=2e-9).passed
+        assert dataclasses.replace(rep, max_residual=1e-9).passed
+        assert "tolerance" not in {f.name for f in dataclasses.fields(rep)}
 
 
 class TestHoloCurvePair:
