@@ -17,138 +17,23 @@ shrinking-soliton potentials, and polynomial test potentials — and checks:
 See the ``darbouxkit`` CLI (``suite`` runs everything) or ``reporting.run_suite``.
 """
 
-from .soliton import FIntegral, ProfileSolveError, SolitonProfile, profile_table
-from .potentials import (
-    CigarProductPotential,
-    Cond0Report,
-    PolyTestPotential,
-    PotentialModel,
-    SampleRegion,
-    SolitonPotential,
-    cigar_radial_deriv,
-    cond0_scan,
-    flat_potential,
-    fold_test_model,
-    hermitian_to_two_form,
-    metric_at,
-    model_from_descriptor,
-    poly_test_model,
-    radial_coords,
-    sample_polydisc,
-    shipped_models,
-    soliton_potential,
-    two_form_at,
-)
-from .darboux import (
-    DarbouxMap,
-    MapDomainError,
-    PropernessReport,
-    properness_auto_scan,
-    std_symplectic,
-    unit_directions,
-)
-from .curvature import (
-    christoffel_at,
-    curvature_at,
-    curvature_symmetry_residual,
-    holomorphic_sectional,
-    metric_z_derivative,
-)
-from .geodesics import GeodesicDriftError, GeodesicState, GeodesicTrajectory, geodesic_integrate
-from .submanifolds import (
-    CirizaReport,
-    CurveDistanceError,
-    HoloCurvePair,
-    InducedMetric1D,
-    PhaseBlockEmbedding,
-    a_obstruction,
-    ciriza_image_check,
-    curvature_defect,
-    curve_distance,
-    curve_geodesy_residual,
-    curve_image_rank,
-    graph_counterexample_pair,
-    standard_catalog,
-    total_geodesy_residual,
-)
-from .reporting import (
-    CLAIM_IDS,
-    OUTDIR_ENV,
-    RunConfig,
-    VerificationReport,
-    pullback_report,
-    resolve_out,
-    run_claim,
-    run_suite,
-    suite_passed,
-    write_geodesic_csv,
-    write_profile_csv,
-)
+from . import curvature, darboux, geodesics, potentials, reporting, soliton, submanifolds
+from .soliton import *
+from .potentials import *
+from .darboux import *
+from .curvature import *
+from .geodesics import *
+from .submanifolds import *
+from .reporting import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "FIntegral",
-    "SolitonProfile",
-    "ProfileSolveError",
-    "profile_table",
-    "PotentialModel",
-    "CigarProductPotential",
-    "SolitonPotential",
-    "PolyTestPotential",
-    "soliton_potential",
-    "flat_potential",
-    "poly_test_model",
-    "fold_test_model",
-    "model_from_descriptor",
-    "shipped_models",
-    "radial_coords",
-    "metric_at",
-    "two_form_at",
-    "hermitian_to_two_form",
-    "cigar_radial_deriv",
-    "sample_polydisc",
-    "SampleRegion",
-    "Cond0Report",
-    "cond0_scan",
-    "DarbouxMap",
-    "MapDomainError",
-    "std_symplectic",
-    "unit_directions",
-    "PropernessReport",
-    "properness_auto_scan",
-    "christoffel_at",
-    "curvature_at",
-    "holomorphic_sectional",
-    "curvature_symmetry_residual",
-    "metric_z_derivative",
-    "GeodesicState",
-    "GeodesicTrajectory",
-    "GeodesicDriftError",
-    "geodesic_integrate",
-    "PhaseBlockEmbedding",
-    "standard_catalog",
-    "HoloCurvePair",
-    "InducedMetric1D",
-    "a_obstruction",
-    "curvature_defect",
-    "graph_counterexample_pair",
-    "total_geodesy_residual",
-    "curve_geodesy_residual",
-    "curve_distance",
-    "CurveDistanceError",
-    "CirizaReport",
-    "ciriza_image_check",
-    "curve_image_rank",
-    "RunConfig",
-    "VerificationReport",
-    "CLAIM_IDS",
-    "run_claim",
-    "run_suite",
-    "suite_passed",
-    "pullback_report",
-    "write_profile_csv",
-    "write_geodesic_csv",
-    "resolve_out",
-    "OUTDIR_ENV",
+    *soliton.__all__,
+    *potentials.__all__,
+    *darboux.__all__,
+    *curvature.__all__,
+    *geodesics.__all__,
+    *submanifolds.__all__,
+    *reporting.__all__,
 ]

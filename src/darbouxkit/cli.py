@@ -20,7 +20,7 @@ import numpy as np
 
 from .curvature import curvature_at, curvature_symmetry_residual
 from .darboux import DarbouxMap, MapDomainError
-from .geodesics import GeodesicState
+from .geodesics import GeodesicDriftError, GeodesicState, geodesic_integrate
 from .potentials import metric_at, model_from_descriptor, sample_polydisc
 from .reporting import (
     _DEFECT_BOUND,
@@ -145,7 +145,8 @@ def soliton_profile_cmd(n, t_min, t_max, count, out) -> None:
 @click.option("--steps", default=None, type=int)
 @click.option("--out", default=None, help="CSV path for the trajectory")
 def geodesic_cmd(model_arg, start, vel, length, steps, out) -> None:
-    """Integrate a geodesic and dump (tau, coordinates, energy drift)."""
+    """Integrate a geodesic and dump (tau, coordinates, energy drift); exit 1
+    after writing if the energy drift bound was not met."""
     model = _load_model(model_arg)
     z0 = _parse_cvector(start)
     v0 = _parse_cvector(vel)
@@ -155,8 +156,12 @@ def geodesic_cmd(model_arg, start, vel, length, steps, out) -> None:
                 f"{name} has {vec.size} coordinates, model {model.name} needs {model.n}"
             )
     with _usage_errors():
-        path = write_geodesic_csv(model, GeodesicState(z0, v0), length, steps, out)
-    click.echo(f"wrote {path}")
+        trajectory = geodesic_integrate(model, GeodesicState(z0, v0), length, steps=steps)
+    click.echo(f"wrote {write_geodesic_csv(model, trajectory, out)}")
+    try:
+        trajectory.converged_points()
+    except GeodesicDriftError as err:
+        raise click.ClickException(str(err)) from err
 
 
 @main.command("curvature")
@@ -254,13 +259,16 @@ def defect_cmd(f1, f2, points, radius, seed, at_point) -> None:
     }
     if at_point is not None:
         z0 = _parse_complex(at_point)
-        direct, via_a = curvature_defect(pair, z0)
-        payload["at"] = {
-            "z": str(z0),
-            "a_obstruction": str(a_obstruction(pair, z0)),
-            "direct": direct,
-            "viaA": via_a,
-        }
+        if not np.isfinite(z0):
+            raise click.BadParameter(f"--at {at_point!r} is not a finite complex number")
+        with _usage_errors():
+            direct, via_a = curvature_defect(pair, z0)
+            payload["at"] = {
+                "z": str(z0),
+                "a_obstruction": str(a_obstruction(pair, z0)),
+                "direct": direct,
+                "viaA": via_a,
+            }
     click.echo(json.dumps(payload, sort_keys=True, indent=2))
     sys.exit(0 if payload["pass"] else 1)
 

@@ -280,9 +280,6 @@ class SolitonPotential(PotentialModel):
         self._slots = [(Ellipsis, q) + (None,) * (q + 1) for q in range(4)]
         self._ones = [np.ones((self.n,) * (q + 1)) for q in range(4)]
 
-    def descriptor(self) -> dict:
-        return {"kind": self.kind, "n": self.n, "newton_tol": self.profile.newton_tol}
-
     def radial_deriv(self, s: float, order: int) -> tuple[float, ...]:
         """(C_1, ..., C_order) at s = sum t_j, C_q = d^q Phi / (any q radial coordinates)."""
         if s < 0.0:
@@ -446,9 +443,11 @@ def _field(cast, value, name: str):
 def model_from_descriptor(desc: Mapping) -> PotentialModel:
     """Build a model from a JSON-style descriptor {"kind": ..., "n": ..., ...}.
 
-    Kinds: "cigar", "soliton" (optional "newton_tol"), "poly"
-    (optional "monomials" mapping "a1,a2,..." -> coefficient, and "label";
-    labels "flat" and "fold" select the corresponding stock polynomials).
+    Kinds: "cigar", "soliton", "poly" (optional "monomials" mapping
+    "a1,a2,..." -> coefficient, and "label"; labels "flat" and "fold" select
+    the corresponding stock polynomials).  A soliton reads only ``n``: the
+    "newton_tol" and "a0" keys of older descriptors are ignored, since the
+    profile solve has one fixed stopping rule.
     A wrong-typed field (a boolean number, a non-string label), a non-integer
     ``n`` or the fold label with n != 1 raises ValueError.
     """
@@ -461,11 +460,7 @@ def model_from_descriptor(desc: Mapping) -> PotentialModel:
     if kind == "cigar":
         return CigarProductPotential(_field(int, desc.get("n", 1), "n"))
     if kind == "soliton":
-        profile = SolitonProfile(
-            _field(int, desc.get("n", 1), "n"),
-            newton_tol=_field(float, desc.get("newton_tol", 1e-13), "newton_tol"),
-        )
-        return SolitonPotential(profile)
+        return SolitonPotential(SolitonProfile(_field(int, desc.get("n", 1), "n")))
     if kind == "poly":
         n = _field(int, desc.get("n", 2), "n")
         label = desc.get("label", "poly")

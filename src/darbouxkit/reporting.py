@@ -53,7 +53,7 @@ from .submanifolds import (
     standard_catalog,
     total_geodesy_residual,
 )
-from .geodesics import GeodesicState, geodesic_integrate
+from .geodesics import GeodesicTrajectory
 
 __all__ = [
     "RunConfig",
@@ -442,8 +442,7 @@ def _claim_total_geodesy(cfg: RunConfig, rng: np.random.Generator):
         "arclength": cfg.geodesic_length,
     }
     worst = _worst([catalog_res / catalog_bound, counter_bound / departure])
-    descriptors = [{"kind": m.kind, "n": m.n} for m in models]
-    return descriptors, len(per_embedding), worst, details
+    return _descriptors(models), len(per_embedding), worst, details
 
 
 @_claim("ciriza-linearity", 1.0)
@@ -619,16 +618,12 @@ def write_profile_csv(
 
 
 def write_geodesic_csv(
-    model: PotentialModel,
-    state: GeodesicState,
-    length: float,
-    steps: int | None = None,
-    out: str | Path | None = None,
+    model: PotentialModel, trajectory: GeodesicTrajectory, out: str | Path | None = None
 ) -> Path:
-    """Write the ``geodesic_integrate`` trajectory as CSV (tau, re_z1, im_z1,
-    ..., energy_drift), converged or not; returns its path.  ``out`` defaults
-    to geodesic-<model name>.csv and is placed by ``resolve_out``."""
-    trajectory = geodesic_integrate(model, state, length, steps=steps)
+    """Write a ``geodesic_integrate`` trajectory of ``model`` as CSV (tau,
+    re_z1, im_z1, ..., energy_drift), converged or not; returns its path.
+    ``out`` defaults to geodesic-<model name>.csv and is placed by
+    ``resolve_out``."""
     e0 = trajectory.energies[0]
     drift = np.abs(trajectory.energies - e0) / (abs(e0) if e0 != 0.0 else 1.0)
     coords = [f"{part}_z{j}" for j in range(1, model.n + 1) for part in ("re", "im")]

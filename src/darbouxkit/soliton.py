@@ -41,6 +41,7 @@ _SERIES_T = -3.0         # profile series branch for t at or below this
 _LOG_BRANCH_NT = 60.0    # switch to the log-space solve once n*t exceeds this
 _N_SERIES_TERMS = 24
 _MAX_NEWTON_ITER = 100  # cap of the profile root solve
+_NEWTON_TOL = 1e-13     # the root solve stops once |step| <= this * u'
 
 
 @functools.lru_cache(maxsize=None)
@@ -86,8 +87,8 @@ def _series_coefficients(n: int) -> np.ndarray:
 
 
 class ProfileSolveError(ArithmeticError):
-    """The profile root solve met a non-finite F_n value or did not reach
-    ``newton_tol`` within the iteration cap."""
+    """The profile root solve met a non-finite F_n value or did not reach its
+    fixed relative step bound ``_NEWTON_TOL`` within the iteration cap."""
 
 
 @dataclass(frozen=True)
@@ -140,19 +141,13 @@ class FIntegral:
 
 @dataclass(frozen=True)
 class SolitonProfile:
-    """Evaluator for the profile u and its first four derivatives.
-
-    ``newton_tol`` bounds the relative step at which the root solves stop.
-    """
+    """Evaluator for the profile u and its first four derivatives."""
 
     n: int
-    newton_tol: float = 1e-13
 
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 1:
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
-        if not 0.0 < self.newton_tol < 1e-3:
-            raise ValueError("newton_tol must lie in (0, 1e-3)")
 
     # -- derivative evaluators -------------------------------------------------
 
@@ -270,13 +265,13 @@ class SolitonProfile:
             else:
                 lo = phi
             nxt = phi - resid / slope
-            if abs(nxt - phi) <= self.newton_tol * phi:
+            if abs(nxt - phi) <= _NEWTON_TOL * phi:
                 return nxt
             if not lo < nxt < hi:
                 nxt = 0.5 * (lo + hi)
             phi = nxt
         raise ProfileSolveError(
-            f"no convergence to newton_tol={self.newton_tol} in {_MAX_NEWTON_ITER} "
+            f"no convergence to a relative step of {_NEWTON_TOL} in {_MAX_NEWTON_ITER} "
             f"iterations at t={t!r} (n={n}); last iterate {phi!r}"
         )
 

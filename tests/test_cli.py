@@ -106,13 +106,17 @@ class TestBadInputIsUsageError:
         ["verify-pullback", "--model", '{"kind": "poly", "n": 3, "label": "fold"}', "--radius", "0.5"],
         ["verify-pullback", "--model", '{"kind": "poly", "n": 1, "monomials": {"1": true, "2": false}}'],
         ["verify-pullback", "--model", '{"kind": "poly", "n": 1, "label": 7}'],
+        ["defect", "--f1", "1", "--f2", "0,1", "--at", "nan"],
+        # both derivatives of (z^2, z^3) vanish at 0
+        ["defect", "--f1", "0,1", "--f2", "0,0,1", "--at", "0"],
     ], ids=["unknown-kind", "bad-n", "bad-json", "bad-sigma-entry", "missing-sigma-index",
             "null-n", "monomials-not-a-mapping", "negative-length", "nan-length", "inf-length",
             "one-profile-row", "zero-profile-n", "zero-steps", "negative-steps",
             "nan-profile-t-min", "inf-profile-t-max", "zero-pullback-points",
             "zero-defect-points", "nan-pullback-radius", "nan-curvature-point",
             "zero-ciriza-samples", "nan-defect-radius", "inf-defect-radius",
-            "fractional-n", "bool-n", "fold-n3", "bool-monomial", "int-label"])
+            "fractional-n", "bool-n", "fold-n3", "bool-monomial", "int-label",
+            "nan-defect-at", "degenerate-defect-at"])
     def test_exit_2_without_traceback(self, runner, args):
         result = runner.invoke(main, args)
         assert result.exit_code == 2, result.output
@@ -168,6 +172,21 @@ class TestGeodesicCommand:
         assert result.exit_code == 0
         header = out.read_text().splitlines()[0]
         assert header == "tau,re_z1,im_z1,re_z2,im_z2,energy_drift"
+
+    def test_unconverged_run_writes_csv_then_exits_1(self, runner, tmp_path):
+        out = tmp_path / "geo.csv"
+        result = runner.invoke(
+            main,
+            ["geodesic", "--model", "poly:2", "--start", "2,1", "--vel", "3,2j",
+             "--length", "40", "--steps", "1", "--out", str(out)],
+        )
+        assert result.exit_code == 1, result.output
+        assert "Traceback" not in result.output
+        errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+        assert errors == ["Error: energy drift 2.285e+02 unmet at 16 steps"]
+        rows = out.read_text().strip().splitlines()
+        assert len(rows) == 1 + 16 + 1  # header, then the last refinement's 16 steps
+        assert float(rows[-1].split(",")[-1]) > 1e2
 
     def test_complex_parsing_with_i_suffix(self, runner, tmp_path):
         out = tmp_path / "geo.csv"

@@ -7,6 +7,7 @@ Frozen oracles:
 """
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -440,9 +441,20 @@ class TestDescriptors:
         assert clone.name == "fold-n1"
 
     def test_soliton_descriptor_without_a0(self):
-        # the "a0" key that older descriptors carry is ignored
+        # the "a0" and "newton_tol" keys that older descriptors carry are ignored
         m = model_from_descriptor({"kind": "soliton", "n": 2, "newton_tol": 1e-12, "a0": 3.0})
-        assert m.descriptor() == {"kind": "soliton", "n": 2, "newton_tol": 1e-12}
+        assert m.descriptor() == {"kind": "soliton", "n": 2}
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_soliton_descriptor_from_older_suite_json_loads(self, n):
+        # the model entry exactly as earlier `suite --out` reports wrote it
+        desc = json.loads(f'{{"kind": "soliton", "n": {n}, "newton_tol": 1e-13}}')
+        m = model_from_descriptor(desc)
+        ref = SolitonPotential(SolitonProfile(n))
+        assert type(m) is SolitonPotential and m.profile == ref.profile
+        assert m.descriptor() == ref.descriptor() == {"kind": "soliton", "n": n}
+        z = np.full(n, 0.4 + 0.1j)
+        assert np.array_equal(metric_at(m, z), metric_at(ref, z))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

@@ -295,10 +295,9 @@ class TestCsvWriters:
         assert len(lines) == 10
 
     def test_geodesic_csv(self, tmp_path):
-        state = GeodesicState([0.3], [1.0])
-        out = write_geodesic_csv(
-            CigarProductPotential(1), state, 1.0, steps=16, out=tmp_path / "g.csv"
-        )
+        model = CigarProductPotential(1)
+        trajectory = geodesic_integrate(model, GeodesicState([0.3], [1.0]), 1.0, steps=16)
+        out = write_geodesic_csv(model, trajectory, out=tmp_path / "g.csv")
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "tau,re_z1,im_z1,energy_drift"
         # step count may double to meet the drift tolerance
@@ -306,10 +305,10 @@ class TestCsvWriters:
         assert float(lines[-1].split(",")[-1]) <= 1e-8
 
     def test_geodesic_csv_keeps_unconverged_drift(self, tmp_path):
-        state = GeodesicState([0.9], [2.0])
-        out = write_geodesic_csv(
-            CigarProductPotential(1), state, 8.0, steps=1, out=tmp_path / "g.csv"
-        )
+        model = CigarProductPotential(1)
+        trajectory = geodesic_integrate(model, GeodesicState([0.9], [2.0]), 8.0, steps=1)
+        assert not trajectory.converged
+        out = write_geodesic_csv(model, trajectory, out=tmp_path / "g.csv")
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 1 + 16 + 1  # header, then the fourth refinement's 16 steps
         assert float(lines[-1].split(",")[-1]) > 1e-8
@@ -319,7 +318,7 @@ class TestCsvWriters:
         model = CigarProductPotential(2)
         state = GeodesicState([0.5 + 0.2j, -0.3 + 0.4j], [1.0 - 0.5j, 0.3 + 0.7j])
         trajectory = geodesic_integrate(model, state, 2.0, steps=16)
-        out = write_geodesic_csv(model, state, 2.0, steps=16, out=tmp_path / "g.csv")
+        out = write_geodesic_csv(model, trajectory, out=tmp_path / "g.csv")
         with out.open() as fh:
             table = {name: np.array(col, dtype=float) for name, *col in zip(*csv.reader(fh))}
         assert np.array_equal(table["tau"], trajectory.times)

@@ -9,6 +9,7 @@ Frozen oracles used below (derived by hand / high-precision arithmetic):
   n=2 series: u'(t) = e^t - e^{2t}/3 + (11/72) e^{3t} + O(e^{4t}).
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -170,7 +171,7 @@ class TestSolveErrors:
             SolitonProfile(n).u_prime(100.0)
 
     def test_iteration_cap_raises(self, monkeypatch):
-        # one Newton iteration cannot meet newton_tol here; the last iterate
+        # one Newton iteration cannot meet _NEWTON_TOL here; the last iterate
         # must not come back as an answer
         monkeypatch.setattr(soliton, "_MAX_NEWTON_ITER", 1)
         with pytest.raises(ProfileSolveError):
@@ -267,6 +268,10 @@ class TestProfileTable:
 
 
 class TestValidation:
+    def test_fields_are_pinned(self):
+        # the root solve has one fixed stopping rule; a solver knob must not come back
+        assert [f.name for f in dataclasses.fields(SolitonProfile)] == ["n"]
+
     def test_bad_n_rejected(self):
         with pytest.raises(ValueError):
             SolitonProfile(0)
