@@ -75,7 +75,7 @@ def main() -> None:
     traj = geodesic_integrate(model, unit_speed_state(model, emb.embed(p), emb.matrix @ q), args.length)
     every = max(1, traj.steps // 64)
     confined_t = traj.times[::every]
-    confined_d = [emb.distance_to_image(z) for z in traj.converged_points()[::every]]
+    confined_d = emb.distance_to_image(traj.converged_points()[::every])
     write_csv(confined_path, confined_t, confined_d)
     print(f"{model.name}: subspace sigma={emb.sigma}")
     print(f"  confined geodesic, length {args.length}: "
@@ -84,7 +84,7 @@ def main() -> None:
     two_cigar = CigarProductPotential(2)
     pair = graph_counterexample_pair()
     w0 = 0.7
-    state = unit_speed_state(two_cigar, pair.point(w0), pair.tangent(w0))
+    state = unit_speed_state(two_cigar, *pair.jet(w0)[:2])
     traj = geodesic_integrate(two_cigar, state, args.length)
     every = max(1, traj.steps // 64)
     graph_t = traj.times[::every]

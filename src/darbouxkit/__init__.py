@@ -3,7 +3,7 @@ Kahler metrics on C^n, with numerical verification of every construction step.
 
 The package builds the coordinate change w_j = sqrt(dPhi/dt_j) * z_j for
 potentials Phi(|z_1|^2, ..., |z_n|^2) — products of cigar factors, radial
-shrinking-soliton potentials, and polynomial test potentials — and checks:
+steady-soliton potentials, and polynomial test potentials — and checks:
 
 * the symplectic pullback identity of the map (analytic and FD Jacobians),
 * the soliton profile ODE, its closed n = 1 form, and its two-sided limits,

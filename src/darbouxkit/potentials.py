@@ -278,7 +278,6 @@ class SolitonPotential(PotentialModel):
         self.n = profile.n
         # order q + 1 is C_(q+1) (slot q of the last axis) spread over (n,) * (q + 1)
         self._slots = [(Ellipsis, q) + (None,) * (q + 1) for q in range(4)]
-        self._ones = [np.ones((self.n,) * (q + 1)) for q in range(4)]
 
     def radial_deriv(self, s: float, order: int) -> tuple[float, ...]:
         """(C_1, ..., C_order) at s = sum t_j, C_q = d^q Phi / (any q radial coordinates)."""
@@ -306,7 +305,11 @@ class SolitonPotential(PotentialModel):
         s = np.add.reduce(np.asarray(t, dtype=float), axis=-1)
         c = np.array([self.radial_deriv(si, order) for si in s.ravel().tolist()])
         c = c.reshape(s.shape + (order,))
-        return tuple(c[self._slots[q]] * self._ones[q] for q in range(order))
+        # filled by assignment: np.broadcast_to views cost more to build and to read
+        jet = tuple(np.empty(s.shape + (self.n,) * q) for q in range(1, order + 1))
+        for q, d in enumerate(jet):
+            d[...] = c[self._slots[q]]
+        return jet
 
     def log_ray_growth(self, log_r, direction):
         log_s = _logsumexp(_log_ray_coords(log_r, direction), np.ones(self.n))[0]
@@ -440,6 +443,14 @@ def _field(cast, value, name: str):
     return cast(value)
 
 
+# the keys each descriptor kind accepts
+_DESCRIPTOR_KEYS = {
+    "cigar": {"kind", "n"},
+    "soliton": {"kind", "n", "newton_tol", "a0"},
+    "poly": {"kind", "n", "label", "monomials"},
+}
+
+
 def model_from_descriptor(desc: Mapping) -> PotentialModel:
     """Build a model from a JSON-style descriptor {"kind": ..., "n": ..., ...}.
 
@@ -448,8 +459,9 @@ def model_from_descriptor(desc: Mapping) -> PotentialModel:
     the corresponding stock polynomials).  A soliton reads only ``n``: the
     "newton_tol" and "a0" keys of older descriptors are ignored, since the
     profile solve has one fixed stopping rule.
-    A wrong-typed field (a boolean number, a non-string label), a non-integer
-    ``n`` or the fold label with n != 1 raises ValueError.
+    A key outside the kind's own set, a wrong-typed field (a boolean number,
+    a non-string label), a non-integer ``n`` or the fold label with n != 1
+    raises ValueError.
     """
     if not isinstance(desc, Mapping):
         raise ValueError("model descriptor must be a mapping")
@@ -457,6 +469,11 @@ def model_from_descriptor(desc: Mapping) -> PotentialModel:
         kind = desc["kind"]
     except KeyError:
         raise ValueError("model descriptor missing 'kind'") from None
+    if not isinstance(kind, str) or kind not in _DESCRIPTOR_KEYS:
+        raise ValueError(f"unknown model kind {kind!r}")
+    unknown = sorted(map(repr, set(desc) - _DESCRIPTOR_KEYS[kind]))
+    if unknown:
+        raise ValueError(f"unknown keys in a {kind} model descriptor: {', '.join(unknown)}")
     if kind == "cigar":
         return CigarProductPotential(_field(int, desc.get("n", 1), "n"))
     if kind == "soliton":
@@ -481,7 +498,6 @@ def model_from_descriptor(desc: Mapping) -> PotentialModel:
                 raise ValueError(f"the fold polynomial lives on C^1, not n = {n}")
             return fold_test_model()
         return PolyTestPotential(n)
-    raise ValueError(f"unknown model kind {kind!r}")
 
 
 def shipped_models() -> list[PotentialModel]:

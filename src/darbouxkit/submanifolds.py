@@ -1,24 +1,25 @@
-"""Totally geodesic test objects for the product-of-cigars metric.
+"""Totally geodesic test objects for the cigar-product and soliton metrics.
 
 Two kinds of probe objects live here:
 
 * ``PhaseBlockEmbedding`` — the catalog of complex-linear submanifolds through
   the origin whose coordinates are either identically zero or unit-phase
-  copies of shared parameters.  These are the totally geodesic family, and
-  they are exactly the subspaces the Darboux coordinate change must map to
-  complex-linear subspaces (the linearity check).
+  copies of shared parameters.  These are the totally geodesic family on
+  every cigar product and on the soliton, and they are exactly the subspaces
+  the Darboux coordinate change must map to complex-linear subspaces (the
+  linearity check).
 
 * ``HoloCurvePair`` — a holomorphic curve z -> (f1(z), f2(z)) in C^2 with
-  f(0) = 0, used for the curvature-defect identity: the Gauss curvature of
-  the induced metric minus the restricted ambient curvature equals
-  -|A|^2 / D for an explicit polynomial-in-derivatives obstruction A, so the
-  curve is totally geodesic exactly when A vanishes.  The shipped
+  f(0) = 0, used for the two-cigar curvature-defect identity: the Gauss
+  curvature of the induced metric minus the restricted ambient curvature
+  equals -|A|^2 / D for an explicit polynomial-in-derivatives obstruction A,
+  so the curve is totally geodesic exactly when A vanishes.  The shipped
   counterexample is the graph z -> (z, z^2).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -32,7 +33,6 @@ __all__ = [
     "PhaseBlockEmbedding",
     "standard_catalog",
     "HoloCurvePair",
-    "InducedMetric1D",
     "a_obstruction",
     "curvature_defect",
     "graph_counterexample_pair",
@@ -90,13 +90,9 @@ class PhaseBlockEmbedding:
             raise ValueError(f"expected {self.k} parameters")
         return self.matrix @ params
 
-    def projector(self) -> np.ndarray:
-        q, _ = np.linalg.qr(self.matrix)
-        return q @ q.conj().T
-
-    def distance_to_image(self, w: Sequence[complex]) -> float:
-        w = np.asarray(w, dtype=complex)
-        return float(np.linalg.norm(w - self.projector() @ w))
+    def distance_to_image(self, w: Sequence[complex]) -> float | np.ndarray:
+        """Distance of w, or of each row of w (shape (..., n)), from the image."""
+        return _span_distances(self.matrix, np.asarray(w, dtype=complex))
 
     def describe(self) -> dict:
         return {
@@ -128,12 +124,23 @@ def standard_catalog(n: int, seed: int = 11) -> list[PhaseBlockEmbedding]:
     return catalog
 
 
-def _unit_speed(model: PotentialModel, starts: np.ndarray, vels: np.ndarray) -> np.ndarray:
-    """The (B, n) velocities rescaled to unit metric energy at their starts."""
+def _span_distances(frame: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Distance of each row (shape (..., n)) from the complex span of frame's columns."""
+    q, _ = np.linalg.qr(frame)
+    return np.linalg.norm(rows - rows @ (q @ q.conj().T).T, axis=-1)
+
+
+def _unit_speed_runs(
+    model: PotentialModel, starts: np.ndarray, vels: np.ndarray, length: float
+) -> list[np.ndarray]:
+    """Converged points of the geodesics from the (B, n) starts, launched along
+    the velocities rescaled to unit metric energy, so ``length`` is arclength."""
     energy = metric_energy(model, starts, vels)
     if not np.all(energy > 0.0):
         raise ValueError("launch velocity has no positive metric energy")
-    return vels / np.sqrt(energy)[:, None]
+    vels = vels / np.sqrt(energy)[:, None]
+    trajectories = geodesic_integrate(model, [GeodesicState(z, v) for z, v in zip(starts, vels)], length)
+    return [trajectory.converged_points() for trajectory in trajectories]
 
 
 def total_geodesy_residual(
@@ -149,27 +156,22 @@ def total_geodesy_residual(
     velocity is rescaled to unit metric energy, so ``length`` is the
     arclength; GeodesicDriftError if the geodesic misses its drift bound.
     A sequence of B embeddings with (B, n) starts and velocities gives the B
-    residuals as an array, from one batched integration.
+    residuals as an array, from one batched integration.  Only an
+    embedding's ``matrix`` (its (n, k) frame) is read.
     """
-    single = isinstance(embedding, PhaseBlockEmbedding)
+    single = np.ndim(start) == 1
     embeddings = [embedding] if single else list(embedding)
-    starts, vels = np.asarray(start, dtype=complex), np.asarray(vel, dtype=complex)
-    if single:
-        starts, vels = starts[None], vels[None]
+    starts, vels = np.atleast_2d(np.asarray(start, dtype=complex), np.asarray(vel, dtype=complex))
     if starts.shape != vels.shape or len(starts) != len(embeddings):
         raise ValueError("need one start point and one velocity per embedding")
     for emb, z, v in zip(embeddings, starts, vels):
-        if emb.distance_to_image(z) > 1e-9 * max(1.0, float(np.linalg.norm(z))):
+        d_start, d_vel = _span_distances(emb.matrix, np.array([z, v]))
+        if d_start > 1e-9 * max(1.0, float(np.linalg.norm(z))):
             raise ValueError("start point is not on the embedded subspace")
-        if emb.distance_to_image(v) > 1e-9 * max(1.0, float(np.linalg.norm(v))):
+        if d_vel > 1e-9 * max(1.0, float(np.linalg.norm(v))):
             raise ValueError("velocity is not tangent to the embedded subspace")
-    vels = _unit_speed(model, starts, vels)
-    trajectories = geodesic_integrate(model, [GeodesicState(z, v) for z, v in zip(starts, vels)], length)
-    residuals = []
-    for emb, trajectory in zip(embeddings, trajectories):
-        points = trajectory.converged_points()
-        offsets = points - points @ emb.projector().T
-        residuals.append(np.max(np.linalg.norm(offsets, axis=1)))
+    runs = _unit_speed_runs(model, starts, vels, length)
+    residuals = [np.max(_span_distances(emb.matrix, points)) for emb, points in zip(embeddings, runs)]
     return float(residuals[0]) if single else np.array(residuals)
 
 
@@ -194,12 +196,6 @@ class HoloCurvePair:
         # scalar Horner per polynomial; a stacked vectorised polyval rounds differently
         return np.array([[polyval(z, c) for c in row] for row in self._rows], dtype=complex)
 
-    def point(self, z: complex) -> np.ndarray:
-        return self.jet(z)[0]
-
-    def tangent(self, z: complex) -> np.ndarray:
-        return self.jet(z)[1]
-
 
 def graph_counterexample_pair() -> HoloCurvePair:
     """The shipped non-geodesic surface z -> (z, z^2)."""
@@ -218,40 +214,24 @@ def a_obstruction(pair: HoloCurvePair, z: complex) -> complex:
     )
 
 
-class InducedMetric1D:
-    """Pullback metric of the two-cigar model along a HoloCurvePair.
-
-    g(z) = sum_m |f_m'|^2 / (1 + |f_m|^2), with analytic z / zbar derivatives
-    from one curve jet (no finite differences) and the 1-d curvature
-    R = -g_zzbar + |g_z|^2 / g.
-    """
-
-    def __init__(self, pair: HoloCurvePair):
-        self.pair = pair
-
-    def _metric_jet(self, z: complex) -> tuple[float, complex, float]:
-        """(g, g_z, g_zzbar) at z."""
-        g, g_z, g_zzbar = 0.0, 0.0 + 0.0j, 0.0 + 0.0j
-        for a, da, dda in self.pair.jet(z).T:
-            b, db, ddb = np.conj(a), np.conj(da), np.conj(dda)
-            h = 1.0 / (1.0 + a * b)
-            g += (da * db * h).real
-            g_z += dda * db * h - da**2 * db * b * h**2
-            g_zzbar += (
-                dda * ddb * h
-                - (dda * a * db**2 + da**2 * b * ddb + da**2 * db**2) * h**2
-                + 2.0 * da**2 * db**2 * a * b * h**3
-            )
-        return float(g), complex(g_z), float(g_zzbar.real)
-
-    def value(self, z: complex) -> float:
-        return self._metric_jet(z)[0]
-
-    def curvature(self, z: complex) -> float:
-        g, g_z, g_zzbar = self._metric_jet(z)
-        if g <= 0.0:
-            raise ValueError("degenerate induced metric (both derivatives vanish)")
-        return -g_zzbar + abs(g_z) ** 2 / g
+def _induced_curvature(jet: np.ndarray) -> float:
+    """Curvature R = -g_zzbar + |g_z|^2 / g of the two-cigar metric pulled back
+    along a curve, g = sum_m |f_m'|^2 / (1 + |f_m|^2), with analytic z / zbar
+    derivatives from the curve's (3, 2) jet (no finite differences)."""
+    g, g_z, g_zzbar = 0.0, 0.0 + 0.0j, 0.0 + 0.0j
+    for a, da, dda in jet.T:
+        b, db, ddb = np.conj(a), np.conj(da), np.conj(dda)
+        h = 1.0 / (1.0 + a * b)
+        g += (da * db * h).real
+        g_z += dda * db * h - da**2 * db * b * h**2
+        g_zzbar += (
+            dda * ddb * h
+            - (dda * a * db**2 + da**2 * b * ddb + da**2 * db**2) * h**2
+            + 2.0 * da**2 * db**2 * a * b * h**3
+        )
+    if g <= 0.0:
+        raise ValueError("degenerate induced metric (both derivatives vanish)")
+    return -float(g_zzbar.real) + abs(complex(g_z)) ** 2 / float(g)
 
 
 def curvature_defect(pair: HoloCurvePair, z: complex) -> tuple[float, float]:
@@ -261,10 +241,11 @@ def curvature_defect(pair: HoloCurvePair, z: complex) -> tuple[float, float]:
     ambient R(T, Tbar, T, Tbar) along the tangent; the closed route is
     -|A|^2 / D.  Totally geodesic curves give 0; the defect is never positive.
     """
-    (f1, f2), (df1, df2), _ = pair.jet(z)
+    jet = pair.jet(z)
+    (f1, f2), (df1, df2), _ = jet
     m1 = 1.0 + abs(f1) ** 2
     m2 = 1.0 + abs(f2) ** 2
-    direct = InducedMetric1D(pair).curvature(z) - (abs(df1) ** 4 / m1**3 + abs(df2) ** 4 / m2**3)
+    direct = _induced_curvature(jet) - (abs(df1) ** 4 / m1**3 + abs(df2) ** 4 / m2**3)
     d1 = abs(df1) ** 2
     d2 = abs(df2) ** 2
     denom = (d1 * m2 + d2 * m1) * m1**2 * m2**2
@@ -341,13 +322,8 @@ def curve_geodesy_residual(
     if model.n != 2:
         raise ValueError("curve geodesy runs in the two-cigar model")
     jets = np.array([pair.jet(w) for w in np.atleast_1d(w0)])
-    starts, vels = jets[:, 0], jets[:, 1]
-    vels = _unit_speed(model, starts, vels)
-    trajectories = geodesic_integrate(model, [GeodesicState(z, v) for z, v in zip(starts, vels)], length)
-    residuals = [
-        np.max([curve_distance(pair, p) for p in trajectory.converged_points()[::12]])
-        for trajectory in trajectories
-    ]
+    runs = _unit_speed_runs(model, jets[:, 0], jets[:, 1], length)
+    residuals = [np.max([curve_distance(pair, p) for p in points[::12]]) for points in runs]
     return float(residuals[0]) if np.ndim(w0) == 0 else np.array(residuals)
 
 
@@ -372,16 +348,7 @@ class CirizaReport:
         return self.max_residual <= _LINEARITY_BOUND and self.rank == self.expected_rank
 
     def as_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "embedding": self.embedding,
-            "samples": self.samples,
-            "max_residual": self.max_residual,
-            "rank": self.rank,
-            "expected_rank": self.expected_rank,
-            "tolerance": _LINEARITY_BOUND,
-            "pass": self.passed,
-        }
+        return {**asdict(self), "tolerance": _LINEARITY_BOUND, "pass": self.passed}
 
 
 def ciriza_image_check(
@@ -406,19 +373,13 @@ def ciriza_image_check(
     # differential of the map at 0 is the diagonal of sqrt(Phi_j(0)), so the
     # mapped tangent frame is that scaling applied to the embedding matrix
     psi0 = np.sqrt(model.first_derivs(np.zeros(model.n)))
-    frame = psi0[:, None] * embedding.matrix
-    q, _ = np.linalg.qr(frame)
-    projector = q @ q.conj().T
     images = darboux_map.map_point(np.array([embedding.embed(p) for p in params]))
-    offsets = images - images @ projector.T
-    max_residual = float(np.max(np.linalg.norm(offsets, axis=1)))
-    rank = _complex_rank(images)
     return CirizaReport(
         model=model.name,
         embedding=embedding.describe(),
         samples=samples,
-        max_residual=max_residual,
-        rank=rank,
+        max_residual=float(np.max(_span_distances(psi0[:, None] * embedding.matrix, images))),
+        rank=_complex_rank(images),
         expected_rank=embedding.k,
     )
 
@@ -431,7 +392,7 @@ def curve_image_rank(
     """Complex rank of 50 mapped curve samples over the radius-2 disc (2 for
     the (z, z^2) non-example)."""
     params = sample_polydisc(np.random.default_rng(seed), 50, 1, 2.0)[:, 0]
-    images = darboux_map.map_point(np.array([pair.point(w) for w in params]))
+    images = darboux_map.map_point(np.array([pair.jet(w)[0] for w in params]))
     return _complex_rank(images)
 
 

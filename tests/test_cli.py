@@ -109,6 +109,7 @@ class TestBadInputIsUsageError:
         ["defect", "--f1", "1", "--f2", "0,1", "--at", "nan"],
         # both derivatives of (z^2, z^3) vanish at 0
         ["defect", "--f1", "0,1", "--f2", "0,0,1", "--at", "0"],
+        ["verify-pullback", "--model", '{"kind": "soliton", "nn": 3}'],
     ], ids=["unknown-kind", "bad-n", "bad-json", "bad-sigma-entry", "missing-sigma-index",
             "null-n", "monomials-not-a-mapping", "negative-length", "nan-length", "inf-length",
             "one-profile-row", "zero-profile-n", "zero-steps", "negative-steps",
@@ -116,7 +117,7 @@ class TestBadInputIsUsageError:
             "zero-defect-points", "nan-pullback-radius", "nan-curvature-point",
             "zero-ciriza-samples", "nan-defect-radius", "inf-defect-radius",
             "fractional-n", "bool-n", "fold-n3", "bool-monomial", "int-label",
-            "nan-defect-at", "degenerate-defect-at"])
+            "nan-defect-at", "degenerate-defect-at", "unknown-descriptor-key"])
     def test_exit_2_without_traceback(self, runner, args):
         result = runner.invoke(main, args)
         assert result.exit_code == 2, result.output

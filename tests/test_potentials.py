@@ -426,12 +426,14 @@ def _value_at(model, t, j, s):
 
 
 class TestDescriptors:
-    def test_round_trip_all_shipped(self):
-        for m in shipped_models():
+    def test_round_trip_all_shipped(self, rng):
+        # every shipped model and the flat and fold stock polynomials rebuild bit for bit
+        for m in [*shipped_models(), flat_potential(3), fold_test_model()]:
             clone = model_from_descriptor(m.descriptor())
             assert clone.name == m.name
-            z = np.full(m.n, 0.4 + 0.1j)
-            assert np.allclose(metric_at(clone, z), metric_at(m, z), rtol=1e-14)
+            t = rng.uniform(0.0, 2.0, size=(6, m.n))
+            for got, expected in zip(clone.derivative_tensors(t, 4), m.derivative_tensors(t, 4)):
+                assert got.tobytes() == expected.tobytes()
 
     def test_poly_descriptor_monomials(self):
         m = PolyTestPotential(1, {(1,): 1.0, (2,): -0.5}, label="fold")
@@ -459,6 +461,21 @@ class TestDescriptors:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             model_from_descriptor({"kind": "nope", "n": 1})
+
+    @pytest.mark.parametrize(
+        "desc, unknown",
+        [
+            ({"kind": "soliton", "nn": 3}, "'nn'"),
+            ({"kind": "cigar", "N": 2}, "'N'"),
+            ({"kind": "poly", "n": 2, "monomial": {"1,0": 2.0}}, "'monomial'"),
+            ({"kind": "cigar", "n": 2, "newton_tol": 1e-13}, "'newton_tol'"),
+        ],
+        ids=["soliton-nn", "cigar-N", "poly-monomial", "cigar-newton_tol"],
+    )
+    def test_unknown_keys_rejected(self, desc, unknown):
+        # each of these used to build a default model with the key ignored
+        with pytest.raises(ValueError, match=f"unknown keys in a {desc['kind']} model descriptor: {unknown}"):
+            model_from_descriptor(desc)
 
     @pytest.mark.parametrize(
         "desc, match",

@@ -8,6 +8,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import types
 import warnings
 from pathlib import Path
 
@@ -23,7 +24,6 @@ from darbouxkit import (
     DarbouxMap,
     GeodesicDriftError,
     HoloCurvePair,
-    InducedMetric1D,
     PhaseBlockEmbedding,
     SolitonProfile,
     a_obstruction,
@@ -56,12 +56,20 @@ class TestPhaseBlockEmbedding:
         assert np.array_equal(emb.matrix, expected)
         assert np.allclose(emb.embed([2.0, 3.0]), [2.0, 3.0j, -2.0])
 
-    def test_projector_is_hermitian_idempotent(self):
-        emb = PhaseBlockEmbedding(3, (1, 1, 2), (unit(0.3), unit(-1.2), unit(2.0)))
-        p = emb.projector()
-        assert np.allclose(p, p.conj().T, atol=1e-15)
-        assert np.allclose(p @ p, p, atol=1e-14)
-        assert np.linalg.matrix_rank(p) == 2
+    def test_distance_to_image_rows(self):
+        # image of sigma = (1, 1, 0): the line through u = (a, b, 0)/sqrt(2),
+        # with a, b unit phases; rows = on-image points plus a known normal part
+        a, b = unit(0.3), unit(-1.2)
+        emb = PhaseBlockEmbedding(3, (1, 1, 0), (a, b, 1.0))
+        u = np.array([a, b, 0.0]) / np.sqrt(2.0)
+        normal = np.array([a, -b, 0.0]) / np.sqrt(2.0)  # orthogonal to u
+        rows = np.array([
+            emb.embed([0.7 - 0.2j]),
+            (2.0 + 1.0j) * u + 0.5 * normal,
+            -3.0 * u + 2.0j * np.array([0.0, 0.0, 1.0]),
+        ])
+        assert emb.distance_to_image(rows) == pytest.approx([0.0, 0.5, 2.0], abs=1e-15)
+        assert emb.distance_to_image(rows[1]) == pytest.approx(0.5, abs=1e-15)
 
     def test_distance_zero_on_image(self, rng):
         emb = PhaseBlockEmbedding(3, (1, 1, 0), (unit(0.4), unit(1.7), 1.0))
@@ -131,6 +139,19 @@ class TestTotalGeodesy:
             total_geodesy_residual(model, catalog, starts[:-1], vels[:-1], 4.0)
         with pytest.raises(ValueError):  # one velocity off its subspace
             total_geodesy_residual(model, catalog, starts, vels[::-1], 4.0)
+
+    def test_reads_only_the_frame_matrix(self, rng):
+        # any object carrying the (n, k) frame as ``matrix`` gives the embeddings' residuals
+        model = CigarProductPotential(2)
+        catalog = standard_catalog(2)
+        starts = [e.embed(0.8 * (rng.standard_normal(e.k) + 1j * rng.standard_normal(e.k))) for e in catalog]
+        vels = [e.matrix @ (rng.standard_normal(e.k) + 1j * rng.standard_normal(e.k)) for e in catalog]
+        frames = [types.SimpleNamespace(matrix=e.matrix) for e in catalog]
+        expected = total_geodesy_residual(model, catalog, starts, vels, 2.0)
+        got = total_geodesy_residual(model, frames, starts, vels, 2.0)
+        assert got.tobytes() == expected.tobytes()
+        single = total_geodesy_residual(model, frames[0], starts[0], vels[0], 2.0)
+        assert single == expected[0]
 
     def test_curve_batch_equals_single_calls(self):
         model = CigarProductPotential(2)
@@ -228,7 +249,7 @@ class TestObstruction:
         direct, _ = curvature_defect(pair, z)
         assert direct <= 1e-12
 
-    def test_defect_reads_at_most_three_jets(self, monkeypatch):
+    def test_defect_reads_two_jets(self, monkeypatch):
         original = HoloCurvePair.jet
         calls = []
 
@@ -238,7 +259,7 @@ class TestObstruction:
 
         monkeypatch.setattr(HoloCurvePair, "jet", jet)
         curvature_defect(graph_counterexample_pair(), 0.6 + 0.3j)
-        assert 1 <= len(calls) <= 3
+        assert len(calls) == 2
 
     def test_identical_components_zero_defect(self):
         pair = HoloCurvePair((1.0,), (1.0,))
@@ -248,41 +269,36 @@ class TestObstruction:
 
 
 class TestInducedMetric:
-    def test_value_positive_and_curvature_finite(self, rng):
+    def test_curvature_finite(self, rng):
         pair = graph_counterexample_pair()
-        m = InducedMetric1D(pair)
         for _ in range(5):
             z = complex(*rng.uniform(-1.0, 1.0, size=2))
-            assert m.value(z) > 0.0
-            assert np.isfinite(m.curvature(z))
+            assert np.isfinite(submanifolds_mod._induced_curvature(pair.jet(z)))
 
     def test_flat_direction_curvature(self):
         # curve (z, 0) inherits a single cigar factor with g = 1/(1+t):
         # tensor component R = 1/(1+t)^3, normalized value R/g^2 = 1/(1+t)
         pair = HoloCurvePair((1.0,), (0.0,))
-        m = InducedMetric1D(pair)
         for z in (0.0, 0.5, 1.0 + 0.5j):
             t = abs(z) ** 2
-            r = m.curvature(z)
-            assert r == pytest.approx(1.0 / (1.0 + t) ** 3, rel=1e-11)
-            assert r / m.value(z) ** 2 == pytest.approx(1.0 / (1.0 + t), rel=1e-11)
+            assert submanifolds_mod._induced_curvature(pair.jet(z)) == pytest.approx(1.0 / (1.0 + t) ** 3, rel=1e-11)
 
 
 class TestCurveDistance:
     def test_zero_on_curve(self):
         pair = graph_counterexample_pair()
         for w in (0.3, 0.8 + 0.1j):
-            assert curve_distance(pair, pair.point(w)) <= 1e-8
+            assert curve_distance(pair, pair.jet(w)[0]) <= 1e-8
 
     def test_positive_off_curve(self):
         pair = graph_counterexample_pair()
-        off = pair.point(0.5) + np.array([0.0, 0.25])
+        off = pair.jet(0.5)[0] + np.array([0.0, 0.25])
         assert curve_distance(pair, off) > 0.05
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_nan_objective_past_first_start_propagates(self, monkeypatch):
         pair = graph_counterexample_pair()
-        point = pair.point(0.5) + np.array([0.0, 0.25])
+        point = pair.jet(0.5)[0] + np.array([0.0, 0.25])
         second_start = np.sqrt(complex(point[1]))
         original = HoloCurvePair.jet
         starts = []
@@ -312,7 +328,7 @@ class TestCurveDistance:
         monkeypatch.setattr(submanifolds_mod, "_NEWTON_CAP", 1)
         pair = graph_counterexample_pair()
         with pytest.raises(CurveDistanceError):
-            curve_distance(pair, pair.point(0.5) + np.array([0.0, 0.25]))
+            curve_distance(pair, pair.jet(0.5)[0] + np.array([0.0, 0.25]))
 
     def test_package_import_leaves_scipy_unloaded(self):
         # neither `import darbouxkit`, a curve_distance solve nor the properness
@@ -410,8 +426,7 @@ class TestHoloCurvePair:
     def test_point_and_tangent(self):
         pair = HoloCurvePair((1.0, 2.0), (0.0, 1.0))
         # f1 = z + 2z^2, f2 = z^2
-        assert np.allclose(pair.point(1.0), [3.0, 1.0])
-        assert np.allclose(pair.tangent(1.0), [5.0, 2.0])
+        assert np.allclose(pair.jet(1.0)[:2], [[3.0, 1.0], [5.0, 2.0]])
 
     def test_jet_matches_polynomial_reference_bitwise(self, rng):
         for degrees in ((1, 1), (1, 2), (3, 2), (4, 1)):
