@@ -12,10 +12,11 @@ shipped models) is
 
 Both ingredients come in an analytic path (tensor assembly from one
 ``derivative_tensors`` jet, the potential's t-derivatives to order four,
-taken once per point) and a finite-difference path
+taken once per call) and a finite-difference path
 (Richardson-extrapolated Wirtinger differences of ``metric_at``, one batched
 call over every stencil point of both step sizes), kept independent so they
-can cross-validate each other.
+can cross-validate each other.  Points may carry leading batch axes, (..., n);
+each point's result equals the call on that point alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -68,31 +69,36 @@ def christoffel_at(
 
 
 def _second_metric_derivative(z: np.ndarray, jet: Sequence[np.ndarray]) -> np.ndarray:
-    """Tensor H[i, j, k, l] = d^2 g_{i jbar} / dz_k dzbar_l, analytic path."""
+    """Tensor H[..., i, j, k, l] = d^2 g_{i jbar} / dz_k dzbar_l, analytic path,
+    over the leading batch axes of z."""
     _, d2, d3, d4 = jet
     d3 = d3.astype(complex)
     zb = np.conj(z)
-    idx = np.arange(len(z))
-    h = np.einsum("i,j,k,l,ijkl->ijkl", zb, z, zb, z, d4.astype(complex))
-    m1 = np.einsum("l,k,ikl->ikl", z, zb, d3)
-    m1[:, idx, idx] += d2
-    h[idx, idx, :, :] += m1
-    m2 = np.einsum("i,l,ijl->ijl", zb, z, d3)
-    m2[idx, :, idx] += d2
-    h[:, idx, idx, :] += m2
-    h[idx, :, :, idx] += np.einsum("j,k,ijk->ijk", z, zb, d3)
-    h[:, :, idx, idx] += np.einsum("i,j,ijk->ijk", zb, z, d3)
+    idx = np.arange(z.shape[-1])
+    h = np.einsum("...i,...j,...k,...l,...ijkl->...ijkl", zb, z, zb, z, d4.astype(complex))
+    m1 = np.einsum("...l,...k,...ikl->...ikl", z, zb, d3)
+    m1[..., :, idx, idx] += d2
+    h[..., idx, idx, :, :] += m1
+    m2 = np.einsum("...i,...l,...ijl->...ijl", zb, z, d3)
+    # the diagonals i = l are written through swapped views, so that the two
+    # index arrays stay adjacent and the batch axes stay in front
+    m2.swapaxes(-2, -1)[..., idx, idx, :] += d2  # m2[..., i, :, i]
+    h[..., :, idx, idx, :] += m2
+    m3 = np.einsum("...j,...k,...ijk->...ikj", z, zb, d3)
+    h.swapaxes(-3, -1)[..., idx, idx, :, :] += m3  # h[..., i, :, :, i]
+    h[..., :, :, idx, idx] += np.einsum("...i,...j,...ijk->...ijk", zb, z, d3)
     return h
 
 
 def curvature_at(
     model: PotentialModel, z: Sequence[complex], method: str = "analytic"
 ) -> np.ndarray:
-    """R[i, j, k, l] = R_{i jbar k lbar} at z.
+    """R[..., i, j, k, l] = R_{i jbar k lbar} at z of shape (..., n).
 
     ``method="fd"`` replaces the metric derivatives with Richardson-
     extrapolated Wirtinger central differences of ``metric_at`` (the inverse
-    metric stays exact); it exists to cross-check the analytic path.
+    metric stays exact); it exists to cross-check the analytic path.  Each
+    point's tensor equals the call on that point alone, bit for bit.
     """
     z = np.asarray(z, dtype=complex)
     if method == "analytic":
@@ -105,7 +111,15 @@ def curvature_at(
     else:
         raise ValueError(f"unknown curvature method {method!r}")
     ginv_c = _inverse_metric_conj(g)
-    return -h + np.einsum("pq,iqk,jpl->ijkl", ginv_c, d, np.conj(d))
+    if z.ndim == 1:
+        return -h + np.einsum("pq,iqk,jpl->ijkl", ginv_c, d, np.conj(d))
+    # one einsum per point: its summation order over p, q can follow the batch shape
+    n = z.shape[-1]
+    quad = [
+        np.einsum("pq,iqk,jpl->ijkl", gi, di, np.conj(di))
+        for gi, di in zip(ginv_c.reshape(-1, n, n), d.reshape(-1, n, n, n))
+    ]
+    return -h + np.reshape(quad, h.shape)
 
 
 def holomorphic_sectional(
@@ -146,23 +160,29 @@ def _wirtinger(f: np.ndarray, bar: bool) -> np.ndarray:
 def _fd_metric_derivatives(
     model: PotentialModel, z: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(G, D, H) at z: the metric, and Richardson-extrapolated Wirtinger
-    differences D[i, l, j] = d g_{i lbar} / dz_j and
-    H[i, j, k, l] = d^2 g_{i jbar} / dz_k dzbar_l, from one batched
-    ``metric_at`` call over z and every stencil point of both step sizes.
+    """(G, D, H) at z of shape (..., n): the metric, and Richardson-extrapolated
+    Wirtinger differences D[..., i, l, j] = d g_{i lbar} / dz_j and
+    H[..., i, j, k, l] = d^2 g_{i jbar} / dz_k dzbar_l, from one batched
+    ``metric_at`` call over each point and every stencil point of both step sizes.
     """
-    n = len(z)
+    n = z.shape[-1]
+    batch = z.shape[:-1]
+    nb = len(batch)
     base = np.array([1.0, 1j])[:, None, None, None] * np.eye(n)[:, None, :] * _FD_SIZES[:, None]
     steps = np.concatenate([base, -base])  # [q, k, size, :] = (h, ih, -h, -ih)[q] e_k
-    first = z + steps
+    first = z[..., None, None, None, :] + steps
     # one step size drives both nesting levels, so the composite has a clean
     # O(h^2) leading error term; points nest as (z + s_l) + s_k, outer step first
-    second = first[:, None, :, None] + steps[None, :, None]  # [ql, qk, l, k, size, :]
-    g = metric_at(model, np.concatenate([z[None], first.reshape(-1, n), second.reshape(-1, n)]))
-    g1 = np.moveaxis(g[1:1 + 8 * n].reshape(4, n, 2, n, n), 2, -1)
-    g2 = np.moveaxis(g[1 + 8 * n:].reshape(4, 4, n, n, 2, n, n), 4, -1)
-    e1 = _wirtinger(g1, bar=False)  # [k, i, j, size]
-    e2 = _wirtinger(_wirtinger(g2.swapaxes(0, 1), bar=False), bar=True)  # [l, k, i, j, size]
+    second = first[..., :, None, :, None, :, :] + steps[:, None]  # [..., ql, qk, l, k, size, :]
+    rows = [z[..., None, :], first.reshape(batch + (-1, n)), second.reshape(batch + (-1, n))]
+    g = metric_at(model, np.concatenate(rows, axis=-2))
+    # q axes to the front and the step size last: [q, ..., k, i, j, size]
+    g1 = g[..., 1:1 + 8 * n, :, :].reshape(batch + (4, n, 2, n, n))
+    g1 = np.moveaxis(g1, (nb, nb + 2), (0, -1))
+    g2 = g[..., 1 + 8 * n:, :, :].reshape(batch + (4, 4, n, n, 2, n, n))
+    g2 = np.moveaxis(g2, (nb + 1, nb, nb + 4), (0, 1, -1))  # [qk, ql, ..., l, k, i, j, size]
+    e1 = _wirtinger(g1, bar=False)  # [..., k, i, j, size]
+    e2 = _wirtinger(_wirtinger(g2, bar=False), bar=True)  # [..., l, k, i, j, size]
     d = (4.0 * e1[..., 0] - e1[..., 1]) / 3.0
     h = (4.0 * e2[..., 0] - e2[..., 1]) / 3.0
-    return g[0], d.transpose(1, 2, 0), h.transpose(2, 3, 1, 0)
+    return g[..., 0, :, :], np.moveaxis(d, -3, -1), np.moveaxis(h, (-4, -3), (-1, -2))

@@ -39,6 +39,17 @@ class MapDomainError(ValueError):
     """A first derivative Phi_j is negative (or zero where 1/psi is needed)."""
 
 
+def _check_domain(z: np.ndarray, d1: np.ndarray, bad: np.ndarray, word: str) -> None:
+    """Raise ``MapDomainError`` naming the first point of z (shape (..., n))
+    where ``bad`` holds, with its first derivatives d1."""
+    if bad.any():
+        n = z.shape[-1]
+        k = np.flatnonzero(np.any(bad.reshape(-1, n), axis=-1))[0]
+        raise MapDomainError(
+            f"{word} first derivative {d1.reshape(-1, n)[k]} at z={z.reshape(-1, n)[k]}"
+        )
+
+
 def std_symplectic(n: int) -> np.ndarray:
     """Matrix of the standard form: block-diagonal [[0, 1], [-1, 0]] blocks."""
     omega = np.zeros((2 * n, 2 * n))
@@ -70,25 +81,34 @@ class DarbouxMap:
         return self.model.n
 
     def map_point(self, z: Sequence[complex]) -> np.ndarray:
+        """w = sqrt(Phi_j) z_j at z of shape (..., n); a negative Phi_j raises
+        ``MapDomainError`` naming the first such point."""
         z = np.asarray(z, dtype=complex)
         d1 = self.model.first_derivs(radial_coords(z))
-        if np.any(d1 < 0.0):
-            raise MapDomainError(f"negative first derivative {d1} at z={z}")
+        _check_domain(z, d1, d1 < 0.0, "negative")
         return np.sqrt(d1) * z
 
     def jacobian(self, z: Sequence[complex], method: str = "analytic") -> np.ndarray:
-        """Real 2n x 2n Jacobian in interleaved (x_1, y_1, ...) ordering."""
+        """Real 2n x 2n Jacobian in interleaved (x_1, y_1, ...) ordering, one per
+        point of z of shape (..., n)."""
         if method == "analytic":
             return self._jacobian_analytic(np.asarray(z, dtype=complex))
         if method == "fd":
             return self._jacobian_fd(np.asarray(z, dtype=complex))
         raise ValueError(f"unknown jacobian method {method!r}")
 
-    def pullback_residual(self, z: Sequence[complex], method: str = "analytic") -> float:
-        """max-norm of J^T Omega_0 J - Omega_Phi at z."""
+    def pullback_residual(self, z: Sequence[complex], method: str = "analytic") -> float | np.ndarray:
+        """max-norm of J^T Omega_0 J - Omega_Phi at z of shape (..., n): a float
+        when z is one point, else an array of shape z.shape[:-1].
+
+        Each row equals the call on that point alone, bit for bit: the stacked
+        ``@`` runs one gemm per (2n, 2n) slice, and the max is exact.
+        """
+        z = np.asarray(z, dtype=complex)
         j = self.jacobian(z, method=method)
-        omega0 = std_symplectic(self.n)
-        return float(np.max(np.abs(j.T @ omega0 @ j - two_form_at(self.model, z))))
+        pulled = np.swapaxes(j, -1, -2) @ std_symplectic(self.n) @ j
+        residual = np.max(np.abs(pulled - two_form_at(self.model, z)), axis=(-2, -1))
+        return float(residual) if z.ndim == 1 else residual
 
     def properness_scan(
         self,
@@ -132,35 +152,42 @@ class DarbouxMap:
     def _jacobian_analytic(self, z: np.ndarray) -> np.ndarray:
         t = radial_coords(z)
         d1, d2 = self.model.derivative_tensors(t, 2)
-        if np.any(d1 <= 0.0):
-            raise MapDomainError(f"nonpositive first derivative {d1} at z={z}")
+        _check_domain(z, d1, d1 <= 0.0, "nonpositive")
         psi = np.sqrt(d1)
         # Wirtinger blocks: A = dw/dz, B = dw/dzbar; the z_j prefactor makes
         # both terms finite at z_j = 0 with no special-casing.
-        scale = d2 / (2.0 * psi[:, None])
-        a = np.diag(psi).astype(complex) + np.outer(z, np.conj(z)) * scale
-        b = np.outer(z, z) * scale
+        scale = d2 / (2.0 * psi[..., :, None])
+        idx = np.arange(self.n)
+        a = np.zeros(scale.shape, dtype=complex)
+        a[..., idx, idx] = psi
+        a += z[..., :, None] * np.conj(z)[..., None, :] * scale
+        b = z[..., :, None] * z[..., None, :] * scale
         apb = a + b
         amb = a - b
-        n = self.n
-        j = np.empty((2 * n, 2 * n))
-        j[0::2, 0::2] = apb.real
-        j[0::2, 1::2] = -amb.imag
-        j[1::2, 0::2] = apb.imag
-        j[1::2, 1::2] = amb.real
+        j = np.empty(z.shape[:-1] + (2 * self.n, 2 * self.n))
+        j[..., 0::2, 0::2] = apb.real
+        j[..., 0::2, 1::2] = -amb.imag
+        j[..., 1::2, 0::2] = apb.imag
+        j[..., 1::2, 1::2] = amb.real
         return j
 
     def _jacobian_fd(self, z: np.ndarray) -> np.ndarray:
-        """Central differences of ``map_point``, all 4n points in one batched call."""
+        """Central differences of ``map_point``: the 4n stencil points of every
+        point of z in one batched call."""
         n = self.n
-        step = _FD_STEP * max(1.0, float(np.max(np.abs(z))))
+        # fmax, like Python's max(1.0, x), gives 1.0 for a NaN x
+        step = _FD_STEP * np.fmax(1.0, np.max(np.abs(z), axis=-1))[..., None, None]
         # row col moves x (col even) or y (col odd) of z_{col // 2}
-        dz = np.kron(np.eye(n), [[step], [1j * step]])
-        w = self.map_point(np.concatenate([z + dz, z - dz]))
-        d = (w[: 2 * n] - w[2 * n:]) / (2.0 * step)
-        j = np.empty((2 * n, 2 * n))
-        j[0::2] = d.real.T
-        j[1::2] = d.imag.T
+        idx = np.arange(n)
+        dz = np.zeros((2 * n, n), dtype=complex)
+        dz[2 * idx, idx] = 1.0
+        dz[2 * idx + 1, idx] = 1j
+        dz = dz * step
+        w = self.map_point(np.concatenate([z[..., None, :] + dz, z[..., None, :] - dz], axis=-2))
+        d = (w[..., : 2 * n, :] - w[..., 2 * n:, :]) / (2.0 * step)
+        j = np.empty(z.shape[:-1] + (2 * n, 2 * n))
+        j[..., 0::2, :] = np.swapaxes(d.real, -1, -2)
+        j[..., 1::2, :] = np.swapaxes(d.imag, -1, -2)
         return j
 
 

@@ -553,20 +553,21 @@ def hermitian_to_two_form(g: np.ndarray) -> np.ndarray:
     """Real antisymmetric 2n x 2n matrix of omega(X, Y) = -Im h(X, Y).
 
     Interleaved real ordering (x_1, y_1, ...): per complex index pair (j, k)
-    the 2x2 block is [[-Im g, Re g], [-Re g, -Im g]].
+    the 2x2 block is [[-Im g, Re g], [-Re g, -Im g]].  g may carry leading
+    batch axes, (..., n, n) -> (..., 2n, 2n).
     """
-    n = g.shape[0]
-    out = np.zeros((2 * n, 2 * n))
+    n = g.shape[-1]
+    out = np.empty(g.shape[:-2] + (2 * n, 2 * n))
     re, im = g.real, g.imag
-    out[0::2, 0::2] = -im
-    out[0::2, 1::2] = re
-    out[1::2, 0::2] = -re
-    out[1::2, 1::2] = -im
+    out[..., 0::2, 0::2] = -im
+    out[..., 0::2, 1::2] = re
+    out[..., 1::2, 0::2] = -re
+    out[..., 1::2, 1::2] = -im
     return out
 
 
 def two_form_at(model: PotentialModel, z: Sequence[complex]) -> np.ndarray:
-    """Matrix of omega_Phi on real tangent vectors at z."""
+    """Matrix of omega_Phi on real tangent vectors at z of shape (..., n)."""
     return hermitian_to_two_form(metric_at(model, z))
 
 

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.polynomial.polynomial import polyder, polyval
+from numpy.polynomial.polynomial import polyder
 
 from .darboux import DarbouxMap
 from .geodesics import GeodesicState, geodesic_integrate
@@ -189,12 +189,24 @@ class HoloCurvePair:
 
     def __init__(self, coeffs1: Sequence[complex], coeffs2: Sequence[complex]):
         coeffs = [np.array([0.0, *np.asarray(c, dtype=complex)]) for c in (coeffs1, coeffs2)]
-        self._rows = tuple(tuple(polyder(c, m) for c in coeffs) for m in range(3))
+        # each derivative's coefficients as Python complex, highest degree first
+        self._rows = tuple(
+            tuple(tuple(complex(v) for v in polyder(c, m)[::-1]) for c in coeffs) for m in range(3)
+        )
 
     def jet(self, z: complex) -> np.ndarray:
         """(3, 2) array whose rows are f, f' and f'' of (f1, f2) at z."""
-        # scalar Horner per polynomial; a stacked vectorised polyval rounds differently
-        return np.array([[polyval(z, c) for c in row] for row in self._rows], dtype=complex)
+        z = complex(z)
+        # scalar Horner on Python complex in polyval's order, so each value is
+        # polyval's; a stacked vectorised polyval rounds differently
+        values = []
+        for row in self._rows:
+            for top, *rest in row:
+                acc = top + z * 0
+                for c in rest:
+                    acc = c + acc * z
+                values.append(acc)
+        return np.array(values, dtype=complex).reshape(3, 2)
 
 
 def graph_counterexample_pair() -> HoloCurvePair:

@@ -140,6 +140,46 @@ class TestFiniteDifferencePath:
         assert shapes == [(1 + 8 * n + 32 * n * n, n)]
 
 
+class TestBatchedCurvature:
+    """A batch of points is answered row by row exactly as each point alone;
+    the per-point loops are the reference."""
+
+    @pytest.mark.parametrize("method", ["analytic", "fd"])
+    def test_rows_equal_single_calls(self, batch_model, batch_points, method):
+        pts = batch_points(batch_model.n)
+        if method == "fd":
+            pts = pts[::3]  # still holds small-radius, seam and large-radius points
+        ref = np.array([curvature_at(batch_model, z, method=method) for z in pts])
+        batched = curvature_at(batch_model, pts, method=method)
+        assert batched.shape == ref.shape and batched.tobytes() == ref.tobytes()
+        stacked = curvature_at(batch_model, pts[:4].reshape(2, 2, -1), method=method)
+        assert stacked.shape == (2, 2) + ref.shape[1:] and stacked.tobytes() == ref[:4].tobytes()
+
+    def test_one_jet_per_analytic_batch(self, monkeypatch):
+        model = CigarProductPotential(3)
+        shapes = []
+        original = CigarProductPotential.derivative_tensors
+
+        def counted(self, t, order):
+            shapes.append((np.shape(t), order))
+            return original(self, t, order)
+
+        monkeypatch.setattr(CigarProductPotential, "derivative_tensors", counted)
+        curvature_at(model, np.full((7, 3), 0.3 - 0.2j))
+        assert shapes == [((7, 3), 4)]
+
+    def test_one_metric_call_per_fd_batch(self, monkeypatch):
+        shapes = []
+
+        def counted(m, z):
+            shapes.append(np.shape(z))
+            return metric_at(m, z)
+
+        monkeypatch.setattr(curvature_module, "metric_at", counted)
+        curvature_at(CigarProductPotential(2), np.full((5, 2), 0.3 - 0.2j), method="fd")
+        assert shapes == [(5, 1 + 8 * 2 + 32 * 4, 2)]
+
+
 def _loop_wirtinger(f, z, k, h, bar):
     """Central-difference d/dz_k (or d/dzbar_k) of a matrix-valued f."""
     ek = np.zeros(len(z), dtype=complex)

@@ -26,9 +26,11 @@ from darbouxkit import (
     shipped_models,
     soliton_potential,
     std_symplectic,
+    metric_at,
     two_form_at,
     unit_directions,
 )
+from darbouxkit import potentials
 
 
 class TestMapPoint:
@@ -153,6 +155,73 @@ class TestPullback:
         assert omega.shape == (4, 4)
         assert np.array_equal(omega, -omega.T)
         assert np.array_equal(omega @ omega, -np.eye(4))
+
+
+class TestBatchedPullback:
+    """A batch of points is answered row by row exactly as each point alone;
+    the per-point loops are the reference."""
+
+    @pytest.mark.parametrize("method", ["analytic", "fd"])
+    def test_rows_equal_single_calls(self, batch_model, batch_points, method):
+        dm = DarbouxMap(batch_model)
+        pts = batch_points(batch_model.n)
+        ref = np.array([dm.pullback_residual(z, method=method) for z in pts])
+        batched = dm.pullback_residual(pts, method=method)
+        assert batched.shape == (len(pts),) and batched.tobytes() == ref.tobytes()
+        stacked = dm.pullback_residual(pts[:12].reshape(3, 4, -1), method=method)
+        assert stacked.shape == (3, 4) and stacked.tobytes() == ref[:12].tobytes()
+        jac = dm.jacobian(pts, method=method)
+        assert jac.tobytes() == np.array([dm.jacobian(z, method=method) for z in pts]).tobytes()
+
+    def test_one_point_answers_a_float(self):
+        dm = DarbouxMap(CigarProductPotential(2))
+        assert type(dm.pullback_residual([0.3, 0.1j])) is float
+        assert dm.pullback_residual([[0.3, 0.1j]]).shape == (1,)
+
+    @pytest.mark.parametrize("method", ["analytic", "fd"])
+    def test_one_jacobian_and_one_metric_call_per_batch(self, method, monkeypatch):
+        calls = []
+        original = DarbouxMap.jacobian
+
+        def counted(self, z, method="analytic"):
+            calls.append(np.shape(z))
+            return original(self, z, method=method)
+
+        def counted_metric(model, z):
+            metric_calls.append(np.shape(z))
+            return metric_at(model, z)
+
+        metric_calls = []
+        monkeypatch.setattr(DarbouxMap, "jacobian", counted)
+        monkeypatch.setattr(potentials, "metric_at", counted_metric)
+        pts = SampleRegion(radius=2.0, count=9).sample(3)
+        DarbouxMap(CigarProductPotential(3)).pullback_residual(pts, method=method)
+        assert calls == [(9, 3)] and metric_calls == [(9, 3)]
+
+    @pytest.mark.parametrize("method", ["analytic", "fd"])
+    def test_domain_error_names_the_first_bad_row(self, method):
+        # fold-n1 leaves its domain past t = 1: rows 2 and 4 are outside
+        dm = DarbouxMap(fold_test_model())
+        pts = np.array([[0.5], [0.9j], [1.5], [0.3], [2.0 + 1.0j]])
+        with pytest.raises(MapDomainError) as alone:
+            dm.pullback_residual(pts[2], method=method)
+        with pytest.raises(MapDomainError) as batch:
+            dm.pullback_residual(pts, method=method)
+        assert str(batch.value) == str(alone.value)
+        assert "\n" not in str(alone.value)  # one point named, so the CLI prints one line
+
+    @pytest.mark.parametrize("method", ["analytic", "fd"])
+    @pytest.mark.parametrize("make", [lambda: CigarProductPotential(2), poly_test_model],
+                             ids=["cigar-n2", "poly-n2"])
+    def test_nonfinite_row_raises_the_single_point_error(self, make, method):
+        dm = DarbouxMap(make())
+        pts = np.array([[0.3, 0.1j], [0.2, np.nan], [0.5, 0.5]])
+        with pytest.raises(ValueError) as alone:
+            dm.pullback_residual(pts[1], method=method)
+        with pytest.raises(ValueError) as batch:
+            dm.pullback_residual(pts, method=method)
+        assert type(batch.value) is type(alone.value)
+        assert str(batch.value) == str(alone.value)
 
 
 class TestProperness:

@@ -16,14 +16,17 @@ from darbouxkit import (
     CigarProductPotential,
     DarbouxMap,
     GeodesicState,
+    MapDomainError,
     RunConfig,
     SolitonProfile,
     flat_potential,
+    fold_test_model,
     geodesic_integrate,
     pullback_report,
     resolve_out,
     run_claim,
     run_suite,
+    sample_polydisc,
     suite_passed,
     write_geodesic_csv,
     write_profile_csv,
@@ -254,6 +257,71 @@ class TestClaimExecution:
         rep = run_claim(claim, RunConfig(points=3))
         assert not rep.passed
         assert np.isnan(rep.max_residual)
+
+
+class TestBatchedClaims:
+    """The pullback and curvature claims make one call per model and route."""
+
+    def test_one_pullback_call_per_model_and_method(self, monkeypatch):
+        shapes = []
+        original = DarbouxMap.pullback_residual
+
+        def counted(self, z, method="analytic"):
+            shapes.append((self.model.name, method, np.shape(z)))
+            return original(self, z, method=method)
+
+        monkeypatch.setattr(DarbouxMap, "pullback_residual", counted)
+        assert run_claim("cigar-pullback", RunConfig(points=7)).passed
+        names = ["cigar-n1", "cigar-n2", "cigar-n3", "cigar-n4", "poly-n2"]
+        ns = [1, 2, 3, 4, 2]
+        assert shapes == [(m, method, (7, n)) for m, n in zip(names, ns) for method in ("analytic", "fd")]
+
+    def test_one_curvature_call_per_model_and_route(self, monkeypatch):
+        shapes = []
+        original = reporting_mod.curvature_at
+
+        def counted(model, z, method="analytic"):
+            shapes.append((model.n, method, np.shape(z)))
+            return original(model, z, method=method)
+
+        monkeypatch.setattr(reporting_mod, "curvature_at", counted)
+        assert run_claim("cigar-curvature", RunConfig(points=30)).passed
+        assert shapes == [(n, method, (count, n)) for n in (1, 2, 3)
+                          for method, count in (("analytic", 30), ("fd", 25))]
+
+    @pytest.mark.parametrize("claim", ["cigar-pullback", "soliton-pullback"])
+    def test_nan_in_one_row_fails_the_claim(self, monkeypatch, claim):
+        original = DarbouxMap.pullback_residual
+
+        def nan_in_second_row(self, z, method="analytic"):
+            out = original(self, z, method=method)
+            out[1] = np.nan
+            return out
+
+        monkeypatch.setattr(DarbouxMap, "pullback_residual", nan_in_second_row)
+        pts = np.array([[0.1, 0.2j], [0.3, 0.4], [0.5j, 0.6]])
+        assert np.isnan(reporting_mod._pullback_worst(DarbouxMap(CigarProductPotential(2)), pts, "fd"))
+        rep = run_claim(claim, RunConfig(points=3))
+        assert not rep.passed
+        assert np.isnan(rep.max_residual)
+
+    def test_fold_sample_raises_the_first_bad_points_error(self):
+        # pullback_report's sample, checked point by point, fails first where
+        # the batched call fails, with the same text
+        model = fold_test_model()
+        pts = sample_polydisc(np.random.default_rng(20260814), 100, 1, 5.0)
+        dm = DarbouxMap(model)
+        first_error = None
+        for z in pts:
+            try:
+                dm.pullback_residual(z)
+            except MapDomainError as err:
+                first_error = str(err)
+                break
+        assert first_error is not None
+        with pytest.raises(MapDomainError) as batch:
+            pullback_report(model)
+        assert str(batch.value) == first_error
 
 
 class TestPullbackReport:

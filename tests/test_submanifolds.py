@@ -16,6 +16,7 @@ import darbouxkit
 import numpy as np
 import pytest
 from hypothesis import given
+from numpy.polynomial.polynomial import polyder, polyval
 from hypothesis import strategies as st
 
 from darbouxkit import (
@@ -435,6 +436,22 @@ class TestHoloCurvePair:
                 pair = HoloCurvePair(c1, c2)
                 for z in (complex(*rng.standard_normal(2)), float(rng.standard_normal())):
                     assert pair.jet(z).tobytes() == _polynomial_jet(c1, c2, z).tobytes()
+
+
+    def test_jet_equals_polyval_bitwise(self):
+        # the jet's Horner loop on Python complex must reproduce numpy's polyval
+        rng = np.random.default_rng(18)
+        pairs = [((1.0,), (0.0, 1.0))]  # the graph pair (z, z^2)
+        pairs += [tuple(rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in range(2))
+                  for _ in range(40)]  # random cubic pairs
+        for c1, c2 in pairs:
+            pair = HoloCurvePair(c1, c2)
+            coeffs = [np.array([0.0, *np.asarray(c, dtype=complex)]) for c in (c1, c2)]
+            zs = [complex(*rng.standard_normal(2)), np.complex128(complex(*rng.standard_normal(2))),
+                  np.float64(rng.standard_normal()), -float(rng.uniform()), 0.0, -0.0]
+            for z in zs:
+                expected = [[polyval(z, polyder(c, m)) for c in coeffs] for m in range(3)]
+                assert pair.jet(z).tobytes() == np.array(expected, dtype=complex).tobytes()
 
 
 def _polynomial_jet(coeffs1, coeffs2, z):
