@@ -111,8 +111,6 @@ def curvature_at(
     else:
         raise ValueError(f"unknown curvature method {method!r}")
     ginv_c = _inverse_metric_conj(g)
-    if z.ndim == 1:
-        return -h + np.einsum("pq,iqk,jpl->ijkl", ginv_c, d, np.conj(d))
     # one einsum per point: its summation order over p, q can follow the batch shape
     n = z.shape[-1]
     quad = [

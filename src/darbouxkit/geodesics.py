@@ -62,12 +62,16 @@ class GeodesicTrajectory:
     converged: bool = False  # drift met _DRIFT_TOL
 
     @property
+    def drifts(self) -> np.ndarray:
+        """Relative deviation of each sample's energy from the initial one
+        (absolute if the initial energy is 0)."""
+        e0 = self.energies[0]
+        return np.abs(self.energies - e0) / (abs(e0) if e0 != 0.0 else 1.0)
+
+    @property
     def drift(self) -> float:
         """Max relative deviation of the energy from its initial value."""
-        e0 = self.energies[0]
-        if e0 == 0.0:
-            return float(np.max(np.abs(self.energies)))
-        return float(np.max(np.abs(self.energies - e0)) / abs(e0))
+        return float(np.max(self.drifts))
 
     def converged_points(self) -> np.ndarray:
         """The points; GeodesicDriftError if the drift bound was not met."""

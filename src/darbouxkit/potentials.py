@@ -37,7 +37,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .soliton import SolitonProfile, _series_coefficients
+from .soliton import SolitonProfile, _dimension, _series_coefficients
 
 __all__ = [
     "PotentialModel",
@@ -236,9 +236,7 @@ class CigarProductPotential(PotentialModel):
     kind = "cigar"
 
     def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        self.n = int(n)
+        self.n = _dimension(n)
 
     def derivative_tensors(self, t, order):
         t = np.asarray(t, dtype=float)
@@ -335,9 +333,7 @@ class PolyTestPotential(PotentialModel):
         monomials: Mapping[Sequence[int], float] | None = None,
         label: str = "poly",
     ):
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        self.n = int(n)
+        self.n = _dimension(n)
         self.kind = label
         if monomials is None:
             if n != 2:
@@ -616,8 +612,6 @@ class SampleRegion:
 class Cond0Report:
     """Minimum of each first derivative Phi_j over the sampled region."""
 
-    model: str
-    points_checked: int
     min_first_derivs: tuple[float, ...]
     min_metric_eigenvalue: float
 
@@ -641,8 +635,6 @@ def cond0_scan(model: PotentialModel, region: SampleRegion) -> Cond0Report:
     eig_mins = np.linalg.eigvalsh(metric_at(model, pts))[:, 0]
     # numpy reductions propagate a NaN from any point; Python's min drops it
     return Cond0Report(
-        model=model.name,
-        points_checked=len(pts),
         min_first_derivs=tuple(float(v) for v in np.min(d1, axis=0)),
         min_metric_eigenvalue=float(np.min(eig_mins)),
     )

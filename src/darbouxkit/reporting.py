@@ -627,10 +627,8 @@ def write_geodesic_csv(
     re_z1, im_z1, ..., energy_drift), converged or not; returns its path.
     ``out`` defaults to geodesic-<model name>.csv and is placed by
     ``resolve_out``."""
-    e0 = trajectory.energies[0]
-    drift = np.abs(trajectory.energies - e0) / (abs(e0) if e0 != 0.0 else 1.0)
     coords = [f"{part}_z{j}" for j in range(1, model.n + 1) for part in ("re", "im")]
     # a C-contiguous complex row viewed as floats reads re_z1, im_z1, re_z2, ...
-    rows = np.column_stack([trajectory.times, trajectory.points.view(float), drift])
+    rows = np.column_stack([trajectory.times, trajectory.points.view(float), trajectory.drifts])
     path = resolve_out(f"geodesic-{model.name}.csv" if out is None else out)
     return _write_csv(path, ["tau", *coords, "energy_drift"], rows)

@@ -19,11 +19,12 @@ root solve.  Three branches keep the solve stable on the whole line:
 * n*t > 60:       the same Newton with log F_n formed without e^x, which
                   works far beyond the overflow range of the direct form.
 
-Both Newton branches share one loop: seeded from the asymptotic inverses of
-F_n, safeguarded by a bracket, and raising ``ProfileSolveError`` instead of
-returning an unconverged iterate.  Each t costs one solve: ``derivatives``
-gets u'' ... u'''' from u' through the profile equation (Cao 1996), or from
-the same series on the series branch.
+Both Newton forms are one routine, ``_newton(t)``, which picks its form from
+n*t: seeded from the asymptotic inverses of F_n, safeguarded by a bracket,
+and raising ``ProfileSolveError`` instead of returning an unconverged
+iterate.  Each t costs one solve: ``derivatives`` gets u'' ... u'''' from u'
+through the profile equation (Cao 1996), or from the same series on the
+series branch.
 """
 
 from __future__ import annotations
@@ -86,6 +87,14 @@ def _series_coefficients(n: int) -> np.ndarray:
     return b
 
 
+def _dimension(n) -> int:
+    """n as an int if it is an int or numpy integer >= 1; ValueError otherwise,
+    for a bool or a float too."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"n must be a positive integer, got {n!r}")
+    return int(n)
+
+
 class ProfileSolveError(ArithmeticError):
     """The profile root solve met a non-finite F_n value or did not reach its
     fixed relative step bound ``_NEWTON_TOL`` within the iteration cap."""
@@ -101,8 +110,7 @@ class FIntegral:
     n: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
+        object.__setattr__(self, "n", _dimension(self.n))
 
     def eval(self, x: float) -> float:
         if x < 0.0:
@@ -111,9 +119,6 @@ class FIntegral:
             return self._series(x)
         tail = np.polynomial.polynomial.polyval(x, _tail_polynomial(self.n))
         return exp(x) * tail + (-1.0) ** self.n * factorial(self.n - 1)
-
-    def derivative(self, x: float) -> float:
-        return x ** (self.n - 1) * exp(x)
 
     def log_eval(self, x: float) -> float:
         """log F_n(x) without forming e^x; requires the tail polynomial > 0."""
@@ -146,8 +151,7 @@ class SolitonProfile:
     n: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
+        object.__setattr__(self, "n", _dimension(self.n))
 
     # -- derivative evaluators -------------------------------------------------
 
@@ -155,9 +159,7 @@ class SolitonProfile:
         t = float(t)
         if t <= _SERIES_T:
             return self._series_sum(exp(t), weight_power=0)
-        if self.n * t <= _LOG_BRANCH_NT:
-            return self._solve_direct(t)
-        return self._solve_log(t)
+        return self._newton(t)
 
     def u_second(self, t: float) -> float:
         return self.derivatives(t)[1]
@@ -215,31 +217,10 @@ class SolitonProfile:
             acc = acc * s + float(k) ** weight_power * b[k]
         return acc * s
 
-    def _solve_direct(self, t: float) -> float:
-        f = FIntegral(self.n)
-
-        def log_f(x: float) -> tuple[float, float]:
-            value = f.eval(x)
-            return log(value), f.derivative(x) / value
-
-        return self._newton(t, log_f, lo=0.0)
-
-    def _solve_log(self, t: float) -> float:
-        f = FIntegral(self.n)
-        n = self.n
-
-        def log_f(x: float) -> tuple[float, float]:
-            value = f.log_eval(x)
-            return value, x ** (n - 1) * exp(x - value)
-
-        # log F_n(x) <= x + (n-1) log x and the root lies below target + 1,
-        # so it lies above this bound (which keeps log_eval's tail positive)
-        target = n * t - log(n)
-        return self._newton(t, log_f, lo=target - (n - 1) * log(target + 1.0))
-
-    def _newton(self, t: float, log_f, lo: float) -> float:
-        """Root x = u'(t) of log F_n(x) = n t - log n, given ``log_f(x)`` =
-        (log F_n(x), its slope) from one F_n evaluation and a lower bound.
+    def _newton(self, t: float) -> float:
+        """Root x = u'(t) of log F_n(x) = n t - log n, one F_n evaluation per
+        iteration: log(F_n(x)) bracketed below by 0 up to n t = _LOG_BRANCH_NT,
+        ``FIntegral.log_eval`` beyond it.
 
         F_n integrates the log-concave x^(n-1) e^x, so log F_n is concave: a
         Newton step never overshoots the root from below, and after the first
@@ -250,11 +231,21 @@ class SolitonProfile:
         section 9.4).
         """
         n = self.n
+        f = FIntegral(n)
+        log_form = n * t > _LOG_BRANCH_NT
         target = n * t - log(n)
+        # log F_n(x) <= x + (n-1) log x and the root lies below target + 1, so
+        # it lies above this bound (which keeps log_eval's tail positive)
+        lo = target - (n - 1) * log(target + 1.0) if log_form else 0.0
         hi = float("inf")
         phi = max(exp(min(t, 0.0)), target - (n - 1) * log(max(target, 1.0)))
         for _ in range(_MAX_NEWTON_ITER):
-            value, slope = log_f(phi)
+            if log_form:
+                value = f.log_eval(phi)
+                slope = phi ** (n - 1) * exp(phi - value)
+            else:
+                direct = f.eval(phi)
+                value, slope = log(direct), phi ** (n - 1) * exp(phi) / direct
             resid = value - target
             if not (isfinite(resid) and slope > 0.0):
                 raise ProfileSolveError(
@@ -274,7 +265,6 @@ class SolitonProfile:
             f"no convergence to a relative step of {_NEWTON_TOL} in {_MAX_NEWTON_ITER} "
             f"iterations at t={t!r} (n={n}); last iterate {phi!r}"
         )
-
 
 def profile_table(
     profile: SolitonProfile, t_min: float, t_max: float, count: int

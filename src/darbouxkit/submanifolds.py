@@ -216,7 +216,12 @@ def graph_counterexample_pair() -> HoloCurvePair:
 
 def a_obstruction(pair: HoloCurvePair, z: complex) -> complex:
     """The obstruction A(f1, f2)(z); the curve is totally geodesic iff A = 0."""
-    (f1, f2), (d1, d2), (s1, s2) = pair.jet(z)
+    return _obstruction(pair.jet(z))
+
+
+def _obstruction(jet: np.ndarray) -> complex:
+    """A(f1, f2) from the curve's (3, 2) jet at one point."""
+    (f1, f2), (d1, d2), (s1, s2) = jet
     m1 = 1.0 + abs(f1) ** 2
     m2 = 1.0 + abs(f2) ** 2
     return complex(
@@ -263,7 +268,7 @@ def curvature_defect(pair: HoloCurvePair, z: complex) -> tuple[float, float]:
     denom = (d1 * m2 + d2 * m1) * m1**2 * m2**2
     if denom == 0.0:
         raise ValueError("degenerate tangent: both derivatives vanish")
-    via_a = -abs(a_obstruction(pair, z)) ** 2 / denom
+    via_a = -abs(_obstruction(jet)) ** 2 / denom
     return float(direct), float(via_a)
 
 

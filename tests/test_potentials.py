@@ -554,12 +554,11 @@ class TestCond0:
         region = SampleRegion(count=40)
         rep = cond0_scan(model, region)
         mins, eig_min = _loop_cond0(model, region)
-        assert rep.points_checked == 40
         assert _bits(*rep.min_first_derivs) == _bits(*mins)
         assert _bits(rep.min_metric_eigenvalue) == _bits(eig_min)
 
     def test_nan_first_derivative_fails(self):
-        rep = Cond0Report("m", 2, (0.5, float("nan")), min_metric_eigenvalue=1.0)
+        rep = Cond0Report((0.5, float("nan")), min_metric_eigenvalue=1.0)
         assert math.isnan(rep.min_value)
         assert not rep.passed
 

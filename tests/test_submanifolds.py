@@ -250,7 +250,7 @@ class TestObstruction:
         direct, _ = curvature_defect(pair, z)
         assert direct <= 1e-12
 
-    def test_defect_reads_two_jets(self, monkeypatch):
+    def test_defect_reads_one_jet(self, monkeypatch):
         original = HoloCurvePair.jet
         calls = []
 
@@ -260,7 +260,7 @@ class TestObstruction:
 
         monkeypatch.setattr(HoloCurvePair, "jet", jet)
         curvature_defect(graph_counterexample_pair(), 0.6 + 0.3j)
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     def test_identical_components_zero_defect(self):
         pair = HoloCurvePair((1.0,), (1.0,))
