@@ -27,7 +27,6 @@ import numpy as np
 
 from darbouxkit import (
     CigarProductPotential,
-    GeodesicState,
     SolitonProfile,
     curve_distance,
     geodesic_integrate,
@@ -47,9 +46,9 @@ def write_csv(path, times, distances) -> None:
             writer.writerow([f"{tau:.6f}", f"{dist:.6e}"])
 
 
-def unit_speed_state(model, z, v) -> GeodesicState:
-    """The state at z with velocity v rescaled to metric energy g(v, vbar) = 1."""
-    return GeodesicState(z, v / np.sqrt(metric_energy(model, z, v)))
+def unit_speed(model, z, v) -> np.ndarray:
+    """The velocity v at z rescaled to metric energy g(v, vbar) = 1."""
+    return v / np.sqrt(metric_energy(model, z, v))
 
 
 def main() -> None:
@@ -72,7 +71,8 @@ def main() -> None:
     emb = standard_catalog(args.n)[-1]
     p = 0.8 * (rng.standard_normal(emb.k) + 1j * rng.standard_normal(emb.k))
     q = rng.standard_normal(emb.k) + 1j * rng.standard_normal(emb.k)
-    traj = geodesic_integrate(model, unit_speed_state(model, emb.embed(p), emb.matrix @ q), args.length)
+    z0 = emb.embed(p)
+    traj = geodesic_integrate(model, z0, unit_speed(model, z0, emb.matrix @ q), args.length)
     every = max(1, traj.steps // 64)
     confined_t = traj.times[::every]
     confined_d = emb.distance_to_image(traj.converged_points()[::every])
@@ -84,8 +84,8 @@ def main() -> None:
     two_cigar = CigarProductPotential(2)
     pair = graph_counterexample_pair()
     w0 = 0.7
-    state = unit_speed_state(two_cigar, *pair.jet(w0)[:2])
-    traj = geodesic_integrate(two_cigar, state, args.length)
+    z0, v0 = pair.jet(w0)[:2]
+    traj = geodesic_integrate(two_cigar, z0, unit_speed(two_cigar, z0, v0), args.length)
     every = max(1, traj.steps // 64)
     graph_t = traj.times[::every]
     graph_d = [curve_distance(pair, z) for z in traj.converged_points()[::every]]

@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -20,11 +21,12 @@ import numpy as np
 
 from .curvature import curvature_at, curvature_symmetry_residual
 from .darboux import DarbouxMap, MapDomainError
-from .geodesics import GeodesicDriftError, GeodesicState, geodesic_integrate
+from .geodesics import GeodesicDriftError, geodesic_integrate
 from .potentials import metric_at, model_from_descriptor, sample_polydisc
 from .reporting import (
     _DEFECT_BOUND,
     RunConfig,
+    _defect_at,
     _defect_maxima,
     pullback_report,
     resolve_out,
@@ -39,14 +41,14 @@ from .submanifolds import (
     PhaseBlockEmbedding,
     a_obstruction,
     ciriza_image_check,
-    curvature_defect,
 )
 
 __all__ = ["main"]
 
 
 def _parse_complex(text: str) -> complex:
-    cleaned = text.strip().replace(" ", "").replace("i", "j")
+    # i is the imaginary unit only where it ends a number, so inf keeps its i
+    cleaned = re.sub(r"i(?=$|[+-])", "j", text.strip().replace(" ", ""))
     try:
         return complex(cleaned)
     except ValueError as err:
@@ -156,7 +158,7 @@ def geodesic_cmd(model_arg, start, vel, length, steps, out) -> None:
                 f"{name} has {vec.size} coordinates, model {model.name} needs {model.n}"
             )
     with _usage_errors():
-        trajectory = geodesic_integrate(model, GeodesicState(z0, v0), length, steps=steps)
+        trajectory = geodesic_integrate(model, z0, v0, length, steps=steps)
     click.echo(f"wrote {write_geodesic_csv(model, trajectory, out)}")
     try:
         trajectory.converged_points()
@@ -242,11 +244,11 @@ def ciriza_cmd(n, spec, samples, kind, seed, out) -> None:
 def defect_cmd(f1, f2, points, radius, seed, at_point) -> None:
     """Compare both routes to the curvature defect of a holomorphic curve
     (relative gap bound 1e-8)."""
-    pair = HoloCurvePair(
-        [_parse_complex(c) for c in f1.split(",")],
-        [_parse_complex(c) for c in f2.split(",")],
-    )
     with _usage_errors():
+        pair = HoloCurvePair(
+            [_parse_complex(c) for c in f1.split(",")],
+            [_parse_complex(c) for c in f2.split(",")],
+        )
         zs = sample_polydisc(np.random.default_rng(seed), points, 1, radius)[:, 0]
         max_gap, max_direct = _defect_maxima(pair, zs)
     payload = {
@@ -262,7 +264,7 @@ def defect_cmd(f1, f2, points, radius, seed, at_point) -> None:
         if not np.isfinite(z0):
             raise click.BadParameter(f"--at {at_point!r} is not a finite complex number")
         with _usage_errors():
-            direct, via_a = curvature_defect(pair, z0)
+            direct, via_a = _defect_at(pair, z0)
             payload["at"] = {
                 "z": str(z0),
                 "a_obstruction": str(a_obstruction(pair, z0)),

@@ -131,12 +131,14 @@ def holomorphic_sectional(
     return float(np.real(num)) / metric_energy(model, z, v) ** 2
 
 
-def curvature_symmetry_residual(r: np.ndarray) -> float:
-    """Max violation of the pair-exchange and conjugation symmetries of R."""
-    swap_holo = np.max(np.abs(r - r.transpose(2, 1, 0, 3)))
-    swap_anti = np.max(np.abs(r - r.transpose(0, 3, 2, 1)))
-    conj_sym = np.max(np.abs(r - np.conj(r.transpose(1, 0, 3, 2))))
-    return float(max(swap_holo, swap_anti, conj_sym))
+def curvature_symmetry_residual(r: np.ndarray) -> float | np.ndarray:
+    """Max violation of the pair-exchange and conjugation symmetries of R: a
+    float for one tensor, one value per tensor of a (..., n, n, n, n) stack."""
+    swap_holo = np.abs(r - np.swapaxes(r, -4, -2))
+    swap_anti = np.abs(r - np.swapaxes(r, -3, -1))
+    conj_sym = np.abs(r - np.conj(np.swapaxes(np.swapaxes(r, -4, -3), -2, -1)))
+    worst = np.max(np.maximum(np.maximum(swap_holo, swap_anti), conj_sym), axis=(-4, -3, -2, -1))
+    return float(worst) if worst.ndim == 0 else worst
 
 
 # ---------------------------------------------------------------------------

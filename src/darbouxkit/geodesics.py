@@ -10,12 +10,12 @@ classical fourth-order Runge-Kutta with fixed steps, re-run at doubled
 resolution while the relative drift of the conserved energy g(v, vbar)
 exceeds its fixed bound ``_DRIFT_TOL``.
 
-Trajectories of one model run as a batch: the state is a (batch, n) stack,
-and each RK4 stage is one ``christoffel_at`` call over the whole stack, whose
-jets carry the batch as a leading axis.  Every reduction is written so that a
-member's numbers do not depend on what else is in its batch; a single state
-is a batch of one.  The energy at a stored point comes from the metric of
-the jet its k1 stage already takes.
+Trajectories of one model run as a batch: points and velocities are (B, n)
+stacks, and each RK4 stage is one ``christoffel_at`` call over the whole
+stack, whose jets carry the batch as a leading axis.  Every reduction is
+written so that a row's numbers do not depend on what else is in its batch;
+a single (n,) point is a batch of one.  The energy at a stored point comes
+from the metric of the jet its k1 stage already takes.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 from .curvature import christoffel_at
 from .potentials import PotentialModel, _energy, metric_at
 
-__all__ = ["GeodesicState", "GeodesicTrajectory", "GeodesicDriftError", "geodesic_integrate"]
+__all__ = ["GeodesicTrajectory", "GeodesicDriftError", "geodesic_integrate"]
 
 _MAX_REFINEMENTS = 4  # step doublings after the first RK4 run
 _DRIFT_TOL = 1e-8  # bound on the relative energy drift of a converged run
@@ -36,20 +36,6 @@ _DRIFT_TOL = 1e-8  # bound on the relative energy drift of a converged run
 
 class GeodesicDriftError(ArithmeticError):
     """The energy drift stayed above its bound after every refinement."""
-
-
-@dataclass(frozen=True)
-class GeodesicState:
-    """Initial point and complex velocity."""
-
-    z: np.ndarray
-    v: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "z", np.asarray(self.z, dtype=complex))
-        object.__setattr__(self, "v", np.asarray(self.v, dtype=complex))
-        if self.z.shape != self.v.shape or self.z.ndim != 1:
-            raise ValueError("state needs matching 1-d point and velocity")
 
 
 @dataclass(frozen=True)
@@ -86,50 +72,45 @@ def _acceleration(gamma: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def geodesic_integrate(
     model: PotentialModel,
-    states: GeodesicState | Sequence[GeodesicState],
+    z: Sequence[complex] | np.ndarray,
+    v: Sequence[complex] | np.ndarray,
     length: float,
     steps: int | None = None,
 ) -> GeodesicTrajectory | list[GeodesicTrajectory]:
-    """Integrate the geodesic through each state for parameter time ``length``.
+    """Integrate the geodesic from point z with velocity v for parameter time ``length``.
 
-    ``states`` is one state, answered with one trajectory, or a sequence of
-    states of one model, answered with a list of trajectories in the same
-    order; a single state is run as a batch of one.  Every run starts from
-    ``steps`` RK4 steps (default scales with length) and doubles the count
-    until the energy drift falls below ``_DRIFT_TOL`` or the
-    ``_MAX_REFINEMENTS`` doublings are spent; only the trajectories still
-    above the bound run again.  Each trajectory is the last run of its state,
-    with ``converged`` saying whether it met the bound.
+    A point and velocity of shape (n,) give one trajectory; (B, n) arrays give
+    a list of B trajectories in row order, from one batched run (B = 0 gives
+    []).  Every run starts from ``steps`` RK4 steps (default scales with
+    length) and doubles the count until the energy drift falls below
+    ``_DRIFT_TOL`` or the ``_MAX_REFINEMENTS`` doublings are spent; only the
+    rows still above the bound run again.  Each trajectory is the last run of
+    its row, with ``converged`` saying whether it met the bound.
     """
     if not 0.0 < length < np.inf:
         raise ValueError(f"length must be finite and positive, got {length!r}")
     integral = isinstance(steps, (int, np.integer)) and not isinstance(steps, bool)
     if steps is not None and not (integral and steps >= 1):
         raise ValueError(f"steps must be an integer >= 1, got {steps!r}")
-    single = isinstance(states, GeodesicState)
-    batch = [states] if single else list(states)
-    if not batch:
-        return []
+    z0, v0 = np.asarray(z, dtype=complex), np.asarray(v, dtype=complex)
+    if z0.shape != v0.shape or z0.ndim not in (1, 2):
+        raise ValueError(f"need matching (n,) or (B, n) point and velocity, got {z0.shape} and {v0.shape}")
+    if z0.shape[-1] != model.n:
+        raise ValueError(f"points have {z0.shape[-1]} coordinates, model {model.name} needs {model.n}")
+    if not (np.all(np.isfinite(z0)) and np.all(np.isfinite(v0))):
+        raise ValueError("geodesic start point and velocity must be finite")
+    single = z0.ndim == 1
+    z0, v0 = np.atleast_2d(z0, v0)
     if steps is None:
         steps = max(240, int(48 * length))
-    z0 = np.array([state.z for state in batch])
-    v0 = np.array([state.v for state in batch])
-    if z0.shape[1] != model.n:
-        raise ValueError(f"states have {z0.shape[1]} coordinates, model {model.name} needs {model.n}")
-    trajectories: list[GeodesicTrajectory] = [None] * len(batch)
-    active = list(range(len(batch)))
+    trajectories: list[GeodesicTrajectory] = [None] * len(z0)
+    active = list(range(len(z0)))
     for _ in range(_MAX_REFINEMENTS + 1):
-        runs = _rk4_run(model, z0[active], v0[active], length, steps)
-        unmet = []
-        for k, trajectory in zip(active, runs):
-            if trajectory.drift <= _DRIFT_TOL:
-                trajectory = replace(trajectory, converged=True)
-            else:
-                unmet.append(k)
-            trajectories[k] = trajectory
-        if not unmet:
+        if not active:
             break
-        active = unmet
+        for k, trajectory in zip(active, _rk4_run(model, z0[active], v0[active], length, steps)):
+            trajectories[k] = replace(trajectory, converged=trajectory.drift <= _DRIFT_TOL)
+        active = [k for k in active if not trajectories[k].converged]
         steps *= 2
     return trajectories[0] if single else trajectories
 

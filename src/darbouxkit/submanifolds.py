@@ -26,7 +26,7 @@ import numpy as np
 from numpy.polynomial.polynomial import polyder
 
 from .darboux import DarbouxMap
-from .geodesics import GeodesicState, geodesic_integrate
+from .geodesics import geodesic_integrate
 from .potentials import PotentialModel, metric_energy, sample_polydisc
 
 __all__ = [
@@ -69,7 +69,7 @@ class PhaseBlockEmbedding:
         if set(range(1, k + 1)) - set(self.sigma):
             raise ValueError("every parameter index 1..k must be attained")
         for j, s in enumerate(self.sigma):
-            if s > 0 and abs(abs(self.phases[j]) - 1.0) > 1e-12:
+            if s > 0 and not abs(abs(self.phases[j]) - 1.0) <= 1e-12:  # NaN fails too
                 raise ValueError(f"phase {j} is not unit modulus")
 
     @property
@@ -139,8 +139,7 @@ def _unit_speed_runs(
     if not np.all(energy > 0.0):
         raise ValueError("launch velocity has no positive metric energy")
     vels = vels / np.sqrt(energy)[:, None]
-    trajectories = geodesic_integrate(model, [GeodesicState(z, v) for z, v in zip(starts, vels)], length)
-    return [trajectory.converged_points() for trajectory in trajectories]
+    return [trajectory.converged_points() for trajectory in geodesic_integrate(model, starts, vels, length)]
 
 
 def total_geodesy_residual(
@@ -189,6 +188,8 @@ class HoloCurvePair:
 
     def __init__(self, coeffs1: Sequence[complex], coeffs2: Sequence[complex]):
         coeffs = [np.array([0.0, *np.asarray(c, dtype=complex)]) for c in (coeffs1, coeffs2)]
+        if not all(np.all(np.isfinite(c)) for c in coeffs):
+            raise ValueError("curve coefficients must be finite")
         # each derivative's coefficients as Python complex, highest degree first
         self._rows = tuple(
             tuple(tuple(complex(v) for v in polyder(c, m)[::-1]) for c in coeffs) for m in range(3)

@@ -124,6 +124,33 @@ class TestBadInputIsUsageError:
         assert "Invalid value" in result.output
         assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize("args, message", [
+        (["curvature", "--model", "cigar:2", "--point", "inf,0"], "point 'inf,0' is not 2 finite coordinates"),
+        (["defect", "--f1", "1", "--f2", "0,1", "--at", "inf"], "--at 'inf' is not a finite complex number"),
+        (["geodesic", "--model", "cigar:2", "--start", "inf,0", "--vel", "1,0"],
+         "start point and velocity must be finite"),
+        # the NaN used to reach the RK4 k2 stage and blame the potential
+        (["geodesic", "--model", "cigar:2", "--start", "0.1,0", "--vel", "nan,0"],
+         "start point and velocity must be finite"),
+        (["ciriza", "--n", "2", "--spec", "sigma=1,1,alpha=nan,1"], "phase 0 is not unit modulus"),
+        (["defect", "--f1", "nan", "--f2", "0,1"], "curve coefficients must be finite"),
+    ], ids=["curvature-point", "defect-at", "geodesic-start", "geodesic-vel", "ciriza-phase",
+            "defect-coefficient"])
+    def test_nonfinite_number_reaches_its_check(self, runner, args, message):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+        assert len(errors) == 1 and message in errors[0], result.output
+
+    @pytest.mark.parametrize("option", [["--radius", "1e200"], ["--at", "1e200"]], ids=["radius", "at"])
+    def test_overflowing_defect_names_the_point(self, runner, option):
+        result = runner.invoke(main, ["defect", "--f1", "1", "--f2", "0,1", *option])
+        assert result.exit_code == 2, result.output
+        assert result.output.splitlines()[-1].startswith("Error: Invalid value: the curvature defect at z = (")
+        assert "overflows" in result.output
+        for text in ("Traceback", "Warning", "NaN"):
+            assert text not in result.output
+
     def test_bad_descriptor_file(self, runner, tmp_path):
         desc = tmp_path / "model.json"
         desc.write_text(json.dumps({"kind": "nope", "n": 2}))
@@ -188,6 +215,13 @@ class TestGeodesicCommand:
         rows = out.read_text().strip().splitlines()
         assert len(rows) == 1 + 16 + 1  # header, then the last refinement's 16 steps
         assert float(rows[-1].split(",")[-1]) > 1e2
+
+    @pytest.mark.parametrize("text, value", [
+        ("2i", 2j), ("i", 1j), ("1+i", 1 + 1j), ("0.3+0.1i", 0.3 + 0.1j), ("1e-3i", 1e-3j),
+        ("-i", complex(0.0, -1.0)), ("1e+5i", 1e5j), ("inf", complex(math.inf, 0.0)), ("nan", complex(math.nan, 0.0)),
+    ])
+    def test_parse_complex(self, text, value):
+        assert repr(cli._parse_complex(text)) == repr(value)  # repr, so NaN compares
 
     def test_complex_parsing_with_i_suffix(self, runner, tmp_path):
         out = tmp_path / "geo.csv"

@@ -7,7 +7,6 @@ import pytest
 from darbouxkit import (
     CigarProductPotential,
     GeodesicDriftError,
-    GeodesicState,
     GeodesicTrajectory,
     SolitonProfile,
     flat_potential,
@@ -25,7 +24,7 @@ class TestFlatModel:
         z0 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         v0 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         v0 = v0 / np.sqrt(np.sum(np.abs(v0) ** 2))
-        traj = geodesic_integrate(model, GeodesicState(z0, v0), 4.0)
+        traj = geodesic_integrate(model, z0, v0, 4.0)
         expected = z0[None, :] + traj.times[:, None] * v0[None, :]
         assert np.max(np.abs(traj.points - expected)) <= 1e-12
         assert np.max(np.abs(traj.velocities - v0[None, :])) <= 1e-13
@@ -43,7 +42,7 @@ class TestEnergyConservation:
         v0 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         e0 = float(np.real(np.einsum("jk,j,k->", metric_at(model, z0), v0, np.conj(v0))))
         v0 = v0 / np.sqrt(e0)
-        traj = geodesic_integrate(model, GeodesicState(z0, v0), 10.0)
+        traj = geodesic_integrate(model, z0, v0, 10.0)
         assert traj.drift <= 1e-8
         assert traj.energies[0] == pytest.approx(1.0, rel=1e-12)
 
@@ -55,7 +54,7 @@ class TestEnergyConservation:
         v0 = np.array([1.0 + 0.0j])
         e0 = float(np.real(metric_at(model, z0)[0, 0]) * abs(v0[0]) ** 2)
         v0 = v0 / np.sqrt(e0)
-        traj = geodesic_integrate(model, GeodesicState(z0, v0), 5.0)
+        traj = geodesic_integrate(model, z0, v0, 5.0)
         seg = np.diff(traj.points, axis=0)
         mids = 0.5 * (traj.points[1:] + traj.points[:-1])
         length = sum(
@@ -69,23 +68,21 @@ class TestSymmetryConfinement:
     def test_real_axis_is_invariant(self):
         # real start and velocity: Gamma = -conj(z)/(1+t) keeps everything real
         model = CigarProductPotential(1)
-        traj = geodesic_integrate(model, GeodesicState([0.5], [1.0]), 6.0)
+        traj = geodesic_integrate(model, [0.5], [1.0], 6.0)
         assert np.max(np.abs(traj.points.imag)) <= 1e-13
         assert np.max(np.abs(traj.velocities.imag)) <= 1e-13
 
     def test_reversibility(self):
         model = CigarProductPotential(1)
-        fwd = geodesic_integrate(model, GeodesicState([0.4], [1.0]), 3.0, steps=600)
-        back = geodesic_integrate(
-            model, GeodesicState(fwd.points[-1], -fwd.velocities[-1]), 3.0, steps=600
-        )
+        fwd = geodesic_integrate(model, [0.4], [1.0], 3.0, steps=600)
+        back = geodesic_integrate(model, fwd.points[-1], -fwd.velocities[-1], 3.0, steps=600)
         assert abs(back.points[-1][0] - 0.4) <= 1e-9
 
 
 class TestControls:
     def test_trajectory_shapes(self):
         model = flat_potential(1)
-        traj = geodesic_integrate(model, GeodesicState([0.0], [1.0]), 1.0, steps=10)
+        traj = geodesic_integrate(model, [0.0], [1.0], 1.0, steps=10)
         assert traj.times.shape == (11,)
         assert traj.points.shape == (11, 1)
         assert traj.velocities.shape == (11, 1)
@@ -95,26 +92,24 @@ class TestControls:
     def test_refinement_reduces_drift(self, monkeypatch):
         # step doubling stops at the tolerance or after four refinements
         model = CigarProductPotential(1)
-        state = GeodesicState([0.9], [2.0])
         monkeypatch.setattr(geodesics_mod, "_DRIFT_TOL", np.inf)
-        coarse = geodesic_integrate(model, state, 8.0, steps=24)
+        coarse = geodesic_integrate(model, [0.9], [2.0], 8.0, steps=24)
         monkeypatch.setattr(geodesics_mod, "_DRIFT_TOL", 1e-10)
-        refined = geodesic_integrate(model, state, 8.0, steps=24)
+        refined = geodesic_integrate(model, [0.9], [2.0], 8.0, steps=24)
         assert refined.drift < coarse.drift
         assert refined.steps > coarse.steps
         assert refined.drift <= 1e-10 or refined.steps == 24 * 2**4
 
     def test_default_steps_meet_default_tolerance(self):
         model = CigarProductPotential(1)
-        traj = geodesic_integrate(model, GeodesicState([0.9], [2.0]), 8.0)
+        traj = geodesic_integrate(model, [0.9], [2.0], 8.0)
         assert traj.drift <= 1e-8
 
     def test_converged_flag(self, monkeypatch):
         model = CigarProductPotential(1)
-        state = GeodesicState([0.9], [2.0])
-        assert geodesic_integrate(model, state, 8.0).converged
+        assert geodesic_integrate(model, [0.9], [2.0], 8.0).converged
         monkeypatch.setattr(geodesics_mod, "_DRIFT_TOL", 1e-300)
-        traj = geodesic_integrate(model, state, 8.0, steps=24)
+        traj = geodesic_integrate(model, [0.9], [2.0], 8.0, steps=24)
         assert not traj.converged
         assert traj.steps == 24 * 2**4
         with pytest.raises(GeodesicDriftError):
@@ -123,37 +118,39 @@ class TestControls:
     @pytest.mark.parametrize("length", [0.0, -1.0, np.nan, np.inf])
     def test_bad_length_rejected(self, length):
         with pytest.raises(ValueError, match="length must be finite and positive"):
-            geodesic_integrate(flat_potential(1), GeodesicState([0.0], [1.0]), length)
+            geodesic_integrate(flat_potential(1), [0.0], [1.0], length)
 
     @pytest.mark.parametrize("steps", [0, -1])
     def test_bad_steps_rejected(self, steps):
         with pytest.raises(ValueError, match="steps must be an integer >= 1"):
-            geodesic_integrate(flat_potential(1), GeodesicState([0.0], [1.0]), 1.0, steps=steps)
+            geodesic_integrate(flat_potential(1), [0.0], [1.0], 1.0, steps=steps)
 
-    def test_state_coercion(self):
-        st = GeodesicState([1, 2], [3, 4])
-        assert st.z.dtype == complex and st.v.dtype == complex
-        assert st.z.shape == (2,)
+    def test_nonfinite_point_or_velocity_rejected(self):
+        # rejected before the first RK4 stage, so the model's not-finite error never shows
+        for z, v in (([np.nan, 0.0], [1.0, 0.0]), ([0.1, 0.0], [np.nan, 0.0]), ([[0.1, 0.0]], [[1.0, np.inf]])):
+            with pytest.raises(ValueError, match="start point and velocity must be finite"):
+                geodesic_integrate(CigarProductPotential(2), z, v, 1.0)
+
+    def test_integer_input_is_complex(self):
+        traj = geodesic_integrate(flat_potential(2), [1, 2], [3, 4], 1.0, steps=4)
+        assert traj.points.dtype == complex and traj.points.shape == (5, 2)
 
 
 class TestBatch:
     # cigar-n2 at drift bound 1e-10 from 24 steps: the slow geodesic converges
     # at the first level, the middle one after three doublings, and the fast
     # one never
-    STATES = [
-        GeodesicState([0.3, 0.1j], [0.05, 0.02]),
-        GeodesicState([0.5, 0.1j], [0.4, 0.16]),
-        GeodesicState([0.9, 0.2], [2.0, 0.5j]),
-    ]
+    Z = np.array([[0.3, 0.1j], [0.5, 0.1j], [0.9, 0.2]])
+    V = np.array([[0.05, 0.02], [0.4, 0.16], [2.0, 0.5j]])
 
     def test_members_match_their_batch_of_one(self, monkeypatch):
         monkeypatch.setattr(geodesics_mod, "_DRIFT_TOL", 1e-10)
         model = CigarProductPotential(2)
-        batch = geodesic_integrate(model, self.STATES, 8.0, steps=24)
+        batch = geodesic_integrate(model, self.Z, self.V, 8.0, steps=24)
         assert [t.steps for t in batch] == [24, 24 * 2**4, 24 * 2**4]
         assert [t.converged for t in batch] == [True, True, False]
-        for state, traj in zip(self.STATES, batch):
-            alone = geodesic_integrate(model, state, 8.0, steps=24)
+        for z, v, traj in zip(self.Z, self.V, batch):
+            alone = geodesic_integrate(model, z, v, 8.0, steps=24)
             assert isinstance(alone, GeodesicTrajectory)
             assert (traj.steps, traj.converged, traj.drift) == (alone.steps, alone.converged, alone.drift)
             np.testing.assert_allclose(traj.points, alone.points, rtol=1e-12, atol=0.0)
@@ -164,17 +161,20 @@ class TestBatch:
 
     def test_order_and_empty_batch(self):
         model = CigarProductPotential(2)
-        fwd = geodesic_integrate(model, self.STATES[:2], 2.0)
-        back = geodesic_integrate(model, self.STATES[1::-1], 2.0)
+        fwd = geodesic_integrate(model, self.Z[:2], self.V[:2], 2.0)
+        back = geodesic_integrate(model, self.Z[1::-1], self.V[1::-1], 2.0)
         assert [t.points.tobytes() for t in fwd] == [t.points.tobytes() for t in back[::-1]]
-        assert geodesic_integrate(model, [], 2.0) == []
+        assert geodesic_integrate(model, np.empty((0, 2)), np.empty((0, 2)), 2.0) == []
 
     def test_rejects_wrong_dimensions(self):
-        states = [GeodesicState([0.0], [1.0]), GeodesicState([0.0, 0.0], [1.0, 0.0])]
-        with pytest.raises(ValueError):
-            geodesic_integrate(flat_potential(2), states, 1.0)
+        model = flat_potential(2)
+        for z, v in (([0.0, 0.0], [[1.0, 0.0]]), (np.zeros((1, 1, 2)), np.zeros((1, 1, 2))), (0.0, 1.0)):
+            with pytest.raises(ValueError, match="matching"):
+                geodesic_integrate(model, z, v, 1.0)
+        with pytest.raises(ValueError, match="have 1 coordinates, model cigar-n2 needs 2"):
+            geodesic_integrate(CigarProductPotential(2), [0.1], [1.0], 1.0)
         with pytest.raises(ValueError, match="needs 2"):
-            geodesic_integrate(CigarProductPotential(2), GeodesicState([0.1], [1.0]), 1.0)
+            geodesic_integrate(CigarProductPotential(2), np.zeros((0, 3)), np.zeros((0, 3)), 1.0)
 
     @pytest.mark.parametrize("make", [
         lambda: CigarProductPotential(2),
@@ -184,7 +184,7 @@ class TestBatch:
         # the energies are read off the order-3 jet of each k1 stage, whose D1
         # and D2 equal those of metric_at's order-2 jet bit for bit
         model = make()
-        for traj in geodesic_integrate(model, self.STATES[:2], 3.0):
+        for traj in geodesic_integrate(model, self.Z[:2], self.V[:2], 3.0):
             np.testing.assert_array_equal(traj.energies, metric_energy(model, traj.points, traj.velocities))
 
 
@@ -199,12 +199,13 @@ class TestTorusMomenta:
     ])
     def test_momenta_conserved(self, make, rng):
         model = make()
-        states = [
-            GeodesicState(0.8 * (rng.standard_normal(2) + 1j * rng.standard_normal(2)),
-                          rng.standard_normal(2) + 1j * rng.standard_normal(2))
+        launches = [
+            (0.8 * (rng.standard_normal(2) + 1j * rng.standard_normal(2)),
+             rng.standard_normal(2) + 1j * rng.standard_normal(2))
             for _ in range(3)
         ]
-        for traj in geodesic_integrate(model, states, 10.0):
+        starts, vels = map(np.array, zip(*launches))
+        for traj in geodesic_integrate(model, starts, vels, 10.0):
             assert traj.converged
             g = metric_at(model, traj.points)
             momenta = np.imag(np.conj(traj.points) * np.einsum("skj,sk->sj", g, traj.velocities))

@@ -15,7 +15,6 @@ from darbouxkit import (
     OUTDIR_ENV,
     CigarProductPotential,
     DarbouxMap,
-    GeodesicState,
     MapDomainError,
     RunConfig,
     SolitonProfile,
@@ -365,7 +364,7 @@ class TestCsvWriters:
 
     def test_geodesic_csv(self, tmp_path):
         model = CigarProductPotential(1)
-        trajectory = geodesic_integrate(model, GeodesicState([0.3], [1.0]), 1.0, steps=16)
+        trajectory = geodesic_integrate(model, [0.3], [1.0], 1.0, steps=16)
         out = write_geodesic_csv(model, trajectory, out=tmp_path / "g.csv")
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "tau,re_z1,im_z1,energy_drift"
@@ -375,7 +374,7 @@ class TestCsvWriters:
 
     def test_geodesic_csv_keeps_unconverged_drift(self, tmp_path):
         model = CigarProductPotential(1)
-        trajectory = geodesic_integrate(model, GeodesicState([0.9], [2.0]), 8.0, steps=1)
+        trajectory = geodesic_integrate(model, [0.9], [2.0], 8.0, steps=1)
         assert not trajectory.converged
         out = write_geodesic_csv(model, trajectory, out=tmp_path / "g.csv")
         lines = out.read_text().strip().splitlines()
@@ -383,10 +382,9 @@ class TestCsvWriters:
         assert float(lines[-1].split(",")[-1]) > 1e-8
 
     def test_geodesic_csv_columns_are_the_trajectory(self, tmp_path):
-        # a complex n = 2 state, so a swapped or shifted column cannot pass
+        # a complex n = 2 launch, so a swapped or shifted column cannot pass
         model = CigarProductPotential(2)
-        state = GeodesicState([0.5 + 0.2j, -0.3 + 0.4j], [1.0 - 0.5j, 0.3 + 0.7j])
-        trajectory = geodesic_integrate(model, state, 2.0, steps=16)
+        trajectory = geodesic_integrate(model, [0.5 + 0.2j, -0.3 + 0.4j], [1.0 - 0.5j, 0.3 + 0.7j], 2.0, steps=16)
         out = write_geodesic_csv(model, trajectory, out=tmp_path / "g.csv")
         with out.open() as fh:
             table = {name: np.array(col, dtype=float) for name, *col in zip(*csv.reader(fh))}

@@ -30,11 +30,14 @@ def test_residual_sweep_keeps_nan_past_first_point(tmp_path, monkeypatch, capsys
     original = DarbouxMap.pullback_residual
     calls = []
 
-    def nan_on_second(self, z, method="analytic"):
+    def nan_in_second_row(self, z, method="analytic"):
         calls.append(z)
-        return float("nan") if len(calls) == 2 else original(self, z, method=method)
+        residuals = original(self, z, method=method)
+        if len(calls) == 1:  # the first model's first analytic batch
+            residuals[1] = float("nan")
+        return residuals
 
-    monkeypatch.setattr(DarbouxMap, "pullback_residual", nan_on_second)
+    monkeypatch.setattr(DarbouxMap, "pullback_residual", nan_in_second_row)
     run_script("residual_sweep.py", ["--points", "2", "--radii", "0.5", "1.0", "--out", str(tmp_path)],
                monkeypatch)
     assert "worst analytic residual over all models/radii: nan" in capsys.readouterr().out
@@ -52,9 +55,9 @@ def test_geodesy_demo_launches_at_unit_speed(tmp_path, monkeypatch):
     # --length is arclength only if every launch has metric energy 1
     energies = []
 
-    def recording(model, state, length):
-        energies.append(metric_energy(model, state.z, state.v))
-        return geodesic_integrate(model, state, length)
+    def recording(model, z, v, length):
+        energies.append(metric_energy(model, z, v))
+        return geodesic_integrate(model, z, v, length)
 
     monkeypatch.setattr("darbouxkit.geodesic_integrate", recording)
     run_script("geodesy_demo.py", ["--length", "0.5", "--out", str(tmp_path)], monkeypatch)
@@ -63,8 +66,8 @@ def test_geodesy_demo_launches_at_unit_speed(tmp_path, monkeypatch):
 
 
 def test_geodesy_demo_rejects_unconverged_trajectory(tmp_path, monkeypatch):
-    def coarse(model, state, length):
-        return geodesic_integrate(model, state, length, steps=1)
+    def coarse(model, z, v, length):
+        return geodesic_integrate(model, z, v, length, steps=1)
 
     monkeypatch.setattr("darbouxkit.geodesics._DRIFT_TOL", 1e-300)
     monkeypatch.setattr("darbouxkit.geodesic_integrate", coarse)

@@ -86,6 +86,9 @@ class TestPhaseBlockEmbedding:
             PhaseBlockEmbedding(2, (1, 1), (1.0, 2.0))  # non-unit phase
         with pytest.raises(ValueError):
             PhaseBlockEmbedding(2, (1,), (1.0,))  # wrong length
+        for bad in (np.nan, complex(np.nan, 0.0), np.inf):
+            with pytest.raises(ValueError, match="not unit modulus"):
+                PhaseBlockEmbedding(2, (1, 1), (bad, 1.0))
 
     def test_standard_catalog_contents(self):
         cat1 = standard_catalog(1)
@@ -181,8 +184,8 @@ class TestTotalGeodesy:
                 curve_geodesy_residual(model, flat_at_zero, 0.0, 1.0)
 
     def test_unmet_drift_bound_raises(self, monkeypatch):
-        def coarse(model, state, length):
-            return geodesic_integrate(model, state, length, steps=8)
+        def coarse(model, z, v, length):
+            return geodesic_integrate(model, z, v, length, steps=8)
 
         monkeypatch.setattr(geodesics_mod, "_DRIFT_TOL", 1e-300)
         monkeypatch.setattr(submanifolds_mod, "geodesic_integrate", coarse)
@@ -424,6 +427,12 @@ class TestCirizaProperty:
 
 
 class TestHoloCurvePair:
+    @pytest.mark.parametrize("coeffs", [((np.nan,), (0.0, 1.0)), ((1.0,), (0.0, np.inf)),
+                                        ((1.0,), (complex(0.0, np.nan),))])
+    def test_nonfinite_coefficients_rejected(self, coeffs):
+        with pytest.raises(ValueError, match="curve coefficients must be finite"):
+            HoloCurvePair(*coeffs)
+
     def test_point_and_tangent(self):
         pair = HoloCurvePair((1.0, 2.0), (0.0, 1.0))
         # f1 = z + 2z^2, f2 = z^2
