@@ -26,7 +26,6 @@ from .potentials import metric_at, model_from_descriptor, sample_polydisc
 from .reporting import (
     _DEFECT_BOUND,
     RunConfig,
-    _defect_at,
     _defect_maxima,
     pullback_report,
     resolve_out,
@@ -41,6 +40,7 @@ from .submanifolds import (
     PhaseBlockEmbedding,
     a_obstruction,
     ciriza_image_check,
+    curvature_defect,
 )
 
 __all__ = ["main"]
@@ -264,7 +264,7 @@ def defect_cmd(f1, f2, points, radius, seed, at_point) -> None:
         if not np.isfinite(z0):
             raise click.BadParameter(f"--at {at_point!r} is not a finite complex number")
         with _usage_errors():
-            direct, via_a = _defect_at(pair, z0)
+            direct, via_a = curvature_defect(pair, z0)
             payload["at"] = {
                 "z": str(z0),
                 "a_obstruction": str(a_obstruction(pair, z0)),

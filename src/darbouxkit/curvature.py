@@ -111,13 +111,13 @@ def curvature_at(
     else:
         raise ValueError(f"unknown curvature method {method!r}")
     ginv_c = _inverse_metric_conj(g)
-    # one einsum per point: its summation order over p, q can follow the batch shape
+    # one einsum per point: its summation order over p, q can follow the batch
+    # shape; each result is copied into its row (einsum's out= rounds differently)
     n = z.shape[-1]
-    quad = [
-        np.einsum("pq,iqk,jpl->ijkl", gi, di, np.conj(di))
-        for gi, di in zip(ginv_c.reshape(-1, n, n), d.reshape(-1, n, n, n))
-    ]
-    return -h + np.reshape(quad, h.shape)
+    quad = np.empty(h.shape, dtype=complex)
+    for qi, gi, di in zip(quad.reshape(-1, n, n, n, n), ginv_c.reshape(-1, n, n), d.reshape(-1, n, n, n)):
+        qi[...] = np.einsum("pq,iqk,jpl->ijkl", gi, di, np.conj(di))
+    return -h + quad
 
 
 def holomorphic_sectional(

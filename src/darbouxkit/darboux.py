@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .potentials import PotentialModel, radial_coords, two_form_at
+from .potentials import PotentialModel, _check_domain, radial_coords, two_form_at
 
 __all__ = [
     "MapDomainError",
@@ -37,17 +37,6 @@ _FD_STEP = 1e-6  # relative central-difference step of the FD Jacobian
 
 class MapDomainError(ValueError):
     """A first derivative Phi_j is negative (or zero where 1/psi is needed)."""
-
-
-def _check_domain(z: np.ndarray, d1: np.ndarray, bad: np.ndarray, word: str) -> None:
-    """Raise ``MapDomainError`` naming the first point of z (shape (..., n))
-    where ``bad`` holds, with its first derivatives d1."""
-    if bad.any():
-        n = z.shape[-1]
-        k = np.flatnonzero(np.any(bad.reshape(-1, n), axis=-1))[0]
-        raise MapDomainError(
-            f"{word} first derivative {d1.reshape(-1, n)[k]} at z={z.reshape(-1, n)[k]}"
-        )
 
 
 def std_symplectic(n: int) -> np.ndarray:
@@ -85,7 +74,7 @@ class DarbouxMap:
         ``MapDomainError`` naming the first such point."""
         z = np.asarray(z, dtype=complex)
         d1 = self.model.first_derivs(radial_coords(z))
-        _check_domain(z, d1, d1 < 0.0, "negative")
+        _check_domain(z, d1, d1 < 0.0, "negative first derivative", MapDomainError)
         return np.sqrt(d1) * z
 
     def jacobian(self, z: Sequence[complex], method: str = "analytic") -> np.ndarray:
@@ -152,7 +141,7 @@ class DarbouxMap:
     def _jacobian_analytic(self, z: np.ndarray) -> np.ndarray:
         t = radial_coords(z)
         d1, d2 = self.model.derivative_tensors(t, 2)
-        _check_domain(z, d1, d1 <= 0.0, "nonpositive")
+        _check_domain(z, d1, d1 <= 0.0, "nonpositive first derivative", MapDomainError)
         psi = np.sqrt(d1)
         # Wirtinger blocks: A = dw/dz, B = dw/dzbar; the z_j prefactor makes
         # both terms finite at z_j = 0 with no special-casing.

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .curvature import christoffel_at
-from .potentials import PotentialModel, _energy, metric_at
+from .potentials import PotentialModel, _check_domain, _energy, metric_at, metric_energy
 
 __all__ = ["GeodesicTrajectory", "GeodesicDriftError", "geodesic_integrate"]
 
@@ -101,6 +101,10 @@ def geodesic_integrate(
         raise ValueError("geodesic start point and velocity must be finite")
     single = z0.ndim == 1
     z0, v0 = np.atleast_2d(z0, v0)
+    # a velocity too large for the metric would otherwise fail at an RK4 stage point
+    with np.errstate(over="ignore", invalid="ignore"):
+        bad = ~np.isfinite(metric_energy(model, z0, v0))[:, None]
+    _check_domain(z0, v0, np.broadcast_to(bad, v0.shape), "the metric energy is not finite for the velocity")
     if steps is None:
         steps = max(240, int(48 * length))
     trajectories: list[GeodesicTrajectory] = [None] * len(z0)

@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from math import factorial, log, log1p, perm, prod
+from math import factorial, log, perm, prod
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -54,7 +54,6 @@ __all__ = [
     "metric_at",
     "two_form_at",
     "hermitian_to_two_form",
-    "cigar_radial_deriv",
     "sample_polydisc",
     "SampleRegion",
     "Cond0Report",
@@ -63,6 +62,24 @@ __all__ = [
 
 _CIGAR_SERIES_T = 0.25    # per-coordinate series/closed-form switch
 _RADIAL_SERIES_S = 0.1    # radial chain-rule/series switch
+
+
+def _check_domain(
+    z: np.ndarray, values: np.ndarray, bad: np.ndarray, what: str, error: type[ValueError] = ValueError
+) -> None:
+    """Raise ``error`` naming the first point of z (shape (..., n)) where ``bad``
+    (shape (..., n)) holds: "{what} {that point's row of values} at z={the point}"."""
+    if bad.any():
+        n = z.shape[-1]
+        k = np.flatnonzero(np.any(bad.reshape(-1, n), axis=-1))[0]
+        raise error(f"{what} {values.reshape(-1, n)[k]} at z={z.reshape(-1, n)[k]}")
+
+
+def _jet_order(order: int) -> int:
+    """``order`` if ``derivative_tensors`` answers it (1 to 4), else ValueError."""
+    if order not in (1, 2, 3, 4):
+        raise ValueError(f"derivative order must be 1, 2, 3 or 4, got {order!r}")
+    return order
 
 
 def radial_coords(z: Sequence[complex]) -> np.ndarray:
@@ -76,38 +93,6 @@ def radial_coords(z: Sequence[complex]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def cigar_radial_deriv(t: float, order: int) -> float:
-    """Order-q t-derivative of the cigar summand phi(t); phi'(t) = log(1+t)/t.
-
-    Orders 1..4 use a power series below t = 0.25 and an exact closed form
-    above.  The model's jet evaluates the same branches vectorised
-    (``_cigar_diagonals``); this scalar form is the reference it is tested
-    against.
-    """
-    if t < 0.0:
-        raise ValueError("radial coordinate must be nonnegative")
-    if order < 1:
-        raise ValueError(f"derivative order must be >= 1, got {order}")
-    p = order - 1
-    if t < _CIGAR_SERIES_T:
-        # phi'(t) = sum_k (-1)^k t^k / (k+1), differentiated p times
-        acc = 0.0
-        weight = float(factorial(p))  # (m+p)! / m! at m = 0
-        power = 1.0
-        for m in range(60):
-            term = (-1.0) ** (m + p) * weight * power / (m + p + 1)
-            acc += term
-            if abs(term) < 1e-18 * abs(acc) + 1e-300:
-                break
-            power *= t
-            weight *= (m + p + 1) / (m + 1)
-        return acc
-    inner = log1p(t) / t ** (p + 1)
-    for j in range(1, p + 1):
-        inner -= 1.0 / (j * (1.0 + t) ** j * t ** (p + 1 - j))
-    return (-1.0) ** p * factorial(p) * inner
-
-
 # _CIGAR_SERIES[m, p]: coefficient of t^m in the p-th derivative of the series
 # phi'(t) = sum_k (-1)^k t^k / (k+1); 48 terms reach 1e-20 relative below the seam
 _CIGAR_SERIES = np.array(
@@ -118,10 +103,10 @@ _CIGAR_SIGNED_FACTORIALS = [(-1.0) ** p * factorial(p) for p in range(4)]
 
 
 def _cigar_diagonals(t: np.ndarray, order: int) -> list[np.ndarray]:
-    """[cigar_radial_deriv(t_j, q) at every entry of t for q = 1..order].
+    """[d^q phi / dt^q at every entry of t for q = 1..order], phi'(t) = log(1+t)/t.
 
-    The same two branches, vectorised.  Above t = 0.25 the closed form, written
-    as (-1)^p p! t^-(p+1) (log(1+t) - sum_{j<=p} x^j / j) with x = t / (1+t)
+    Above t = 0.25 the closed form, written as
+    (-1)^p p! t^-(p+1) (log(1+t) - sum_{j<=p} x^j / j) with x = t / (1+t)
     and built up order by order, so a low order costs few array operations;
     below it the series, one table of powers times ``_CIGAR_SERIES`` summed
     term by term (a matmul would round differently with the batch size).
@@ -145,7 +130,10 @@ def _cigar_diagonals(t: np.ndarray, order: int) -> list[np.ndarray]:
         ts = t[series]
         if ts.min() < 0.0:
             raise ValueError("radial coordinate must be nonnegative")
-        values = np.sum(np.power(ts[:, None, None], _CIGAR_POWERS) * _CIGAR_SERIES[:, :order], axis=1)
+        # two columns at least: numpy sums a lone column pairwise, which would
+        # make D1 at order 1 round differently from D1 at orders 2..4
+        columns = _CIGAR_SERIES[:, :max(order, 2)]
+        values = np.sum(np.power(ts[:, None, None], _CIGAR_POWERS) * columns, axis=1)
         for p, diagonal in enumerate(out):
             diagonal[series] = values[:, p]
     return out
@@ -240,7 +228,7 @@ class CigarProductPotential(PotentialModel):
 
     def derivative_tensors(self, t, order):
         t = np.asarray(t, dtype=float)
-        diagonals = _cigar_diagonals(t, order)
+        diagonals = _cigar_diagonals(t, _jet_order(order))
         idx = np.arange(self.n)
         out = [diagonals[0]]
         for q in range(2, order + 1):
@@ -300,6 +288,7 @@ class SolitonPotential(PotentialModel):
     def derivative_tensors(self, t, order):
         # radial_deriv stays scalar (its branch and root solve are per s), so
         # a batch loops over the flattened s = sum_j t_j
+        order = _jet_order(order)
         s = np.add.reduce(np.asarray(t, dtype=float), axis=-1)
         c = np.array([self.radial_deriv(si, order) for si in s.ravel().tolist()])
         c = c.reshape(s.shape + (order,))
@@ -384,7 +373,7 @@ class PolyTestPotential(PotentialModel):
 
     def derivative_tensors(self, t, order):
         start = self._order_start
-        flat = self._evaluate(t, start[order])
+        flat = self._evaluate(t, start[_jet_order(order)])
         shape = flat.shape[:-1]
         return tuple(
             flat[..., start[q - 1]:start[q]].reshape(shape + (self.n,) * q) for q in range(1, order + 1)
@@ -522,7 +511,8 @@ def metric_from_jet(z: Sequence[complex], jet: Sequence[np.ndarray]) -> np.ndarr
     z = np.asarray(z, dtype=complex)
     d1, d2 = jet[:2]
     if not (np.isfinite(d1).all() and np.isfinite(d2).all()):
-        raise ValueError("potential derivatives are not finite at this point")
+        bad = ~(np.isfinite(d1) & np.isfinite(d2).all(axis=-1))
+        _check_domain(z, d1, bad, "potential derivatives are not finite: first derivative")
     idx = np.arange(z.shape[-1])
     g = np.zeros(d2.shape, dtype=complex)
     g[..., idx, idx] = d1
@@ -628,13 +618,14 @@ def cond0_scan(model: PotentialModel, region: SampleRegion) -> Cond0Report:
     """Scan the positivity side condition Phi_j >= 0 over a sampled polydisc.
 
     Also records the smallest metric eigenvalue seen, since positive
-    definiteness of G is the companion requirement.
+    definiteness of G is the companion requirement.  Both read one order-2
+    jet of the whole sample.
     """
     pts = region.sample(model.n)
-    d1 = model.first_derivs(radial_coords(pts))
-    eig_mins = np.linalg.eigvalsh(metric_at(model, pts))[:, 0]
+    jet = model.derivative_tensors(radial_coords(pts), 2)
+    eig_mins = np.linalg.eigvalsh(metric_from_jet(pts, jet))[:, 0]
     # numpy reductions propagate a NaN from any point; Python's min drops it
     return Cond0Report(
-        min_first_derivs=tuple(float(v) for v in np.min(d1, axis=0)),
+        min_first_derivs=tuple(float(v) for v in np.min(jet[0], axis=0)),
         min_metric_eigenvalue=float(np.min(eig_mins)),
     )

@@ -567,23 +567,13 @@ def pullback_report(
     }
 
 
-def _defect_at(pair: HoloCurvePair, z: complex) -> tuple[float, float]:
-    """``curvature_defect`` at z; a ValueError naming z where its evaluation
-    overflows.  A NaN it returns is left to the caller's verdict."""
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            return curvature_defect(pair, z)
-    except ArithmeticError as err:  # numpy's FloatingPointError or Python's OverflowError
-        raise ValueError(f"the curvature defect at z = {z} overflows: {err}") from err
-
-
 def _defect_maxima(pair: HoloCurvePair, zs: Iterable[complex]) -> tuple[float, float]:
     """(max relative gap |direct - viaA| / max(1, |direct|), max direct defect)
-    of ``_defect_at`` over the points ``zs``; a NaN at any point propagates
+    of ``curvature_defect`` over the points ``zs``; a NaN at any point propagates
     to both maxima (Python's ``max`` would drop it)."""
     gaps, directs = [], []
     for z in zs:
-        direct, via_a = _defect_at(pair, complex(z))
+        direct, via_a = curvature_defect(pair, complex(z))
         gaps.append(abs(direct - via_a) / max(1.0, abs(direct)))
         directs.append(direct)
     return float(np.max(gaps, initial=0.0)), float(np.max(directs, initial=-np.inf))

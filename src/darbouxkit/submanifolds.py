@@ -258,18 +258,24 @@ def curvature_defect(pair: HoloCurvePair, z: complex) -> tuple[float, float]:
     The direct route differentiates the induced metric and subtracts the
     ambient R(T, Tbar, T, Tbar) along the tangent; the closed route is
     -|A|^2 / D.  Totally geodesic curves give 0; the defect is never positive.
+    Where the evaluation overflows, a ValueError names z; a NaN z gives NaNs.
     """
-    jet = pair.jet(z)
-    (f1, f2), (df1, df2), _ = jet
-    m1 = 1.0 + abs(f1) ** 2
-    m2 = 1.0 + abs(f2) ** 2
-    direct = _induced_curvature(jet) - (abs(df1) ** 4 / m1**3 + abs(df2) ** 4 / m2**3)
-    d1 = abs(df1) ** 2
-    d2 = abs(df2) ** 2
-    denom = (d1 * m2 + d2 * m1) * m1**2 * m2**2
-    if denom == 0.0:
-        raise ValueError("degenerate tangent: both derivatives vanish")
-    via_a = -abs(_obstruction(jet)) ** 2 / denom
+    try:
+        # a NaN propagates quietly, for the caller's verdict to read
+        with np.errstate(over="raise", invalid="ignore"):
+            jet = pair.jet(z)
+            (f1, f2), (df1, df2), _ = jet
+            m1 = 1.0 + abs(f1) ** 2
+            m2 = 1.0 + abs(f2) ** 2
+            direct = _induced_curvature(jet) - (abs(df1) ** 4 / m1**3 + abs(df2) ** 4 / m2**3)
+            d1 = abs(df1) ** 2
+            d2 = abs(df2) ** 2
+            denom = (d1 * m2 + d2 * m1) * m1**2 * m2**2
+            if denom == 0.0:
+                raise ValueError("degenerate tangent: both derivatives vanish")
+            via_a = -abs(_obstruction(jet)) ** 2 / denom
+    except ArithmeticError as err:  # numpy's FloatingPointError or Python's OverflowError
+        raise ValueError(f"the curvature defect at z = {z} overflows: {err}") from err
     return float(direct), float(via_a)
 
 

@@ -134,13 +134,18 @@ class TestBadInputIsUsageError:
          "start point and velocity must be finite"),
         (["ciriza", "--n", "2", "--spec", "sigma=1,1,alpha=nan,1"], "phase 0 is not unit modulus"),
         (["defect", "--f1", "nan", "--f2", "0,1"], "curve coefficients must be finite"),
+        # finite, but its metric energy overflows: this used to print four numpy
+        # warnings and blame the potential at an RK4 stage point
+        (["geodesic", "--model", "cigar:2", "--start", "0,0", "--vel", "1e200,0"],
+         "metric energy is not finite for the velocity [1.e+200"),
     ], ids=["curvature-point", "defect-at", "geodesic-start", "geodesic-vel", "ciriza-phase",
-            "defect-coefficient"])
+            "defect-coefficient", "geodesic-vel-overflow"])
     def test_nonfinite_number_reaches_its_check(self, runner, args, message):
         result = runner.invoke(main, args)
         assert result.exit_code == 2, result.output
         errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
         assert len(errors) == 1 and message in errors[0], result.output
+        assert "Warning" not in result.output
 
     @pytest.mark.parametrize("option", [["--radius", "1e200"], ["--at", "1e200"]], ids=["radius", "at"])
     def test_overflowing_defect_names_the_point(self, runner, option):

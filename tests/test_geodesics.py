@@ -131,6 +131,15 @@ class TestControls:
             with pytest.raises(ValueError, match="start point and velocity must be finite"):
                 geodesic_integrate(CigarProductPotential(2), z, v, 1.0)
 
+    def test_overflowing_velocity_named(self):
+        # finite, but its metric energy at the start overflows: the error names
+        # the first such row, not an RK4 stage point far outside the float range
+        z = [[0.1, 0.0], [0.0, 0.0], [0.0, 0.0]]
+        v = [[1.0, 0.0], [1e200, 0.0], [0.0, 1e300]]
+        named = r"metric energy is not finite for the velocity \[1\.e\+200.*\] at z=\[0\.\+0\.j 0\.\+0\.j\]$"
+        with pytest.raises(ValueError, match=named):
+            geodesic_integrate(CigarProductPotential(2), z, v, 1.0)
+
     def test_integer_input_is_complex(self):
         traj = geodesic_integrate(flat_potential(2), [1, 2], [3, 4], 1.0, steps=4)
         assert traj.points.dtype == complex and traj.points.shape == (5, 2)

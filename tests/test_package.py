@@ -1,10 +1,16 @@
 """The package namespace re-exports exactly the library modules' public names,
-so a name dropped from a module cannot linger in ``darbouxkit.__all__``."""
+so a name dropped from a module cannot linger in ``darbouxkit.__all__``, and
+every public name has a reader outside the tests."""
+
+import ast
+import re
+from pathlib import Path
 
 import darbouxkit
 from darbouxkit import curvature, darboux, geodesics, potentials, reporting, soliton, submanifolds
 
 MODULES = (soliton, potentials, darboux, curvature, geodesics, submanifolds, reporting)
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_all_is_the_union_of_the_module_lists():
@@ -17,3 +23,18 @@ def test_every_listed_name_resolves_to_its_module_object():
     for module in MODULES:
         for name in module.__all__:
             assert getattr(darbouxkit, name) is getattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_every_listed_name_is_read_outside_the_tests():
+    # a name only tests read is test-only API: it belongs in tests/, not in src/
+    sources = [path.read_text() for d in ("src", "scripts", "perfbench") for path in (ROOT / d).rglob("*.py")]
+    readme = (ROOT / "README.md").read_text()
+    sources += re.findall(r"^```python\n(.*?)^```", readme, flags=re.M | re.S)
+    used = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert sorted(set(darbouxkit.__all__) - used) == []

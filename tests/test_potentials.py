@@ -23,7 +23,6 @@ from darbouxkit import (
     SampleRegion,
     SolitonPotential,
     SolitonProfile,
-    cigar_radial_deriv,
     cond0_scan,
     flat_potential,
     fold_test_model,
@@ -38,7 +37,8 @@ from darbouxkit import (
     two_form_at,
     unit_directions,
 )
-from darbouxkit.potentials import _logsumexp
+from darbouxkit import potentials
+from darbouxkit.potentials import _logsumexp, metric_from_jet
 
 complex_coord = st.complex_numbers(
     max_magnitude=3.0, allow_nan=False, allow_infinity=False
@@ -58,54 +58,94 @@ def gauss(fun, lo, hi):
     return half * math.fsum(w * fun(mid + half * x) for x, w in zip(_NODES, _WEIGHTS))
 
 
+def cigar_radial_deriv(t: float, order: int) -> float:
+    """Scalar reference for the cigar summand's order-q t-derivative (q = 1..4),
+    phi'(t) = log(1+t)/t: a power series below t = 0.25, the exact closed form
+    above.  The shipped jet evaluates the same branches vectorised."""
+    p = order - 1
+    if t < 0.25:
+        # phi'(t) = sum_k (-1)^k t^k / (k+1), differentiated p times
+        acc = 0.0
+        weight = float(math.factorial(p))  # (m+p)! / m! at m = 0
+        power = 1.0
+        for m in range(60):
+            term = (-1.0) ** (m + p) * weight * power / (m + p + 1)
+            acc += term
+            if abs(term) < 1e-18 * abs(acc) + 1e-300:
+                break
+            power *= t
+            weight *= (m + p + 1) / (m + 1)
+        return acc
+    inner = math.log1p(t) / t ** (p + 1)
+    for j in range(1, p + 1):
+        inner -= 1.0 / (j * (1.0 + t) ** j * t ** (p + 1 - j))
+    return (-1.0) ** p * math.factorial(p) * inner
+
+
+def cigar_deriv(t: float, order: int) -> float:
+    """The shipped cigar factor's order-q t-derivative at one t, read off the
+    jet of ``CigarProductPotential(1)``."""
+    return CigarProductPotential(1).derivative_tensors([t], order)[order - 1].item()
+
+
 class TestCigarRadialDerivatives:
-    # the library evaluates orders >= 1 only; these tests integrate the
+    # the shipped jet, through derivative_tensors; these tests integrate the
     # first derivative against phi = -Li2(-t)
     def test_value_is_dilogarithm(self):
-        assert gauss(lambda t: cigar_radial_deriv(t, 1), 0.0, 1.0) == pytest.approx(
+        assert gauss(lambda t: cigar_deriv(t, 1), 0.0, 1.0) == pytest.approx(
             math.pi**2 / 12.0, rel=1e-15, abs=0.0
         )
 
     def test_value_equals_scipy_spence(self):
         # not at tiny t: rounding 1 + t in the argument of spence costs digits
         for t in (0.1, 0.25, 1.0, 3.7, 20.0):
-            integral = gauss(lambda s: cigar_radial_deriv(s, 1), 0.0, t)
+            integral = gauss(lambda s: cigar_deriv(s, 1), 0.0, t)
             assert integral == pytest.approx(-spence(1.0 + t), rel=1e-14, abs=0.0)
-
-    def test_order_zero_rejected(self):
-        with pytest.raises(ValueError, match="order must be >= 1"):
-            cigar_radial_deriv(1.0, 0)
 
     def test_first_derivative_closed_form(self):
         for t in (1e-7, 0.2499, 0.2501, 1.0, 50.0):
-            assert cigar_radial_deriv(t, 1) == pytest.approx(
+            assert cigar_deriv(t, 1) == pytest.approx(
                 math.log1p(t) / t, rel=1e-13
             )
-        assert cigar_radial_deriv(0.0, 1) == pytest.approx(1.0, abs=1e-15)
+        assert cigar_deriv(0.0, 1) == pytest.approx(1.0, abs=1e-15)
 
     def test_metric_combination(self):
         # g = d1 + t*d2 must equal 1/(1+t) for all t >= 0
         for t in (0.0, 1e-9, 1e-4, 0.2499, 0.2501, 1.0, 7.0, 1e4):
-            d1 = cigar_radial_deriv(t, 1)
-            d2 = cigar_radial_deriv(t, 2)
+            d1 = cigar_deriv(t, 1)
+            d2 = cigar_deriv(t, 2)
             assert d1 + t * d2 == pytest.approx(1.0 / (1.0 + t), rel=1e-12)
 
     @pytest.mark.parametrize("order", (1, 2, 3, 4))
     def test_series_branch_matches_closed_form(self, order):
         for t in (0.2499, 0.2501):
-            lo = cigar_radial_deriv(t, order)
-            hi = cigar_radial_deriv(t * 1.0000001, order)
+            lo = cigar_deriv(t, order)
+            hi = cigar_deriv(t * 1.0000001, order)
             assert hi == pytest.approx(lo, rel=1e-6)
+
+    @pytest.mark.parametrize("t", (0.2499, 0.25, 0.2501))
+    def test_both_branches_at_the_seam(self, t, monkeypatch):
+        # the same t through the series (switch moved above t) and through the
+        # closed form (switch moved to 0); the closed form's orders 3 and 4
+        # cancel to ~1e-3 of their largest term, p! log(1+t) / t^(p+1)
+        t_cols = np.array([[t]])
+        monkeypatch.setattr(potentials, "_CIGAR_SERIES_T", np.inf)
+        series = potentials._cigar_diagonals(t_cols, 4)
+        monkeypatch.setattr(potentials, "_CIGAR_SERIES_T", 0.0)
+        closed = potentials._cigar_diagonals(t_cols, 4)
+        for p, (a, b) in enumerate(zip(series, closed)):
+            scale = math.factorial(p) * math.log1p(t) / t ** (p + 1)
+            assert abs(a.item() - b.item()) <= 1e-14 * scale, (p + 1, a.item(), b.item())
 
     @pytest.mark.parametrize("order", (0, 1, 2, 3))
     def test_derivative_chain(self, order):
         # order q+1 is the t-derivative of order q; order 0 is phi = -Li2(-t)
         def deriv(s):
-            return -spence(1.0 + s) if order == 0 else cigar_radial_deriv(s, order)
+            return -spence(1.0 + s) if order == 0 else cigar_deriv(s, order)
 
         for t in (0.1, 0.3, 2.0):
             fd = fd_scalar(deriv, t)
-            assert cigar_radial_deriv(t, order + 1) == pytest.approx(fd, rel=1e-8)
+            assert cigar_deriv(t, order + 1) == pytest.approx(fd, rel=1e-8)
 
 
 class TestSolitonRadial:
@@ -142,7 +182,7 @@ class TestSolitonRadial:
         m = SolitonPotential(SolitonProfile(1))
         for s in np.linspace(1e-3, 100.0, 37):
             assert m.radial_deriv(s, 1)[0] == pytest.approx(
-                cigar_radial_deriv(s, 1), rel=1e-10
+                cigar_deriv(s, 1), rel=1e-10
             )
 
 
@@ -205,6 +245,20 @@ class TestMetric:
         # the fold family is a designed cond0 violator past t = 1/2
         g = metric_at(fold_test_model(), [2.0])
         assert np.min(np.linalg.eigvalsh(g)) < 0.0
+
+    @pytest.mark.parametrize("where", ("d1", "d2"))
+    def test_nonfinite_jet_names_first_point(self, where):
+        z = np.array([[0.5, 1.0j], [2.0, 3.0], [4.0, 5.0]])
+        d1, d2 = CigarProductPotential(2).derivative_tensors(radial_coords(z), 2)
+        # rows 1 and 2 are bad; the message names row 1
+        for row in (1, 2):
+            if where == "d1":
+                d1[row, 1] = np.nan
+            else:
+                d2[row, 0, 1] = np.inf
+        named = r"not finite: first derivative \[.*\] at z=\[2\.\+0\.j 3\.\+0\.j\]$"
+        with pytest.raises(ValueError, match=named):
+            metric_from_jet(z, (d1, d2))
 
 
 class TestDerivativeTensors:
@@ -284,6 +338,12 @@ class TestDerivativeTensors:
                 for idx in itertools.product(range(model.n), repeat=q):
                     assert tensor[idx] == _loop_partial(model, [idx.count(j) for j in range(model.n)], t)
 
+    @pytest.mark.parametrize("order", (0, 5, -1))
+    @pytest.mark.parametrize("model", shipped_models(), ids=lambda m: m.name)
+    def test_order_outside_one_to_four_rejected(self, model, order):
+        with pytest.raises(ValueError, match=f"derivative order must be 1, 2, 3 or 4, got {order}$"):
+            model.derivative_tensors(np.full(model.n, 0.1), order)
+
     def test_empty_poly_is_zero(self):
         m = PolyTestPotential(2, {})
         for q, tensor in enumerate(m.derivative_tensors(np.array([0.3, 2.0]), 4), 1):
@@ -353,6 +413,16 @@ class TestBatchedJets:
         stacked = model.derivative_tensors(np.stack([rows, rows[::-1]]), 2)
         assert stacked[1][0].tobytes() == batch[1].tobytes()
         assert stacked[1][1].tobytes() == batch[1][::-1].tobytes()
+
+    @pytest.mark.parametrize("model", [*shipped_models(), fold_test_model()], ids=lambda m: m.name)
+    def test_jet_prefix_is_order_independent(self, model, rng):
+        # D_p of an order-q jet is the order-p jet bit for bit, for p <= q <= 4,
+        # on the seam rows and on random rows below and above the cigar seam
+        rows = np.concatenate([_seam_rows(model), rng.uniform(0.0, 0.5, (20, model.n))])
+        jets = {q: model.derivative_tensors(rows, q) for q in (1, 2, 3, 4)}
+        for q, jet in jets.items():
+            for p in range(1, q + 1):
+                assert jet[p - 1].tobytes() == jets[p][p - 1].tobytes(), (p, q)
 
     @pytest.mark.parametrize("n", (1, 3))
     def test_cigar_rows_match_scalar_reference(self, n):
@@ -556,6 +626,16 @@ class TestCond0:
         mins, eig_min = _loop_cond0(model, region)
         assert _bits(*rep.min_first_derivs) == _bits(*mins)
         assert _bits(rep.min_metric_eigenvalue) == _bits(eig_min)
+
+    def test_one_jet_per_point(self, monkeypatch):
+        model = soliton_potential(SolitonProfile(2))
+        orders, radial = [], []
+        jet, deriv = model.derivative_tensors, model.radial_deriv
+        monkeypatch.setattr(model, "derivative_tensors", lambda t, q: orders.append(q) or jet(t, q))
+        monkeypatch.setattr(model, "radial_deriv", lambda s, q: radial.append(s) or deriv(s, q))
+        cond0_scan(model, SampleRegion(count=7))
+        assert orders == [2]  # D1 and the metric from one order-2 jet
+        assert len(radial) == 7
 
     def test_nan_first_derivative_fails(self):
         rep = Cond0Report((0.5, float("nan")), min_metric_eigenvalue=1.0)

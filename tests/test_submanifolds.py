@@ -5,7 +5,9 @@ Frozen oracles for the (z, z^2) pair at z = 1:
 """
 
 import dataclasses
+import math
 import os
+import re
 import subprocess
 import sys
 import types
@@ -264,6 +266,18 @@ class TestObstruction:
         monkeypatch.setattr(HoloCurvePair, "jet", jet)
         curvature_defect(graph_counterexample_pair(), 0.6 + 0.3j)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("z", (1e20, 1e40 + 1e40j, 1e200))
+    def test_overflow_raises_naming_z(self, z):
+        # at 1e20 the two routes once agreed on a wrong (2.996e-95, -0.0)
+        named = rf"^the curvature defect at z = {re.escape(str(z))} overflows: "
+        with pytest.raises(ValueError, match=named):
+            curvature_defect(graph_counterexample_pair(), z)
+
+    def test_nan_z_gives_nan_pair(self):
+        # a NaN is the caller's verdict to read (criterion 06 skips ValueError points)
+        direct, via = curvature_defect(graph_counterexample_pair(), complex(np.nan, 0.5))
+        assert math.isnan(direct) and math.isnan(via)
 
     def test_identical_components_zero_defect(self):
         pair = HoloCurvePair((1.0,), (1.0,))
