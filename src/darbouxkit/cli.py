@@ -81,9 +81,13 @@ def _load_model(value: str):
 
 @contextlib.contextmanager
 def _usage_errors():
-    """Report a ValueError raised inside as a usage error (exit 2)."""
+    """Report a ValueError raised inside as a usage error (exit 2), except a
+    ``MapDomainError``: a valid model whose map is not global on the sample is
+    a failed check (exit 1)."""
     try:
         yield
+    except MapDomainError as err:
+        raise click.ClickException(str(err)) from err
     except ValueError as err:
         raise click.BadParameter(str(err)) from err
 
@@ -113,11 +117,7 @@ def verify_pullback_cmd(model_arg, points, radius, seed, method, out) -> None:
     bound 1e-8 for the analytic Jacobian, 1e-5 for the FD one)."""
     model = _load_model(model_arg)
     with _usage_errors():
-        try:
-            report = pullback_report(model, points=points, radius=radius, seed=seed, method=method)
-        except MapDomainError as err:
-            # a valid model whose map is not global on the sample: a failed check, not bad input
-            raise click.ClickException(str(err)) from err
+        report = pullback_report(model, points=points, radius=radius, seed=seed, method=method)
     click.echo(json.dumps(report, sort_keys=True, indent=2))
     _write_json(report, out)
     sys.exit(0 if report["pass"] else 1)
@@ -177,10 +177,13 @@ def curvature_cmd(model_arg, point, method, out) -> None:
     z = _parse_cvector(point)
     if len(z) != model.n or not np.all(np.isfinite(z)):
         raise click.BadParameter(f"point {point!r} is not {model.n} finite coordinates")
-    with _usage_errors():
+    # a point past the float range fails below, with its own message, not numpy's warnings
+    with _usage_errors(), np.errstate(all="ignore"):
         r = curvature_at(model, z, method=method)
         # the holomorphic sectional curvature along e_1 of the tensor printed below
         sectional = float(r[0, 0, 0, 0].real) / metric_at(model, z)[0, 0].real ** 2
+    if not (np.all(np.isfinite(r)) and np.isfinite(sectional)):
+        raise click.BadParameter(f"the curvature at point {point!r} is not finite")
     payload = {
         "model": model.name,
         "n": model.n,
@@ -216,19 +219,18 @@ def _parse_embedding_spec(n: int, spec: str) -> PhaseBlockEmbedding:
 
 
 @main.command("ciriza")
-@click.option("--n", default=2, show_default=True, type=int)
+@click.option("--model", "model_arg", default="cigar:2", show_default=True, help="descriptor file, inline JSON, or kind:n")
 @click.option("--spec", required=True, help="sigma=<list>,alpha=<list>; sigma entry 0 means the coordinate is identically zero")
 @click.option("--samples", default=50, show_default=True, type=int)
-@click.option("--kind", default="cigar", type=click.Choice(["cigar", "soliton"]), show_default=True)
 @click.option("--seed", default=202614, show_default=True, type=int)
 @click.option("--out", default=None, help="write the JSON report here")
-def ciriza_cmd(n, spec, samples, kind, seed, out) -> None:
+def ciriza_cmd(model_arg, spec, samples, seed, out) -> None:
     """Check that the coordinate map sends a phase-block subspace to a
     complex-linear subspace (residual bound 1e-9)."""
-    embedding = _parse_embedding_spec(n, spec)
-    dm = DarbouxMap(model_from_descriptor({"kind": kind, "n": n}))
+    model = _load_model(model_arg)
+    embedding = _parse_embedding_spec(model.n, spec)
     with _usage_errors():
-        report = ciriza_image_check(dm, embedding, samples=samples, seed=seed)
+        report = ciriza_image_check(DarbouxMap(model), embedding, samples=samples, seed=seed)
     click.echo(json.dumps(report.as_dict(), sort_keys=True, indent=2))
     _write_json(report.as_dict(), out)
     sys.exit(0 if report.passed else 1)

@@ -281,16 +281,26 @@ class SolitonPotential(PotentialModel):
                     weight *= k - q
             return tuple(acc)
         derivs = self.profile.derivatives(log(s))
-        return tuple(
-            sum(c * d for c, d in zip(self._CHAIN_ROWS[q], derivs)) / s**q for q in range(1, order + 1)
-        )
+        sums = [sum(c * d for c, d in zip(self._CHAIN_ROWS[q], derivs)) for q in range(1, order + 1)]
+        try:
+            return tuple(v / s**q for q, v in enumerate(sums, 1))
+        except OverflowError:  # s**q is past the float range: C_q underflows instead
+            return tuple(v * s**-q for q, v in enumerate(sums, 1))
 
     def derivative_tensors(self, t, order):
         # radial_deriv stays scalar (its branch and root solve are per s), so
         # a batch loops over the flattened s = sum_j t_j
         order = _jet_order(order)
         s = np.add.reduce(np.asarray(t, dtype=float), axis=-1)
-        c = np.array([self.radial_deriv(si, order) for si in s.ravel().tolist()])
+        flat = s.ravel().tolist()
+        try:
+            c = np.array([self.radial_deriv(si, order) for si in flat])
+        except (ArithmeticError, ValueError):
+            # an s past the float range has no jet: NaN there, for metric_from_jet
+            # to name the point
+            if np.isfinite(s).all():
+                raise
+            c = np.array([self.radial_deriv(si, order) if si < np.inf else (np.nan,) * order for si in flat])
         c = c.reshape(s.shape + (order,))
         # filled by assignment: np.broadcast_to views cost more to build and to read
         jet = tuple(np.empty(s.shape + (self.n,) * q) for q in range(1, order + 1))
@@ -358,7 +368,15 @@ class PolyTestPotential(PotentialModel):
         # t_j ** e by scalar pow, not numpy's vectorised power, which rounds
         # differently in the last bit on some CPUs
         t = np.asarray(t, dtype=float)
-        t_powers = np.array([tj**e for tj in t.ravel().tolist() for e in self._exponents])
+        try:
+            t_powers = np.array([tj**e for tj in t.ravel().tolist() for e in self._exponents])
+        except OverflowError:
+            # a power past the float range: that point's rows are inf, for
+            # metric_from_jet to name the point
+            if t.ndim == 1:
+                return np.full(rows, np.inf)
+            rows_at = [self._evaluate(tp, rows) for tp in t.reshape(-1, self.n)]
+            return np.reshape(rows_at, t.shape[:-1] + (rows,))
         t_powers = t_powers.reshape(t.shape[:-1] + (-1,))
         terms = np.multiply.reduce(t_powers[..., self._powers[:rows]], axis=-1)
         return np.add.reduce(self._weights[:rows] * terms, axis=-1)

@@ -140,23 +140,12 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _jsonable(value):
-    # bool before int: bool subclasses int, and True must stay true, not 1
-    if isinstance(value, (np.bool_, bool)):
-        return bool(value)
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, complex):
-        return str(value)
-    if isinstance(value, Mapping):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+def _numpy_scalar(value):
+    """``json.dumps`` hook: the numpy scalar a report body holds as its Python
+    value; any other type raises json's own TypeError."""
+    if isinstance(value, (np.bool_, np.integer, np.floating)):
+        return value.item()
+    return json.JSONEncoder().default(value)
 
 
 @dataclass(frozen=True)
@@ -180,15 +169,15 @@ class VerificationReport:
         """Canonical JSON body; excludes wall time so reruns match bytewise."""
         payload = {
             "claim": self.claim,
-            "model": _jsonable(self.model),
-            "samples": int(self.samples),
-            "seed": int(self.seed),
-            "max_residual": _jsonable(self.max_residual),
-            "tolerance": _jsonable(self.tolerance),
+            "model": self.model,
+            "samples": self.samples,
+            "seed": self.seed,
+            "max_residual": self.max_residual,
+            "tolerance": self.tolerance,
             "pass": self.passed,
-            "details": _jsonable(self.details),
+            "details": self.details,
         }
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps(payload, sort_keys=True, default=_numpy_scalar)
 
     def as_dict(self) -> dict:
         data = json.loads(self.body())
@@ -216,7 +205,8 @@ _CLAIMS: dict[str, tuple[_ClaimBody, float]] = {}
 def _claim(claim: str, tolerance: float) -> Callable[[_ClaimBody], _ClaimBody]:
     """Register ``body(cfg, rng) -> (models, samples, residual, details)`` as a
     claim with this id and tolerance; ``rng`` is the claim's own
-    stream from ``cfg.rng_for``."""
+    stream from ``cfg.rng_for``, and ``models`` is the model the claim ran or
+    the list of them."""
 
     def register(body: _ClaimBody) -> _ClaimBody:
         _CLAIMS[claim] = (body, tolerance)
@@ -260,7 +250,11 @@ def _pullback_part(
     return _worst(ratios), details
 
 
-def _descriptors(models: Sequence[PotentialModel]) -> list[dict]:
+def _descriptors(models: PotentialModel | Sequence[PotentialModel]) -> dict | list[dict]:
+    """A report's ``model`` entry: the descriptor of the one model a claim ran,
+    or the list of its models' descriptors."""
+    if isinstance(models, PotentialModel):
+        return models.descriptor()
     return [m.descriptor() for m in models]
 
 
@@ -272,30 +266,31 @@ def _descriptors(models: Sequence[PotentialModel]) -> list[dict]:
 @_claim("soliton-pullback", 1.0)
 def _claim_soliton_pullback(cfg: RunConfig, rng: np.random.Generator):
     models = [SolitonPotential(SolitonProfile(n)) for n in (1, 2, 3)]
-    return (_descriptors(models), cfg.points, *_pullback_part(cfg, rng, models))
+    return (models, cfg.points, *_pullback_part(cfg, rng, models))
 
 
 @_claim("cigar-pullback", 1.0)
 def _claim_cigar_pullback(cfg: RunConfig, rng: np.random.Generator):
     models = [CigarProductPotential(n) for n in (1, 2, 3, 4)]
     models.append(poly_test_model())
-    return (_descriptors(models), cfg.points, *_pullback_part(cfg, rng, models))
+    return (models, cfg.points, *_pullback_part(cfg, rng, models))
 
 
 @_claim("profile-ode", 1e-9)
 def _claim_profile_ode(cfg: RunConfig, rng: np.random.Generator):
     grid = np.linspace(-10.0, 10.0, 200)
+    models = [SolitonPotential(SolitonProfile(n)) for n in (1, 2, 3)]
     per_n = {}
-    for n in (1, 2, 3):
-        profile = SolitonProfile(n)
+    for model in models:
+        profile = model.profile
         resid = _worst(profile.ode_residual(t) for t in grid)
         inv = _worst(
             profile.inversion_residual(t) for t in (-25.0, -5.0, 0.0, 5.0, 25.0, 400.0)
         )
-        per_n[f"n={n}"] = {"ode_residual": resid, "inversion_residual": inv}
+        per_n[f"n={model.n}"] = {"ode_residual": resid, "inversion_residual": inv}
     worst = _worst(part["ode_residual"] for part in per_n.values())
     details = {"grid": [-10.0, 10.0, 200], "per_n": per_n}
-    return [{"kind": "soliton", "n": n} for n in (1, 2, 3)], 200, worst, details
+    return models, 200, worst, details
 
 
 @_claim("profile-closed-form", 1e-10)
@@ -310,16 +305,17 @@ def _claim_profile_closed_form(cfg: RunConfig, rng: np.random.Generator):
         "max_gap_u_prime": gap_prime,
         "max_gap_u_second": gap_second,
     }
-    return {"kind": "soliton", "n": 1}, 200, gap_prime, details
+    return SolitonPotential(profile), 200, gap_prime, details
 
 
 @_claim("profile-limits", 1.0)
 def _claim_profile_limits(cfg: RunConfig, rng: np.random.Generator):
     checkpoints = (50.0, 100.0, 200.0)
+    models = [SolitonPotential(SolitonProfile(n)) for n in (1, 2, 3)]
     per_n = {}
     ratios = []
-    for n in (1, 2, 3):
-        profile = SolitonProfile(n)
+    for model in models:
+        n, profile = model.n, model.profile
         jets = [profile.derivatives(t)[:2] for t in checkpoints]
         slope_gaps = [abs(up / t - n) for t, (up, _) in zip(checkpoints, jets)]
         second_gaps = [abs(us - n) for _, us in jets]
@@ -338,17 +334,17 @@ def _claim_profile_limits(cfg: RunConfig, rng: np.random.Generator):
             "bounds": {"slope": 0.05 * n, "second": 0.05},
         }
     details = {"checkpoints": list(checkpoints), "per_n": per_n}
-    models = [{"kind": "soliton", "n": n} for n in (1, 2, 3)]
     return models, len(checkpoints), _worst(ratios), details
 
 
 @_claim("cigar-curvature", 1.0)
 def _claim_cigar_curvature(cfg: RunConfig, rng: np.random.Generator):
     bounds = {"identity": 1e-8, "mixed": 1e-8, "fd": 1e-5}
+    models = [CigarProductPotential(n) for n in (1, 2, 3)]
     per_model = {}
     ratios = []
-    for n in (1, 2, 3):
-        model = CigarProductPotential(n)
+    for model in models:
+        n = model.n
         pts = sample_polydisc(rng, cfg.points, n, _RADIUS)
         tensors = curvature_at(model, pts)
         idx = np.arange(n)
@@ -375,7 +371,6 @@ def _claim_cigar_curvature(cfg: RunConfig, rng: np.random.Generator):
             part["fd_agreement"] / bounds["fd"],
         ]
     details = {"bounds": bounds, "per_model": per_model}
-    models = [{"kind": "cigar", "n": n} for n in (1, 2, 3)]
     return models, cfg.points, _worst(ratios), details
 
 
@@ -407,7 +402,8 @@ def _claim_defect_identity(cfg: RunConfig, rng: np.random.Generator):
         "pairs": 20,
         "points_per_pair": 50,
     }
-    return {"kind": "cigar", "n": 2}, 20 * 50, worst, details
+    # the curve pairs live in the two-cigar model
+    return CigarProductPotential(2), 20 * 50, worst, details
 
 
 @_claim("total-geodesy", 1.0)
@@ -441,15 +437,16 @@ def _claim_total_geodesy(cfg: RunConfig, rng: np.random.Generator):
         "arclength": cfg.geodesic_length,
     }
     worst = _worst([catalog_res / catalog_bound, counter_bound / departure])
-    return _descriptors(models), len(per_embedding), worst, details
+    return models, len(per_embedding), worst, details
 
 
 @_claim("ciriza-linearity", 1.0)
 def _claim_ciriza(cfg: RunConfig, rng: np.random.Generator):
+    models = [CigarProductPotential(n) for n in (2, 3, 4)]
     per_embedding = {}
     ratios = []
-    for n in (2, 3, 4):
-        dm = DarbouxMap(CigarProductPotential(n))
+    for model in models:
+        n, dm = model.n, DarbouxMap(model)
         for i, emb in enumerate(standard_catalog(n, seed=cfg.seed % 1000)):
             report = ciriza_image_check(dm, emb, samples=50, seed=int(rng.integers(2**31)))
             per_embedding[f"cigar-n{n}/{i}:sigma={emb.sigma}"] = {
@@ -468,7 +465,7 @@ def _claim_ciriza(cfg: RunConfig, rng: np.random.Generator):
         "counterexample_rank": counter_rank,
         "samples_per_embedding": 50,
     }
-    return [{"kind": "cigar", "n": n} for n in (2, 3, 4)], 50, _worst(ratios), details
+    return models, 50, _worst(ratios), details
 
 
 @_claim("map-side-conditions", 1.0)
@@ -499,7 +496,7 @@ def _claim_side_conditions(cfg: RunConfig, rng: np.random.Generator):
         "rays": cfg.rays,
         "threshold": _PROPERNESS_THRESHOLD,
     }
-    return _descriptors(models), cfg.points, _worst(ratios), details
+    return models, cfg.points, _worst(ratios), details
 
 
 CLAIM_IDS: tuple[str, ...] = tuple(sorted(_CLAIMS))
@@ -513,13 +510,13 @@ def run_claim(claim: str, cfg: RunConfig) -> VerificationReport:
     start = time.perf_counter()
     try:
         models, samples, residual, details = body(cfg, cfg.rng_for(claim))
-        residual = float(residual)
+        model, residual = _descriptors(models), float(residual)
     except Exception as err:  # noqa: BLE001 - failures must surface as reports
-        models, samples, residual = None, 0, inf
+        model, samples, residual = None, 0, inf
         details = {"error": f"{type(err).__name__}: {err}", "traceback": traceback.format_exc()}
     return VerificationReport(
         claim=claim,
-        model=models,
+        model=model,
         samples=samples,
         seed=cfg.seed,
         max_residual=residual,

@@ -17,7 +17,9 @@ root solve.  Three branches keep the solve stable on the whole line:
 * moderate t:     Newton on log F_n(x) = n t - log n, with log F_n taken
                   as log(F_n);
 * n*t > 60:       the same Newton with log F_n formed without e^x, which
-                  works far beyond the overflow range of the direct form.
+                  works far beyond the overflow range of the direct form
+                  (from a larger n*t for n >= 14, where that form's tail
+                  polynomial is positive at every iterate).
 
 Both Newton forms are one routine, ``_newton(t)``, which picks its form from
 n*t: seeded from the asymptotic inverses of F_n, safeguarded by a bracket,
@@ -37,27 +39,57 @@ import numpy as np
 
 __all__ = ["FIntegral", "ProfileSolveError", "SolitonProfile", "profile_table"]
 
-_F_SERIES_CUTOFF = 0.5   # F_n power series below, closed form above
+_F_SERIES_CUTOFF = 0.5   # F_n power series below, closed form above (at least)
+_F_CLOSED_COND = 1e4     # largest condition number of F_n's closed form in use
 _SERIES_T = -3.0         # profile series branch for t at or below this
-_LOG_BRANCH_NT = 60.0    # switch to the log-space solve once n*t exceeds this
+_LOG_BRANCH_NT = 60.0    # switch to the log-space solve once n*t exceeds this (at least)
 _N_SERIES_TERMS = 24
 _MAX_NEWTON_ITER = 100  # cap of the profile root solve
 _NEWTON_TOL = 1e-13     # the root solve stops once |step| <= this * u'
 
 
 @functools.lru_cache(maxsize=None)
-def _tail_polynomial(n: int) -> tuple[float, ...]:
-    """Ascending coefficients p with F_n(x) = e^x p(x) + (-1)^n (n-1)!.
+def _closed_form(n: int) -> tuple[float, tuple[float, ...], float]:
+    """(cutoff, p, c): F_n(x) = e^x p(x) + c with c = (-1)^n (n-1)!, taken at
+    x >= cutoff and the power series below.
 
-    Built from the recurrence p_k(x) = x^k - k p_{k-1}(x), p_0 = 1, which is
-    the integrated-by-parts tail of F.
+    p, in ascending coefficients, comes from the recurrence
+    p_k(x) = x^k - k p_{k-1}(x), p_0 = 1, the integrated-by-parts tail of F.
+    The closed form cancels where F_n is small against (n-1)!, so the cutoff
+    is the first x = 0.5 + k/64 where its condition number
+    (e^x sum_j |p_j| x^j + (n-1)!) / F_n(x) is at most ``_F_CLOSED_COND``:
+    0.5 for n <= 5, 0.78 for n = 6 and 5.5 for n = 16.  Below it the rounding
+    of the closed form would exceed the profile solve's step rule.
     """
     p = np.array([1.0])
     for k in range(1, n):
         mono = np.zeros(k + 1)
         mono[k] = 1.0
         p = np.polynomial.polynomial.polyadd(mono, -float(k) * p)
-    return tuple(float(c) for c in p)
+    c = (-1.0) ** n * factorial(n - 1)
+    cutoff = _F_SERIES_CUTOFF
+    while exp(cutoff) * np.polynomial.polynomial.polyval(cutoff, np.abs(p)) + abs(c) > (
+        _F_CLOSED_COND * FIntegral(n)._series(cutoff)
+    ):
+        cutoff += 1.0 / 64.0
+    return cutoff, tuple(float(v) for v in p), c
+
+
+@functools.lru_cache(maxsize=None)
+def _log_form_nt(n: int) -> float:
+    """An n*t beyond which every iterate of the log-form solve keeps F_n's
+    tail polynomial p positive, as ``FIntegral.log_eval`` needs.
+
+    p > 0 wherever F_n(x) > (n-1)!, so beyond x = (n!)^(1/n) (F_n(x) > x^n / n),
+    and the solve's lower bracket target - (n-1) log(target + 1), target =
+    n t - log n, lies there from this n*t on.  It is below ``_LOG_BRANCH_NT``
+    for n <= 13, and 74.6 for n = 16.
+    """
+    positive = factorial(n) ** (1.0 / n)
+    target = positive
+    while target - (n - 1) * log(target + 1.0) <= positive:
+        target += 1.0
+    return target + log(n)
 
 
 @functools.lru_cache(maxsize=None)
@@ -117,16 +149,18 @@ class FIntegral:
             raise ValueError("F is only evaluated on x >= 0")
         if x < _F_SERIES_CUTOFF:
             return self._series(x)
-        tail = np.polynomial.polynomial.polyval(x, _tail_polynomial(self.n))
-        return exp(x) * tail + (-1.0) ** self.n * factorial(self.n - 1)
+        cutoff, p, c = _closed_form(self.n)
+        if x < cutoff:
+            return self._series(x)
+        return exp(x) * np.polynomial.polynomial.polyval(x, p) + c
 
     def log_eval(self, x: float) -> float:
         """log F_n(x) without forming e^x; requires the tail polynomial > 0."""
-        tail = np.polynomial.polynomial.polyval(x, _tail_polynomial(self.n))
+        _, p, c = _closed_form(self.n)
+        tail = np.polynomial.polynomial.polyval(x, p)
         if tail <= 0.0:
             raise ValueError(f"log form needs a larger argument, got x={x}")
-        const = (-1.0) ** self.n * factorial(self.n - 1)
-        corr = const * exp(-x) / tail if x < 700.0 else 0.0
+        corr = c * exp(-x) / tail if x < 700.0 else 0.0
         return x + log(tail) + log1p(corr)
 
     def _series(self, x: float) -> float:
@@ -219,8 +253,8 @@ class SolitonProfile:
 
     def _newton(self, t: float) -> float:
         """Root x = u'(t) of log F_n(x) = n t - log n, one F_n evaluation per
-        iteration: log(F_n(x)) bracketed below by 0 up to n t = _LOG_BRANCH_NT,
-        ``FIntegral.log_eval`` beyond it.
+        iteration: log(F_n(x)) bracketed below by 0 up to n t = _LOG_BRANCH_NT
+        (or ``_log_form_nt(n)`` if larger), ``FIntegral.log_eval`` beyond it.
 
         F_n integrates the log-concave x^(n-1) e^x, so log F_n is concave: a
         Newton step never overshoots the root from below, and after the first
@@ -232,7 +266,7 @@ class SolitonProfile:
         """
         n = self.n
         f = FIntegral(n)
-        log_form = n * t > _LOG_BRANCH_NT
+        log_form = n * t > _LOG_BRANCH_NT and n * t > _log_form_nt(n)
         target = n * t - log(n)
         # log F_n(x) <= x + (n-1) log x and the root lies below target + 1, so
         # it lies above this bound (which keeps log_eval's tail positive)

@@ -271,8 +271,6 @@ def curvature_defect(pair: HoloCurvePair, z: complex) -> tuple[float, float]:
             d1 = abs(df1) ** 2
             d2 = abs(df2) ** 2
             denom = (d1 * m2 + d2 * m1) * m1**2 * m2**2
-            if denom == 0.0:
-                raise ValueError("degenerate tangent: both derivatives vanish")
             via_a = -abs(_obstruction(jet)) ** 2 / denom
     except ArithmeticError as err:  # numpy's FloatingPointError or Python's OverflowError
         raise ValueError(f"the curvature defect at z = {z} overflows: {err}") from err

@@ -110,6 +110,8 @@ class TestBadInputIsUsageError:
         # both derivatives of (z^2, z^3) vanish at 0
         ["defect", "--f1", "0,1", "--f2", "0,0,1", "--at", "0"],
         ["verify-pullback", "--model", '{"kind": "soliton", "nn": 3}'],
+        ["curvature", "--model", "cigar:1", "--point", "abc"],
+        ["ciriza", "--spec", "alpha=1,sigma=1,1"],
     ], ids=["unknown-kind", "bad-n", "bad-json", "bad-sigma-entry", "missing-sigma-index",
             "null-n", "monomials-not-a-mapping", "negative-length", "nan-length", "inf-length",
             "one-profile-row", "zero-profile-n", "zero-steps", "negative-steps",
@@ -117,7 +119,8 @@ class TestBadInputIsUsageError:
             "zero-defect-points", "nan-pullback-radius", "nan-curvature-point",
             "zero-ciriza-samples", "nan-defect-radius", "inf-defect-radius",
             "fractional-n", "bool-n", "fold-n3", "bool-monomial", "int-label",
-            "nan-defect-at", "degenerate-defect-at", "unknown-descriptor-key"])
+            "nan-defect-at", "degenerate-defect-at", "unknown-descriptor-key",
+            "unparseable-point", "malformed-spec"])
     def test_exit_2_without_traceback(self, runner, args):
         result = runner.invoke(main, args)
         assert result.exit_code == 2, result.output
@@ -132,7 +135,7 @@ class TestBadInputIsUsageError:
         # the NaN used to reach the RK4 k2 stage and blame the potential
         (["geodesic", "--model", "cigar:2", "--start", "0.1,0", "--vel", "nan,0"],
          "start point and velocity must be finite"),
-        (["ciriza", "--n", "2", "--spec", "sigma=1,1,alpha=nan,1"], "phase 0 is not unit modulus"),
+        (["ciriza", "--model", "cigar:2", "--spec", "sigma=1,1,alpha=nan,1"], "phase 0 is not unit modulus"),
         (["defect", "--f1", "nan", "--f2", "0,1"], "curve coefficients must be finite"),
         # finite, but its metric energy overflows: this used to print four numpy
         # warnings and blame the potential at an RK4 stage point
@@ -292,12 +295,34 @@ class TestCurvatureCommand:
         assert data["sectional_first_axis"] != 0.5  # the analytic value
 
 
+class TestOutOfRangePoint:
+    FOLD = '{"kind": "poly", "n": 1, "label": "fold"}'
+
+    @pytest.mark.parametrize("model, point, named", [
+        ("cigar:2", "1e200,0", "at z=[1.e+200+0.j 0.e+000+0.j]"),
+        ("cigar:2", "1e150,0", "point '1e150,0'"),
+        ("soliton:2", "1e150,0", "point '1e150,0'"),
+        ("soliton:2", "1e200,0", "at z=[1.e+200+0.j 0.e+000+0.j]"),
+        ("soliton:1", "1e200", "at z=[1.e+200+0.j]"),
+        ("poly:2", "1e200,0", "at z=[1.e+200+0.j 0.e+000+0.j]"),
+        (FOLD, "1e100", "at z=[1.e+100+0.j]"),
+    ], ids=["cigar-t-inf", "cigar-powers", "soliton-s-powers", "soliton-s-inf", "soliton-n1-s-inf",
+            "poly-t-inf", "fold-square-overflows"])
+    def test_one_error_line_names_the_point(self, runner, model, point, named):
+        # a RuntimeWarning fails the test (pytest's filterwarnings), a traceback shows in the output
+        result = runner.invoke(main, ["curvature", "--model", model, "--point", point])
+        assert result.exit_code == 2, result.output
+        errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+        assert len(errors) == 1 and named in errors[0], result.output
+        assert "Traceback" not in result.output and "Warning" not in result.output
+
+
 class TestCirizaCommand:
     def test_spec_parsing_and_pass(self, runner, tmp_path):
         out = tmp_path / "cir.json"
         result = invoke(
             runner,
-            ["ciriza", "--n", "3", "--spec", "sigma=1,1,2,alpha=1,i,1",
+            ["ciriza", "--model", "cigar:3", "--spec", "sigma=1,1,2,alpha=1,i,1",
              "--samples", "8", "--out", str(out)],
         )
         assert result.exit_code == 0, result.output
@@ -307,7 +332,7 @@ class TestCirizaCommand:
 
     def test_phases_padded_with_ones(self, runner):
         result = invoke(
-            runner, ["ciriza", "--n", "2", "--spec", "sigma=1,1,alpha=i", "--samples", "4"]
+            runner, ["ciriza", "--model", "cigar:2", "--spec", "sigma=1,1,alpha=i", "--samples", "4"]
         )
         assert result.exit_code == 0
         assert '"(1+0j)"' in result.output
@@ -315,10 +340,36 @@ class TestCirizaCommand:
     def test_soliton_kind(self, runner):
         result = invoke(
             runner,
-            ["ciriza", "--n", "2", "--spec", "sigma=1,0,alpha=1",
-             "--kind", "soliton", "--samples", "4"],
+            ["ciriza", "--model", "soliton:2", "--spec", "sigma=1,0,alpha=1", "--samples", "4"],
         )
         assert result.exit_code == 0
+
+    def test_default_model_is_cigar_n2(self, runner):
+        default = invoke(runner, ["ciriza", "--spec", "sigma=1,1,alpha=1,i", "--samples", "4"])
+        explicit = invoke(
+            runner, ["ciriza", "--model", "cigar:2", "--spec", "sigma=1,1,alpha=1,i", "--samples", "4"]
+        )
+        assert default.exit_code == explicit.exit_code == 0
+        assert default.output == explicit.output
+        assert json.loads(default.output)["model"] == "cigar-n2"
+
+    def test_poly_model(self, runner):
+        result = invoke(runner, ["ciriza", "--model", "poly:2", "--spec", "sigma=1,1,alpha=1"])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["pass"] is True
+
+    def test_spec_is_parsed_against_the_model_dimension(self, runner):
+        result = runner.invoke(main, ["ciriza", "--model", "cigar:3", "--spec", "sigma=1,1,alpha=1"])
+        assert result.exit_code == 2
+        assert "sigma and phases must both have length n" in result.output
+
+    def test_map_domain_error_is_a_failed_check(self, runner):
+        fold = '{"kind":"poly","n":1,"label":"fold"}'
+        result = runner.invoke(main, ["ciriza", "--model", fold, "--spec", "sigma=1,alpha=1"])
+        assert result.exit_code == 1, result.output
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("Error: negative first derivative")
+        assert "Traceback" not in result.output
 
 
 class TestDefectCommand:
@@ -415,7 +466,7 @@ class TestOptionsArePinned:
             "soliton-profile": ["--n", "--t-min", "--t-max", "--count", "--out"],
             "geodesic": ["--model", "--start", "--vel", "--length", "--steps", "--out"],
             "curvature": ["--model", "--point", "--method", "--out"],
-            "ciriza": ["--n", "--spec", "--samples", "--kind", "--seed", "--out"],
+            "ciriza": ["--model", "--spec", "--samples", "--seed", "--out"],
             "defect": ["--f1", "--f2", "--points", "--radius", "--seed", "--at"],
             "suite": ["--config", "--seed", "--points", "--claims", "--out", "--outdir"],
         }

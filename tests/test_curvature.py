@@ -269,6 +269,10 @@ class TestOneJetPerPoint:
 
 
 class TestSectionalGeneralProperties:
+    def test_zero_direction_rejected(self):
+        with pytest.raises(ValueError, match="direction must be nonzero"):
+            holomorphic_sectional(CigarProductPotential(2), [0.1, 0.2], [0.0, 0.0])
+
     @given(scale=st.floats(min_value=0.1, max_value=2.0))
     def test_scale_invariance_in_velocity(self, scale):
         model = soliton_potential(SolitonProfile(2))

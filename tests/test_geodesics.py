@@ -140,6 +140,18 @@ class TestControls:
         with pytest.raises(ValueError, match=named):
             geodesic_integrate(CigarProductPotential(2), z, v, 1.0)
 
+    def test_non_finite_update_raises(self, monkeypatch):
+        # every stage's Christoffel symbols finite, but the accelerations sum past the float range
+        def christoffel(model, z, return_metric=False):
+            gamma = np.zeros(z.shape + (1, 1), dtype=complex)
+            return (gamma, np.ones(z.shape + (1,), dtype=complex)) if return_metric else gamma
+
+        monkeypatch.setattr(geodesics_mod, "christoffel_at", christoffel)
+        monkeypatch.setattr(geodesics_mod, "_acceleration", lambda gamma, v: np.full(v.shape, 1e308 + 0j))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(RuntimeError, match="geodesic integration blew up at step 1/4"):
+                geodesic_integrate(flat_potential(1), [0.0], [1.0], 1.0, steps=4)
+
     def test_integer_input_is_complex(self):
         traj = geodesic_integrate(flat_potential(2), [1, 2], [3, 4], 1.0, steps=4)
         assert traj.points.dtype == complex and traj.points.shape == (5, 2)

@@ -20,6 +20,7 @@ from darbouxkit import (
     CigarProductPotential,
     Cond0Report,
     PolyTestPotential,
+    ProfileSolveError,
     SampleRegion,
     SolitonPotential,
     SolitonProfile,
@@ -109,6 +110,10 @@ class TestCigarRadialDerivatives:
             )
         assert cigar_deriv(0.0, 1) == pytest.approx(1.0, abs=1e-15)
 
+    def test_negative_t_rejected(self):
+        with pytest.raises(ValueError, match="radial coordinate must be nonnegative"):
+            CigarProductPotential(2).derivative_tensors([0.5, -0.1], 1)
+
     def test_metric_combination(self):
         # g = d1 + t*d2 must equal 1/(1+t) for all t >= 0
         for t in (0.0, 1e-9, 1e-4, 0.2499, 0.2501, 1.0, 7.0, 1e4):
@@ -175,6 +180,17 @@ class TestSolitonRadial:
         for s in (0.05, 0.7, 5.0):
             fd = fd_scalar(lambda x: m.radial_deriv(x, q)[q - 1], s, h=1e-4 * max(1.0, s))
             assert m.radial_deriv(s, q + 1)[q] == pytest.approx(fd, rel=1e-5, abs=1e-10)
+
+    def test_negative_s_rejected(self):
+        with pytest.raises(ValueError, match="s must be nonnegative"):
+            SolitonPotential(SolitonProfile(2)).radial_deriv(-1.0, 1)
+
+    def test_powers_past_the_float_range_underflow(self):
+        # s**4 overflows at s = 1e300: C_q = (Stirling sum) / s^q underflows instead
+        m = SolitonPotential(SolitonProfile(2))
+        c = m.radial_deriv(1e300, 4)
+        assert c[0] == pytest.approx(m.profile.u_prime(math.log(1e300)) / 1e300, rel=1e-15)
+        assert c[1:] == (0.0, 0.0, 0.0)
 
     def test_n1_matches_cigar(self):
         # n=1 profile satisfies e^{u'} - 1 = e^t, i.e. the same metric as the
@@ -495,6 +511,43 @@ def _value_at(model, t, j, s):
     return _reference_value(model, tt)
 
 
+class TestOutOfRangePoints:
+    """A point past the float range gets a non-finite jet, so that
+    ``metric_from_jet`` names it; the other rows of a batch keep their jets."""
+
+    @pytest.mark.parametrize("model, t", [
+        (SolitonPotential(SolitonProfile(2)), [math.inf, 0.0]),
+        (fold_test_model(), [1e200]),
+        (PolyTestPotential(2, {(3, 0): 1.0, (0, 1): 1.0}), [1e110, 0.5]),
+    ], ids=["soliton-s-inf", "fold-square-overflows", "poly-cube-overflows"])
+    def test_jet_is_not_finite_and_other_rows_keep_theirs(self, model, t):
+        inside = np.full(model.n, 0.3)
+        batch = model.derivative_tensors(np.array([inside, t]), 4)
+        for tensor, alone in zip(batch, model.derivative_tensors(inside, 4)):
+            assert tensor[0].tobytes() == alone.tobytes()
+        assert not np.isfinite(batch[0][1]).any()
+
+    def test_solve_failure_inside_the_range_propagates(self, monkeypatch):
+        model = SolitonPotential(SolitonProfile(2))
+
+        def failing(s, order):
+            raise ProfileSolveError(f"no convergence at s={s}")
+
+        monkeypatch.setattr(model, "radial_deriv", failing)
+        with pytest.raises(ProfileSolveError, match="no convergence at s=1.0"):
+            model.derivative_tensors([[0.5, 0.5]], 2)
+
+    @pytest.mark.parametrize("model, z", [
+        (SolitonPotential(SolitonProfile(2)), [1e200, 0.0]),
+        (SolitonPotential(SolitonProfile(1)), [1e200]),
+        (fold_test_model(), [1e100]),
+    ], ids=["soliton-n2", "soliton-n1", "fold"])
+    def test_metric_names_the_point(self, model, z):
+        with np.errstate(over="ignore"):  # |z_j|^2 itself overflows at 1e200
+            with pytest.raises(ValueError, match=r"potential derivatives are not finite.* at z=\[1\.e\+"):
+                metric_at(model, z)
+
+
 class TestDescriptors:
     def test_round_trip_all_shipped(self, rng):
         # every shipped model and the flat and fold stock polynomials rebuild bit for bit
@@ -527,6 +580,28 @@ class TestDescriptors:
         assert m.descriptor() == ref.descriptor() == {"kind": "soliton", "n": n}
         z = np.full(n, 0.4 + 0.1j)
         assert np.array_equal(metric_at(m, z), metric_at(ref, z))
+
+    @pytest.mark.parametrize("desc, match", [
+        ([("kind", "cigar")], "must be a mapping"),
+        ({"n": 2}, "missing 'kind'"),
+    ], ids=["not-a-mapping", "no-kind"])
+    def test_malformed_descriptor_rejected(self, desc, match):
+        with pytest.raises(ValueError, match=match):
+            model_from_descriptor(desc)
+
+    def test_flat_label_builds_the_flat_potential(self):
+        m = model_from_descriptor({"kind": "poly", "n": 3, "label": "flat"})
+        assert m.descriptor() == flat_potential(3).descriptor()
+        assert np.array_equal(metric_at(m, [0.3, 1j, 2.0]), np.eye(3))
+
+    @pytest.mark.parametrize("args, match", [
+        ((3,), "the default coupled polynomial needs n = 2"),
+        ((2, {(1,): 1.0}), "bad exponent multi-index"),
+        ((1, {(-1,): 1.0}), "bad exponent multi-index"),
+    ], ids=["default-n3", "short-index", "negative-exponent"])
+    def test_bad_polynomial_rejected(self, args, match):
+        with pytest.raises(ValueError, match=match):
+            PolyTestPotential(*args)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -720,6 +795,11 @@ class TestRayGrowth:
             ref = np.array([_scalar_log_ray_growth(model, v, d) for v in _LOG_RADII.tolist()])
             assert batch.shape == _LOG_RADII.shape
             assert batch.tobytes() == ref.tobytes(), (model.name, d)
+
+    def test_constant_polynomial_never_grows(self):
+        # S = sum_j Phi_j t_j is 0 for a constant potential: log S is -inf
+        model = PolyTestPotential(1, {(0,): 2.0})
+        assert model.log_ray_growth(np.array([0.0, 5.0]), [1.0]).tolist() == [-np.inf, -np.inf]
 
     def test_matches_direct_sum_at_moderate_radius(self):
         for model in (CigarProductPotential(2), soliton_potential(SolitonProfile(2)), poly_test_model()):

@@ -18,9 +18,11 @@ from darbouxkit import (
     MapDomainError,
     RunConfig,
     SolitonProfile,
+    VerificationReport,
     flat_potential,
     fold_test_model,
     geodesic_integrate,
+    model_from_descriptor,
     pullback_report,
     resolve_out,
     run_claim,
@@ -104,6 +106,12 @@ class TestRunConfig:
         bad.write_text("{'seed': 1}")  # single quotes: invalid JSON
         with pytest.raises(ValueError, match="line"):
             RunConfig.from_json(bad)
+
+    def test_from_json_rejects_a_non_object(self, tmp_path):
+        p = tmp_path / "cfg.json"
+        p.write_text("[1, 2]")
+        with pytest.raises(ValueError, match="top level must be an object"):
+            RunConfig.from_json(p)
 
     def test_from_json_ok(self, tmp_path):
         p = tmp_path / "cfg.json"
@@ -220,12 +228,32 @@ class TestClaimExecution:
         assert "wall_time_s" not in parsed
         assert "wall_time_s" in a.as_dict()
 
-    def test_jsonable_keeps_bools_apart_from_ints(self):
+    @staticmethod
+    def _report(details) -> VerificationReport:
+        return VerificationReport("c", None, np.int64(2), 7, np.float64(0.5), 1.0, details)
+
+    def test_body_keeps_bools_apart_from_ints(self):
         # bool subclasses int; a True in the details must serialise as true
-        data = reporting_mod._jsonable(
-            {"a": True, "b": np.bool_(False), "c": 3, "d": np.int64(4), "e": (True, 1)}
+        details = {"a": True, "b": np.bool_(False), "c": 3, "d": np.int64(4), "e": (True, 1),
+                   "f": np.float32(0.25)}
+        body = json.loads(self._report(details).body())
+        assert json.dumps(body["details"], sort_keys=True) == (
+            '{"a": true, "b": false, "c": 3, "d": 4, "e": [true, 1], "f": 0.25}'
         )
-        assert json.dumps(data, sort_keys=True) == '{"a": true, "b": false, "c": 3, "d": 4, "e": [true, 1]}'
+        assert (body["samples"], body["max_residual"]) == (2, 0.5)
+
+    @pytest.mark.parametrize("value", [1j, np.arange(2), {1.5}], ids=["complex", "ndarray", "set"])
+    def test_body_rejects_other_types(self, value):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            self._report({"x": value}).body()
+
+    def test_model_entries_round_trip(self):
+        # every model a claim names is a descriptor its model rebuilds exactly
+        for report in run_suite(RunConfig()):
+            entries = report.model if isinstance(report.model, list) else [report.model]
+            assert entries, report.claim
+            for entry in entries:
+                assert model_from_descriptor(entry).descriptor() == entry, report.claim
 
     def test_side_conditions_body_reads_properness_pass_as_bool(self):
         body = json.loads(run_claim("map-side-conditions", RunConfig(points=2, rays=1)).body())

@@ -73,6 +73,25 @@ class TestFIntegral:
         big = 1e5
         assert f.log_eval(big) == pytest.approx(big + (n - 1) * math.log(big), rel=1e-8)
 
+    def test_negative_argument_rejected(self):
+        with pytest.raises(ValueError, match="x >= 0"):
+            FIntegral(2).eval(-1.0)
+
+    def test_log_form_needs_a_positive_tail(self):
+        # F_2(x) = e^x (x - 1) + 1: the tail x - 1 is negative below 1
+        with pytest.raises(ValueError, match="log form needs a larger argument, got x=0.5"):
+            FIntegral(2).log_eval(0.5)
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_closed_form_cutoff(self, n):
+        # the closed form takes over where its cancellation against (n-1)! is mild:
+        # at 0.5 up to n = 5, later above, and it agrees with the series there
+        f = FIntegral(n)
+        cutoff = soliton._closed_form(n)[0]
+        assert (cutoff == 0.5) == (n <= 5)
+        for x in (cutoff, cutoff + 1e-3):
+            assert f.eval(x) == pytest.approx(f._series(x), rel=2e-12)
+
     @given(st.floats(min_value=1e-6, max_value=0.499))
     def test_series_positive_below_cutoff(self, x):
         # integrand is positive, so F must be positive and increasing
@@ -174,12 +193,49 @@ class TestSolveErrors:
         with pytest.raises(ProfileSolveError):
             SolitonProfile(n).u_prime(100.0)
 
+    def test_non_positive_jet_has_infinite_residual(self):
+        p = SolitonProfile(2)
+        assert p._ode_residual(0.0, -1.0, 1.0) == math.inf
+        assert p._ode_residual(0.0, 1.0, 0.0) == math.inf
+
+    def test_bisection_takes_over_from_overshooting_steps(self, monkeypatch):
+        # 1000 F_n makes every Newton step 1000 times too long; the bracket's
+        # bisection still brings the solve to the root of log(1000 F_n) = n t - log n
+        true_eval = FIntegral.eval
+        monkeypatch.setattr(FIntegral, "eval", lambda self, x: 1e3 * true_eval(self, x))
+        x = SolitonProfile(2)._newton(0.5)
+        monkeypatch.undo()
+        assert 1e3 * FIntegral(2).eval(x) == pytest.approx(math.exp(1.0) / 2.0, rel=1e-12)
+
     def test_iteration_cap_raises(self, monkeypatch):
         # one Newton iteration cannot meet _NEWTON_TOL here; the last iterate
         # must not come back as an answer
         monkeypatch.setattr(soliton, "_MAX_NEWTON_ITER", 1)
         with pytest.raises(ProfileSolveError):
             SolitonProfile(2).u_prime(0.5)
+
+
+class TestEveryDimension:
+    """The solve holds for every n, not only the n <= 3 the claims use."""
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_u_prime_solves_on_the_scanned_grids(self, n):
+        # the F_n series/closed-form seam crossed t in [-0.621, -0.479] for
+        # n = 6 and [-3, 3] for n = 6..16; the direct/log seam at n t = 60
+        # left n = 16 without a positive log-form tail up to n t = 71.2
+        p = SolitonProfile(n)
+        grid = [*np.linspace(-0.621, -0.479, 143), *np.linspace(-3.0, 3.0, 6001),
+                *np.linspace(60.0 / n, 71.2 / n, 113)[1:]]
+        values = [p.u_prime(t) for t in grid]
+        assert all(v > 0.0 for v in values)
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_log_form_starts_where_its_tail_is_positive(self, n):
+        start = max(soliton._LOG_BRANCH_NT, soliton._log_form_nt(n))
+        assert (start == soliton._LOG_BRANCH_NT) == (n <= 13)
+        target = start - math.log(n)
+        lower_bracket = target - (n - 1) * math.log(target + 1.0)
+        assert math.isfinite(FIntegral(n).log_eval(lower_bracket))
 
 
 class TestBranchSeams:

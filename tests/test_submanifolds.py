@@ -92,6 +92,10 @@ class TestPhaseBlockEmbedding:
             with pytest.raises(ValueError, match="not unit modulus"):
                 PhaseBlockEmbedding(2, (1, 1), (bad, 1.0))
 
+    def test_embed_needs_k_parameters(self):
+        with pytest.raises(ValueError, match="expected 2 parameters"):
+            PhaseBlockEmbedding(3, (1, 2, 1), (1.0, 1j, -1.0)).embed([1.0])
+
     def test_standard_catalog_contents(self):
         cat1 = standard_catalog(1)
         assert len(cat1) == 1 and cat1[0].k == 1
@@ -302,6 +306,12 @@ class TestInducedMetric:
             assert submanifolds_mod._induced_curvature(pair.jet(z)) == pytest.approx(1.0 / (1.0 + t) ** 3, rel=1e-11)
 
 
+class TestCurveGeodesyModel:
+    def test_needs_the_two_cigar_model(self):
+        with pytest.raises(ValueError, match="curve geodesy runs in the two-cigar model"):
+            curve_geodesy_residual(CigarProductPotential(3), graph_counterexample_pair(), 0.5, 1.0)
+
+
 class TestCurveDistance:
     def test_zero_on_curve(self):
         pair = graph_counterexample_pair()
@@ -391,6 +401,9 @@ class TestCirizaProperty:
     def test_counterexample_rank(self):
         dm = DarbouxMap(CigarProductPotential(2))
         assert curve_image_rank(dm, graph_counterexample_pair()) == 2
+
+    def test_rank_of_zero_rows_is_zero(self):
+        assert submanifolds_mod._complex_rank(np.zeros((3, 2), dtype=complex)) == 0
 
     def test_dimension_mismatch(self):
         dm = DarbouxMap(CigarProductPotential(3))
