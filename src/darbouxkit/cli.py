@@ -30,7 +30,6 @@ from .reporting import (
     pullback_report,
     resolve_out,
     run_suite,
-    suite_passed,
     write_geodesic_csv,
     write_profile_csv,
 )
@@ -301,7 +300,7 @@ def suite_cmd(config_path, seed, points, claims, out, outdir) -> None:
     reports = run_suite(cfg)
     for report in reports:
         click.echo(report.summary_line())
-    all_passed = suite_passed(reports)
+    all_passed = all(r.passed for r in reports)
     total = sum(r.wall_time_s for r in reports)
     click.echo(f"{'ALL PASS' if all_passed else 'FAILURES PRESENT'} ({total:.1f}s)")
     payload = {

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .potentials import PotentialModel, _check_domain, radial_coords, two_form_at
+from .potentials import PotentialModel, _check_domain, hermitian_to_two_form, metric_at, radial_coords
 
 __all__ = [
     "MapDomainError",
@@ -73,7 +73,7 @@ class DarbouxMap:
         """w = sqrt(Phi_j) z_j at z of shape (..., n); a negative Phi_j raises
         ``MapDomainError`` naming the first such point."""
         z = np.asarray(z, dtype=complex)
-        d1 = self.model.first_derivs(radial_coords(z))
+        d1 = self.model.derivative_tensors(radial_coords(z), 1)[0]
         _check_domain(z, d1, d1 < 0.0, "negative first derivative", MapDomainError)
         return np.sqrt(d1) * z
 
@@ -96,7 +96,8 @@ class DarbouxMap:
         z = np.asarray(z, dtype=complex)
         j = self.jacobian(z, method=method)
         pulled = np.swapaxes(j, -1, -2) @ std_symplectic(self.n) @ j
-        residual = np.max(np.abs(pulled - two_form_at(self.model, z)), axis=(-2, -1))
+        omega = hermitian_to_two_form(metric_at(self.model, z))
+        residual = np.max(np.abs(pulled - omega), axis=(-2, -1))
         return float(residual) if z.ndim == 1 else residual
 
     def properness_scan(
@@ -219,18 +220,15 @@ def properness_auto_scan(
     rungs' half-decade grids are nested, so each rung scans only the radii
     above the previous one and extends its table.
     """
-    report = None
+    report = PropernessReport(float(threshold), (), np.empty((len(directions), 0)))
     for top in (8, 30, 80, 250):
         radii = np.logspace(0, top, 2 * top + 1)
-        if report is None:
-            report = darboux_map.properness_scan(directions, radii, threshold)
-        else:
-            rung = darboux_map.properness_scan(directions, radii[len(report.radii):], threshold)
-            report = replace(
-                report,
-                radii=report.radii + rung.radii,
-                log_values=np.concatenate([report.log_values, rung.log_values], axis=1),
-            )
+        rung = darboux_map.properness_scan(directions, radii[len(report.radii):], threshold)
+        report = replace(
+            report,
+            radii=report.radii + rung.radii,
+            log_values=np.concatenate([report.log_values, rung.log_values], axis=1),
+        )
         if report.passed:
-            return report
+            break
     return report

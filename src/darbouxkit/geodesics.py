@@ -20,6 +20,7 @@ from the metric of the jet its k1 stage already takes.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -134,9 +135,14 @@ def _rk4_run(
     energies = np.empty((len(z), steps + 1))
     points[:, 0], velocities[:, 0] = z, v
     for i in range(steps):
-        gamma, g = christoffel_at(model, z, return_metric=True)
+        # the start's k1 stage is checked: Christoffels that overflow there
+        # would otherwise fail at a NaN stage point
+        with np.errstate(over="ignore", invalid="ignore") if i == 0 else contextlib.nullcontext():
+            gamma, g = christoffel_at(model, z, return_metric=True)
+            k1z, k1v = v, _acceleration(gamma, v)
+        if i == 0:
+            _check_domain(z, k1v, ~np.isfinite(k1v), "the geodesic acceleration is not finite:")
         energies[:, i] = _energy(g, v)
-        k1z, k1v = v, _acceleration(gamma, v)
         k2z = v + 0.5 * h * k1v
         k2v = _acceleration(christoffel_at(model, z + 0.5 * h * k1z), k2z)
         k3z = v + 0.5 * h * k2v

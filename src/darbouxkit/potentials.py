@@ -52,7 +52,6 @@ __all__ = [
     "shipped_models",
     "radial_coords",
     "metric_at",
-    "two_form_at",
     "hermitian_to_two_form",
     "sample_polydisc",
     "SampleRegion",
@@ -214,9 +213,6 @@ class PotentialModel(ABC):
     def descriptor(self) -> dict:
         return {"kind": self.kind, "n": self.n}
 
-    def first_derivs(self, t: Sequence[float]) -> np.ndarray:
-        return self.derivative_tensors(t, 1)[0]
-
 
 class CigarProductPotential(PotentialModel):
     """Separable product-of-cigars potential: Phi(t) = sum_j phi(t_j)."""
@@ -292,15 +288,10 @@ class SolitonPotential(PotentialModel):
         # a batch loops over the flattened s = sum_j t_j
         order = _jet_order(order)
         s = np.add.reduce(np.asarray(t, dtype=float), axis=-1)
-        flat = s.ravel().tolist()
-        try:
-            c = np.array([self.radial_deriv(si, order) for si in flat])
-        except (ArithmeticError, ValueError):
-            # an s past the float range has no jet: NaN there, for metric_from_jet
-            # to name the point
-            if np.isfinite(s).all():
-                raise
-            c = np.array([self.radial_deriv(si, order) if si < np.inf else (np.nan,) * order for si in flat])
+        # an s past the float range has no jet: NaN there, for metric_from_jet
+        # to name the point
+        nan_row = (np.nan,) * order
+        c = np.array([self.radial_deriv(si, order) if si < np.inf else nan_row for si in s.ravel().tolist()])
         c = c.reshape(s.shape + (order,))
         # filled by assignment: np.broadcast_to views cost more to build and to read
         jet = tuple(np.empty(s.shape + (self.n,) * q) for q in range(1, order + 1))
@@ -568,11 +559,6 @@ def hermitian_to_two_form(g: np.ndarray) -> np.ndarray:
     out[..., 1::2, 0::2] = -re
     out[..., 1::2, 1::2] = -im
     return out
-
-
-def two_form_at(model: PotentialModel, z: Sequence[complex]) -> np.ndarray:
-    """Matrix of omega_Phi on real tangent vectors at z of shape (..., n)."""
-    return hermitian_to_two_form(metric_at(model, z))
 
 
 # ---------------------------------------------------------------------------

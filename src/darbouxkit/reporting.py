@@ -9,7 +9,10 @@ the tolerance is 1.0 — the raw numbers and their bounds live in ``details``.
 Determinism contract: a fixed ``RunConfig`` produces byte-identical report
 bodies (wall time is carried separately and never enters the body).  Every
 claim draws from its own generator seeded by (config seed, crc32(claim id)),
-so claims are independent and order-insensitive.
+so claims are independent and order-insensitive.  total-geodesy and
+ciriza-linearity also take their embeddings' phases from
+``standard_catalog(n, seed=cfg.seed % 1000)``, whose generator is seeded by
+cfg.seed % 1000 + n, not by the claim id.
 """
 
 from __future__ import annotations
@@ -61,7 +64,6 @@ __all__ = [
     "CLAIM_IDS",
     "run_claim",
     "run_suite",
-    "suite_passed",
     "pullback_report",
     "write_profile_csv",
     "write_geodesic_csv",
@@ -530,10 +532,6 @@ def run_suite(cfg: RunConfig) -> list[VerificationReport]:
     """Run every enabled claim, ordered by claim id."""
     enabled = cfg.claims if cfg.claims is not None else CLAIM_IDS
     return [run_claim(claim, cfg) for claim in sorted(enabled)]
-
-
-def suite_passed(reports: Sequence[VerificationReport]) -> bool:
-    return all(r.passed for r in reports)
 
 
 # ---------------------------------------------------------------------------

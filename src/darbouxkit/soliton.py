@@ -41,6 +41,8 @@ __all__ = ["FIntegral", "ProfileSolveError", "SolitonProfile", "profile_table"]
 
 _F_SERIES_CUTOFF = 0.5   # F_n power series below, closed form above (at least)
 _F_CLOSED_COND = 1e4     # largest condition number of F_n's closed form in use
+_F_SERIES_TERMS = 400    # cap of the F_n power series (182 terms at n = 120's cutoff)
+_F_SERIES_RESCALE = 2.0**900  # scale of the series' running power and factorial
 _SERIES_T = -3.0         # profile series branch for t at or below this
 _LOG_BRANCH_NT = 60.0    # switch to the log-space solve once n*t exceeds this (at least)
 _N_SERIES_TERMS = 24
@@ -164,18 +166,25 @@ class FIntegral:
         return x + log(tail) + log1p(corr)
 
     def _series(self, x: float) -> float:
+        """sum_k x^(n+k) / (k! (n+k)); ``ProfileSolveError`` if it has not
+        converged after ``_F_SERIES_TERMS`` terms."""
         n = self.n
         acc = 0.0
         power = x**n
         kfact = 1.0
-        for k in range(80):
+        for k in range(_F_SERIES_TERMS):
             term = power / (kfact * (n + k))
             acc += term
             if term < 1e-18 * acc + 1e-320:
-                break
+                return acc
             power *= x
             kfact *= k + 1
-        return acc
+            if power > _F_SERIES_RESCALE:
+                # an exact power-of-two rescale keeps both finite: k! alone overflows
+                # from k = 171 on, where its term would read as 0, as if converged
+                power /= _F_SERIES_RESCALE
+                kfact /= _F_SERIES_RESCALE
+        raise ProfileSolveError(f"F_{n} power series did not converge in {_F_SERIES_TERMS} terms at x={x!r}")
 
 
 @dataclass(frozen=True)

@@ -394,7 +394,7 @@ def ciriza_image_check(
     params = sample_polydisc(np.random.default_rng(seed), samples, embedding.k, 2.0)
     # differential of the map at 0 is the diagonal of sqrt(Phi_j(0)), so the
     # mapped tangent frame is that scaling applied to the embedding matrix
-    psi0 = np.sqrt(model.first_derivs(np.zeros(model.n)))
+    psi0 = np.sqrt(model.derivative_tensors(np.zeros(model.n), 1)[0])
     images = darboux_map.map_point(np.array([embedding.embed(p) for p in params]))
     return CirizaReport(
         model=model.name,

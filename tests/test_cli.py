@@ -141,8 +141,14 @@ class TestBadInputIsUsageError:
         # warnings and blame the potential at an RK4 stage point
         (["geodesic", "--model", "cigar:2", "--start", "0,0", "--vel", "1e200,0"],
          "metric energy is not finite for the velocity [1.e+200"),
+        # finite, with a finite metric energy, but Christoffel symbols that overflow:
+        # this used to blame the potential at a NaN RK4 stage point
+        *((["geodesic", "--model", model, "--start", "1e150,0", "--vel", "1,0"],
+           "the geodesic acceleration is not finite: [nan+nanj nan+nanj] at z=[1.e+150+0.j 0.e+000+0.j]")
+          for model in ("cigar:2", "soliton:2", "poly:2")),
     ], ids=["curvature-point", "defect-at", "geodesic-start", "geodesic-vel", "ciriza-phase",
-            "defect-coefficient", "geodesic-vel-overflow"])
+            "defect-coefficient", "geodesic-vel-overflow", "geodesic-start-christoffel-cigar",
+            "geodesic-start-christoffel-soliton", "geodesic-start-christoffel-poly"])
     def test_nonfinite_number_reaches_its_check(self, runner, args, message):
         result = runner.invoke(main, args)
         assert result.exit_code == 2, result.output

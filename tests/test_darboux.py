@@ -21,16 +21,16 @@ from darbouxkit import (
     SolitonProfile,
     flat_potential,
     fold_test_model,
+    hermitian_to_two_form,
     poly_test_model,
     properness_auto_scan,
     shipped_models,
     soliton_potential,
     std_symplectic,
     metric_at,
-    two_form_at,
     unit_directions,
 )
-from darbouxkit import potentials
+from darbouxkit import darboux
 
 
 class TestMapPoint:
@@ -147,7 +147,7 @@ class TestPullback:
         dm = DarbouxMap(model)
         z = 0.5 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
         j = dm.jacobian(z)
-        direct = np.max(np.abs(j.T @ std_symplectic(2) @ j - two_form_at(model, z)))
+        direct = np.max(np.abs(j.T @ std_symplectic(2) @ j - hermitian_to_two_form(metric_at(model, z))))
         assert dm.pullback_residual(z) == pytest.approx(direct, abs=0.0)
 
     def test_std_symplectic_shape(self):
@@ -193,7 +193,7 @@ class TestBatchedPullback:
 
         metric_calls = []
         monkeypatch.setattr(DarbouxMap, "jacobian", counted)
-        monkeypatch.setattr(potentials, "metric_at", counted_metric)
+        monkeypatch.setattr(darboux, "metric_at", counted_metric)
         pts = SampleRegion(radius=2.0, count=9).sample(3)
         DarbouxMap(CigarProductPotential(3)).pullback_residual(pts, method=method)
         assert calls == [(9, 3)] and metric_calls == [(9, 3)]
@@ -275,14 +275,16 @@ def _reference_auto_scan(dm, directions, threshold=1e3):
 
 class TestPropernessLadder:
     @pytest.mark.parametrize(
-        "model, rungs",
+        "model, rungs, passes",
         [
-            (lambda: soliton_potential(SolitonProfile(2)), [17, 44, 100, 340]),
-            (poly_test_model, [17]),
+            (lambda: soliton_potential(SolitonProfile(2)), [17, 44, 100, 340], True),
+            (poly_test_model, [17], True),
+            # never proper: every rung runs, 501 radii in all
+            (fold_test_model, [17, 44, 100, 340], False),
         ],
-        ids=["soliton-n2", "poly-n2"],
+        ids=["soliton-n2", "poly-n2", "fold-n1"],
     )
-    def test_each_radius_evaluated_once(self, model, rungs, rng, monkeypatch):
+    def test_each_radius_evaluated_once(self, model, rungs, passes, rng, monkeypatch):
         model = model()
         calls = []
         growth = model.log_ray_growth
@@ -295,8 +297,8 @@ class TestPropernessLadder:
             return scan(self, directions, radii, threshold)
 
         monkeypatch.setattr(DarbouxMap, "properness_scan", counting_scan)
-        rep = properness_auto_scan(DarbouxMap(model), unit_directions(2, 8, rng))
-        assert rep.passed
+        rep = properness_auto_scan(DarbouxMap(model), unit_directions(model.n, 8, rng))
+        assert rep.passed == passes
         assert scans == rungs  # one scan per rung, over that rung's new radii only
         # one log_ray_growth call per ray per rung, covering exactly that rung's radii
         starts = np.cumsum([0, *rungs])

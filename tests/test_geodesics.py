@@ -140,6 +140,25 @@ class TestControls:
         with pytest.raises(ValueError, match=named):
             geodesic_integrate(CigarProductPotential(2), z, v, 1.0)
 
+    def test_overflowing_christoffels_named(self, monkeypatch):
+        # the metric energy at 1e150 is finite, its Christoffel symbols are not:
+        # the start's own k1 stage names the row, and no other stage runs
+        calls = []
+        christoffel = geodesics_mod.christoffel_at
+        monkeypatch.setattr(geodesics_mod, "christoffel_at", lambda *a, **k: calls.append(1) or christoffel(*a, **k))
+        z = [[0.1, 0.0], [1e150, 0.0]]
+        named = r"acceleration is not finite: \[nan\+nanj nan\+nanj\] at z=\[1\.e\+150\+0\.j 0\.e\+000\+0\.j\]$"
+        with pytest.raises(ValueError, match=named):
+            geodesic_integrate(CigarProductPotential(2), z, [[1.0, 0.0], [1.0, 0.0]], 1.0)
+        assert len(calls) == 1
+
+    def test_four_christoffel_calls_per_step(self, monkeypatch):
+        calls = []
+        christoffel = geodesics_mod.christoffel_at
+        monkeypatch.setattr(geodesics_mod, "christoffel_at", lambda *a, **k: calls.append(1) or christoffel(*a, **k))
+        assert geodesic_integrate(CigarProductPotential(2), [0.3, 0.1j], [0.05, 0.02], 1.0, steps=24).converged
+        assert len(calls) == 4 * 24
+
     def test_non_finite_update_raises(self, monkeypatch):
         # every stage's Christoffel symbols finite, but the accelerations sum past the float range
         def christoffel(model, z, return_metric=False):

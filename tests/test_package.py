@@ -5,6 +5,7 @@ every public name has a reader outside the tests."""
 import ast
 import re
 from pathlib import Path
+from types import FunctionType
 
 import darbouxkit
 from darbouxkit import curvature, darboux, geodesics, potentials, reporting, soliton, submanifolds
@@ -25,11 +26,8 @@ def test_every_listed_name_resolves_to_its_module_object():
             assert getattr(darbouxkit, name) is getattr(module, name), f"{module.__name__}.{name}"
 
 
-def test_every_listed_name_is_read_outside_the_tests():
-    # a name only tests read is test-only API: it belongs in tests/, not in src/
-    sources = [path.read_text() for d in ("src", "scripts", "perfbench") for path in (ROOT / d).rglob("*.py")]
-    readme = (ROOT / "README.md").read_text()
-    sources += re.findall(r"^```python\n(.*?)^```", readme, flags=re.M | re.S)
+def _names_read(sources) -> set[str]:
+    """Every ``Name`` id and ``Attribute`` attr in the python sources."""
     used = set()
     for source in sources:
         for node in ast.walk(ast.parse(source)):
@@ -37,4 +35,30 @@ def test_every_listed_name_is_read_outside_the_tests():
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
-    assert sorted(set(darbouxkit.__all__) - used) == []
+    return used
+
+
+def _outside_sources() -> list[str]:
+    """The library, scripts, benchmark and README python blocks."""
+    sources = [path.read_text() for d in ("src", "scripts", "perfbench") for path in (ROOT / d).rglob("*.py")]
+    readme = (ROOT / "README.md").read_text()
+    return sources + re.findall(r"^```python\n(.*?)^```", readme, flags=re.M | re.S)
+
+
+def test_every_listed_name_is_read_outside_the_tests():
+    # a name only tests read is test-only API: it belongs in tests/, not in src/
+    assert sorted(set(darbouxkit.__all__) - _names_read(_outside_sources())) == []
+
+
+def test_every_public_member_is_read_outside_the_tests():
+    # methods and properties of the public classes too; the acceptance gate is
+    # frozen, so what it reads stays
+    used = _names_read([*_outside_sources(), (ROOT / "tests" / "test_acceptance.py").read_text()])
+    members = {
+        f"{name}.{attr}"
+        for name in darbouxkit.__all__
+        if isinstance(cls := getattr(darbouxkit, name), type)
+        for attr, value in vars(cls).items()
+        if not attr.startswith("_") and isinstance(value, (FunctionType, property, classmethod, staticmethod))
+    }
+    assert sorted(m for m in members if m.split(".")[1] not in used) == []

@@ -35,7 +35,6 @@ from darbouxkit import (
     sample_polydisc,
     shipped_models,
     soliton_potential,
-    two_form_at,
     unit_directions,
 )
 from darbouxkit import potentials
@@ -248,12 +247,10 @@ class TestMetric:
     def test_two_form_blocks(self, rng):
         m = CigarProductPotential(2)
         z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        omega = two_form_at(m, z)
+        g = metric_at(m, z)
+        omega = hermitian_to_two_form(g)
         assert omega.shape == (4, 4)
         assert np.allclose(omega, -omega.T, atol=1e-15)
-        g = metric_at(m, z)
-        rebuilt = hermitian_to_two_form(g)
-        assert np.array_equal(omega, rebuilt)
         # diagonal metric entry g_jj appears as the (x_j, y_j) pairing
         assert omega[0, 1] == pytest.approx(g[0, 0].real)
 
@@ -527,6 +524,24 @@ class TestOutOfRangePoints:
             assert tensor[0].tobytes() == alone.tobytes()
         assert not np.isfinite(batch[0][1]).any()
 
+    @pytest.mark.parametrize("row", [0, 1, 3])
+    def test_one_solve_per_finite_row(self, row, monkeypatch):
+        # an s = inf row costs no solve and makes no other row solve twice
+        model = SolitonPotential(SolitonProfile(2))
+        t = np.array([[0.02, 0.01], [0.5, 0.5], [1.0, 2.0], [3.0, 0.0]])
+        t[row] = [math.inf, 0.0]
+        alone = [model.derivative_tensors(ti, 4) for ti in t]
+        solves = []
+        deriv = model.radial_deriv
+        monkeypatch.setattr(model, "radial_deriv", lambda s, q: solves.append(s) or deriv(s, q))
+        batch = model.derivative_tensors(t, 4)
+        assert solves == [float(np.sum(ti)) for k, ti in enumerate(t) if k != row]
+        for tensor, rows_alone in zip(batch, zip(*alone)):
+            assert np.isnan(tensor[row]).all()
+            for k in range(len(t)):
+                if k != row:
+                    assert tensor[k].tobytes() == rows_alone[k].tobytes()
+
     def test_solve_failure_inside_the_range_propagates(self, monkeypatch):
         model = SolitonPotential(SolitonProfile(2))
 
@@ -724,7 +739,7 @@ def _loop_cond0(model, region):
     mins = np.full(model.n, np.inf)
     eig_mins = []
     for z in region.sample(model.n):
-        mins = np.minimum(mins, model.first_derivs(radial_coords(z)))
+        mins = np.minimum(mins, model.derivative_tensors(radial_coords(z), 1)[0])
         eig_mins.append(np.linalg.eigvalsh(metric_at(model, z))[0])
     return tuple(float(v) for v in mins), float(np.min(eig_mins))
 

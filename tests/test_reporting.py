@@ -28,7 +28,6 @@ from darbouxkit import (
     run_claim,
     run_suite,
     sample_polydisc,
-    suite_passed,
     write_geodesic_csv,
     write_profile_csv,
 )
@@ -270,7 +269,7 @@ class TestClaimExecution:
         cfg = RunConfig(points=10, claims=("profile-ode", "profile-closed-form"))
         reports = run_suite(cfg)
         assert [r.claim for r in reports] == ["profile-closed-form", "profile-ode"]
-        assert suite_passed(reports)
+        assert all(r.passed for r in reports)
 
     @pytest.mark.parametrize(
         "claim, owner, attr",

@@ -92,6 +92,22 @@ class TestFIntegral:
         for x in (cutoff, cutoff + 1e-3):
             assert f.eval(x) == pytest.approx(f._series(x), rel=2e-12)
 
+    @pytest.mark.parametrize("n, x", [(60, 37.0), (100, 52.2), (100, 70.0)])
+    def test_series_converges_past_eighty_terms(self, n, x):
+        # n = 60 needs 103 terms here, n = 100 up to 156, past where x^(n+k) leaves
+        # the float range; a cap of 80 terms left 4e-10 and 2e-4 relative
+        from scipy.integrate import quad
+
+        assert x < soliton._closed_form(n)[0]
+        ref, _ = quad(lambda s: s ** (n - 1) * math.exp(s), 0.0, x, epsrel=1e-13)
+        assert FIntegral(n)._series(x) == pytest.approx(ref, rel=1e-13)
+        assert FIntegral(n).eval(x) == FIntegral(n)._series(x)
+
+    def test_series_past_its_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(soliton, "_F_SERIES_TERMS", 10)
+        with pytest.raises(ProfileSolveError, match=r"F_3 power series did not converge in 10 terms at x=5\.0$"):
+            FIntegral(3)._series(5.0)
+
     @given(st.floats(min_value=1e-6, max_value=0.499))
     def test_series_positive_below_cutoff(self, x):
         # integrand is positive, so F must be positive and increasing
