@@ -24,16 +24,19 @@ root solve.  Three branches keep the solve stable on the whole line:
 Both Newton forms are one routine, ``_newton(t)``, which picks its form from
 n*t: seeded from the asymptotic inverses of F_n, safeguarded by a bracket,
 and raising ``ProfileSolveError`` instead of returning an unconverged
-iterate.  Each t costs one solve: ``derivatives`` gets u'' ... u'''' from u'
-through the profile equation (Cao 1996), or from the same series on the
-series branch.
+iterate, or where F_n or its slope leaves the float range (from n = 119 on).
+Each iteration evaluates F_n's closed form with one Horner kernel on Python
+floats, ``_horner``, in numpy's polyval order: polyval's values bit for bit,
+without its per-call array overhead.  Each t costs one solve: ``derivatives``
+gets u'' ... u'''' from u' through the profile equation (Cao 1996), or from
+the same series on the series branch.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from math import exp, expm1, factorial, isfinite, log, log1p
+from math import exp, expm1, factorial, inf, isfinite, log, log1p
 
 import numpy as np
 
@@ -50,6 +53,16 @@ _MAX_NEWTON_ITER = 100  # cap of the profile root solve
 _NEWTON_TOL = 1e-13     # the root solve stops once |step| <= this * u'
 
 
+def _horner(p: tuple[float, ...], x: float) -> float:
+    """p(x) for ascending coefficients p, by Horner on Python floats in
+    ``numpy.polynomial.polynomial.polyval``'s operation order, so every value
+    is polyval's bit for bit without its per-call array overhead."""
+    acc = p[-1] + x * 0.0
+    for c in reversed(p[:-1]):
+        acc = c + acc * x
+    return acc
+
+
 @functools.lru_cache(maxsize=None)
 def _closed_form(n: int) -> tuple[float, tuple[float, ...], float]:
     """(cutoff, p, c): F_n(x) = e^x p(x) + c with c = (-1)^n (n-1)!, taken at
@@ -61,20 +74,23 @@ def _closed_form(n: int) -> tuple[float, tuple[float, ...], float]:
     is the first x = 0.5 + k/64 where its condition number
     (e^x sum_j |p_j| x^j + (n-1)!) / F_n(x) is at most ``_F_CLOSED_COND``:
     0.5 for n <= 5, 0.78 for n = 6 and 5.5 for n = 16.  Below it the rounding
-    of the closed form would exceed the profile solve's step rule.
+    of the closed form would exceed the profile solve's step rule.  Where
+    e^x sum_j |p_j| x^j leaves the float range first (n >= 133), the cutoff
+    is inf: the series answers everywhere.
     """
-    p = np.array([1.0])
+    p = (1.0,)
     for k in range(1, n):
-        mono = np.zeros(k + 1)
-        mono[k] = 1.0
-        p = np.polynomial.polynomial.polyadd(mono, -float(k) * p)
+        p = (*(-float(k) * v for v in p), 1.0)
     c = (-1.0) ** n * factorial(n - 1)
+    abs_p = tuple(abs(v) for v in p)
     cutoff = _F_SERIES_CUTOFF
-    while exp(cutoff) * np.polynomial.polynomial.polyval(cutoff, np.abs(p)) + abs(c) > (
-        _F_CLOSED_COND * FIntegral(n)._series(cutoff)
-    ):
+    while True:
+        bound = exp(cutoff) * _horner(abs_p, cutoff) + abs(c)
+        if not isfinite(bound):
+            return inf, p, c
+        if bound <= _F_CLOSED_COND * FIntegral(n)._series(cutoff):
+            return cutoff, p, c
         cutoff += 1.0 / 64.0
-    return cutoff, tuple(float(v) for v in p), c
 
 
 @functools.lru_cache(maxsize=None)
@@ -85,9 +101,13 @@ def _log_form_nt(n: int) -> float:
     p > 0 wherever F_n(x) > (n-1)!, so beyond x = (n!)^(1/n) (F_n(x) > x^n / n),
     and the solve's lower bracket target - (n-1) log(target + 1), target =
     n t - log n, lies there from this n*t on.  It is below ``_LOG_BRANCH_NT``
-    for n <= 13, and 74.6 for n = 16.
+    for n <= 13, and 74.6 for n = 16.  inf from n = 171 on, where n! leaves
+    the float range, so the solve keeps the direct form there.
     """
-    positive = factorial(n) ** (1.0 / n)
+    try:
+        positive = factorial(n) ** (1.0 / n)
+    except OverflowError:
+        return inf
     target = positive
     while target - (n - 1) * log(target + 1.0) <= positive:
         target += 1.0
@@ -130,8 +150,9 @@ def _dimension(n) -> int:
 
 
 class ProfileSolveError(ArithmeticError):
-    """The profile root solve met a non-finite F_n value or did not reach its
-    fixed relative step bound ``_NEWTON_TOL`` within the iteration cap."""
+    """The profile root solve met a non-finite or unevaluable F_n value (an
+    overflow at large n) or did not reach its fixed relative step bound
+    ``_NEWTON_TOL`` within the iteration cap; a solve's message names n and t."""
 
 
 @dataclass(frozen=True)
@@ -154,12 +175,12 @@ class FIntegral:
         cutoff, p, c = _closed_form(self.n)
         if x < cutoff:
             return self._series(x)
-        return exp(x) * np.polynomial.polynomial.polyval(x, p) + c
+        return exp(x) * _horner(p, x) + c
 
     def log_eval(self, x: float) -> float:
         """log F_n(x) without forming e^x; requires the tail polynomial > 0."""
         _, p, c = _closed_form(self.n)
-        tail = np.polynomial.polynomial.polyval(x, p)
+        tail = _horner(p, x)
         if tail <= 0.0:
             raise ValueError(f"log form needs a larger argument, got x={x}")
         corr = c * exp(-x) / tail if x < 700.0 else 0.0
@@ -280,19 +301,25 @@ class SolitonProfile:
         # log F_n(x) <= x + (n-1) log x and the root lies below target + 1, so
         # it lies above this bound (which keeps log_eval's tail positive)
         lo = target - (n - 1) * log(target + 1.0) if log_form else 0.0
-        hi = float("inf")
+        hi = inf
         phi = max(exp(min(t, 0.0)), target - (n - 1) * log(max(target, 1.0)))
         for _ in range(_MAX_NEWTON_ITER):
-            if log_form:
-                value = f.log_eval(phi)
-                slope = phi ** (n - 1) * exp(phi - value)
-            else:
-                direct = f.eval(phi)
-                value, slope = log(direct), phi ** (n - 1) * exp(phi) / direct
+            try:
+                if log_form:
+                    value = f.log_eval(phi)
+                    slope = phi ** (n - 1) * exp(phi - value)
+                else:
+                    direct = f.eval(phi)
+                    value, slope = log(direct), phi ** (n - 1) * exp(phi) / direct
+            except (ArithmeticError, ValueError) as exc:
+                # an overflow, a failed F_n series or a non-positive F_n or tail (large n)
+                raise ProfileSolveError(
+                    f"log F_{n}({phi!r}) failed ({exc}) while solving at t={t!r} (n={n})"
+                ) from exc
             resid = value - target
             if not (isfinite(resid) and slope > 0.0):
                 raise ProfileSolveError(
-                    f"log F_{n}({phi!r}) = {value!r} with slope {slope!r} while solving at t={t!r}"
+                    f"log F_{n}({phi!r}) = {value!r} with slope {slope!r} while solving at t={t!r} (n={n})"
                 )
             if resid > 0.0:
                 hi = phi

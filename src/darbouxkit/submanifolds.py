@@ -23,7 +23,6 @@ from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.polynomial.polynomial import polyder
 
 from .darboux import DarbouxMap
 from .geodesics import geodesic_integrate
@@ -190,10 +189,14 @@ class HoloCurvePair:
         coeffs = [np.array([0.0, *np.asarray(c, dtype=complex)]) for c in (coeffs1, coeffs2)]
         if not all(np.all(np.isfinite(c)) for c in coeffs):
             raise ValueError("curve coefficients must be finite")
-        # each derivative's coefficients as Python complex, highest degree first
-        self._rows = tuple(
-            tuple(tuple(complex(v) for v in polyder(c, m)[::-1]) for c in coeffs) for m in range(3)
-        )
+        # each derivative's coefficients as Python complex, highest degree first;
+        # the next derivative's are k c_k, and a constant's derivative is 0
+        rows = [[complex(v) for v in c] for c in coeffs]
+        table = []
+        for _ in range(3):
+            table.append(tuple(tuple(reversed(r)) for r in rows))
+            rows = [[k * v for k, v in enumerate(r)][1:] or [0j] for r in rows]
+        self._rows = tuple(table)
 
     def jet(self, z: complex) -> np.ndarray:
         """(3, 2) array whose rows are f, f' and f'' of (f1, f2) at z."""

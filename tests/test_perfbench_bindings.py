@@ -37,4 +37,9 @@ def test_tracer_installs_and_restores(monkeypatch):
         tracer.restore()
     assert ("darbouxkit.curvature", "metric_z_derivative") in patched
     assert ("darbouxkit.potentials", "SolitonPotential", "radial_deriv") in patched
+    # the F_n evaluations per solve and the solve branches are counted here, so
+    # the Newton loop must keep calling these methods, not an inlined kernel
+    assert ("darbouxkit.soliton", "FIntegral", "eval") in patched
+    assert ("darbouxkit.soliton", "FIntegral", "log_eval") in patched
+    assert ("darbouxkit.soliton", "SolitonProfile", "u_prime") in patched
     assert _bindings() == before

@@ -11,11 +11,13 @@ Frozen oracles used below (derived by hand / high-precision arithmetic):
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from numpy.polynomial.polynomial import polyadd, polyval
 
 from darbouxkit import (
     CigarProductPotential,
@@ -113,6 +115,90 @@ class TestFIntegral:
         # integrand is positive, so F must be positive and increasing
         f = FIntegral(2)
         assert 0.0 < f.eval(x) < f.eval(0.5)
+
+
+# the values of n = 1..16 before F_n's evaluation left numpy.polynomial
+CLOSED_FORM_CUTOFFS = {
+    1: 0.5, 2: 0.5, 3: 0.5, 4: 0.5, 5: 0.5, 6: 0.78125, 7: 1.109375, 8: 1.46875,
+    9: 1.890625, 10: 2.328125, 11: 2.796875, 12: 3.296875, 13: 3.828125,
+    14: 4.359375, 15: 4.921875, 16: 5.484375,
+}
+LOG_FORM_NT = {
+    1: 2.0, 2: 4.10736074293304, 3: 6.91573288150025, 4: 10.599658200520533,
+    5: 15.214608997131451, 6: 19.785554634751964, 7: 24.325925308196606,
+    8: 29.843792141182963, 9: 35.34439085173313, 10: 39.83131378111081,
+    11: 45.30713405238277, 12: 50.773758643890446, 13: 57.2326405337133,
+    14: 62.68491250103376, 15: 68.13147495088198, 16: 74.57305552050742,
+}
+
+
+def _polyadd_closed_form(n):
+    """``soliton._closed_form(n)`` built with numpy.polynomial: the tail
+    polynomial by polyadd, the cutoff search by polyval."""
+    p = np.array([1.0])
+    for k in range(1, n):
+        mono = np.zeros(k + 1)
+        mono[k] = 1.0
+        p = polyadd(mono, -float(k) * p)
+    c = (-1.0) ** n * math.factorial(n - 1)
+    cutoff = soliton._F_SERIES_CUTOFF
+    while math.exp(cutoff) * polyval(cutoff, np.abs(p)) + abs(c) > (
+        soliton._F_CLOSED_COND * FIntegral(n)._series(cutoff)
+    ):
+        cutoff += 1.0 / 64.0
+    return cutoff, tuple(float(v) for v in p), c
+
+
+def _same_bits(a, b) -> bool:
+    return float(a).hex() == float(b).hex()
+
+
+class TestFloatKernel:
+    """F_n's Horner kernel on Python floats against numpy's polyval."""
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_closed_form_tables_equal_polyadd_recurrence(self, n):
+        assert soliton._closed_form(n) == _polyadd_closed_form(n)
+        assert soliton._closed_form(n)[0] == CLOSED_FORM_CUTOFFS[n]
+        assert soliton._log_form_nt(n) == LOG_FORM_NT[n]
+
+    def test_closed_form_past_the_float_range(self):
+        # from n = 133 on, e^x sum_j |p_j| x^j overflows before the closed form
+        # is well conditioned: no cutoff, and F_n is its power series everywhere
+        assert math.isfinite(soliton._closed_form(132)[0])
+        for n in (133, 150, 171):
+            assert soliton._closed_form(n)[0] == math.inf
+            f = FIntegral(n)
+            for x in (0.7, 10.0, 30.0):
+                assert f.eval(x) == f._series(x)
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_kernel_equals_polyval_bitwise(self, n):
+        rng = np.random.default_rng(n)
+        cutoff, p, c = soliton._closed_form(n)
+        abs_p = tuple(abs(v) for v in p)
+        below = [float(x) for x in rng.uniform(0.0, cutoff, 50)] + [0.0, math.nextafter(cutoff, 0.0)]
+        above = [float(x) for x in rng.uniform(cutoff, cutoff + 30.0, 50)] + [cutoff]
+        for x in below + above + [float(x) for x in rng.uniform(cutoff, 700.0, 100)] + [700.0]:
+            assert _same_bits(soliton._horner(p, x), polyval(x, p)), x
+            assert _same_bits(soliton._horner(abs_p, x), polyval(x, np.abs(p))), x
+        f = FIntegral(n)
+        for x in below:
+            assert _same_bits(f.eval(x), f._series(x)), x
+        for x in above:
+            assert _same_bits(f.eval(x), math.exp(x) * polyval(x, p) + c), x
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_log_form_equals_polyval_bitwise(self, n):
+        rng = np.random.default_rng(100 + n)
+        _, p, c = soliton._closed_form(n)
+        # the tail polynomial is positive beyond (n!)^(1/n)
+        start = math.factorial(n) ** (1.0 / n)
+        f = FIntegral(n)
+        for x in [float(x) for x in rng.uniform(start, 700.0, 200)] + [start, 699.9, 700.0, 1e5]:
+            tail = polyval(x, p)
+            corr = c * math.exp(-x) / tail if x < 700.0 else 0.0
+            assert _same_bits(f.log_eval(x), x + math.log(tail) + math.log1p(corr)), x
 
 
 class TestProfileOracles:
@@ -244,6 +330,24 @@ class TestEveryDimension:
                 *np.linspace(60.0 / n, 71.2 / n, 113)[1:]]
         values = [p.u_prime(t) for t in grid]
         assert all(v > 0.0 for v in values)
+
+    @pytest.mark.parametrize("n", (119, 150, 171))
+    def test_large_n_solves_or_raises_naming_n_and_t(self, n):
+        # the direct slope's x^(n-1) e^x overflows from n = 119 on, the closed
+        # form's terms from n ~ 140, and n! itself at n = 171
+        p = SolitonProfile(n)
+        solved = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t in (float(t) for t in np.linspace(-3.5, 6.67, 200)):
+                try:
+                    jet = p.derivatives(t)
+                except ProfileSolveError as exc:
+                    assert f"at t={t!r} (n={n})" in str(exc)
+                else:
+                    assert all(math.isfinite(v) for v in jet) and jet[0] > 0.0 and jet[1] > 0.0, t
+                    solved += 1
+        assert solved >= 50
 
     @pytest.mark.parametrize("n", range(1, 17))
     def test_log_form_starts_where_its_tail_is_positive(self, n):

@@ -473,6 +473,21 @@ class TestHoloCurvePair:
                 for z in (complex(*rng.standard_normal(2)), float(rng.standard_normal())):
                     assert pair.jet(z).tobytes() == _polynomial_jet(c1, c2, z).tobytes()
 
+    def test_rows_equal_polyder_rows(self):
+        # the k c_k derivative rows must be numpy's polyder rows bit for bit,
+        # including the single 0 row of a derivative past the degree
+        rng = np.random.default_rng(24)
+        pairs = [((1.0,), (0.0, 1.0)), ((), ()), ((2j,), ())]
+        pairs += [tuple(rng.standard_normal(d) * 10.0 ** rng.uniform(-3, 3, d)
+                        + 1j * rng.standard_normal(d) for d in rng.integers(0, 6, 2))
+                  for _ in range(200)]
+        for c1, c2 in pairs:
+            coeffs = [np.array([0.0, *np.asarray(c, dtype=complex)]) for c in (c1, c2)]
+            rows = HoloCurvePair(c1, c2)._rows
+            assert len(rows) == 3 and all(len(row) == 2 for row in rows)
+            for m, row in enumerate(rows):
+                for r, c in zip(row, coeffs):
+                    assert np.array(r, dtype=complex).tobytes() == polyder(c, m)[::-1].astype(complex).tobytes()
 
     def test_jet_equals_polyval_bitwise(self):
         # the jet's Horner loop on Python complex must reproduce numpy's polyval
