@@ -37,7 +37,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .soliton import SolitonProfile, _dimension, _series_coefficients
+from .soliton import SolitonProfile, _dimension, _series_weights
 
 __all__ = [
     "PotentialModel",
@@ -268,20 +268,24 @@ class SolitonPotential(PotentialModel):
         if s < _RADIAL_SERIES_S:
             # Phi'(s) = u'(log s)/s = sum_k b_k s^(k-1), so q-th derivatives
             # carry the falling factorial (k-1)...(k-q+1), zero for k < q
-            b = _series_coefficients(self.profile.n)
             acc = [0.0] * order
-            for k in range(1, len(b)):
+            for k, b in enumerate(_series_weights(self.n, 0), 1):
                 weight = 1.0
                 for q in range(1, min(k, order) + 1):
-                    acc[q - 1] += weight * b[k] * s ** (k - q)
+                    acc[q - 1] += weight * b * s ** (k - q)
                     weight *= k - q
             return tuple(acc)
         derivs = self.profile.derivatives(log(s))
-        sums = [sum(c * d for c, d in zip(self._CHAIN_ROWS[q], derivs)) for q in range(1, order + 1)]
+        sums = []
+        for q in range(1, order + 1):
+            total = 0.0
+            for c, d in zip(self._CHAIN_ROWS[q], derivs):
+                total += c * d
+            sums.append(total)
         try:
-            return tuple(v / s**q for q, v in enumerate(sums, 1))
+            return tuple([v / s**q for q, v in enumerate(sums, 1)])
         except OverflowError:  # s**q is past the float range: C_q underflows instead
-            return tuple(v * s**-q for q, v in enumerate(sums, 1))
+            return tuple([v * s**-q for q, v in enumerate(sums, 1)])
 
     def derivative_tensors(self, t, order):
         # radial_deriv stays scalar (its branch and root solve are per s), so

@@ -30,6 +30,14 @@ floats, ``_horner``, in numpy's polyval order: polyval's values bit for bit,
 without its per-call array overhead.  Each t costs one solve: ``derivatives``
 gets u'' ... u'''' from u' through the profile equation (Cao 1996), or from
 the same series on the series branch.
+
+Nothing that depends on n alone is rebuilt per solve: a ``SolitonProfile``
+builds its ``FIntegral`` and reads ``_log_form_nt(n)`` at construction, an
+``FIntegral`` reads ``_closed_form(n)`` on its first closed-form evaluation,
+and the series branch runs the same Horner kernel over
+``_series_weights(n, p)``, the k^p b_k as Python floats (the radial series of
+``SolitonPotential`` reads p = 0, the b_k).  ``_LOG_BRANCH_NT`` and
+``_MAX_NEWTON_ITER`` stay module constants read per solve.
 """
 
 from __future__ import annotations
@@ -102,12 +110,13 @@ def _log_form_nt(n: int) -> float:
     and the solve's lower bracket target - (n-1) log(target + 1), target =
     n t - log n, lies there from this n*t on.  It is below ``_LOG_BRANCH_NT``
     for n <= 13, and 74.6 for n = 16.  inf from n = 171 on, where n! leaves
-    the float range, so the solve keeps the direct form there.
+    the float range, so the solve keeps the direct form there (tested before
+    forming n!, which every ``SolitonProfile`` reads at construction and
+    which takes seconds from n ~ 10^6).
     """
-    try:
-        positive = factorial(n) ** (1.0 / n)
-    except OverflowError:
+    if n > 170:
         return inf
+    positive = factorial(n) ** (1.0 / n)
     target = positive
     while target - (n - 1) * log(target + 1.0) <= positive:
         target += 1.0
@@ -141,6 +150,14 @@ def _series_coefficients(n: int) -> np.ndarray:
     return b
 
 
+@functools.lru_cache(maxsize=None)
+def _series_weights(n: int, p: int) -> tuple[float, ...]:
+    """(k^p b_k for k = 1, 2, ...) on Python floats: the series terms of u'
+    (p = 0, the b_k themselves) up to u'''' (p = 3)."""
+    b = _series_coefficients(n)
+    return tuple(float(float(k) ** p * b[k]) for k in range(1, len(b)))
+
+
 def _dimension(n) -> int:
     """n as an int if it is an int or numpy integer >= 1; ValueError otherwise,
     for a bool or a float too."""
@@ -167,19 +184,24 @@ class FIntegral:
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", _dimension(self.n))
 
+    @functools.cached_property
+    def _closed(self) -> tuple[float, tuple[float, ...], float]:
+        """``_closed_form(n)``, read on the first evaluation that needs it."""
+        return _closed_form(self.n)
+
     def eval(self, x: float) -> float:
         if x < 0.0:
             raise ValueError("F is only evaluated on x >= 0")
         if x < _F_SERIES_CUTOFF:
             return self._series(x)
-        cutoff, p, c = _closed_form(self.n)
+        cutoff, p, c = self._closed
         if x < cutoff:
             return self._series(x)
         return exp(x) * _horner(p, x) + c
 
     def log_eval(self, x: float) -> float:
         """log F_n(x) without forming e^x; requires the tail polynomial > 0."""
-        _, p, c = _closed_form(self.n)
+        _, p, c = self._closed
         tail = _horner(p, x)
         if tail <= 0.0:
             raise ValueError(f"log form needs a larger argument, got x={x}")
@@ -188,23 +210,27 @@ class FIntegral:
 
     def _series(self, x: float) -> float:
         """sum_k x^(n+k) / (k! (n+k)); ``ProfileSolveError`` if it has not
-        converged after ``_F_SERIES_TERMS`` terms."""
+        converged after ``_F_SERIES_TERMS`` terms, or where F_n(x) leaves the
+        float range (x^n overflows, or the rescaled k! underflows to 0)."""
         n = self.n
         acc = 0.0
-        power = x**n
-        kfact = 1.0
-        for k in range(_F_SERIES_TERMS):
-            term = power / (kfact * (n + k))
-            acc += term
-            if term < 1e-18 * acc + 1e-320:
-                return acc
-            power *= x
-            kfact *= k + 1
-            if power > _F_SERIES_RESCALE:
-                # an exact power-of-two rescale keeps both finite: k! alone overflows
-                # from k = 171 on, where its term would read as 0, as if converged
-                power /= _F_SERIES_RESCALE
-                kfact /= _F_SERIES_RESCALE
+        try:
+            power = x**n
+            kfact = 1.0
+            for k in range(_F_SERIES_TERMS):
+                term = power / (kfact * (n + k))
+                acc += term
+                if term < 1e-18 * acc + 1e-320:
+                    return acc
+                power *= x
+                kfact *= k + 1
+                if power > _F_SERIES_RESCALE:
+                    # an exact power-of-two rescale keeps both finite: k! alone overflows
+                    # from k = 171 on, where its term would read as 0, as if converged
+                    power /= _F_SERIES_RESCALE
+                    kfact /= _F_SERIES_RESCALE
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise ProfileSolveError(f"F_{n} power series leaves the float range at x={x!r}") from exc
         raise ProfileSolveError(f"F_{n} power series did not converge in {_F_SERIES_TERMS} terms at x={x!r}")
 
 
@@ -215,7 +241,11 @@ class SolitonProfile:
     n: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n", _dimension(self.n))
+        n = _dimension(self.n)
+        object.__setattr__(self, "n", n)
+        # read by every root solve; not fields, so ==, hash and repr see n alone
+        object.__setattr__(self, "_f", FIntegral(n))
+        object.__setattr__(self, "_log_nt", _log_form_nt(n))
 
     # -- derivative evaluators -------------------------------------------------
 
@@ -245,7 +275,7 @@ class SolitonProfile:
 
     def inversion_residual(self, t: float) -> float:
         """|F_n(u'(t)) - e^(nt)/n| relative to max(1, e^(nt)/n), log form for huge t."""
-        f = FIntegral(self.n)
+        f = self._f
         up = self.u_prime(t)
         nt = self.n * t
         if nt > _LOG_BRANCH_NT:
@@ -275,11 +305,7 @@ class SolitonProfile:
 
     def _series_sum(self, s: float, weight_power: int) -> float:
         """sum_k k^p b_k s^k by Horner; p = 0,1,2,3 gives u', u'', u''', u''''."""
-        b = _series_coefficients(self.n)
-        acc = 0.0
-        for k in range(len(b) - 1, 0, -1):
-            acc = acc * s + float(k) ** weight_power * b[k]
-        return acc * s
+        return _horner(_series_weights(self.n, weight_power), s) * s
 
     def _newton(self, t: float) -> float:
         """Root x = u'(t) of log F_n(x) = n t - log n, one F_n evaluation per
@@ -295,8 +321,8 @@ class SolitonProfile:
         section 9.4).
         """
         n = self.n
-        f = FIntegral(n)
-        log_form = n * t > _LOG_BRANCH_NT and n * t > _log_form_nt(n)
+        f = self._f
+        log_form = n * t > _LOG_BRANCH_NT and n * t > self._log_nt
         target = n * t - log(n)
         # log F_n(x) <= x + (n-1) log x and the root lies below target + 1, so
         # it lies above this bound (which keeps log_eval's tail positive)

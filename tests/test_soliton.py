@@ -110,6 +110,15 @@ class TestFIntegral:
         with pytest.raises(ProfileSolveError, match=r"F_3 power series did not converge in 10 terms at x=5\.0$"):
             FIntegral(3)._series(5.0)
 
+    @pytest.mark.parametrize("n, cause", [(133, ZeroDivisionError), (150, OverflowError)])
+    def test_series_past_the_float_range_raises(self, n, cause):
+        # F_n(120) > 1e308 for both; from n = 133 on eval answers by the series
+        # alone: at n = 133 the exact 2^900 rescale drives k! to 0, at n = 150
+        # x^n itself overflows
+        with pytest.raises(ProfileSolveError, match=rf"^F_{n} power series leaves the float range at x=120\.0$") as err:
+            FIntegral(n).eval(120.0)
+        assert isinstance(err.value.__cause__, cause)
+
     @given(st.floats(min_value=1e-6, max_value=0.499))
     def test_series_positive_below_cutoff(self, x):
         # integrand is positive, so F must be positive and increasing
@@ -311,10 +320,13 @@ class TestSolveErrors:
 
     def test_iteration_cap_raises(self, monkeypatch):
         # one Newton iteration cannot meet _NEWTON_TOL here; the last iterate
-        # must not come back as an answer
+        # must not come back as an answer.  The profile is built first: the
+        # cap is read per solve, not frozen at construction
+        p = SolitonProfile(2)
+        p.u_prime(0.5)
         monkeypatch.setattr(soliton, "_MAX_NEWTON_ITER", 1)
         with pytest.raises(ProfileSolveError):
-            SolitonProfile(2).u_prime(0.5)
+            p.u_prime(0.5)
 
 
 class TestEveryDimension:
@@ -384,12 +396,19 @@ class TestBranchSeams:
 
     @pytest.mark.parametrize("n", SEAM_NS)
     def test_direct_vs_log_newton(self, n, monkeypatch):
+        # the profile is built before the threshold moves, and each solve must
+        # take the forced form alone, so a threshold frozen at construction fails
+        evals = _count_calls(monkeypatch, FIntegral, "eval")
+        log_evals = _count_calls(monkeypatch, FIntegral, "log_eval")
         p = SolitonProfile(n)
         t = 60.0 / n
         monkeypatch.setattr(soliton, "_LOG_BRANCH_NT", math.inf)
         direct = p._newton(t)
+        assert evals and not log_evals
+        evals.clear()
         monkeypatch.setattr(soliton, "_LOG_BRANCH_NT", -math.inf)
         log_form = p._newton(t)
+        assert log_evals and not evals
         assert abs(direct - log_form) <= 1e-15 * direct
 
     @pytest.mark.parametrize("n", SEAM_NS)
@@ -451,6 +470,129 @@ class TestSolveCost:
             log_evals.clear()
             p.u_prime(t)
             assert len(evals) + len(log_evals) <= 8, t
+
+
+def reference_series_sum(n: int, s: float, weight_power: int) -> float:
+    """The profile series as it was before its Python-float tables: Horner
+    over the numpy ``_series_coefficients`` array, indexed term by term."""
+    b = soliton._series_coefficients(n)
+    acc = 0.0
+    for k in range(len(b) - 1, 0, -1):
+        acc = acc * s + float(k) ** weight_power * b[k]
+    return acc * s
+
+
+def reference_derivatives(profile: SolitonProfile, t: float) -> tuple:
+    """``SolitonProfile.derivatives`` with the reference series."""
+    t = float(t)
+    if t <= soliton._SERIES_T:
+        s = math.exp(t)
+        return tuple(reference_series_sum(profile.n, s, p) for p in range(4))
+    return profile._recursion_jet(t, profile._newton(t))
+
+
+def reference_radial_deriv(model: SolitonPotential, s: float, order: int) -> tuple:
+    """``SolitonPotential.radial_deriv`` as it was: the series double loop over
+    the numpy b_k, and generator sums over ``_CHAIN_ROWS`` on the reference jet."""
+    from darbouxkit import potentials
+
+    if s < potentials._RADIAL_SERIES_S:
+        b = soliton._series_coefficients(model.n)
+        acc = [0.0] * order
+        for k in range(1, len(b)):
+            weight = 1.0
+            for q in range(1, min(k, order) + 1):
+                acc[q - 1] += weight * b[k] * s ** (k - q)
+                weight *= k - q
+        return tuple(acc)
+    derivs = reference_derivatives(model.profile, math.log(s))
+    sums = [sum(c * d for c, d in zip(model._CHAIN_ROWS[q], derivs)) for q in range(1, order + 1)]
+    try:
+        return tuple(v / s**q for q, v in enumerate(sums, 1))
+    except OverflowError:
+        return tuple(v * s**-q for q, v in enumerate(sums, 1))
+
+
+def _profile_seams(n: int) -> dict:
+    """The t of each profile seam: the series at t = -3, the log form at
+    n t = max(60, ``_log_form_nt(n)``), and F_n's series/closed-form seam where
+    u'(t) = ``_closed_form(n)[0]``, i.e. e^(n t) / n = F_n(cutoff)."""
+    cutoff = soliton._closed_form(n)[0]
+    return {
+        "series": soliton._SERIES_T,
+        "log": max(soliton._LOG_BRANCH_NT, soliton._log_form_nt(n)) / n,
+        "closed": math.log(n * FIntegral(n).eval(cutoff)) / n,
+    }
+
+
+def _around(x: float, width: float) -> list:
+    return [*np.linspace(x - width, x + width, 41), x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf)]
+
+
+class TestTablesMatchReferences:
+    """The float tables of the series branches and the chain sums give the
+    reference loops' values bit for bit, across every profile and radial seam."""
+
+    @pytest.mark.parametrize("n", (*SEAM_NS, 14, 16))
+    def test_jet_and_residual_bitwise(self, n):
+        p = SolitonProfile(n)
+        seams = _profile_seams(n)
+        cutoff = soliton._closed_form(n)[0]
+        assert p.u_prime(seams["closed"] - 1e-3) < cutoff < p.u_prime(seams["closed"] + 1e-3)
+        grid = [*np.linspace(-8.0, seams["log"] + 2.0, 400)]
+        for t0 in seams.values():
+            grid += _around(t0, 1e-3)
+        for t in (float(t) for t in grid):
+            jet, ref = p.derivatives(t), reference_derivatives(p, t)
+            assert all(_same_bits(a, b) for a, b in zip(jet, ref)), t
+            assert _same_bits(p.ode_residual(t), p._ode_residual(t, *ref[:2])), t
+
+    @pytest.mark.parametrize("n", (*SEAM_NS, 14, 16))
+    def test_radial_deriv_bitwise(self, n):
+        model = SolitonPotential(SolitonProfile(n))
+        grid = [0.0, 1e300, *np.geomspace(1e-4, 1e4, 300), *_around(0.1, 1e-4)]
+        grid += [math.exp(t) for t in _profile_seams(n).values() if t > math.log(0.1)]
+        for s in (float(s) for s in grid):
+            for order in (1, 4):
+                got, ref = model.radial_deriv(s, order), reference_radial_deriv(model, s, order)
+                assert len(got) == len(ref) == order
+                assert all(_same_bits(a, b) for a, b in zip(got, ref)), (s, order)
+
+    def test_tables_are_python_floats(self):
+        # the float tables exist to take numpy scalars out of the series loops
+        for p in range(4):
+            assert all(type(v) is float for v in soliton._series_weights(3, p))
+        assert type(SolitonProfile(3).derivatives(-5.0)[0]) is float
+        assert type(SolitonPotential(SolitonProfile(3)).radial_deriv(0.05, 4)[3]) is float
+
+
+class TestDataclassBehaviour:
+    """The per-profile solve state is not a field: equality, hashing, repr
+    and ``dataclasses.replace`` see n alone."""
+
+    def test_profile_equality_hash_repr(self):
+        p, q = SolitonProfile(2), SolitonProfile(2)
+        p.u_prime(0.5)  # a used profile equals a fresh one
+        assert p == q and hash(p) == hash(q) and len({p, q}) == 1
+        assert p != SolitonProfile(3)
+        assert repr(p) == "SolitonProfile(n=2)"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.n = 3
+
+    def test_replace_rebuilds_the_solve_state(self):
+        p = dataclasses.replace(SolitonProfile(2), n=16)
+        assert p == SolitonProfile(16) and p._f == FIntegral(16)
+        assert p._log_nt == soliton._log_form_nt(16)
+        # n t = 62 is a direct solve for n = 16 (its log form starts at 74.6)
+        t = 62.0 / 16
+        assert _same_bits(p.u_prime(t), SolitonProfile(16).u_prime(t))
+
+    def test_fintegral_equality_hash_repr_after_use(self):
+        f = FIntegral(7)
+        f.eval(3.0)  # caches the closed form on the instance
+        assert f == FIntegral(7) and hash(f) == hash(FIntegral(7))
+        assert repr(f) == "FIntegral(n=7)"
+        assert f != FIntegral(8)
 
 
 class TestProfileTable:
