@@ -110,9 +110,9 @@ def _log_form_nt(n: int) -> float:
     and the solve's lower bracket target - (n-1) log(target + 1), target =
     n t - log n, lies there from this n*t on.  It is below ``_LOG_BRANCH_NT``
     for n <= 13, and 74.6 for n = 16.  inf from n = 171 on, where n! leaves
-    the float range, so the solve keeps the direct form there (tested before
-    forming n!, which every ``SolitonProfile`` reads at construction and
-    which takes seconds from n ~ 10^6).
+    the float range, so the solve keeps the direct form there (checked before
+    n! is formed: every ``SolitonProfile`` calls this at construction, and n!
+    alone takes seconds from n ~ 10^6).
     """
     if n > 170:
         return inf

@@ -361,6 +361,10 @@ class TestEveryDimension:
                     solved += 1
         assert solved >= 50
 
+    def test_log_form_start_is_inf_where_n_factorial_overflows(self):
+        assert math.isfinite(soliton._log_form_nt(170)) and math.factorial(170) < 2**1024
+        assert soliton._log_form_nt(171) == math.inf and math.factorial(171) > 2**1024
+
     @pytest.mark.parametrize("n", range(1, 17))
     def test_log_form_starts_where_its_tail_is_positive(self, n):
         start = max(soliton._LOG_BRANCH_NT, soliton._log_form_nt(n))
