@@ -4,8 +4,6 @@
 For each shipped model the script samples points on spheres of growing radius,
 evaluates the symplectic pullback residual with both the analytic Jacobian and
 the finite-difference cross-check, and writes one CSV row per (model, radius).
-Models whose map has a bounded domain simply stop at the largest radius that
-still fits (none of the shipped models do).
 
 Usage:
     python3 scripts/residual_sweep.py --points 40 --seed 7

@@ -9,42 +9,38 @@ potential is Phi(z) = u(log ||z||^2).  The profile is pinned down by
 
 One integration turns the equation into  F_n(u'(t)) = e^(nt) / n  with
 F_n(x) = int_0^x s^(n-1) e^s ds, so each profile value is a one-dimensional
-root solve.  Three branches keep the solve stable on the whole line:
+root solve.  Two branches keep the solve stable on the whole line:
 
-* t <= -3:        power series in s = e^t, u'(log s) = sum_k b_k s^k, with
-                  the b_k obtained by order-by-order inversion of
-                  F_n(phi(s)) = s^n / n (cancellation-free near the origin);
-* moderate t:     Newton on log F_n(x) = n t - log n, with log F_n taken
-                  as log(F_n);
-* n*t > 60:       the same Newton with log F_n formed without e^x, which
-                  works far beyond the overflow range of the direct form
-                  (from a larger n*t for n >= 14, where that form's tail
-                  polynomial is positive at every iterate).
+* t <= -3:  power series in s = e^t, u'(log s) = sum_k b_k s^k, with the b_k
+            obtained by order-by-order inversion of F_n(phi(s)) = s^n / n
+            (cancellation-free near the origin);
+* t > -3:   Newton on log F_n(x) = n t - log n, one ``FIntegral.log_eval``
+            per iteration: the log of F_n's power series below its
+            closed-form cutoff, and x + log(p(x) + c e^(-x)) above it, which
+            forms no e^x and so holds far beyond the overflow range of F_n.
 
-Both Newton forms are one routine, ``_newton(t)``, which picks its form from
-n*t: seeded from the asymptotic inverses of F_n, safeguarded by a bracket,
-and raising ``ProfileSolveError`` instead of returning an unconverged
-iterate, or where F_n or its slope leaves the float range (from n = 119 on).
-Each iteration evaluates F_n's closed form with one Horner kernel on Python
-floats, ``_horner``, in numpy's polyval order: polyval's values bit for bit,
-without its per-call array overhead.  Each t costs one solve: ``derivatives``
-gets u'' ... u'''' from u' through the profile equation (Cao 1996), or from
-the same series on the series branch.
+``_newton(t)`` is seeded from the asymptotic inverses of F_n, safeguarded by
+a bracket, and raises ``ProfileSolveError`` instead of returning an
+unconverged iterate, or where F_n or its slope leaves the float range (for
+|t| <= 10 from n = 117 on).  The closed form's tail polynomial p runs one
+Horner kernel on Python floats, ``_horner``, in numpy's polyval order:
+polyval's values bit for bit, without its per-call array overhead.  Each t
+costs one solve: ``derivatives`` gets u'' ... u'''' from u' through the
+profile equation (Cao 1996), or from the same series on the series branch.
 
 Nothing that depends on n alone is rebuilt per solve: a ``SolitonProfile``
-builds its ``FIntegral`` and reads ``_log_form_nt(n)`` at construction, an
-``FIntegral`` reads ``_closed_form(n)`` on its first closed-form evaluation,
-and the series branch runs the same Horner kernel over
-``_series_weights(n, p)``, the k^p b_k as Python floats (the radial series of
-``SolitonPotential`` reads p = 0, the b_k).  ``_LOG_BRANCH_NT`` and
-``_MAX_NEWTON_ITER`` stay module constants read per solve.
+builds its ``FIntegral`` at construction, an ``FIntegral`` reads
+``_closed_form(n)`` on its first closed-form evaluation, and the series
+branch runs the same Horner kernel over ``_series_weights(n, p)``, the k^p b_k
+as Python floats (the radial series of ``SolitonPotential`` reads p = 0, the
+b_k).  ``_MAX_NEWTON_ITER`` stays a module constant read per solve.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from math import exp, expm1, factorial, inf, isfinite, log, log1p
+from math import exp, expm1, factorial, inf, isfinite, log
 
 import numpy as np
 
@@ -55,16 +51,16 @@ _F_CLOSED_COND = 1e4     # largest condition number of F_n's closed form in use
 _F_SERIES_TERMS = 400    # cap of the F_n power series (182 terms at n = 120's cutoff)
 _F_SERIES_RESCALE = 2.0**900  # scale of the series' running power and factorial
 _SERIES_T = -3.0         # profile series branch for t at or below this
-_LOG_BRANCH_NT = 60.0    # switch to the log-space solve once n*t exceeds this (at least)
+_LOG_BRANCH_NT = 60.0    # inversion_residual measures in log space once n*t exceeds this
 _N_SERIES_TERMS = 24
 _MAX_NEWTON_ITER = 100  # cap of the profile root solve
 _NEWTON_TOL = 1e-13     # the root solve stops once |step| <= this * u'
 
 
-def _horner(p: tuple[float, ...], x: float) -> float:
-    """p(x) for ascending coefficients p, by Horner on Python floats in
-    ``numpy.polynomial.polynomial.polyval``'s operation order, so every value
-    is polyval's bit for bit without its per-call array overhead."""
+def _horner(p: tuple[complex, ...], x: complex) -> complex:
+    """p(x) for ascending coefficients p, by Horner on Python floats or
+    complex in ``numpy.polynomial.polynomial.polyval``'s operation order, so
+    every value is polyval's bit for bit without its per-call array overhead."""
     acc = p[-1] + x * 0.0
     for c in reversed(p[:-1]):
         acc = c + acc * x
@@ -99,28 +95,6 @@ def _closed_form(n: int) -> tuple[float, tuple[float, ...], float]:
         if bound <= _F_CLOSED_COND * FIntegral(n)._series(cutoff):
             return cutoff, p, c
         cutoff += 1.0 / 64.0
-
-
-@functools.lru_cache(maxsize=None)
-def _log_form_nt(n: int) -> float:
-    """An n*t beyond which every iterate of the log-form solve keeps F_n's
-    tail polynomial p positive, as ``FIntegral.log_eval`` needs.
-
-    p > 0 wherever F_n(x) > (n-1)!, so beyond x = (n!)^(1/n) (F_n(x) > x^n / n),
-    and the solve's lower bracket target - (n-1) log(target + 1), target =
-    n t - log n, lies there from this n*t on.  It is below ``_LOG_BRANCH_NT``
-    for n <= 13, and 74.6 for n = 16.  inf from n = 171 on, where n! leaves
-    the float range, so the solve keeps the direct form there (checked before
-    n! is formed: every ``SolitonProfile`` calls this at construction, and n!
-    alone takes seconds from n ~ 10^6).
-    """
-    if n > 170:
-        return inf
-    positive = factorial(n) ** (1.0 / n)
-    target = positive
-    while target - (n - 1) * log(target + 1.0) <= positive:
-        target += 1.0
-    return target + log(n)
 
 
 @functools.lru_cache(maxsize=None)
@@ -200,13 +174,16 @@ class FIntegral:
         return exp(x) * _horner(p, x) + c
 
     def log_eval(self, x: float) -> float:
-        """log F_n(x) without forming e^x; requires the tail polynomial > 0."""
-        _, p, c = self._closed
-        tail = _horner(p, x)
-        if tail <= 0.0:
-            raise ValueError(f"log form needs a larger argument, got x={x}")
-        corr = c * exp(-x) / tail if x < 700.0 else 0.0
-        return x + log(tail) + log1p(corr)
+        """log F_n(x): the log of ``eval`` below the closed form's cutoff, and
+        x + log(p(x) + c e^(-x)) = log(e^x p(x) + c) above it, without e^x."""
+        if x >= _F_SERIES_CUTOFF:
+            cutoff, p, c = self._closed
+            if x >= cutoff:
+                tail = _horner(p, x) + c * exp(-x)
+                if not tail > 0.0:
+                    raise ValueError(f"log form of F_{self.n} has p(x) + c e^(-x) = {tail!r} at x={x!r}")
+                return x + log(tail)
+        return log(self.eval(x))
 
     def _series(self, x: float) -> float:
         """sum_k x^(n+k) / (k! (n+k)); ``ProfileSolveError`` if it has not
@@ -243,9 +220,8 @@ class SolitonProfile:
     def __post_init__(self) -> None:
         n = _dimension(self.n)
         object.__setattr__(self, "n", n)
-        # read by every root solve; not fields, so ==, hash and repr see n alone
+        # read by every root solve; not a field, so ==, hash and repr see n alone
         object.__setattr__(self, "_f", FIntegral(n))
-        object.__setattr__(self, "_log_nt", _log_form_nt(n))
 
     # -- derivative evaluators -------------------------------------------------
 
@@ -274,7 +250,9 @@ class SolitonProfile:
         return self._ode_residual(t, up, us)
 
     def inversion_residual(self, t: float) -> float:
-        """|F_n(u'(t)) - e^(nt)/n| relative to max(1, e^(nt)/n), log form for huge t."""
+        """|F_n(u'(t)) - e^(nt)/n| relative to max(1, e^(nt)/n), measured in
+        log space, |expm1(log F_n(u') - (n t - log n))|, once n t exceeds
+        ``_LOG_BRANCH_NT`` (the only reader of that constant)."""
         f = self._f
         up = self.u_prime(t)
         nt = self.n * t
@@ -308,9 +286,9 @@ class SolitonProfile:
         return _horner(_series_weights(self.n, weight_power), s) * s
 
     def _newton(self, t: float) -> float:
-        """Root x = u'(t) of log F_n(x) = n t - log n, one F_n evaluation per
-        iteration: log(F_n(x)) bracketed below by 0 up to n t = _LOG_BRANCH_NT
-        (or ``_log_form_nt(n)`` if larger), ``FIntegral.log_eval`` beyond it.
+        """Root x = u'(t) of log F_n(x) = n t - log n, bracketed below by 0,
+        with one ``FIntegral.log_eval`` per iteration and the slope
+        x^(n-1) e^(x - log F_n(x)).
 
         F_n integrates the log-concave x^(n-1) e^x, so log F_n is concave: a
         Newton step never overshoots the root from below, and after the first
@@ -322,21 +300,13 @@ class SolitonProfile:
         """
         n = self.n
         f = self._f
-        log_form = n * t > _LOG_BRANCH_NT and n * t > self._log_nt
         target = n * t - log(n)
-        # log F_n(x) <= x + (n-1) log x and the root lies below target + 1, so
-        # it lies above this bound (which keeps log_eval's tail positive)
-        lo = target - (n - 1) * log(target + 1.0) if log_form else 0.0
-        hi = inf
+        lo, hi = 0.0, inf
         phi = max(exp(min(t, 0.0)), target - (n - 1) * log(max(target, 1.0)))
         for _ in range(_MAX_NEWTON_ITER):
             try:
-                if log_form:
-                    value = f.log_eval(phi)
-                    slope = phi ** (n - 1) * exp(phi - value)
-                else:
-                    direct = f.eval(phi)
-                    value, slope = log(direct), phi ** (n - 1) * exp(phi) / direct
+                value = f.log_eval(phi)
+                slope = phi ** (n - 1) * exp(phi - value)
             except (ArithmeticError, ValueError) as exc:
                 # an overflow, a failed F_n series or a non-positive F_n or tail (large n)
                 raise ProfileSolveError(

@@ -27,6 +27,7 @@ import numpy as np
 from .darboux import DarbouxMap
 from .geodesics import geodesic_integrate
 from .potentials import PotentialModel, metric_energy, sample_polydisc
+from .soliton import _horner
 
 __all__ = [
     "PhaseBlockEmbedding",
@@ -189,28 +190,21 @@ class HoloCurvePair:
         coeffs = [np.array([0.0, *np.asarray(c, dtype=complex)]) for c in (coeffs1, coeffs2)]
         if not all(np.all(np.isfinite(c)) for c in coeffs):
             raise ValueError("curve coefficients must be finite")
-        # each derivative's coefficients as Python complex, highest degree first;
+        # each derivative's coefficients as Python complex, in ascending order;
         # the next derivative's are k c_k, and a constant's derivative is 0
-        rows = [[complex(v) for v in c] for c in coeffs]
+        rows = [tuple(complex(v) for v in c) for c in coeffs]
         table = []
         for _ in range(3):
-            table.append(tuple(tuple(reversed(r)) for r in rows))
-            rows = [[k * v for k, v in enumerate(r)][1:] or [0j] for r in rows]
+            table.append(tuple(rows))
+            rows = [tuple(k * v for k, v in enumerate(r))[1:] or (0j,) for r in rows]
         self._rows = tuple(table)
 
     def jet(self, z: complex) -> np.ndarray:
         """(3, 2) array whose rows are f, f' and f'' of (f1, f2) at z."""
         z = complex(z)
-        # scalar Horner on Python complex in polyval's order, so each value is
+        # the scalar Horner kernel in polyval's order, so each value is
         # polyval's; a stacked vectorised polyval rounds differently
-        values = []
-        for row in self._rows:
-            for top, *rest in row:
-                acc = top + z * 0
-                for c in rest:
-                    acc = c + acc * z
-                values.append(acc)
-        return np.array(values, dtype=complex).reshape(3, 2)
+        return np.array([[_horner(p, z) for p in row] for row in self._rows], dtype=complex)
 
 
 def graph_counterexample_pair() -> HoloCurvePair:

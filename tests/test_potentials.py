@@ -19,6 +19,7 @@ from scipy.special import logsumexp, spence
 from darbouxkit import (
     CigarProductPotential,
     Cond0Report,
+    FIntegral,
     PolyTestPotential,
     ProfileSolveError,
     SampleRegion,
@@ -37,7 +38,7 @@ from darbouxkit import (
     soliton_potential,
     unit_directions,
 )
-from darbouxkit import potentials
+from darbouxkit import potentials, soliton
 from darbouxkit.potentials import _logsumexp, metric_from_jet
 
 complex_coord = st.complex_numbers(
@@ -388,13 +389,15 @@ def _seam_rows(model):
 
     Cigar: each coordinate on both sides of t = 0.25.  Soliton: s = sum t_j
     on both sides of the radial series seam s = 0.1, of s = e^-3 (profile
-    t = -3, answered by the radial series, since log 0.1 > -3) and of
-    s = e^(60/n) (direct/log Newton).  The poly table has no seam; it gets
-    the cigar rows.
+    t = -3, answered by the radial series, since log 0.1 > -3), of the s
+    where u' crosses F_n's series/closed-form cutoff, (n F_n(cutoff))^(1/n),
+    and of s = e^(60/n), far out on the Newton branch.  The poly table has
+    no seam; it gets the cigar rows.
     """
     n = model.n
     if isinstance(model, SolitonPotential):
-        sums = [s for x in (0.1, math.exp(-3.0), math.exp(60.0 / n)) for s in _straddle(x)]
+        closed = (n * FIntegral(n).eval(soliton._closed_form(n)[0])) ** (1.0 / n)
+        sums = [s for x in (0.1, math.exp(-3.0), closed, math.exp(60.0 / n)) for s in _straddle(x)]
         weights = np.linspace(1.0, 2.0, n)
         return np.array([s * weights / weights.sum() for s in sums])
     values = [*_straddle(0.25), 0.0, 1e-9, 0.2, 0.3, 40.0, 1e4]

@@ -68,8 +68,10 @@ class TestFIntegral:
 
     @pytest.mark.parametrize("n", NS)
     def test_log_eval_consistent(self, n):
+        # at x = 0.5 F_2's tail polynomial x - 1 is negative: log_eval must not
+        # take log p(x) apart from c e^(-x)
         f = FIntegral(n)
-        for x in (2.0, 30.0, 400.0):
+        for x in (0.5, 2.0, 30.0, 400.0):
             assert f.log_eval(x) == pytest.approx(math.log(f.eval(x)), rel=1e-13)
         # far beyond overflow: log F_n(x) ~ x + (n-1) log x
         big = 1e5
@@ -78,11 +80,6 @@ class TestFIntegral:
     def test_negative_argument_rejected(self):
         with pytest.raises(ValueError, match="x >= 0"):
             FIntegral(2).eval(-1.0)
-
-    def test_log_form_needs_a_positive_tail(self):
-        # F_2(x) = e^x (x - 1) + 1: the tail x - 1 is negative below 1
-        with pytest.raises(ValueError, match="log form needs a larger argument, got x=0.5"):
-            FIntegral(2).log_eval(0.5)
 
     @pytest.mark.parametrize("n", range(1, 17))
     def test_closed_form_cutoff(self, n):
@@ -132,13 +129,6 @@ CLOSED_FORM_CUTOFFS = {
     9: 1.890625, 10: 2.328125, 11: 2.796875, 12: 3.296875, 13: 3.828125,
     14: 4.359375, 15: 4.921875, 16: 5.484375,
 }
-LOG_FORM_NT = {
-    1: 2.0, 2: 4.10736074293304, 3: 6.91573288150025, 4: 10.599658200520533,
-    5: 15.214608997131451, 6: 19.785554634751964, 7: 24.325925308196606,
-    8: 29.843792141182963, 9: 35.34439085173313, 10: 39.83131378111081,
-    11: 45.30713405238277, 12: 50.773758643890446, 13: 57.2326405337133,
-    14: 62.68491250103376, 15: 68.13147495088198, 16: 74.57305552050742,
-}
 
 
 def _polyadd_closed_form(n):
@@ -169,7 +159,6 @@ class TestFloatKernel:
     def test_closed_form_tables_equal_polyadd_recurrence(self, n):
         assert soliton._closed_form(n) == _polyadd_closed_form(n)
         assert soliton._closed_form(n)[0] == CLOSED_FORM_CUTOFFS[n]
-        assert soliton._log_form_nt(n) == LOG_FORM_NT[n]
 
     def test_closed_form_past_the_float_range(self):
         # from n = 133 on, e^x sum_j |p_j| x^j overflows before the closed form
@@ -199,15 +188,17 @@ class TestFloatKernel:
 
     @pytest.mark.parametrize("n", range(1, 17))
     def test_log_form_equals_polyval_bitwise(self, n):
+        # log F_n is the log of the series below the cutoff, and
+        # x + log(p(x) + c e^(-x)) from it on, up to where e^(-x) underflows
         rng = np.random.default_rng(100 + n)
-        _, p, c = soliton._closed_form(n)
-        # the tail polynomial is positive beyond (n!)^(1/n)
-        start = math.factorial(n) ** (1.0 / n)
+        cutoff, p, c = soliton._closed_form(n)
         f = FIntegral(n)
-        for x in [float(x) for x in rng.uniform(start, 700.0, 200)] + [start, 699.9, 700.0, 1e5]:
-            tail = polyval(x, p)
-            corr = c * math.exp(-x) / tail if x < 700.0 else 0.0
-            assert _same_bits(f.log_eval(x), x + math.log(tail) + math.log1p(corr)), x
+        below = [float(x) for x in rng.uniform(0.0, cutoff, 50)] + [1e-3, math.nextafter(cutoff, 0.0)]
+        for x in below:
+            assert _same_bits(f.log_eval(x), math.log(f._series(x))), x
+        above = [float(x) for x in rng.uniform(cutoff, 800.0, 200)] + [cutoff, 699.9, 700.0, 746.0, 1e5]
+        for x in above:
+            assert _same_bits(f.log_eval(x), x + math.log(polyval(x, p) + c * math.exp(-x))), x
 
 
 class TestProfileOracles:
@@ -259,7 +250,8 @@ class TestProfileResiduals:
     @pytest.mark.parametrize("n", (1, 2, 3))
     @pytest.mark.parametrize("t", (-400.0, -25.0, -3.0001, -2.9999, 0.0, 19.99, 20.01, 400.0))
     def test_residuals_at_branch_seams(self, n, t):
-        # grid straddles the series/Newton and Newton/log-branch switchovers
+        # grid straddles the series/Newton seam at t = -3 and the switch of
+        # inversion_residual to its log measure at n t = 60 (t = 20 for n = 3)
         p = SolitonProfile(n)
         assert abs(p.ode_residual(t)) <= 1e-9
         assert abs(p.inversion_residual(t)) <= 1e-9
@@ -283,20 +275,31 @@ class TestProfileResiduals:
         assert abs(p.u_second(t) - n) <= 0.05
 
     def test_branch_continuity(self):
-        # u' values from adjacent branches agree across each seam
+        # u' values from the series and Newton branches agree across t = -3
         for n in (1, 2, 3):
             p = SolitonProfile(n)
-            for seam in (-3.0, 60.0 / n):
-                lo, hi = p.u_prime(seam - 1e-9), p.u_prime(seam + 1e-9)
-                assert hi == pytest.approx(lo, rel=1e-8)
+            lo, hi = p.u_prime(-3.0 - 1e-9), p.u_prime(-3.0 + 1e-9)
+            assert hi == pytest.approx(lo, rel=1e-8)
+
+    @pytest.mark.parametrize("n", (26, 30, 60))
+    def test_inversion_residual_past_the_log_switch(self, n):
+        # from n t = 60 on the residual is measured in log space while u' can
+        # still lie below F_n's closed-form cutoff (14.6 at n = 30, 37.4 at
+        # n = 60); the log form once raised ValueError there
+        p = SolitonProfile(n)
+        for t in np.linspace(60.0 / n, 100.0 / n, 201):
+            res = p.inversion_residual(t)
+            assert math.isfinite(res) and res <= 1e-9, t
 
 
 class TestSolveErrors:
     @pytest.mark.parametrize("n", SEAM_NS)
     def test_nan_evaluation_raises(self, n, monkeypatch):
+        # u'(-2.5) < 0.5, so every iterate takes log_eval's series side, the
+        # log of FIntegral.eval
         monkeypatch.setattr(FIntegral, "eval", lambda self, x: float("nan"))
         with pytest.raises(ProfileSolveError):
-            SolitonProfile(n).u_prime(0.5)
+            SolitonProfile(n).u_prime(-2.5)
 
     @pytest.mark.parametrize("n", SEAM_NS)
     def test_nan_log_evaluation_raises(self, n, monkeypatch):
@@ -312,8 +315,8 @@ class TestSolveErrors:
     def test_bisection_takes_over_from_overshooting_steps(self, monkeypatch):
         # 1000 F_n makes every Newton step 1000 times too long; the bracket's
         # bisection still brings the solve to the root of log(1000 F_n) = n t - log n
-        true_eval = FIntegral.eval
-        monkeypatch.setattr(FIntegral, "eval", lambda self, x: 1e3 * true_eval(self, x))
+        true_log_eval = FIntegral.log_eval
+        monkeypatch.setattr(FIntegral, "log_eval", lambda self, x: math.log(1e3) + true_log_eval(self, x))
         x = SolitonProfile(2)._newton(0.5)
         monkeypatch.undo()
         assert 1e3 * FIntegral(2).eval(x) == pytest.approx(math.exp(1.0) / 2.0, rel=1e-12)
@@ -335,7 +338,7 @@ class TestEveryDimension:
     @pytest.mark.parametrize("n", range(1, 17))
     def test_u_prime_solves_on_the_scanned_grids(self, n):
         # the F_n series/closed-form seam crossed t in [-0.621, -0.479] for
-        # n = 6 and [-3, 3] for n = 6..16; the direct/log seam at n t = 60
+        # n = 6 and [-3, 3] for n = 6..16; a former direct/log seam at n t = 60
         # left n = 16 without a positive log-form tail up to n t = 71.2
         p = SolitonProfile(n)
         grid = [*np.linspace(-0.621, -0.479, 143), *np.linspace(-3.0, 3.0, 6001),
@@ -343,10 +346,38 @@ class TestEveryDimension:
         values = [p.u_prime(t) for t in grid]
         assert all(v > 0.0 for v in values)
 
+    @pytest.mark.parametrize("n", (104, 108, 112, 116))
+    def test_large_n_solves_on_the_scanned_grid(self, n):
+        # a former direct/log hand-off overflowed here (1, 3, 7 and 10 typed
+        # failures on this grid), below where the slope's x^(n-1) leaves the
+        # float range
+        p = SolitonProfile(n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t in (float(t) for t in np.linspace(-10.0, 10.0, 201)):
+                jet = p.derivatives(t)
+                assert all(math.isfinite(v) for v in jet) and jet[0] > 0.0 and jet[1] > 0.0, t
+
+    @pytest.mark.parametrize("n, t", [(139, 5.2), (141, 5.8), (157, 4.6), (164, 4.4), (170, 4.2)])
+    def test_large_n_raises_or_meets_the_series_oracle(self, n, t):
+        # the closed log form once answered here, where it is ill-conditioned
+        # (F_n's cutoff is inf from n = 133 on), and returned roots off by up
+        # to 103 in log F_n; the oracle sums F_n's series in log space
+        from scipy.special import gammaln, logsumexp
+
+        try:
+            x = SolitonProfile(n).u_prime(t)
+        except ProfileSolveError:
+            return
+        k = np.arange(4000.0)
+        log_f = logsumexp((n + k) * math.log(x) - gammaln(k + 1.0) - np.log(n + k))
+        assert abs(log_f - (n * t - math.log(n))) <= 1e-9
+
     @pytest.mark.parametrize("n", (119, 150, 171))
     def test_large_n_solves_or_raises_naming_n_and_t(self, n):
-        # the direct slope's x^(n-1) e^x overflows from n = 119 on, the closed
-        # form's terms from n ~ 140, and n! itself at n = 171
+        # the slope's x^(n-1) overflows from n = 117 on (at t = 9.5 for
+        # n = 119), F_n's power series, which answers at every x from n = 133
+        # on, from x ~ 88 at n = 150, and n! itself at n = 171
         p = SolitonProfile(n)
         solved = 0
         with warnings.catch_warnings():
@@ -361,26 +392,14 @@ class TestEveryDimension:
                     solved += 1
         assert solved >= 50
 
-    def test_log_form_start_is_inf_where_n_factorial_overflows(self):
-        assert math.isfinite(soliton._log_form_nt(170)) and math.factorial(170) < 2**1024
-        assert soliton._log_form_nt(171) == math.inf and math.factorial(171) > 2**1024
-
-    @pytest.mark.parametrize("n", range(1, 17))
-    def test_log_form_starts_where_its_tail_is_positive(self, n):
-        start = max(soliton._LOG_BRANCH_NT, soliton._log_form_nt(n))
-        assert (start == soliton._LOG_BRANCH_NT) == (n <= 13)
-        target = start - math.log(n)
-        lower_bracket = target - (n - 1) * math.log(target + 1.0)
-        assert math.isfinite(FIntegral(n).log_eval(lower_bracket))
-
 
 class TestBranchSeams:
-    """Both branches of each profile seam evaluated at the same point.
+    """Both branches of each profile seam evaluated at the same point: the
+    series and Newton at t = -3, and the two sides of ``FIntegral.log_eval``
+    (the log of F_n's series, and the closed log form) at F_n's cutoff.
 
     Measured: series vs Newton u' <= 1.5e-16 relative at t = -3, the full jet
-    <= 3.4e-15, direct vs log Newton at n t = 60 identical.  ``_newton`` picks
-    its form from ``_LOG_BRANCH_NT``, so moving that constant forces either
-    form at the same t.
+    <= 3.4e-15; the two log F_n <= 2.9e-13 relative (n = 7).
     """
 
     @pytest.mark.parametrize("n", SEAM_NS)
@@ -398,39 +417,15 @@ class TestBranchSeams:
         for a, b in zip(series, recursion):
             assert abs(a - b) <= 5e-14 * abs(a)
 
-    @pytest.mark.parametrize("n", SEAM_NS)
-    def test_direct_vs_log_newton(self, n, monkeypatch):
-        # the profile is built before the threshold moves, and each solve must
-        # take the forced form alone, so a threshold frozen at construction fails
-        evals = _count_calls(monkeypatch, FIntegral, "eval")
-        log_evals = _count_calls(monkeypatch, FIntegral, "log_eval")
-        p = SolitonProfile(n)
-        t = 60.0 / n
-        monkeypatch.setattr(soliton, "_LOG_BRANCH_NT", math.inf)
-        direct = p._newton(t)
-        assert evals and not log_evals
-        evals.clear()
-        monkeypatch.setattr(soliton, "_LOG_BRANCH_NT", -math.inf)
-        log_form = p._newton(t)
-        assert log_evals and not evals
-        assert abs(direct - log_form) <= 1e-15 * direct
-
-    @pytest.mark.parametrize("n", SEAM_NS)
-    def test_log_seam_evaluations(self, n, monkeypatch):
-        # n t = 60 exactly solves with F_n itself, the next float above with
-        # log F_n only: the seam the benchmark's branch counter assumes
-        evals = _count_calls(monkeypatch, FIntegral, "eval")
-        log_evals = _count_calls(monkeypatch, FIntegral, "log_eval")
-        p = SolitonProfile(n)
-        t = 60.0 / n
-        assert n * t == soliton._LOG_BRANCH_NT
-        p.u_prime(t)
-        assert evals and not log_evals
-        evals.clear()
-        above = math.nextafter(t, math.inf)
-        assert n * above > soliton._LOG_BRANCH_NT
-        p.u_prime(above)
-        assert log_evals and not evals
+    @pytest.mark.parametrize("n", (*range(1, 17), 30, 60, 100, 132))
+    def test_log_eval_series_vs_closed_log_form(self, n):
+        f = FIntegral(n)
+        cutoff = soliton._closed_form(n)[0]
+        below = math.nextafter(cutoff, 0.0)
+        assert _same_bits(f.log_eval(below), math.log(f._series(below)))
+        for x in (cutoff, math.nextafter(cutoff, math.inf)):
+            series = math.log(f._series(x))
+            assert abs(f.log_eval(x) - series) <= 1e-12 * abs(series), x
 
 
 def _count_calls(monkeypatch, cls, attr) -> list:
@@ -450,7 +445,7 @@ class TestSolveCost:
     def test_one_solve_per_jet(self, n, monkeypatch):
         solves = _count_calls(monkeypatch, SolitonProfile, "u_prime")
         p = SolitonProfile(n)
-        for t in (-5.0, 0.5, 100.0 / n):  # series, direct and log branches
+        for t in (-5.0, 0.5, 100.0 / n):  # series branch, then Newton near and far out
             solves.clear()
             p.derivatives(t)
             assert len(solves) == 1, t
@@ -466,6 +461,8 @@ class TestSolveCost:
 
     @pytest.mark.parametrize("n", SEAM_NS)
     def test_newton_evaluations_per_solve(self, n, monkeypatch):
+        # one log_eval per iteration; F_n itself only inside log_eval, at most
+        # once per call
         evals = _count_calls(monkeypatch, FIntegral, "eval")
         log_evals = _count_calls(monkeypatch, FIntegral, "log_eval")
         p = SolitonProfile(n)
@@ -473,7 +470,8 @@ class TestSolveCost:
             evals.clear()
             log_evals.clear()
             p.u_prime(t)
-            assert len(evals) + len(log_evals) <= 8, t
+            assert len(log_evals) <= 8, t
+            assert len(evals) <= len(log_evals) and set(evals) <= set(log_evals), t
 
 
 def reference_series_sum(n: int, s: float, weight_power: int) -> float:
@@ -518,13 +516,12 @@ def reference_radial_deriv(model: SolitonPotential, s: float, order: int) -> tup
 
 
 def _profile_seams(n: int) -> dict:
-    """The t of each profile seam: the series at t = -3, the log form at
-    n t = max(60, ``_log_form_nt(n)``), and F_n's series/closed-form seam where
-    u'(t) = ``_closed_form(n)[0]``, i.e. e^(n t) / n = F_n(cutoff)."""
+    """The t of each profile seam: the series at t = -3, and F_n's
+    series/closed-form seam where u'(t) = ``_closed_form(n)[0]``, i.e.
+    e^(n t) / n = F_n(cutoff)."""
     cutoff = soliton._closed_form(n)[0]
     return {
         "series": soliton._SERIES_T,
-        "log": max(soliton._LOG_BRANCH_NT, soliton._log_form_nt(n)) / n,
         "closed": math.log(n * FIntegral(n).eval(cutoff)) / n,
     }
 
@@ -543,7 +540,7 @@ class TestTablesMatchReferences:
         seams = _profile_seams(n)
         cutoff = soliton._closed_form(n)[0]
         assert p.u_prime(seams["closed"] - 1e-3) < cutoff < p.u_prime(seams["closed"] + 1e-3)
-        grid = [*np.linspace(-8.0, seams["log"] + 2.0, 400)]
+        grid = [*np.linspace(-8.0, 8.0, 400), *np.geomspace(8.0, 400.0, 20)]
         for t0 in seams.values():
             grid += _around(t0, 1e-3)
         for t in (float(t) for t in grid):
@@ -586,8 +583,6 @@ class TestDataclassBehaviour:
     def test_replace_rebuilds_the_solve_state(self):
         p = dataclasses.replace(SolitonProfile(2), n=16)
         assert p == SolitonProfile(16) and p._f == FIntegral(16)
-        assert p._log_nt == soliton._log_form_nt(16)
-        # n t = 62 is a direct solve for n = 16 (its log form starts at 74.6)
         t = 62.0 / 16
         assert _same_bits(p.u_prime(t), SolitonProfile(16).u_prime(t))
 

@@ -487,10 +487,10 @@ class TestHoloCurvePair:
             assert len(rows) == 3 and all(len(row) == 2 for row in rows)
             for m, row in enumerate(rows):
                 for r, c in zip(row, coeffs):
-                    assert np.array(r, dtype=complex).tobytes() == polyder(c, m)[::-1].astype(complex).tobytes()
+                    assert np.array(r, dtype=complex).tobytes() == polyder(c, m).astype(complex).tobytes()
 
     def test_jet_equals_polyval_bitwise(self):
-        # the jet's Horner loop on Python complex must reproduce numpy's polyval
+        # the jet's Horner kernel on Python complex must reproduce numpy's polyval
         rng = np.random.default_rng(18)
         pairs = [((1.0,), (0.0, 1.0))]  # the graph pair (z, z^2)
         pairs += [tuple(rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in range(2))
