@@ -81,6 +81,17 @@ class TestFIntegral:
         with pytest.raises(ValueError, match="x >= 0"):
             FIntegral(2).eval(-1.0)
 
+    def test_log_form_needs_a_positive_tail(self, monkeypatch):
+        # F_2(x) = e^x (x - 1) + 1: the tail polynomial x - 1 is negative below 1,
+        # so the log form takes the log of the whole tail p(x) + c e^(-x) = F_2(x) e^(-x)
+        f = FIntegral(2)
+        assert soliton._closed_form(2)[0] == 0.5
+        assert f.log_eval(0.5) == pytest.approx(math.log(f.eval(0.5)), rel=1e-13)
+        # a tail that is not positive is refused by name, not handed to log
+        monkeypatch.setattr(soliton, "_closed_form", lambda n: (0.5, (-1.0, 1.0), 0.0))
+        with pytest.raises(ValueError, match=r"log form of F_2 has p\(x\) \+ c e\^\(-x\) = -0\.5 at x=0\.5"):
+            FIntegral(2).log_eval(0.5)
+
     @pytest.mark.parametrize("n", range(1, 17))
     def test_closed_form_cutoff(self, n):
         # the closed form takes over where its cancellation against (n-1)! is mild:
