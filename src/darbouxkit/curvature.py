@@ -21,6 +21,7 @@ each point's result equals the call on that point alone, bit for bit.
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 import numpy as np
@@ -48,9 +49,9 @@ def metric_z_derivative(z: Sequence[complex], jet: Sequence[np.ndarray]) -> np.n
     _, d2, d3 = jet[:3]
     zb = np.conj(z)
     d = np.einsum("...i,...l,...j,...ilj->...ilj", zb, z, zb, d3.astype(complex))
-    idx = np.arange(z.shape[-1])
-    d[..., idx, idx, :] += d2 * zb[..., None, :]
-    d[..., :, idx, idx] += zb[..., :, None] * d2
+    # diagonals through einsum's writeable views, which never copy, whatever the layout
+    np.einsum("...iij->...ij", d)[...] += d2 * zb[..., None, :]
+    np.einsum("...ijj->...ij", d)[...] += zb[..., :, None] * d2
     return d
 
 
@@ -74,19 +75,16 @@ def _second_metric_derivative(z: np.ndarray, jet: Sequence[np.ndarray]) -> np.nd
     _, d2, d3, d4 = jet
     d3 = d3.astype(complex)
     zb = np.conj(z)
-    idx = np.arange(z.shape[-1])
     h = np.einsum("...i,...j,...k,...l,...ijkl->...ijkl", zb, z, zb, z, d4.astype(complex))
     m1 = np.einsum("...l,...k,...ikl->...ikl", z, zb, d3)
-    m1[..., :, idx, idx] += d2
-    h[..., idx, idx, :, :] += m1
+    np.einsum("...ikk->...ik", m1)[...] += d2
+    np.einsum("...iikl->...ikl", h)[...] += m1
     m2 = np.einsum("...i,...l,...ijl->...ijl", zb, z, d3)
-    # the diagonals i = l are written through swapped views, so that the two
-    # index arrays stay adjacent and the batch axes stay in front
-    m2.swapaxes(-2, -1)[..., idx, idx, :] += d2  # m2[..., i, :, i]
-    h[..., :, idx, idx, :] += m2
+    np.einsum("...iji->...ij", m2)[...] += d2
+    np.einsum("...ijjl->...ijl", h)[...] += m2
     m3 = np.einsum("...j,...k,...ijk->...ikj", z, zb, d3)
-    h.swapaxes(-3, -1)[..., idx, idx, :, :] += m3  # h[..., i, :, :, i]
-    h[..., :, :, idx, idx] += np.einsum("...i,...j,...ijk->...ijk", zb, z, d3)
+    np.einsum("...ikji->...ijk", h)[...] += m3  # h[..., i, k, j, i] += m3[..., i, j, k]
+    np.einsum("...ijkk->...ijk", h)[...] += np.einsum("...i,...j,...ijk->...ijk", zb, z, d3)
     return h
 
 
@@ -157,6 +155,15 @@ def _wirtinger(f: np.ndarray, bar: bool) -> np.ndarray:
     return 0.5 * (fx + 1j * fy) if bar else 0.5 * (fx - 1j * fy)
 
 
+@functools.lru_cache(maxsize=None)
+def _fd_steps(n: int) -> np.ndarray:
+    """Read-only stencil steps [q, k, size, :] = (h, ih, -h, -ih)[q] e_k, h = _FD_SIZES[size]."""
+    base = np.array([1.0, 1j])[:, None, None, None] * np.eye(n)[:, None, :] * _FD_SIZES[:, None]
+    steps = np.concatenate([base, -base])
+    steps.flags.writeable = False
+    return steps
+
+
 def _fd_metric_derivatives(
     model: PotentialModel, z: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -168,8 +175,7 @@ def _fd_metric_derivatives(
     n = z.shape[-1]
     batch = z.shape[:-1]
     nb = len(batch)
-    base = np.array([1.0, 1j])[:, None, None, None] * np.eye(n)[:, None, :] * _FD_SIZES[:, None]
-    steps = np.concatenate([base, -base])  # [q, k, size, :] = (h, ih, -h, -ih)[q] e_k
+    steps = _fd_steps(n)
     first = z[..., None, None, None, :] + steps
     # one step size drives both nesting levels, so the composite has a clean
     # O(h^2) leading error term; points nest as (z + s_l) + s_k, outer step first

@@ -25,7 +25,6 @@ from .potentials import PotentialModel, _check_domain, hermitian_to_two_form, me
 __all__ = [
     "MapDomainError",
     "DarbouxMap",
-    "std_symplectic",
     "unit_directions",
     "PropernessReport",
     "properness_auto_scan",
@@ -37,15 +36,6 @@ _FD_STEP = 1e-6  # relative central-difference step of the FD Jacobian
 
 class MapDomainError(ValueError):
     """A first derivative Phi_j is negative (or zero where 1/psi is needed)."""
-
-
-def std_symplectic(n: int) -> np.ndarray:
-    """Matrix of the standard form: block-diagonal [[0, 1], [-1, 0]] blocks."""
-    omega = np.zeros((2 * n, 2 * n))
-    idx = np.arange(n)
-    omega[2 * idx, 2 * idx + 1] = 1.0
-    omega[2 * idx + 1, 2 * idx] = -1.0
-    return omega
 
 
 def unit_directions(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -64,6 +54,18 @@ class DarbouxMap:
     """Coordinate change w_j = sqrt(Phi_j) z_j for a fixed potential model."""
 
     model: PotentialModel
+
+    def __post_init__(self) -> None:
+        # per-n constants read by every call, built once and read-only; not
+        # fields, so ==, hash, repr and replace see the model alone
+        eye = np.eye(self.n)
+        omega0 = np.zeros((2 * self.n, 2 * self.n))  # the standard form, [[0, 1], [-1, 0]] blocks
+        omega0[0::2, 1::2] = eye
+        omega0[1::2, 0::2] -= eye  # -= keeps the zeros +0.0
+        fd_basis = np.kron(eye, [[1.0], [1j]])  # FD steps: row 2k moves x_k, row 2k + 1 moves y_k
+        for name, value in (("_omega0", omega0), ("_fd_basis", fd_basis)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
@@ -95,7 +97,7 @@ class DarbouxMap:
         """
         z = np.asarray(z, dtype=complex)
         j = self.jacobian(z, method=method)
-        pulled = np.swapaxes(j, -1, -2) @ std_symplectic(self.n) @ j
+        pulled = np.swapaxes(j, -1, -2) @ self._omega0 @ j
         omega = hermitian_to_two_form(metric_at(self.model, z))
         residual = np.max(np.abs(pulled - omega), axis=(-2, -1))
         return float(residual) if z.ndim == 1 else residual
@@ -147,9 +149,8 @@ class DarbouxMap:
         # Wirtinger blocks: A = dw/dz, B = dw/dzbar; the z_j prefactor makes
         # both terms finite at z_j = 0 with no special-casing.
         scale = d2 / (2.0 * psi[..., :, None])
-        idx = np.arange(self.n)
         a = np.zeros(scale.shape, dtype=complex)
-        a[..., idx, idx] = psi
+        np.einsum("...ii->...i", a)[...] = psi
         a += z[..., :, None] * np.conj(z)[..., None, :] * scale
         b = z[..., :, None] * z[..., None, :] * scale
         apb = a + b
@@ -167,12 +168,7 @@ class DarbouxMap:
         n = self.n
         # fmax, like Python's max(1.0, x), gives 1.0 for a NaN x
         step = _FD_STEP * np.fmax(1.0, np.max(np.abs(z), axis=-1))[..., None, None]
-        # row col moves x (col even) or y (col odd) of z_{col // 2}
-        idx = np.arange(n)
-        dz = np.zeros((2 * n, n), dtype=complex)
-        dz[2 * idx, idx] = 1.0
-        dz[2 * idx + 1, idx] = 1j
-        dz = dz * step
+        dz = self._fd_basis * step
         w = self.map_point(np.concatenate([z[..., None, :] + dz, z[..., None, :] - dz], axis=-2))
         d = (w[..., : 2 * n, :] - w[..., 2 * n:, :]) / (2.0 * step)
         j = np.empty(z.shape[:-1] + (2 * n, 2 * n))

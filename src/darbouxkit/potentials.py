@@ -225,11 +225,11 @@ class CigarProductPotential(PotentialModel):
     def derivative_tensors(self, t, order):
         t = np.asarray(t, dtype=float)
         diagonals = _cigar_diagonals(t, _jet_order(order))
-        idx = np.arange(self.n)
         out = [diagonals[0]]
         for q in range(2, order + 1):
             tensor = np.zeros(t.shape + (self.n,) * (q - 1))
-            tensor[(Ellipsis,) + (idx,) * q] = diagonals[q - 1]
+            # einsum with a repeated index and no sum returns a writeable view
+            np.einsum("..." + "i" * q + "->...i", tensor)[...] = diagonals[q - 1]
             out.append(tensor)
         return tuple(out)
 
@@ -526,9 +526,8 @@ def metric_from_jet(z: Sequence[complex], jet: Sequence[np.ndarray]) -> np.ndarr
     if not (np.isfinite(d1).all() and np.isfinite(d2).all()):
         bad = ~(np.isfinite(d1) & np.isfinite(d2).all(axis=-1))
         _check_domain(z, d1, bad, "potential derivatives are not finite: first derivative")
-    idx = np.arange(z.shape[-1])
     g = np.zeros(d2.shape, dtype=complex)
-    g[..., idx, idx] = d1
+    np.einsum("...ii->...i", g)[...] = d1
     g += np.conj(z)[..., :, None] * z[..., None, :] * d2
     # fused-multiply-add kernels leave ~1e-17 asymmetry in the outer product;
     # averaging with the adjoint restores exact Hermitian symmetry

@@ -79,13 +79,16 @@ def _closed_form(n: int) -> tuple[float, tuple[float, ...], float]:
     (e^x sum_j |p_j| x^j + (n-1)!) / F_n(x) is at most ``_F_CLOSED_COND``:
     0.5 for n <= 5, 0.78 for n = 6 and 5.5 for n = 16.  Below it the rounding
     of the closed form would exceed the profile solve's step rule.  Where
-    e^x sum_j |p_j| x^j leaves the float range first (n >= 133), the cutoff
-    is inf: the series answers everywhere.
+    e^x sum_j |p_j| x^j (n >= 133) or (n-1)! (n >= 172) leaves the float
+    range first, the cutoff is inf: the series answers everywhere.
     """
     p = (1.0,)
     for k in range(1, n):
         p = (*(-float(k) * v for v in p), 1.0)
-    c = (-1.0) ** n * factorial(n - 1)
+    try:
+        c = (-1.0) ** n * factorial(n - 1)
+    except OverflowError:
+        return inf, p, (-1.0) ** n * inf
     abs_p = tuple(abs(v) for v in p)
     cutoff = _F_SERIES_CUTOFF
     while True:
@@ -188,7 +191,8 @@ class FIntegral:
     def _series(self, x: float) -> float:
         """sum_k x^(n+k) / (k! (n+k)); ``ProfileSolveError`` if it has not
         converged after ``_F_SERIES_TERMS`` terms, or where F_n(x) leaves the
-        float range (x^n overflows, or the rescaled k! underflows to 0)."""
+        float range (x^n or the sum overflows, or the rescaled k! underflows
+        to 0)."""
         n = self.n
         acc = 0.0
         try:
@@ -198,6 +202,8 @@ class FIntegral:
                 term = power / (kfact * (n + k))
                 acc += term
                 if term < 1e-18 * acc + 1e-320:
+                    if acc == inf:
+                        raise OverflowError
                     return acc
                 power *= x
                 kfact *= k + 1

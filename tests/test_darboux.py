@@ -6,6 +6,7 @@ Frozen oracles:
   the flat model maps identically with identity Jacobian.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -26,11 +27,20 @@ from darbouxkit import (
     properness_auto_scan,
     shipped_models,
     soliton_potential,
-    std_symplectic,
     metric_at,
     unit_directions,
 )
-from darbouxkit import darboux
+from darbouxkit import curvature, darboux
+
+
+def std_symplectic(n: int) -> np.ndarray:
+    """Matrix of the standard form: block-diagonal [[0, 1], [-1, 0]] blocks,
+    built per call (the reference for ``DarbouxMap``'s own copy)."""
+    omega = np.zeros((2 * n, 2 * n))
+    idx = np.arange(n)
+    omega[2 * idx, 2 * idx + 1] = 1.0
+    omega[2 * idx + 1, 2 * idx] = -1.0
+    return omega
 
 
 class TestMapPoint:
@@ -155,6 +165,8 @@ class TestPullback:
         assert omega.shape == (4, 4)
         assert np.array_equal(omega, -omega.T)
         assert np.array_equal(omega @ omega, -np.eye(4))
+        for n in (1, 2, 3, 4):  # the map's copy, signed zeros included
+            assert DarbouxMap(flat_potential(n))._omega0.tobytes() == std_symplectic(n).tobytes()
 
 
 class TestBatchedPullback:
@@ -222,6 +234,36 @@ class TestBatchedPullback:
             dm.pullback_residual(pts, method=method)
         assert type(batch.value) is type(alone.value)
         assert str(batch.value) == str(alone.value)
+
+
+class TestDataclassBehaviour:
+    """The per-n constants are not fields: equality, hashing, repr and
+    ``dataclasses.replace`` see the model alone, and the constants are read-only."""
+
+    def test_map_equality_hash_repr(self):
+        model = CigarProductPotential(2)
+        dm, other = DarbouxMap(model), DarbouxMap(model)
+        dm.pullback_residual([0.3, 0.1j], method="fd")  # a used map equals a fresh one
+        assert dm == other and hash(dm) == hash(other) and len({dm, other}) == 1
+        assert dm != DarbouxMap(CigarProductPotential(2))  # models compare by identity
+        assert repr(dm) == f"DarbouxMap(model={model!r})"
+        assert [f.name for f in dataclasses.fields(DarbouxMap)] == ["model"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            dm.model = poly_test_model()
+
+    def test_replace_rebuilds_the_constants(self):
+        dm = dataclasses.replace(DarbouxMap(flat_potential(1)), model=CigarProductPotential(3))
+        assert dm._omega0.tobytes() == std_symplectic(3).tobytes() and dm._fd_basis.shape == (6, 3)
+        z = np.array([0.3, 0.1j, -0.2])
+        assert dm.pullback_residual(z, method="fd") == DarbouxMap(dm.model).pullback_residual(z, method="fd")
+
+    def test_constants_are_read_only(self):
+        dm = DarbouxMap(CigarProductPotential(2))
+        for constant in (dm._omega0, dm._fd_basis):
+            with pytest.raises(ValueError, match="read-only"):
+                constant[0, 0] = 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            curvature._fd_steps(2)[0, 0, 0, 0] = 5.0
 
 
 class TestProperness:

@@ -127,6 +127,15 @@ class TestFIntegral:
             FIntegral(n).eval(120.0)
         assert isinstance(err.value.__cause__, cause)
 
+    def test_overflowing_sum_raises(self):
+        # x^150 / 150 and every later term stay finite at x = 74.23, but their
+        # sum passes 1e308: eval and log_eval returned inf
+        f = FIntegral(150)
+        for evaluate in (f.eval, f.log_eval):
+            with pytest.raises(ProfileSolveError, match=r"^F_150 power series leaves the float range at x=74\.23$"):
+                evaluate(74.23)
+        assert math.isfinite(f.eval(70.0)) and f.eval(70.0) == f._series(70.0)
+
     @given(st.floats(min_value=1e-6, max_value=0.499))
     def test_series_positive_below_cutoff(self, x):
         # integrand is positive, so F must be positive and increasing
@@ -173,13 +182,16 @@ class TestFloatKernel:
 
     def test_closed_form_past_the_float_range(self):
         # from n = 133 on, e^x sum_j |p_j| x^j overflows before the closed form
-        # is well conditioned: no cutoff, and F_n is its power series everywhere
+        # is well conditioned: no cutoff, and F_n is its power series everywhere;
+        # from n = 172 on (n - 1)! itself is past the float range (it raised
+        # an untyped OverflowError)
         assert math.isfinite(soliton._closed_form(132)[0])
-        for n in (133, 150, 171):
+        for n in (133, 150, 171, 172, 200):
             assert soliton._closed_form(n)[0] == math.inf
             f = FIntegral(n)
-            for x in (0.7, 10.0, 30.0):
-                assert f.eval(x) == f._series(x)
+            for x in (0.7, 1.0, 10.0, 30.0):
+                assert _same_bits(f.eval(x), f._series(x))
+                assert _same_bits(f.log_eval(x), math.log(f._series(x)))
 
     @pytest.mark.parametrize("n", range(1, 17))
     def test_kernel_equals_polyval_bitwise(self, n):
@@ -389,19 +401,32 @@ class TestEveryDimension:
         # the slope's x^(n-1) overflows from n = 117 on (at t = 9.5 for
         # n = 119), F_n's power series, which answers at every x from n = 133
         # on, from x ~ 88 at n = 150, and n! itself at n = 171
-        p = SolitonProfile(n)
-        solved = 0
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for t in (float(t) for t in np.linspace(-3.5, 6.67, 200)):
-                try:
-                    jet = p.derivatives(t)
-                except ProfileSolveError as exc:
-                    assert f"at t={t!r} (n={n})" in str(exc)
-                else:
-                    assert all(math.isfinite(v) for v in jet) and jet[0] > 0.0 and jet[1] > 0.0, t
-                    solved += 1
-        assert solved >= 50
+        assert _solved_or_named(n, np.linspace(-3.5, 6.67, 200)) >= 50
+
+    @pytest.mark.parametrize("n", (172, 200))
+    def test_past_the_factorial_range_solves_or_raises_naming_n_and_t(self, n):
+        # (n - 1)! leaves the float range from n = 172 on, where every iterate
+        # at or above 0.5 failed (94 of these 201 t solved); F_n's series
+        # answers there now (142 and 136 solve)
+        assert _solved_or_named(n, np.linspace(-10.0, 10.0, 201)) > 94
+
+
+def _solved_or_named(n: int, grid) -> int:
+    """How many t of ``grid`` the n profile solves, with warnings as errors;
+    every other t must raise a ``ProfileSolveError`` naming n and t."""
+    p = SolitonProfile(n)
+    solved = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (float(t) for t in grid):
+            try:
+                jet = p.derivatives(t)
+            except ProfileSolveError as exc:
+                assert f"at t={t!r} (n={n})" in str(exc)
+            else:
+                assert all(math.isfinite(v) for v in jet) and jet[0] > 0.0 and jet[1] > 0.0, t
+                solved += 1
+    return solved
 
 
 class TestBranchSeams:
