@@ -48,10 +48,11 @@ def metric_z_derivative(z: Sequence[complex], jet: Sequence[np.ndarray]) -> np.n
     z = np.asarray(z, dtype=complex)
     _, d2, d3 = jet[:3]
     zb = np.conj(z)
-    d = np.einsum("...i,...l,...j,...ilj->...ilj", zb, z, zb, d3.astype(complex))
-    # diagonals through einsum's writeable views, which never copy, whatever the layout
-    np.einsum("...iij->...ij", d)[...] += d2 * zb[..., None, :]
-    np.einsum("...ijj->...ij", d)[...] += zb[..., :, None] * d2
+    d = np.einsum("...i,...l,...j,...ilj->...ilj", zb, z, zb, d3.astype(complex), order="C")
+    # diagonals through strided views of d, which C order makes views, not copies
+    n, batch = z.shape[-1], d.shape[:-3]
+    d.reshape(batch + (n * n, n))[..., :: n + 1, :] += d2 * zb[..., None, :]  # d[..., i, i, :]
+    d.reshape(batch + (n, n * n))[..., :: n + 1] += zb[..., :, None] * d2  # d[..., :, j, j]
     return d
 
 
@@ -75,16 +76,18 @@ def _second_metric_derivative(z: np.ndarray, jet: Sequence[np.ndarray]) -> np.nd
     _, d2, d3, d4 = jet
     d3 = d3.astype(complex)
     zb = np.conj(z)
-    h = np.einsum("...i,...j,...k,...l,...ijkl->...ijkl", zb, z, zb, z, d4.astype(complex))
-    m1 = np.einsum("...l,...k,...ikl->...ikl", z, zb, d3)
-    np.einsum("...ikk->...ik", m1)[...] += d2
-    np.einsum("...iikl->...ikl", h)[...] += m1
+    n, batch = z.shape[-1], z.shape[:-1]
+    # C order makes the reshapes of h and m1 views; the two permuted diagonals use einsum's
+    h = np.einsum("...i,...j,...k,...l,...ijkl->...ijkl", zb, z, zb, z, d4.astype(complex), order="C")
+    m1 = np.einsum("...l,...k,...ikl->...ikl", z, zb, d3, order="C")
+    m1.reshape(batch + (n, n * n))[..., :: n + 1] += d2  # m1[..., i, k, k]
+    h.reshape(batch + (n * n, n, n))[..., :: n + 1, :, :] += m1  # h[..., i, i, :, :]
     m2 = np.einsum("...i,...l,...ijl->...ijl", zb, z, d3)
     np.einsum("...iji->...ij", m2)[...] += d2
-    np.einsum("...ijjl->...ijl", h)[...] += m2
+    h.reshape(batch + (n, n * n, n))[..., :: n + 1, :] += m2  # h[..., :, j, j, :]
     m3 = np.einsum("...j,...k,...ijk->...ikj", z, zb, d3)
     np.einsum("...ikji->...ijk", h)[...] += m3  # h[..., i, k, j, i] += m3[..., i, j, k]
-    np.einsum("...ijkk->...ijk", h)[...] += np.einsum("...i,...j,...ijk->...ijk", zb, z, d3)
+    h.reshape(batch + (n, n, n * n))[..., :: n + 1] += np.einsum("...i,...j,...ijk->...ijk", zb, z, d3)
     return h
 
 
@@ -115,7 +118,8 @@ def curvature_at(
     quad = np.empty(h.shape, dtype=complex)
     for qi, gi, di in zip(quad.reshape(-1, n, n, n, n), ginv_c.reshape(-1, n, n), d.reshape(-1, n, n, n)):
         qi[...] = np.einsum("pq,iqk,jpl->ijkl", gi, di, np.conj(di))
-    return -h + quad
+    # -h + quad in place, in that operand order, so even a NaN keeps its sign bit
+    return np.add(np.negative(h, out=h), quad, out=quad)
 
 
 def holomorphic_sectional(
@@ -132,10 +136,10 @@ def holomorphic_sectional(
 def curvature_symmetry_residual(r: np.ndarray) -> float | np.ndarray:
     """Max violation of the pair-exchange and conjugation symmetries of R: a
     float for one tensor, one value per tensor of a (..., n, n, n, n) stack."""
-    swap_holo = np.abs(r - np.swapaxes(r, -4, -2))
-    swap_anti = np.abs(r - np.swapaxes(r, -3, -1))
-    conj_sym = np.abs(r - np.conj(np.swapaxes(np.swapaxes(r, -4, -3), -2, -1)))
-    worst = np.max(np.maximum(np.maximum(swap_holo, swap_anti), conj_sym), axis=(-4, -3, -2, -1))
+    swap_holo = np.abs(r - r.swapaxes(-4, -2))
+    swap_anti = np.abs(r - r.swapaxes(-3, -1))
+    conj_sym = np.abs(r - np.conj(r.swapaxes(-4, -3).swapaxes(-2, -1)))
+    worst = np.maximum.reduce(np.maximum(np.maximum(swap_holo, swap_anti), conj_sym), axis=(-4, -3, -2, -1))
     return float(worst) if worst.ndim == 0 else worst
 
 

@@ -20,7 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .potentials import PotentialModel, _check_domain, hermitian_to_two_form, metric_at, radial_coords
+from .potentials import (PotentialModel, _check_domain, hermitian_to_two_form, metric_at, metric_from_jet,
+                         radial_coords)
 
 __all__ = [
     "MapDomainError",
@@ -79,14 +80,22 @@ class DarbouxMap:
         _check_domain(z, d1, d1 < 0.0, "negative first derivative", MapDomainError)
         return np.sqrt(d1) * z
 
-    def jacobian(self, z: Sequence[complex], method: str = "analytic") -> np.ndarray:
+    def jacobian(self, z: Sequence[complex], method: str = "analytic",
+                 return_metric: bool = False) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
         """Real 2n x 2n Jacobian in interleaved (x_1, y_1, ...) ordering, one per
-        point of z of shape (..., n)."""
+        point of z of shape (..., n); ``return_metric`` also returns ``metric_at``'s
+        G[..., j, k], which the analytic path assembles from the Jacobian's own jet."""
+        z = np.asarray(z, dtype=complex)
         if method == "analytic":
-            return self._jacobian_analytic(np.asarray(z, dtype=complex))
-        if method == "fd":
-            return self._jacobian_fd(np.asarray(z, dtype=complex))
-        raise ValueError(f"unknown jacobian method {method!r}")
+            jet = self.model.derivative_tensors(radial_coords(z), 2)
+            j = self._jacobian_analytic(z, jet)
+            g = metric_from_jet(z, jet) if return_metric else None
+        elif method == "fd":
+            j = self._jacobian_fd(z)
+            g = metric_at(self.model, z) if return_metric else None
+        else:
+            raise ValueError(f"unknown jacobian method {method!r}")
+        return (j, g) if return_metric else j
 
     def pullback_residual(self, z: Sequence[complex], method: str = "analytic") -> float | np.ndarray:
         """max-norm of J^T Omega_0 J - Omega_Phi at z of shape (..., n): a float
@@ -96,10 +105,9 @@ class DarbouxMap:
         ``@`` runs one gemm per (2n, 2n) slice, and the max is exact.
         """
         z = np.asarray(z, dtype=complex)
-        j = self.jacobian(z, method=method)
-        pulled = np.swapaxes(j, -1, -2) @ self._omega0 @ j
-        omega = hermitian_to_two_form(metric_at(self.model, z))
-        residual = np.max(np.abs(pulled - omega), axis=(-2, -1))
+        j, g = self.jacobian(z, method=method, return_metric=True)
+        pulled = j.swapaxes(-1, -2) @ self._omega0 @ j
+        residual = np.maximum.reduce(np.abs(pulled - hermitian_to_two_form(g)), axis=(-2, -1))
         return float(residual) if z.ndim == 1 else residual
 
     def properness_scan(
@@ -141,21 +149,20 @@ class DarbouxMap:
 
     # -- internals -------------------------------------------------------------
 
-    def _jacobian_analytic(self, z: np.ndarray) -> np.ndarray:
-        t = radial_coords(z)
-        d1, d2 = self.model.derivative_tensors(t, 2)
+    def _jacobian_analytic(self, z: np.ndarray, jet: Sequence[np.ndarray]) -> np.ndarray:
+        n, (d1, d2) = self.n, jet
         _check_domain(z, d1, d1 <= 0.0, "nonpositive first derivative", MapDomainError)
         psi = np.sqrt(d1)
         # Wirtinger blocks: A = dw/dz, B = dw/dzbar; the z_j prefactor makes
         # both terms finite at z_j = 0 with no special-casing.
         scale = d2 / (2.0 * psi[..., :, None])
-        a = np.zeros(scale.shape, dtype=complex)
-        np.einsum("...ii->...i", a)[...] = psi
+        a = np.zeros(scale.shape, dtype=complex)  # C order, so reshape gives a view
+        a.reshape(a.shape[:-2] + (n * n,))[..., :: n + 1] = psi
         a += z[..., :, None] * np.conj(z)[..., None, :] * scale
         b = z[..., :, None] * z[..., None, :] * scale
         apb = a + b
         amb = a - b
-        j = np.empty(z.shape[:-1] + (2 * self.n, 2 * self.n))
+        j = np.empty(z.shape[:-1] + (2 * n, 2 * n))
         j[..., 0::2, 0::2] = apb.real
         j[..., 0::2, 1::2] = -amb.imag
         j[..., 1::2, 0::2] = apb.imag
@@ -167,13 +174,13 @@ class DarbouxMap:
         point of z in one batched call."""
         n = self.n
         # fmax, like Python's max(1.0, x), gives 1.0 for a NaN x
-        step = _FD_STEP * np.fmax(1.0, np.max(np.abs(z), axis=-1))[..., None, None]
+        step = _FD_STEP * np.fmax(1.0, np.maximum.reduce(np.abs(z), axis=-1))[..., None, None]
         dz = self._fd_basis * step
         w = self.map_point(np.concatenate([z[..., None, :] + dz, z[..., None, :] - dz], axis=-2))
         d = (w[..., : 2 * n, :] - w[..., 2 * n:, :]) / (2.0 * step)
         j = np.empty(z.shape[:-1] + (2 * n, 2 * n))
-        j[..., 0::2, :] = np.swapaxes(d.real, -1, -2)
-        j[..., 1::2, :] = np.swapaxes(d.imag, -1, -2)
+        j[..., 0::2, :] = d.real.swapaxes(-1, -2)
+        j[..., 1::2, :] = d.imag.swapaxes(-1, -2)
         return j
 
 

@@ -68,7 +68,7 @@ def _check_domain(
 ) -> None:
     """Raise ``error`` naming the first point of z (shape (..., n)) where ``bad``
     (shape (..., n)) holds: "{what} {that point's row of values} at z={the point}"."""
-    if bad.any():
+    if np.logical_or.reduce(bad, axis=None):
         n = z.shape[-1]
         k = np.flatnonzero(np.any(bad.reshape(-1, n), axis=-1))[0]
         raise error(f"{what} {values.reshape(-1, n)[k]} at z={z.reshape(-1, n)[k]}")
@@ -99,6 +99,7 @@ _CIGAR_SERIES = np.array(
 )
 _CIGAR_POWERS = np.arange(len(_CIGAR_SERIES))[:, None]
 _CIGAR_SIGNED_FACTORIALS = [(-1.0) ** p * factorial(p) for p in range(4)]
+_CIGAR_SERIES_BLOCK = 256  # series rows evaluated at once
 
 
 def _cigar_diagonals(t: np.ndarray, order: int) -> list[np.ndarray]:
@@ -111,7 +112,7 @@ def _cigar_diagonals(t: np.ndarray, order: int) -> list[np.ndarray]:
     term by term (a matmul would round differently with the batch size).
     """
     series = t < _CIGAR_SERIES_T
-    any_series = series.any()
+    any_series = np.logical_or.reduce(series, axis=None)
     tc = np.where(series, 1.0, t) if any_series else t
     inv_t = 1.0 / tc
     bracket = np.log1p(tc)
@@ -132,7 +133,12 @@ def _cigar_diagonals(t: np.ndarray, order: int) -> list[np.ndarray]:
         # two columns at least: numpy sums a lone column pairwise, which would
         # make D1 at order 1 round differently from D1 at orders 2..4
         columns = _CIGAR_SERIES[:, :max(order, 2)]
-        values = np.sum(np.power(ts[:, None, None], _CIGAR_POWERS) * columns, axis=1)
+        # in blocks of rows, so the (rows, 48, columns) table stays small; a
+        # row's sum is the same in any block
+        values = np.empty((len(ts), columns.shape[1]))
+        for i in range(0, len(ts), _CIGAR_SERIES_BLOCK):
+            block = ts[i:i + _CIGAR_SERIES_BLOCK, None, None]
+            values[i:i + _CIGAR_SERIES_BLOCK] = np.add.reduce(np.power(block, _CIGAR_POWERS) * columns, axis=1)
         for p, diagonal in enumerate(out):
             diagonal[series] = values[:, p]
     return out
@@ -221,15 +227,16 @@ class CigarProductPotential(PotentialModel):
 
     def __init__(self, n: int):
         self.n = _dimension(n)
+        # flat stride of the diagonal of an (n,) * q tensor, at index q
+        self._diagonal_steps = [sum(self.n**k for k in range(q)) for q in range(5)]
 
     def derivative_tensors(self, t, order):
         t = np.asarray(t, dtype=float)
         diagonals = _cigar_diagonals(t, _jet_order(order))
         out = [diagonals[0]]
         for q in range(2, order + 1):
-            tensor = np.zeros(t.shape + (self.n,) * (q - 1))
-            # einsum with a repeated index and no sum returns a writeable view
-            np.einsum("..." + "i" * q + "->...i", tensor)[...] = diagonals[q - 1]
+            tensor = np.zeros(t.shape + (self.n,) * (q - 1))  # C order, so reshape gives a view
+            tensor.reshape(t.shape[:-1] + (self.n**q,))[..., :: self._diagonal_steps[q]] = diagonals[q - 1]
             out.append(tensor)
         return tuple(out)
 
@@ -523,15 +530,17 @@ def metric_from_jet(z: Sequence[complex], jet: Sequence[np.ndarray]) -> np.ndarr
     """``metric_at`` assembled from a ``derivative_tensors`` jet of order >= 2 at z."""
     z = np.asarray(z, dtype=complex)
     d1, d2 = jet[:2]
-    if not (np.isfinite(d1).all() and np.isfinite(d2).all()):
+    all_finite = np.logical_and.reduce
+    if not (all_finite(np.isfinite(d1), axis=None) and all_finite(np.isfinite(d2), axis=None)):
         bad = ~(np.isfinite(d1) & np.isfinite(d2).all(axis=-1))
         _check_domain(z, d1, bad, "potential derivatives are not finite: first derivative")
-    g = np.zeros(d2.shape, dtype=complex)
-    np.einsum("...ii->...i", g)[...] = d1
+    g = np.zeros(d2.shape, dtype=complex)  # C order, so reshape gives a view
+    n = z.shape[-1]
+    g.reshape(g.shape[:-2] + (n * n,))[..., :: n + 1] = d1
     g += np.conj(z)[..., :, None] * z[..., None, :] * d2
     # fused-multiply-add kernels leave ~1e-17 asymmetry in the outer product;
     # averaging with the adjoint restores exact Hermitian symmetry
-    return 0.5 * (g + np.conj(np.swapaxes(g, -1, -2)))
+    return 0.5 * (g + np.conj(g.swapaxes(-1, -2)))
 
 
 def metric_energy(model: PotentialModel, z: Sequence[complex], v: Sequence[complex]) -> float | np.ndarray:
@@ -556,11 +565,11 @@ def hermitian_to_two_form(g: np.ndarray) -> np.ndarray:
     """
     n = g.shape[-1]
     out = np.empty(g.shape[:-2] + (2 * n, 2 * n))
-    re, im = g.real, g.imag
-    out[..., 0::2, 0::2] = -im
+    re, neg_im = g.real, -g.imag
+    out[..., 0::2, 0::2] = neg_im
     out[..., 0::2, 1::2] = re
     out[..., 1::2, 0::2] = -re
-    out[..., 1::2, 1::2] = -im
+    out[..., 1::2, 1::2] = neg_im
     return out
 
 

@@ -1,13 +1,19 @@
-"""The point stack's tensor assembly against its fancy-index references.
+"""The point stack's tensor assembly against its references.
 
 The metric, its first and second z-derivatives, the cigar jet and the
-analytic Jacobian write their diagonals through einsum's writeable views.
+analytic Jacobian write their diagonals through strided views of arrays
+they allocate in C order (two permuted diagonals through einsum's views).
 The references below write the same diagonals by fancy indexing (a gather,
-an add and a scatter), which is how the library wrote them before; both add
-the same IEEE numbers in the same order, so every result must equal its
-reference byte for byte, signed zeros included.
+an add and a scatter); both add the same IEEE numbers in the same order, so
+every result must equal its reference byte for byte, signed zeros included.
+The other references are earlier versions of the routines that now avoid
+numpy's Python-level wrappers or share one jet: the two-form, the FD
+Jacobian, the curvature tail and symmetry residual, the pullback residual
+with a jet of its own for J and for G, and the cigar series summed over all
+rows at once.  They must agree byte for byte as well, NaN sign bits included.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,14 +24,17 @@ from darbouxkit import (
     DarbouxMap,
     SolitonPotential,
     SolitonProfile,
+    curvature_at,
+    curvature_symmetry_residual,
     flat_potential,
     fold_test_model,
+    metric_at,
     metric_z_derivative,
     radial_coords,
     sample_polydisc,
     shipped_models,
 )
-from darbouxkit import curvature, potentials
+from darbouxkit import curvature, darboux, potentials
 
 
 def ref_metric_from_jet(z, jet):
@@ -102,6 +111,67 @@ def ref_jacobian_analytic(model, z):
     return j
 
 
+def ref_jacobian_fd(dm, z):
+    n = dm.n
+    step = darboux._FD_STEP * np.fmax(1.0, np.max(np.abs(z), axis=-1))[..., None, None]
+    dz = dm._fd_basis * step
+    w = dm.map_point(np.concatenate([z[..., None, :] + dz, z[..., None, :] - dz], axis=-2))
+    d = (w[..., : 2 * n, :] - w[..., 2 * n:, :]) / (2.0 * step)
+    j = np.empty(z.shape[:-1] + (2 * n, 2 * n))
+    j[..., 0::2, :] = np.swapaxes(d.real, -1, -2)
+    j[..., 1::2, :] = np.swapaxes(d.imag, -1, -2)
+    return j
+
+
+def ref_hermitian_to_two_form(g):
+    n = g.shape[-1]
+    out = np.empty(g.shape[:-2] + (2 * n, 2 * n))
+    re, im = g.real, g.imag
+    out[..., 0::2, 0::2] = -im
+    out[..., 0::2, 1::2] = re
+    out[..., 1::2, 0::2] = -re
+    out[..., 1::2, 1::2] = -im
+    return out
+
+
+def ref_pullback_residual(model, z, method):
+    """J and G from a jet each, as before the Jacobian returned its metric."""
+    dm = DarbouxMap(model)
+    j = ref_jacobian_analytic(model, z) if method == "analytic" else ref_jacobian_fd(dm, z)
+    pulled = np.swapaxes(j, -1, -2) @ dm._omega0 @ j
+    omega = ref_hermitian_to_two_form(ref_metric_from_jet(z, model.derivative_tensors(radial_coords(z), 2)))
+    residual = np.max(np.abs(pulled - omega), axis=(-2, -1))
+    return float(residual) if z.ndim == 1 else residual
+
+
+def ref_curvature(model, z, method):
+    if method == "analytic":
+        jet = model.derivative_tensors(radial_coords(z), 4)
+        g, d, h = ref_metric_from_jet(z, jet), ref_metric_z_derivative(z, jet), ref_second_metric_derivative(z, jet)
+    else:
+        g, d, h = curvature._fd_metric_derivatives(model, z)
+    ginv_c = np.conj(np.linalg.inv(g))
+    n = z.shape[-1]
+    quad = np.empty(h.shape, dtype=complex)
+    for qi, gi, di in zip(quad.reshape(-1, n, n, n, n), ginv_c.reshape(-1, n, n), d.reshape(-1, n, n, n)):
+        qi[...] = np.einsum("pq,iqk,jpl->ijkl", gi, di, np.conj(di))
+    return -h + quad
+
+
+def ref_curvature_symmetry_residual(r):
+    swap_holo = np.abs(r - np.swapaxes(r, -4, -2))
+    swap_anti = np.abs(r - np.swapaxes(r, -3, -1))
+    conj_sym = np.abs(r - np.conj(np.swapaxes(np.swapaxes(r, -4, -3), -2, -1)))
+    worst = np.max(np.maximum(np.maximum(swap_holo, swap_anti), conj_sym), axis=(-4, -3, -2, -1))
+    return float(worst) if worst.ndim == 0 else worst
+
+
+def ref_cigar_series(ts, order):
+    """The cigar series at every entry of the 1-D ts, one power table for all rows."""
+    columns = potentials._CIGAR_SERIES[:, :max(order, 2)]
+    return np.sum(np.power(ts[:, None, None], potentials._CIGAR_POWERS) * columns, axis=1)
+
+
 def ref_fd_steps(n):
     base = np.array([1.0, 1j])[:, None, None, None] * np.eye(n)[:, None, :] * curvature._FD_SIZES[:, None]
     return np.concatenate([base, -base])
@@ -143,6 +213,14 @@ def _batches(pts):
     return [*pts, pts, pts.reshape(3, 4, -1)]
 
 
+def _layouts(batches):
+    """Each batch as given, and in Fortran order when that is another layout."""
+    for z in batches:
+        yield z
+        if z.ndim > 1:
+            yield np.asfortranarray(z)
+
+
 def _same_bytes(a, b) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
@@ -168,6 +246,27 @@ class TestViewWritesMatchReferences:
         for z in _batches(_points(model, seam_points)):
             assert _same_bytes(dm.jacobian(z), ref_jacobian_analytic(model, z))
 
+    def test_jacobian_metric_pullback_and_two_form(self, model, seam_points):
+        dm = DarbouxMap(model)
+        for z in _layouts(_batches(_points(model, seam_points))):
+            g = metric_at(model, z)
+            assert _same_bytes(potentials.hermitian_to_two_form(g), ref_hermitian_to_two_form(g))
+            assert _same_bytes(dm.jacobian(z, method="fd"), ref_jacobian_fd(dm, z))
+            for method in ("analytic", "fd"):
+                j, g_returned = dm.jacobian(z, method=method, return_metric=True)
+                assert _same_bytes(g_returned, g)
+                assert _same_bytes(j, dm.jacobian(z, method=method))
+                got, ref = dm.pullback_residual(z, method=method), ref_pullback_residual(model, z, method)
+                assert type(got) is type(ref) and _same_bytes(np.asarray(got), np.asarray(ref))
+
+    @pytest.mark.parametrize("method", ["analytic", "fd"])
+    def test_curvature_tail_and_symmetry_residual(self, model, method, seam_points):
+        for z in _layouts(_batches(_points(model, seam_points))):
+            r = curvature_at(model, z, method=method)
+            assert _same_bytes(r, ref_curvature(model, z, method))
+            got, ref = curvature_symmetry_residual(r), ref_curvature_symmetry_residual(r)
+            assert type(got) is type(ref) and _same_bytes(np.asarray(got), np.asarray(ref))
+
 
 @pytest.mark.parametrize("n", (1, 2, 3, 4))
 def test_cigar_jet(n, seam_points):
@@ -178,6 +277,44 @@ def test_cigar_jet(n, seam_points):
             got, ref = model.derivative_tensors(t, order), ref_cigar_tensors(model, t, order)
             assert len(got) == len(ref) == order
             assert all(_same_bytes(a, b) for a, b in zip(got, ref))
+
+
+def test_nan_rows_keep_their_bits():
+    # flat-n1's jet is finite at a NaN point, so its metric, Jacobian and
+    # curvature carry NaNs instead of raising; their sign bits must not move
+    model, z = flat_potential(1), np.array([[0.3], [np.nan], [np.nan + 1j], [0.1j]])
+    dm = DarbouxMap(model)
+    for method in ("analytic", "fd"):
+        r = curvature_at(model, z, method=method)
+        assert np.isnan(r).any() and _same_bytes(r, ref_curvature(model, z, method))
+        assert _same_bytes(curvature_symmetry_residual(r), ref_curvature_symmetry_residual(r))
+        assert _same_bytes(dm.pullback_residual(z, method=method), ref_pullback_residual(model, z, method))
+    g = metric_at(model, z)
+    assert _same_bytes(potentials.hermitian_to_two_form(g), ref_hermitian_to_two_form(g))
+
+
+def test_cigar_series_blocks_match_one_table_and_bound_memory():
+    # 7,825 cigar-n3 points: every |z_j| = 0.3 row takes the series (t = 0.09)
+    # and every |z_j| = 0.6 row the closed form (t = 0.36)
+    model = CigarProductPotential(3)
+    rng = np.random.default_rng(3)
+    phases = np.exp(2j * np.pi * rng.uniform(size=(7825, 3)))
+    t = radial_coords(0.3 * phases)
+    for order in (1, 2, 3, 4):
+        got = potentials._cigar_diagonals(t, order)
+        ref = ref_cigar_series(t.ravel(), order)
+        assert all(_same_bytes(d, ref[:, p].reshape(t.shape)) for p, d in enumerate(got))
+    peaks = {}
+    for radius in (0.3, 0.6):
+        z = radius * phases
+        tracemalloc.start()
+        try:
+            metric_at(model, z)
+            peaks[radius] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # one (23475, 48, 2) table took 8x the closed form's peak; blocks take about as much
+    assert peaks[0.3] < 1.25 * peaks[0.6]
 
 
 @pytest.mark.parametrize("n", (1, 2, 3, 4))

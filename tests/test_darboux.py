@@ -192,23 +192,34 @@ class TestBatchedPullback:
 
     @pytest.mark.parametrize("method", ["analytic", "fd"])
     def test_one_jacobian_and_one_metric_call_per_batch(self, method, monkeypatch):
-        calls = []
+        # analytic: J and G come from one order-2 jet, so metric_at is never
+        # called; fd: J has no jet at z, so G comes from one metric_at call
+        calls, jets, metric_calls = [], [], []
         original = DarbouxMap.jacobian
+        original_jet = CigarProductPotential.derivative_tensors
 
-        def counted(self, z, method="analytic"):
-            calls.append(np.shape(z))
-            return original(self, z, method=method)
+        def counted(self, z, method="analytic", return_metric=False):
+            calls.append((np.shape(z), return_metric))
+            return original(self, z, method=method, return_metric=return_metric)
+
+        def counted_jet(self, t, order):
+            jets.append((np.shape(t), order))
+            return original_jet(self, t, order)
 
         def counted_metric(model, z):
             metric_calls.append(np.shape(z))
             return metric_at(model, z)
 
-        metric_calls = []
         monkeypatch.setattr(DarbouxMap, "jacobian", counted)
+        monkeypatch.setattr(CigarProductPotential, "derivative_tensors", counted_jet)
         monkeypatch.setattr(darboux, "metric_at", counted_metric)
         pts = SampleRegion(radius=2.0, count=9).sample(3)
         DarbouxMap(CigarProductPotential(3)).pullback_residual(pts, method=method)
-        assert calls == [(9, 3)] and metric_calls == [(9, 3)]
+        assert calls == [((9, 3), True)]
+        if method == "analytic":
+            assert jets == [((9, 3), 2)] and metric_calls == []
+        else:
+            assert metric_calls == [(9, 3)]
 
     @pytest.mark.parametrize("method", ["analytic", "fd"])
     def test_domain_error_names_the_first_bad_row(self, method):

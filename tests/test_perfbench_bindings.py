@@ -4,6 +4,8 @@ fail here, not only in a traced benchmark run."""
 import sys
 from pathlib import Path
 
+import pytest
+
 import darbouxkit  # noqa: F401  (loads every module the tracer patches)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -23,8 +25,14 @@ def _bindings() -> dict:
     return ids
 
 
-def test_tracer_installs_and_restores(monkeypatch):
+@pytest.fixture
+def perfbench_path(monkeypatch):
+    """The benchmark's modules importable, with no bytecode written beside them."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+
+
+def test_tracer_installs_and_restores(perfbench_path):
     import layers
     from tracer import Tracer
 
@@ -43,3 +51,27 @@ def test_tracer_installs_and_restores(monkeypatch):
     assert ("darbouxkit.soliton", "FIntegral", "log_eval") in patched
     assert ("darbouxkit.soliton", "SolitonProfile", "u_prime") in patched
     assert _bindings() == before
+
+
+@pytest.mark.parametrize("workload", ["cigar-fields", "soliton-fields"])
+def test_predicted_layers_fire_on_a_tiny_fields_pass(workload, perfbench_path):
+    # a fusion that drops a call the benchmark predicts (say the FD pullback's
+    # metric_at) must fail here, not only in a traced benchmark run
+    import layers
+    from tracer import Tracer
+    from workloads import NEAR_EVERY, WORKLOADS
+
+    # NEAR_EVERY points per model put one of them near the origin, where the
+    # radial series answers, as in every full pass
+    wl = WORKLOADS[workload](1, points_per_model=NEAR_EVERY)
+    tracer = Tracer()
+    try:
+        layers.install(tracer)
+        result = wl.run_pass(0, on_op=tracer.set_op)
+    finally:
+        tracer.restore()
+    assert [op.error for op in result.ops if not op.ok] == []
+    metrics = layers.traced_metrics(tracer, [op.op_id for op in result.ops if op.kind == "point"])
+    predicted = [m.name for m in layers.LAYER_METRICS if m.nonzero_on and workload in m.nonzero_on]
+    traced = [name for name in predicted if name in metrics]
+    assert traced and [name for name in traced if not metrics[name] > 0] == []
