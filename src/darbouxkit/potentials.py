@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from math import factorial, log, perm, prod
+from math import factorial, isfinite, log, perm, prod
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -370,8 +370,17 @@ class PolyTestPotential(PotentialModel):
         # t_j ** e by scalar pow, not numpy's vectorised power, which rounds
         # differently in the last bit on some CPUs
         t = np.asarray(t, dtype=float)
+        values = t.ravel().tolist()
+        if not all(map(isfinite, values)):
+            # NaN ** 0 and inf ** 0 are 1, so rows without a power of t would
+            # read finite there: NaN rows instead, for metric_from_jet to name
+            # the point
+            finite = np.isfinite(t)
+            out = self._evaluate(np.where(finite, t, 0.0), rows)
+            out[~np.logical_and.reduce(finite, axis=-1)] = np.nan
+            return out
         try:
-            t_powers = np.array([tj**e for tj in t.ravel().tolist() for e in self._exponents])
+            t_powers = np.array([tj**e for tj in values for e in self._exponents])
         except OverflowError:
             # a power past the float range: that point's rows are inf, for
             # metric_from_jet to name the point

@@ -333,7 +333,7 @@ def curve_geodesy_residual(
     length: float,
 ) -> float | np.ndarray:
     """Max distance to the curve image of the geodesic launched tangent at w0,
-    over every 12th trajectory point.
+    over every trajectory point.
 
     An array of launch parameters gives an array of residuals, from one
     batched integration.
@@ -342,7 +342,7 @@ def curve_geodesy_residual(
         raise ValueError("curve geodesy runs in the two-cigar model")
     jets = np.array([pair.jet(w) for w in np.atleast_1d(w0)])
     runs = _unit_speed_runs(model, jets[:, 0], jets[:, 1], length)
-    residuals = [np.max([curve_distance(pair, p) for p in points[::12]]) for points in runs]
+    residuals = [np.max([curve_distance(pair, p) for p in points]) for points in runs]
     return float(residuals[0]) if np.ndim(w0) == 0 else np.array(residuals)
 
 

@@ -22,6 +22,7 @@ import pytest
 from darbouxkit import (
     CigarProductPotential,
     DarbouxMap,
+    PolyTestPotential,
     SolitonPotential,
     SolitonProfile,
     curvature_at,
@@ -279,10 +280,21 @@ def test_cigar_jet(n, seam_points):
             assert all(_same_bytes(a, b) for a, b in zip(got, ref))
 
 
+class _NanBlindFlat(PolyTestPotential):
+    """flat-n1 with a jet that stays finite at a non-finite t (the shipped
+    models give NaN rows there, and the metric raises)."""
+
+    def __init__(self):
+        super().__init__(1, {(1,): 1.0}, label="flat")
+
+    def derivative_tensors(self, t, order):
+        return super().derivative_tensors(np.where(np.isfinite(t), t, 0.0), order)
+
+
 def test_nan_rows_keep_their_bits():
-    # flat-n1's jet is finite at a NaN point, so its metric, Jacobian and
-    # curvature carry NaNs instead of raising; their sign bits must not move
-    model, z = flat_potential(1), np.array([[0.3], [np.nan], [np.nan + 1j], [0.1j]])
+    # with a jet finite at a NaN point, the metric, Jacobian and curvature
+    # carry NaNs instead of raising; their sign bits must not move
+    model, z = _NanBlindFlat(), np.array([[0.3], [np.nan], [np.nan + 1j], [0.1j]])
     dm = DarbouxMap(model)
     for method in ("analytic", "fd"):
         r = curvature_at(model, z, method=method)

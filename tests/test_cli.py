@@ -219,16 +219,16 @@ class TestGeodesicCommand:
         out = tmp_path / "geo.csv"
         result = runner.invoke(
             main,
-            ["geodesic", "--model", "poly:2", "--start", "2,1", "--vel", "3,2j",
+            ["geodesic", "--model", "poly:2", "--start", "2,1", "--vel", "1,1j",
              "--length", "40", "--steps", "1", "--out", str(out)],
         )
         assert result.exit_code == 1, result.output
         assert "Traceback" not in result.output
         errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
-        assert errors == ["Error: energy drift 2.285e+02 unmet at 16 steps"]
+        assert errors == ["Error: bounds unmet at 16 steps: energy drift 3.990e-03, position error 2.017e-02"]
         rows = out.read_text().strip().splitlines()
         assert len(rows) == 1 + 16 + 1  # header, then the last refinement's 16 steps
-        assert float(rows[-1].split(",")[-1]) > 1e2
+        assert float(rows[-1].split(",")[-1]) > 1e-3
 
     @pytest.mark.parametrize("text, value", [
         ("2i", 2j), ("i", 1j), ("1+i", 1 + 1j), ("0.3+0.1i", 0.3 + 0.1j), ("1e-3i", 1e-3j),

@@ -1,5 +1,6 @@
-"""Geodesic integrator tests: flat straight lines, energy conservation,
-symmetry confinement, refinement control, batches and torus momenta."""
+"""Geodesic integrator tests: the DOP853 tableau and its order, flat straight
+lines, energy conservation, symmetry confinement, refinement control, batches
+and torus momenta."""
 
 import numpy as np
 import pytest
@@ -12,10 +13,41 @@ from darbouxkit import (
     flat_potential,
     geodesic_integrate,
     metric_at,
+    poly_test_model,
     soliton_potential,
 )
 from darbouxkit import geodesics as geodesics_mod
 from darbouxkit.potentials import metric_energy
+
+
+class TestScheme:
+    def test_tableau_matches_scipy(self):
+        # src/ carries its own copy of the tableau, since it must not import scipy
+        coefficients = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+        stages = coefficients.N_STAGES
+        a = np.zeros((stages, stages))
+        for s, row in enumerate(geodesics_mod._A, 1):
+            a[s, :s] = row
+        np.testing.assert_array_equal(a, coefficients.A[:stages, :stages])
+        np.testing.assert_array_equal(geodesics_mod._B, coefficients.B)
+        # the error rows give the step's last evaluation weight 0, so it is not stored
+        for ours, theirs in ((geodesics_mod._E5, coefficients.E5), (geodesics_mod._E3, coefficients.E3)):
+            np.testing.assert_array_equal(ours, theirs[:stages])
+            assert theirs[stages] == 0.0
+
+    def test_observed_order_is_eight(self, monkeypatch):
+        # log2 of the endpoint error ratio at h and h/2 against a 320-step
+        # run, with no refinement
+        monkeypatch.setattr(geodesics_mod, "_DRIFT_TOL", np.inf)
+        monkeypatch.setattr(geodesics_mod, "_POSITION_TOL", np.inf)
+        model = CigarProductPotential(2)
+        z, v, length = [0.5, 0.1j], [0.4, 0.16], 8.0
+        reference = geodesic_integrate(model, z, v, length, steps=320).points[-1]
+        errors = [
+            np.max(np.abs(geodesic_integrate(model, z, v, length, steps=steps).points[-1] - reference))
+            for steps in (5, 10)
+        ]
+        assert np.log2(errors[0] / errors[1]) == pytest.approx(8.0, abs=0.25)
 
 
 class TestFlatModel:
@@ -54,7 +86,7 @@ class TestEnergyConservation:
         v0 = np.array([1.0 + 0.0j])
         e0 = float(np.real(metric_at(model, z0)[0, 0]) * abs(v0[0]) ** 2)
         v0 = v0 / np.sqrt(e0)
-        traj = geodesic_integrate(model, z0, v0, 5.0)
+        traj = geodesic_integrate(model, z0, v0, 5.0, steps=480)  # a polyline fine enough for 1e-4
         seg = np.diff(traj.points, axis=0)
         mids = 0.5 * (traj.points[1:] + traj.points[:-1])
         length = sum(
@@ -92,6 +124,7 @@ class TestControls:
     def test_refinement_reduces_drift(self, monkeypatch):
         # step doubling stops at the tolerance or after four refinements
         model = CigarProductPotential(1)
+        monkeypatch.setattr(geodesics_mod, "_POSITION_TOL", np.inf)
         monkeypatch.setattr(geodesics_mod, "_DRIFT_TOL", np.inf)
         coarse = geodesic_integrate(model, [0.9], [2.0], 8.0, steps=24)
         monkeypatch.setattr(geodesics_mod, "_DRIFT_TOL", 1e-10)
@@ -100,19 +133,34 @@ class TestControls:
         assert refined.steps > coarse.steps
         assert refined.drift <= 1e-10 or refined.steps == 24 * 2**4
 
+    def test_refinement_reduces_position_error(self, monkeypatch):
+        # at 24 steps the drift meets its bound but the position error does
+        # not, so the positions alone drive the doubling
+        model = CigarProductPotential(1)
+        monkeypatch.setattr(geodesics_mod, "_POSITION_TOL", np.inf)
+        coarse = geodesic_integrate(model, [0.9], [2.0], 8.0, steps=24)
+        monkeypatch.undo()
+        refined = geodesic_integrate(model, [0.9], [2.0], 8.0, steps=24)
+        assert coarse.converged and coarse.steps == 24
+        assert refined.converged and refined.steps > coarse.steps
+        assert refined.position_error < coarse.position_error
+        assert refined.position_error <= 1e-9 * max(1.0, np.max(np.abs(refined.points)))
+
     def test_default_steps_meet_default_tolerance(self):
         model = CigarProductPotential(1)
         traj = geodesic_integrate(model, [0.9], [2.0], 8.0)
         assert traj.drift <= 1e-8
 
-    def test_converged_flag(self, monkeypatch):
+    @pytest.mark.parametrize("bound", ["_DRIFT_TOL", "_POSITION_TOL"])
+    def test_converged_flag(self, bound, monkeypatch):
+        # either bound alone keeps a run from converging
         model = CigarProductPotential(1)
         assert geodesic_integrate(model, [0.9], [2.0], 8.0).converged
-        monkeypatch.setattr(geodesics_mod, "_DRIFT_TOL", 1e-300)
+        monkeypatch.setattr(geodesics_mod, bound, 1e-300)
         traj = geodesic_integrate(model, [0.9], [2.0], 8.0, steps=24)
         assert not traj.converged
         assert traj.steps == 24 * 2**4
-        with pytest.raises(GeodesicDriftError):
+        with pytest.raises(GeodesicDriftError, match=r"bounds unmet at 384 steps: energy drift .*, position error "):
             traj.converged_points()
 
     @pytest.mark.parametrize("length", [0.0, -1.0, np.nan, np.inf])
@@ -126,14 +174,14 @@ class TestControls:
             geodesic_integrate(flat_potential(1), [0.0], [1.0], 1.0, steps=steps)
 
     def test_nonfinite_point_or_velocity_rejected(self):
-        # rejected before the first RK4 stage, so the model's not-finite error never shows
+        # rejected before the first stage, so the model's not-finite error never shows
         for z, v in (([np.nan, 0.0], [1.0, 0.0]), ([0.1, 0.0], [np.nan, 0.0]), ([[0.1, 0.0]], [[1.0, np.inf]])):
             with pytest.raises(ValueError, match="start point and velocity must be finite"):
                 geodesic_integrate(CigarProductPotential(2), z, v, 1.0)
 
     def test_overflowing_velocity_named(self):
         # finite, but its metric energy at the start overflows: the error names
-        # the first such row, not an RK4 stage point far outside the float range
+        # the first such row, not a stage point far outside the float range
         z = [[0.1, 0.0], [0.0, 0.0], [0.0, 0.0]]
         v = [[1.0, 0.0], [1e200, 0.0], [0.0, 1e300]]
         named = r"metric energy is not finite for the velocity \[1\.e\+200.*\] at z=\[0\.\+0\.j 0\.\+0\.j\]$"
@@ -142,7 +190,7 @@ class TestControls:
 
     def test_overflowing_christoffels_named(self, monkeypatch):
         # the metric energy at 1e150 is finite, its Christoffel symbols are not:
-        # the start's own k1 stage names the row, and no other stage runs
+        # the start's own first stage names the row, and no other stage runs
         calls = []
         christoffel = geodesics_mod.christoffel_at
         monkeypatch.setattr(geodesics_mod, "christoffel_at", lambda *a, **k: calls.append(1) or christoffel(*a, **k))
@@ -152,12 +200,14 @@ class TestControls:
             geodesic_integrate(CigarProductPotential(2), z, [[1.0, 0.0], [1.0, 0.0]], 1.0)
         assert len(calls) == 1
 
-    def test_four_christoffel_calls_per_step(self, monkeypatch):
+    def test_twelve_christoffel_calls_per_step(self, monkeypatch):
+        # 12 stages a step, the first being the last step's evaluation at its
+        # new point, plus the start's
         calls = []
         christoffel = geodesics_mod.christoffel_at
         monkeypatch.setattr(geodesics_mod, "christoffel_at", lambda *a, **k: calls.append(1) or christoffel(*a, **k))
         assert geodesic_integrate(CigarProductPotential(2), [0.3, 0.1j], [0.05, 0.02], 1.0, steps=24).converged
-        assert len(calls) == 4 * 24
+        assert len(calls) == 1 + 12 * 24
 
     def test_non_finite_update_raises(self, monkeypatch):
         # every stage's Christoffel symbols finite, but the accelerations sum past the float range
@@ -176,28 +226,43 @@ class TestControls:
         assert traj.points.dtype == complex and traj.points.shape == (5, 2)
 
 
+def _assert_same_run(traj: GeodesicTrajectory, alone: GeodesicTrajectory) -> None:
+    assert (traj.steps, traj.converged, traj.position_error) == (alone.steps, alone.converged, alone.position_error)
+    for field in ("times", "points", "velocities", "energies"):
+        np.testing.assert_array_equal(getattr(traj, field), getattr(alone, field))
+
+
 class TestBatch:
-    # cigar-n2 at drift bound 1e-10 from 24 steps: the slow geodesic converges
-    # at the first level, the middle one after three doublings, and the fast
-    # one never
+    # cigar-n2 at position bound 1e-10 from 2 steps: the slow geodesic
+    # converges at the first level, the middle one after three doublings, and
+    # the fast one never
     Z = np.array([[0.3, 0.1j], [0.5, 0.1j], [0.9, 0.2]])
     V = np.array([[0.05, 0.02], [0.4, 0.16], [2.0, 0.5j]])
 
     def test_members_match_their_batch_of_one(self, monkeypatch):
-        monkeypatch.setattr(geodesics_mod, "_DRIFT_TOL", 1e-10)
+        monkeypatch.setattr(geodesics_mod, "_POSITION_TOL", 1e-10)
         model = CigarProductPotential(2)
-        batch = geodesic_integrate(model, self.Z, self.V, 8.0, steps=24)
-        assert [t.steps for t in batch] == [24, 24 * 2**4, 24 * 2**4]
+        batch = geodesic_integrate(model, self.Z, self.V, 8.0, steps=2)
+        assert [t.steps for t in batch] == [2, 2 * 2**3, 2 * 2**4]
         assert [t.converged for t in batch] == [True, True, False]
         for z, v, traj in zip(self.Z, self.V, batch):
-            alone = geodesic_integrate(model, z, v, 8.0, steps=24)
+            alone = geodesic_integrate(model, z, v, 8.0, steps=2)
             assert isinstance(alone, GeodesicTrajectory)
-            assert (traj.steps, traj.converged, traj.drift) == (alone.steps, alone.converged, alone.drift)
-            np.testing.assert_allclose(traj.points, alone.points, rtol=1e-12, atol=0.0)
-            np.testing.assert_array_equal(traj.times, alone.times)
+            _assert_same_run(traj, alone)
         batch[0].converged_points()
         with pytest.raises(GeodesicDriftError):
             batch[2].converged_points()
+
+    @pytest.mark.parametrize("make", [
+        lambda: CigarProductPotential(2),
+        lambda: soliton_potential(SolitonProfile(2)),
+        poly_test_model,
+    ], ids=["cigar-n2", "soliton-n2", "poly-n2"])
+    def test_rows_equal_their_batch_of_one_bit_for_bit(self, make):
+        model = make()
+        batch = geodesic_integrate(model, self.Z, self.V, 3.0)
+        for z, v, traj in zip(self.Z, self.V, batch):
+            _assert_same_run(traj, geodesic_integrate(model, z, v, 3.0))
 
     def test_order_and_empty_batch(self):
         model = CigarProductPotential(2)
@@ -221,7 +286,7 @@ class TestBatch:
         lambda: soliton_potential(SolitonProfile(2)),
     ])
     def test_energy_equals_metric_energy(self, make):
-        # the energies are read off the order-3 jet of each k1 stage, whose D1
+        # the energies are read off the order-3 jet of each step's first stage, whose D1
         # and D2 equal those of metric_at's order-2 jet bit for bit
         model = make()
         for traj in geodesic_integrate(model, self.Z[:2], self.V[:2], 3.0):

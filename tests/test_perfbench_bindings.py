@@ -53,17 +53,12 @@ def test_tracer_installs_and_restores(perfbench_path):
     assert _bindings() == before
 
 
-@pytest.mark.parametrize("workload", ["cigar-fields", "soliton-fields"])
-def test_predicted_layers_fire_on_a_tiny_fields_pass(workload, perfbench_path):
-    # a fusion that drops a call the benchmark predicts (say the FD pullback's
-    # metric_at) must fail here, not only in a traced benchmark run
+def _assert_predicted_layers_fire(wl) -> None:
+    """One traced pass of ``wl`` passes, and every tracer-derived metric the
+    benchmark predicts nonzero on its workload is nonzero."""
     import layers
     from tracer import Tracer
-    from workloads import NEAR_EVERY, WORKLOADS
 
-    # NEAR_EVERY points per model put one of them near the origin, where the
-    # radial series answers, as in every full pass
-    wl = WORKLOADS[workload](1, points_per_model=NEAR_EVERY)
     tracer = Tracer()
     try:
         layers.install(tracer)
@@ -72,6 +67,25 @@ def test_predicted_layers_fire_on_a_tiny_fields_pass(workload, perfbench_path):
         tracer.restore()
     assert [op.error for op in result.ops if not op.ok] == []
     metrics = layers.traced_metrics(tracer, [op.op_id for op in result.ops if op.kind == "point"])
-    predicted = [m.name for m in layers.LAYER_METRICS if m.nonzero_on and workload in m.nonzero_on]
+    predicted = [m.name for m in layers.LAYER_METRICS if m.nonzero_on and wl.name in m.nonzero_on]
     traced = [name for name in predicted if name in metrics]
     assert traced and [name for name in traced if not metrics[name] > 0] == []
+
+
+@pytest.mark.parametrize("workload", ["cigar-fields", "soliton-fields"])
+def test_predicted_layers_fire_on_a_tiny_fields_pass(workload, perfbench_path):
+    # a fusion that drops a call the benchmark predicts (say the FD pullback's
+    # metric_at) must fail here, not only in a traced benchmark run
+    from workloads import NEAR_EVERY, WORKLOADS
+
+    # NEAR_EVERY points per model put one of them near the origin, where the
+    # radial series answers, as in every full pass
+    _assert_predicted_layers_fire(WORKLOADS[workload](1, points_per_model=NEAR_EVERY))
+
+
+def test_predicted_layers_fire_on_a_suite_pass(perfbench_path):
+    # the geodesic layers (the integrator's run counter, the curve residual)
+    # fire only on suite, so a restructured integrator must keep them firing
+    from workloads import WORKLOADS
+
+    _assert_predicted_layers_fire(WORKLOADS["suite"](1))

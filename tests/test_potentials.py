@@ -19,6 +19,7 @@ from scipy.special import logsumexp, spence
 from darbouxkit import (
     CigarProductPotential,
     Cond0Report,
+    DarbouxMap,
     FIntegral,
     PolyTestPotential,
     ProfileSolveError,
@@ -564,6 +565,24 @@ class TestOutOfRangePoints:
         with np.errstate(over="ignore"):  # |z_j|^2 itself overflows at 1e200
             with pytest.raises(ValueError, match=r"potential derivatives are not finite.* at z=\[1\.e\+"):
                 metric_at(model, z)
+
+    @pytest.mark.parametrize("make", [
+        lambda: flat_potential(1), fold_test_model, poly_test_model,
+        lambda: CigarProductPotential(1), lambda: SolitonPotential(SolitonProfile(2)),
+    ], ids=["flat", "fold", "poly", "cigar", "soliton"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, complex(0.0, -math.inf)], ids=["nan", "inf", "-inf-j"])
+    def test_non_finite_z_is_named(self, make, value):
+        # flat's jet reads no power of t, so NaN ** 0 = 1 once made it finite there
+        model = make()
+        z = np.full(model.n, 0.3 + 0j)
+        z[-1] = value
+        named = r"potential derivatives are not finite: first derivative \[.*nan\] at z=\[.*(nan|inf)"
+        # inf * 0 in products taken before the jet is checked
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError, match=named):
+                metric_at(model, z)
+            with pytest.raises(ValueError, match=named):
+                DarbouxMap(model).pullback_residual(z)
 
 
 class TestDescriptors:

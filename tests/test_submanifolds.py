@@ -213,6 +213,22 @@ class TestTotalGeodesy:
         model = CigarProductPotential(2)
         assert np.isnan(curve_geodesy_residual(model, graph_counterexample_pair(), 0.5, 1.0))
 
+    def test_reads_every_step_point(self, monkeypatch):
+        # at length 10 the 40 default steps put a sample every quarter of arclength
+        seen, runs = [], []
+        integrate = submanifolds_mod.geodesic_integrate
+
+        def recording(*args):
+            runs.append(integrate(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(submanifolds_mod, "geodesic_integrate", recording)
+        monkeypatch.setattr(submanifolds_mod, "curve_distance", lambda pair, p: seen.append(p) or 0.0)
+        curve_geodesy_residual(CigarProductPotential(2), graph_counterexample_pair(), 0.5, 10.0)
+        (trajectory,) = runs[0]
+        np.testing.assert_array_equal(trajectory.times, 0.25 * np.arange(41))
+        np.testing.assert_array_equal(np.array(seen), trajectory.points)
+
     def test_counterexample_departs(self):
         model = CigarProductPotential(2)
         pair = graph_counterexample_pair()
