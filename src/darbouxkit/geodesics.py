@@ -19,7 +19,8 @@ whose jets carry the batch as a leading axis.  Every stage sum adds its
 terms elementwise in a fixed order, so a row's numbers do not depend on what
 else is in its batch; a single (n,) point is a batch of one.  A step's last
 evaluation, at its new point, is the next step's first stage, and the metric
-of its jet gives the energy at that point.
+of its jet gives the energy at that point; the run's last point needs only
+``metric_at``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .curvature import christoffel_at
-from .potentials import PotentialModel, _check_domain, _energy, metric_energy
+from .potentials import PotentialModel, _check_domain, _energy, metric_at, metric_energy
 
 __all__ = ["GeodesicTrajectory", "GeodesicDriftError", "geodesic_integrate"]
 
@@ -72,6 +73,11 @@ _E3 = (-0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993
 class GeodesicDriftError(ArithmeticError):
     """The energy drift or the position error stayed above its bound after
     every refinement."""
+
+
+class _RunFailure(Exception):
+    """A run could not finish: an evaluation past its start raised, or a step
+    left the float range."""
 
 
 @dataclass(frozen=True)
@@ -131,6 +137,11 @@ def geodesic_integrate(
     error meet their bounds or the ``_MAX_REFINEMENTS`` doublings are spent;
     only the rows still above a bound run again.  Each trajectory is the last
     run of its row, with ``converged`` saying whether it met both bounds.
+
+    A run that fails past its start (an evaluation raises at a stage point, as
+    where a metric is singular in floats, or a step leaves the float range)
+    finishes nothing: its rows keep their last finished run and refine.  A row
+    that finishes no run raises ValueError naming its start and last failure.
     """
     if not 0.0 < length < np.inf:
         raise ValueError(f"length must be finite and positive, got {length!r}")
@@ -153,15 +164,38 @@ def geodesic_integrate(
     if steps is None:
         steps = max(20, int(4 * length))
     trajectories: list[GeodesicTrajectory] = [None] * len(z0)
+    failures: dict[int, _RunFailure] = {}
     active = list(range(len(z0)))
     for _ in range(_MAX_REFINEMENTS + 1):
         if not active:
             break
-        for k, trajectory in zip(active, _rk4_run(model, z0[active], v0[active], length, steps)):
-            trajectories[k] = replace(trajectory, converged=_meets_bounds(trajectory))
-        active = [k for k in active if not trajectories[k].converged]
+        for k, run in _runs(model, z0, v0, active, length, steps).items():
+            if isinstance(run, _RunFailure):
+                failures[k] = run  # the row keeps its last finished run, if any
+            else:
+                trajectories[k] = replace(run, converged=_meets_bounds(run))
+        active = [k for k in active if trajectories[k] is None or not trajectories[k].converged]
         steps *= 2
+    for k, trajectory in enumerate(trajectories):
+        if trajectory is None:
+            raise ValueError(f"the geodesic from z={z0[k]} failed at every step count: {failures[k]}")
     return trajectories[0] if single else trajectories
+
+
+def _runs(
+    model: PotentialModel, z0: np.ndarray, v0: np.ndarray, rows: list[int], length: float, steps: int
+) -> dict[int, GeodesicTrajectory | _RunFailure]:
+    """The run of each row of ``rows`` at ``steps`` steps, or its failure.
+
+    The rows run as one batch; if that batch fails, each row runs alone, so a
+    row's run never depends on what else is in its batch.
+    """
+    try:
+        return dict(zip(rows, _rk4_run(model, z0[rows], v0[rows], length, steps)))
+    except _RunFailure as failure:
+        if len(rows) == 1:
+            return {rows[0]: failure}
+    return {k: run for row in rows for k, run in _runs(model, z0, v0, [row], length, steps).items()}
 
 
 def _weighted(weights: Sequence[float], h: float, stages: Sequence[np.ndarray]) -> list[tuple[float, np.ndarray]]:
@@ -183,9 +217,12 @@ def _rk4_run(
 ) -> list[GeodesicTrajectory]:
     """One fixed-step DOP853 run of every trajectory in the (batch, n) stack (z0, v0).
 
-    It takes 1 + 12 * steps ``christoffel_at`` calls.  The name is the RK4
-    scheme's it replaced: the benchmark's tracer binds it, and the rename
-    waits on a scheme-neutral tracer (ROADMAP item 13).
+    It takes 12 * steps ``christoffel_at`` calls and one ``metric_at`` call,
+    at the last point.  If an evaluation past the start raises or an update
+    leaves the float range, _RunFailure names the step and the point (the
+    first row's).  The name is the RK4 scheme's it replaced: the benchmark's
+    tracer binds it, and the rename waits on a scheme-neutral tracer (ROADMAP
+    item 13).
     """
     h = length / steps
     n = z0.shape[1]
@@ -209,26 +246,34 @@ def _rk4_run(
         gamma, g = christoffel_at(model, z0, return_metric=True)
         accel = _acceleration(gamma, v0)
     _check_domain(z0, accel, ~np.isfinite(accel), "the geodesic acceleration is not finite:")
-    for i in range(steps):
-        energies[:, i] = _energy(g, y[:, n:])
-        k[0, :, :n], k[0, :, n:] = y[:, n:], accel
-        yf = y.view(float)
-        for s, terms in enumerate(stage_terms, 1):
-            ys = (yf + _stage_sum(terms)).view(complex)
-            k[s, :, :n] = ys[:, n:]
-            k[s, :, n:] = _acceleration(christoffel_at(model, ys[:, :n]), ys[:, n:])
-        y = (yf + _stage_sum(update_terms)).view(complex)
-        if not np.all(np.isfinite(y)):
-            raise RuntimeError(f"geodesic integration blew up at step {i + 1}/{steps}")
-        # the error pair reads the stages' position rates v_s only
-        e5, e3 = np.abs(_stage_sum(e5_terms)), np.abs(_stage_sum(e3_terms))
-        scale = np.hypot(e5, 0.1 * e3)
-        estimate = np.divide(e5 * e5, scale, out=np.zeros_like(e5), where=scale > 0.0)
-        position_error += np.max(estimate, axis=1)
-        points[:, i + 1], velocities[:, i + 1] = y[:, :n], y[:, n:]
-        gamma, g = christoffel_at(model, y[:, :n], return_metric=True)
-        accel = _acceleration(gamma, y[:, n:])
-    energies[:, steps] = _energy(g, y[:, n:])
+    at = z0  # the points of the evaluation under way, which a failure names
+    try:
+        for i in range(steps):
+            energies[:, i] = _energy(g, y[:, n:])
+            k[0, :, :n], k[0, :, n:] = y[:, n:], accel
+            yf = y.view(float)
+            for s, terms in enumerate(stage_terms, 1):
+                ys = (yf + _stage_sum(terms)).view(complex)
+                at = ys[:, :n]
+                k[s, :, :n] = ys[:, n:]
+                k[s, :, n:] = _acceleration(christoffel_at(model, at), ys[:, n:])
+            y = (yf + _stage_sum(update_terms)).view(complex)
+            at = y[:, :n]
+            if not np.all(np.isfinite(y)):
+                raise FloatingPointError("the update is not finite")
+            # the error pair reads the stages' position rates v_s only
+            e5, e3 = np.abs(_stage_sum(e5_terms)), np.abs(_stage_sum(e3_terms))
+            scale = np.hypot(e5, 0.1 * e3)
+            estimate = np.divide(e5 * e5, scale, out=np.zeros_like(e5), where=scale > 0.0)
+            position_error += np.max(estimate, axis=1)
+            points[:, i + 1], velocities[:, i + 1] = at, y[:, n:]
+            if i + 1 < steps:
+                gamma, g = christoffel_at(model, at, return_metric=True)
+                accel = _acceleration(gamma, y[:, n:])
+        # the last point needs only its metric, for the energy
+        energies[:, steps] = _energy(metric_at(model, at), y[:, n:])
+    except (ArithmeticError, ValueError) as err:  # numpy's LinAlgError is a ValueError
+        raise _RunFailure(f"step {i + 1}/{steps} at z={at[0]}: {err}") from err
     times = np.linspace(0.0, length, steps + 1)
     return [
         GeodesicTrajectory(times, points[b], velocities[b], energies[b], steps, float(position_error[b]))

@@ -219,16 +219,18 @@ class TestGeodesicCommand:
         out = tmp_path / "geo.csv"
         result = runner.invoke(
             main,
-            ["geodesic", "--model", "poly:2", "--start", "2,1", "--vel", "1,1j",
+            ["geodesic", "--model", "poly:2", "--start", "2,1", "--vel", "3,2j",
              "--length", "40", "--steps", "1", "--out", str(out)],
         )
+        # the 2, 4 and 8 step runs fail where poly-n2's metric is singular in
+        # floats; the rows keep their last finished run and refine on
         assert result.exit_code == 1, result.output
         assert "Traceback" not in result.output
         errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
-        assert errors == ["Error: bounds unmet at 16 steps: energy drift 3.990e-03, position error 2.017e-02"]
+        assert errors == ["Error: bounds unmet at 16 steps: energy drift 3.013e+00, position error 8.103e-01"]
         rows = out.read_text().strip().splitlines()
         assert len(rows) == 1 + 16 + 1  # header, then the last refinement's 16 steps
-        assert float(rows[-1].split(",")[-1]) > 1e-3
+        assert f"{float(rows[-1].split(',')[-1]):.3e}" == "3.013e+00"
 
     @pytest.mark.parametrize("text, value", [
         ("2i", 2j), ("i", 1j), ("1+i", 1 + 1j), ("0.3+0.1i", 0.3 + 0.1j), ("1e-3i", 1e-3j),

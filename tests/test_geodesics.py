@@ -202,24 +202,41 @@ class TestControls:
 
     def test_twelve_christoffel_calls_per_step(self, monkeypatch):
         # 12 stages a step, the first being the last step's evaluation at its
-        # new point, plus the start's
+        # new point, plus the start's; the last point needs only its metric
         calls = []
-        christoffel = geodesics_mod.christoffel_at
-        monkeypatch.setattr(geodesics_mod, "christoffel_at", lambda *a, **k: calls.append(1) or christoffel(*a, **k))
+        christoffel, metric = geodesics_mod.christoffel_at, geodesics_mod.metric_at
+        monkeypatch.setattr(geodesics_mod, "christoffel_at", lambda *a, **k: calls.append("G") or christoffel(*a, **k))
+        monkeypatch.setattr(geodesics_mod, "metric_at", lambda *a: calls.append("g") or metric(*a))
         assert geodesic_integrate(CigarProductPotential(2), [0.3, 0.1j], [0.05, 0.02], 1.0, steps=24).converged
-        assert len(calls) == 1 + 12 * 24
+        assert calls == ["G"] * (12 * 24) + ["g"]
 
-    def test_non_finite_update_raises(self, monkeypatch):
+    def test_non_finite_update_fails_every_level(self, monkeypatch):
         # every stage's Christoffel symbols finite, but the accelerations sum past the float range
         def christoffel(model, z, return_metric=False):
             gamma = np.zeros(z.shape + (1, 1), dtype=complex)
             return (gamma, np.ones(z.shape + (1,), dtype=complex)) if return_metric else gamma
 
+        runs = []
+        run = geodesics_mod._rk4_run
+        monkeypatch.setattr(geodesics_mod, "_rk4_run", lambda *a: runs.append(a[-1]) or run(*a))
         monkeypatch.setattr(geodesics_mod, "christoffel_at", christoffel)
         monkeypatch.setattr(geodesics_mod, "_acceleration", lambda gamma, v: np.full(v.shape, 1e308 + 0j))
+        named = (r"^the geodesic from z=\[0\.\+0\.j\] failed at every step count: "
+                 r"step 1/64 at z=\[(-?inf|nan)\+0\.j\]: the update is not finite$")
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(RuntimeError, match="geodesic integration blew up at step 1/4"):
-                geodesic_integrate(flat_potential(1), [0.0], [1.0], 1.0, steps=4)
+            with pytest.raises(ValueError, match=named):
+                geodesic_integrate(flat_potential(1), [0.0], [1.0], 100.0, steps=4)
+        assert runs == [4, 8, 16, 32, 64]
+
+    def test_failed_levels_refine(self):
+        # poly-n2's metric is singular in floats where t1 * t2 >> 1e16: from one
+        # step, the 2, 4 and 8 step runs reach there at a stage point and fail,
+        # the 1 and 16 step runs finish (unconverged), and the row keeps the last
+        traj = geodesic_integrate(poly_test_model(), [2.0, 1.0], [3.0, 2j], 40.0, steps=1)
+        assert (traj.steps, traj.converged) == (16, False)
+        with pytest.raises(geodesics_mod._RunFailure, match=r"^step 2/2 at z=\[.*\]: Singular matrix$") as failure:
+            geodesics_mod._rk4_run(poly_test_model(), np.array([[2.0, 1.0]]), np.array([[3.0, 2j]]), 40.0, 2)
+        assert isinstance(failure.value.__cause__, np.linalg.LinAlgError)
 
     def test_integer_input_is_complex(self):
         traj = geodesic_integrate(flat_potential(2), [1, 2], [3, 4], 1.0, steps=4)
@@ -264,6 +281,17 @@ class TestBatch:
         for z, v, traj in zip(self.Z, self.V, batch):
             _assert_same_run(traj, geodesic_integrate(model, z, v, 3.0))
 
+    def test_failing_row_leaves_its_batch_mates_alone(self):
+        # the first row's 2, 4 and 8 step runs fail (see test_failed_levels_refine),
+        # so those levels rerun each row alone, and the slow second row
+        # converges at 8 steps as it does alone
+        model = poly_test_model()
+        z, v = np.array([[2.0, 1.0], [0.3, 0.1j]]), np.array([[3.0, 2j], [0.03, 0.012j]])
+        batch = geodesic_integrate(model, z, v, 40.0, steps=1)
+        assert [(t.steps, t.converged) for t in batch] == [(16, False), (8, True)]
+        for zb, vb, traj in zip(z, v, batch):
+            _assert_same_run(traj, geodesic_integrate(model, zb, vb, 40.0, steps=1))
+
     def test_order_and_empty_batch(self):
         model = CigarProductPotential(2)
         fwd = geodesic_integrate(model, self.Z[:2], self.V[:2], 2.0)
@@ -287,7 +315,8 @@ class TestBatch:
     ])
     def test_energy_equals_metric_energy(self, make):
         # the energies are read off the order-3 jet of each step's first stage, whose D1
-        # and D2 equal those of metric_at's order-2 jet bit for bit
+        # and D2 equal those of metric_at's order-2 jet bit for bit, and off
+        # metric_at at the last point
         model = make()
         for traj in geodesic_integrate(model, self.Z[:2], self.V[:2], 3.0):
             np.testing.assert_array_equal(traj.energies, metric_energy(model, traj.points, traj.velocities))

@@ -28,6 +28,7 @@ from darbouxkit import (
     GeodesicDriftError,
     HoloCurvePair,
     PhaseBlockEmbedding,
+    RunConfig,
     SolitonProfile,
     a_obstruction,
     ciriza_image_check,
@@ -37,12 +38,15 @@ from darbouxkit import (
     curve_image_rank,
     geodesic_integrate,
     graph_counterexample_pair,
+    run_claim,
     soliton_potential,
     standard_catalog,
     total_geodesy_residual,
 )
 from darbouxkit import geodesics as geodesics_mod
+from darbouxkit import reporting as reporting_mod
 from darbouxkit import submanifolds as submanifolds_mod
+from darbouxkit.potentials import metric_energy
 
 unit_angle = st.floats(min_value=-np.pi, max_value=np.pi)
 
@@ -228,6 +232,28 @@ class TestTotalGeodesy:
         (trajectory,) = runs[0]
         np.testing.assert_array_equal(trajectory.times, 0.25 * np.arange(41))
         np.testing.assert_array_equal(np.array(seen), trajectory.points)
+
+    @pytest.mark.parametrize("seed", [RunConfig().seed, 1])
+    def test_suite_residuals_match_a_dense_run(self, seed, monkeypatch):
+        # the suite's residual is a max over the 41 points of a 40-step run; a
+        # 480-step run samples every 1/48 of arclength and reads the same
+        # roundoff, for every catalog embedding of the total-geodesy claim
+        launches = []
+        residual = reporting_mod.total_geodesy_residual
+
+        def recording(model, catalog, starts, vels, length):
+            launches.append((model, catalog, np.array(starts), np.array(vels), length))
+            return residual(model, catalog, starts, vels, length)
+
+        monkeypatch.setattr(reporting_mod, "total_geodesy_residual", recording)
+        per_embedding = run_claim("total-geodesy", RunConfig(seed=seed)).details["per_embedding"]
+        sparse, dense = list(per_embedding.values()), []
+        for model, catalog, starts, vels, length in launches:
+            vels = vels / np.sqrt(metric_energy(model, starts, vels))[:, None]
+            for emb, traj in zip(catalog, geodesic_integrate(model, starts, vels, length, steps=480)):
+                dense.append(float(np.max(submanifolds_mod._span_distances(emb.matrix, traj.converged_points()))))
+        assert len(sparse) == len(dense) == 10
+        np.testing.assert_allclose(sparse, dense, rtol=0.0, atol=5e-11)
 
     def test_counterexample_departs(self):
         model = CigarProductPotential(2)
