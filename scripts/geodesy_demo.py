@@ -88,7 +88,7 @@ def main() -> None:
     traj = geodesic_integrate(two_cigar, z0, unit_speed(two_cigar, z0, v0), args.length)
     every = max(1, traj.steps // 64)
     graph_t = traj.times[::every]
-    graph_d = [curve_distance(pair, z) for z in traj.converged_points()[::every]]
+    graph_d = curve_distance(pair, traj.converged_points()[::every])
     write_csv(departure_path, graph_t, graph_d)
     print(f"{two_cigar.name}: graph curve launched at w0={w0}")
     print(f"  departing geodesic, length {args.length}: "

@@ -37,9 +37,20 @@ __all__ = [
 ]
 
 
-def _inverse_metric_conj(g: np.ndarray) -> np.ndarray:
-    """Matrix with [m, l] = g^{m lbar}; equals conj(inv(G)) for Hermitian G."""
-    return np.conj(np.linalg.inv(g))
+def _inverse_metric_conj(z: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Matrices with [..., m, l] = g^{m lbar}, conj(inv(G)) for Hermitian G, of
+    the metrics g at z; where a metric is singular in floats, a ValueError
+    names the first such point of z, with the text of that point alone."""
+    try:
+        return np.conj(np.linalg.inv(g))
+    except np.linalg.LinAlgError:
+        n = z.shape[-1]
+        for zk, gk in zip(z.reshape(-1, n), g.reshape(-1, n, n)):
+            try:
+                np.linalg.inv(gk)
+            except np.linalg.LinAlgError:
+                raise ValueError(f"singular metric at z={zk}") from None
+        raise
 
 
 def metric_z_derivative(z: Sequence[complex], jet: Sequence[np.ndarray]) -> np.ndarray:
@@ -66,7 +77,7 @@ def christoffel_at(
     z = np.asarray(z, dtype=complex)
     jet = model.derivative_tensors(radial_coords(z), 3)
     g = metric_from_jet(z, jet)
-    gamma = np.einsum("...ml,...ilj->...mij", _inverse_metric_conj(g), metric_z_derivative(z, jet))
+    gamma = np.einsum("...ml,...ilj->...mij", _inverse_metric_conj(z, g), metric_z_derivative(z, jet))
     return (gamma, g) if return_metric else gamma
 
 
@@ -111,7 +122,7 @@ def curvature_at(
         g, d, h = _fd_metric_derivatives(model, z)
     else:
         raise ValueError(f"unknown curvature method {method!r}")
-    ginv_c = _inverse_metric_conj(g)
+    ginv_c = _inverse_metric_conj(z, g)
     # one einsum per point: its summation order over p, q can follow the batch
     # shape; each result is copied into its row (einsum's out= rounds differently)
     n = z.shape[-1]

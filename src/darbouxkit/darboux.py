@@ -39,6 +39,19 @@ class MapDomainError(ValueError):
     """A first derivative Phi_j is negative (or zero where 1/psi is needed)."""
 
 
+def _check_first_derivative(z: np.ndarray, d1: np.ndarray, bad: np.ndarray, what: str) -> None:
+    """Raise for the first point of z where ``bad`` holds: ``metric_from_jet``'s
+    ValueError where that point's first derivative is not finite (a NaN or
+    infinite z), else ``MapDomainError`` "{what} ... at z=...".  ``bad`` must
+    hold wherever d1 is NaN."""
+    if np.logical_or.reduce(bad, axis=None):
+        n = z.shape[-1]
+        k = np.flatnonzero(np.any(bad.reshape(-1, n), axis=-1))[0]
+        z, d1, bad = z.reshape(-1, n)[k], d1.reshape(-1, n)[k], bad.reshape(-1, n)[k]
+        _check_domain(z, d1, ~np.isfinite(d1), "potential derivatives are not finite: first derivative")
+        _check_domain(z, d1, bad, what, MapDomainError)
+
+
 def unit_directions(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """(count, n) unit vectors: coordinate axes first, then random complex."""
     dirs = np.zeros((count, n), dtype=complex)
@@ -74,10 +87,11 @@ class DarbouxMap:
 
     def map_point(self, z: Sequence[complex]) -> np.ndarray:
         """w = sqrt(Phi_j) z_j at z of shape (..., n); a negative Phi_j raises
-        ``MapDomainError`` naming the first such point."""
+        ``MapDomainError`` naming the first such point, and a NaN or infinite
+        z the ValueError that ``metric_at`` raises there."""
         z = np.asarray(z, dtype=complex)
         d1 = self.model.derivative_tensors(radial_coords(z), 1)[0]
-        _check_domain(z, d1, d1 < 0.0, "negative first derivative", MapDomainError)
+        _check_first_derivative(z, d1, ~(d1 >= 0.0), "negative first derivative")
         return np.sqrt(d1) * z
 
     def jacobian(self, z: Sequence[complex], method: str = "analytic",
@@ -91,8 +105,9 @@ class DarbouxMap:
             j = self._jacobian_analytic(z, jet)
             g = metric_from_jet(z, jet) if return_metric else None
         elif method == "fd":
-            j = self._jacobian_fd(z)
+            # the metric first: there a non-finite z fails naming itself, not a stencil point
             g = metric_at(self.model, z) if return_metric else None
+            j = self._jacobian_fd(z)
         else:
             raise ValueError(f"unknown jacobian method {method!r}")
         return (j, g) if return_metric else j
@@ -134,24 +149,21 @@ class DarbouxMap:
         directions = np.asarray(directions, dtype=complex)
         if not np.all(np.isfinite(directions)):
             raise ValueError("ray directions must be finite")
+        if np.any(np.linalg.norm(directions, axis=-1) == 0.0):
+            raise ValueError("zero ray direction")
         # math.log per radius: numpy's array log can round differently in the last bit
         log_radii = np.array([log(r) for r in radii.tolist()])
-        log_values = np.empty((len(directions), len(radii)))
-        for i, d in enumerate(directions):
-            if np.linalg.norm(d) == 0.0:
-                raise ValueError("zero ray direction")
-            log_values[i] = self.model.log_ray_growth(log_radii, d)
         return PropernessReport(
             threshold=float(threshold),
             radii=tuple(float(r) for r in radii),
-            log_values=log_values,
+            log_values=self.model.log_ray_growth(log_radii, directions),
         )
 
     # -- internals -------------------------------------------------------------
 
     def _jacobian_analytic(self, z: np.ndarray, jet: Sequence[np.ndarray]) -> np.ndarray:
         n, (d1, d2) = self.n, jet
-        _check_domain(z, d1, d1 <= 0.0, "nonpositive first derivative", MapDomainError)
+        _check_first_derivative(z, d1, ~(d1 > 0.0), "nonpositive first derivative")
         psi = np.sqrt(d1)
         # Wirtinger blocks: A = dw/dz, B = dw/dzbar; the z_j prefactor makes
         # both terms finite at z_j = 0 with no special-casing.

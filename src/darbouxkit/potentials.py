@@ -176,11 +176,12 @@ def _logsumexp(x: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def _log_ray_coords(log_r: np.ndarray, direction: Sequence[complex]) -> np.ndarray:
-    """(radii, n) table of log t_j at z = r * direction, one row per log r;
-    -inf where direction_j = 0."""
+    """(..., radii, n) table of log t_j at z = r * direction, one row per log r,
+    for a direction of shape (n,) or directions of shape (D, n); -inf where
+    direction_j = 0."""
     d = np.asarray(direction, dtype=complex)
     with np.errstate(divide="ignore"):
-        return 2.0 * (np.asarray(log_r, dtype=float)[:, None] + np.log(np.abs(d)))
+        return 2.0 * (np.asarray(log_r, dtype=float)[:, None] + np.log(np.abs(d))[..., None, :])
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +213,10 @@ class PotentialModel(ABC):
     def log_ray_growth(self, log_r: np.ndarray, direction: Sequence[complex]) -> np.ndarray:
         """log of S = sum_j Phi_j t_j at z = r * direction, safe for huge r.
 
-        ``log_r`` is a 1-D array of log radii; the result holds one log S per
-        radius, each equal to the call on that radius alone.
+        ``log_r`` is a 1-D array of R log radii.  A direction of shape (n,)
+        gives one log S per radius, shape (R,); directions of shape (D, n)
+        give one row per direction, shape (D, R).  Each value equals the call
+        on that radius and direction alone.
         """
 
     def descriptor(self) -> dict:
@@ -242,9 +245,10 @@ class CigarProductPotential(PotentialModel):
 
     def log_ray_growth(self, log_r, direction):
         summands = np.logaddexp(0.0, _log_ray_coords(log_r, direction))  # log(1 + t_j)
-        totals = np.add.reduce(summands, axis=-1).tolist()
-        # math.log per radius: numpy's array log can round differently in the last bit
-        return np.array([log(v) if v > 0.0 else -np.inf for v in totals])
+        totals = np.add.reduce(summands, axis=-1)
+        # math.log per value: numpy's array log can round differently in the last bit
+        logs = [log(v) if v > 0.0 else -np.inf for v in totals.ravel().tolist()]
+        return np.array(logs).reshape(totals.shape)
 
 
 class SolitonPotential(PotentialModel):
@@ -312,8 +316,12 @@ class SolitonPotential(PotentialModel):
 
     def log_ray_growth(self, log_r, direction):
         log_s = _logsumexp(_log_ray_coords(log_r, direction), np.ones(self.n))[0]
-        # u'(t) ~ e^t, so log S ~ t; u_prime stays scalar (per-t branch and solve)
-        return np.array([t if t < -700.0 else log(self.profile.u_prime(t)) for t in log_s.tolist()])
+        # one solve per distinct log s: the model is U(n)-invariant, so unit rays
+        # share their s at each radius.  u'(t) ~ e^t, so log S ~ t below -700;
+        # u_prime stays scalar (per-t branch and solve)
+        ts, where = np.unique(log_s, return_inverse=True)
+        values = np.array([t if t < -700.0 else log(self.profile.u_prime(t)) for t in ts.tolist()])
+        return values[where].reshape(log_s.shape)
 
 
 def soliton_potential(profile: SolitonProfile) -> SolitonPotential:
@@ -420,10 +428,11 @@ class PolyTestPotential(PotentialModel):
             monomials.append((log(abs(c) * degree), exps[mask], mask))
             signs.append(1.0 if c > 0 else -1.0)
         if not monomials:
-            return np.full(len(log_t), -np.inf)
+            return np.full(log_t.shape[:-1], -np.inf)
         # one np.dot per radius and monomial: a dot over the radii axis could round differently
-        terms = np.array([[w + float(np.dot(e, row[mask])) for w, e, mask in monomials] for row in log_t])
-        total, sign = _logsumexp(terms, np.array(signs))
+        rows = log_t.reshape(-1, self.n)
+        terms = np.array([[w + float(np.dot(e, row[mask])) for w, e, mask in monomials] for row in rows])
+        total, sign = _logsumexp(terms.reshape(log_t.shape[:-1] + (len(monomials),)), np.array(signs))
         return np.where(sign > 0, total, -np.inf)
 
 

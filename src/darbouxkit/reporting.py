@@ -393,7 +393,7 @@ def _claim_defect_identity(cfg: RunConfig, rng: np.random.Generator):
     for _ in range(20):
         theta = rng.uniform(0.0, 2.0 * np.pi)
         pair = HoloCurvePair((1.0,), (complex(np.cos(theta), np.sin(theta)),))
-        phase += [abs(a_obstruction(pair, complex(z))) for z in sample_polydisc(rng, 10, 1, 1.5)[:, 0]]
+        phase += abs(a_obstruction(pair, sample_polydisc(rng, 10, 1, 1.5)[:, 0])).tolist()
     agree_res, phase_res, sign_res = _worst(agreement), _worst(phase), _worst(directs)
     worst = _worst([agree_res / _DEFECT_BOUND, phase_res / phase_bound, sign_res / sign_bound])
     details = {
@@ -562,16 +562,14 @@ def pullback_report(
     }
 
 
-def _defect_maxima(pair: HoloCurvePair, zs: Iterable[complex]) -> tuple[float, float]:
+def _defect_maxima(pair: HoloCurvePair, zs: np.ndarray) -> tuple[float, float]:
     """(max relative gap |direct - viaA| / max(1, |direct|), max direct defect)
     of ``curvature_defect`` over the points ``zs``; a NaN at any point propagates
     to both maxima (Python's ``max`` would drop it)."""
-    gaps, directs = [], []
-    for z in zs:
-        direct, via_a = curvature_defect(pair, complex(z))
-        gaps.append(abs(direct - via_a) / max(1.0, abs(direct)))
-        directs.append(direct)
-    return float(np.max(gaps, initial=0.0)), float(np.max(directs, initial=-np.inf))
+    direct, via_a = curvature_defect(pair, np.asarray(zs, dtype=complex))
+    # fmax, like Python's max(1.0, x), gives 1.0 for a NaN x
+    gaps = abs(direct - via_a) / np.fmax(1.0, abs(direct))
+    return float(np.max(gaps, initial=0.0)), float(np.max(direct, initial=-np.inf))
 
 
 # ---------------------------------------------------------------------------

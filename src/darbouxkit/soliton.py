@@ -57,10 +57,10 @@ _MAX_NEWTON_ITER = 100  # cap of the profile root solve
 _NEWTON_TOL = 1e-13     # the root solve stops once |step| <= this * u'
 
 
-def _horner(p: tuple[complex, ...], x: complex) -> complex:
-    """p(x) for ascending coefficients p, by Horner on Python floats or
-    complex in ``numpy.polynomial.polynomial.polyval``'s operation order, so
-    every value is polyval's bit for bit without its per-call array overhead."""
+def _horner(p: tuple[float, ...], x: float) -> float:
+    """p(x) for ascending coefficients p, by Horner on Python floats in
+    ``numpy.polynomial.polynomial.polyval``'s operation order, so every value
+    is polyval's bit for bit without its per-call array overhead."""
     acc = p[-1] + x * 0.0
     for c in reversed(p[:-1]):
         acc = c + acc * x

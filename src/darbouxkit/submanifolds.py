@@ -27,7 +27,6 @@ import numpy as np
 from .darboux import DarbouxMap
 from .geodesics import geodesic_integrate
 from .potentials import PotentialModel, metric_energy, sample_polydisc
-from .soliton import _horner
 
 __all__ = [
     "PhaseBlockEmbedding",
@@ -199,12 +198,30 @@ class HoloCurvePair:
             rows = [tuple(k * v for k, v in enumerate(r))[1:] or (0j,) for r in rows]
         self._rows = tuple(table)
 
-    def jet(self, z: complex) -> np.ndarray:
-        """(3, 2) array whose rows are f, f' and f'' of (f1, f2) at z."""
-        z = complex(z)
-        # the scalar Horner kernel in polyval's order, so each value is
-        # polyval's; a stacked vectorised polyval rounds differently
-        return np.array([[_horner(p, z) for p in row] for row in self._rows], dtype=complex)
+    def jet(self, w: complex | np.ndarray) -> np.ndarray:
+        """(..., 3, 2) array whose rows are f, f' and f'' of (f1, f2) at each
+        parameter of w; a scalar w gives one (3, 2) jet."""
+        w = np.asarray(w, dtype=complex)
+        x, y = w.real, w.imag
+        out = np.empty(w.shape + (3, 2), dtype=complex)
+        for i, row in enumerate(self._rows):
+            for m, p in enumerate(row):
+                out.real[..., i, m], out.imag[..., i, m] = _horner_parts(p, x, y)
+        return out
+
+
+def _horner_parts(p: tuple[complex, ...], x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of p(x + iy) for ascending Python complex
+    coefficients p, elementwise: the scalar Horner kernel's operations (Python's
+    complex product written on the parts), so each value is polyval's bit for
+    bit.  numpy's complex array product fuses multiply-adds on some CPUs and
+    rounds differently."""
+    # acc = p[-1] + z * 0.0, with 0.0 taken as the complex 0 + 0j
+    zx, zy = x * 0.0, y * 0.0
+    re, im = p[-1].real + (zx - zy), p[-1].imag + (zx + zy)
+    for c in reversed(p[:-1]):
+        re, im = c.real + (re * x - im * y), c.imag + (re * y + im * x)
+    return re, im
 
 
 def graph_counterexample_pair() -> HoloCurvePair:
@@ -212,29 +229,31 @@ def graph_counterexample_pair() -> HoloCurvePair:
     return HoloCurvePair((1.0,), (0.0, 1.0))
 
 
-def a_obstruction(pair: HoloCurvePair, z: complex) -> complex:
-    """The obstruction A(f1, f2)(z); the curve is totally geodesic iff A = 0."""
-    return _obstruction(pair.jet(z))
+def a_obstruction(pair: HoloCurvePair, z: complex | np.ndarray) -> complex | np.ndarray:
+    """The obstruction A(f1, f2) at z, or at each point of an array of z; the
+    curve is totally geodesic iff A = 0."""
+    a = _obstruction(pair.jet(np.atleast_1d(z)))
+    return complex(a[0]) if np.ndim(z) == 0 else a
 
 
-def _obstruction(jet: np.ndarray) -> complex:
-    """A(f1, f2) from the curve's (3, 2) jet at one point."""
-    (f1, f2), (d1, d2), (s1, s2) = jet
+def _obstruction(jet: np.ndarray) -> np.ndarray:
+    """A(f1, f2) from the curve's (..., 3, 2) jets."""
+    (f1, f2), (d1, d2), (s1, s2) = np.moveaxis(jet, (-2, -1), (0, 1))
     m1 = 1.0 + abs(f1) ** 2
     m2 = 1.0 + abs(f2) ** 2
-    return complex(
+    return (
         (s2 * d1 - s1 * d2) * m1 * m2
         + d1**2 * d2 * np.conj(f1) * m2
         - d2**2 * d1 * np.conj(f2) * m1
     )
 
 
-def _induced_curvature(jet: np.ndarray) -> float:
+def _induced_curvature(jet: np.ndarray) -> np.ndarray:
     """Curvature R = -g_zzbar + |g_z|^2 / g of the two-cigar metric pulled back
     along a curve, g = sum_m |f_m'|^2 / (1 + |f_m|^2), with analytic z / zbar
-    derivatives from the curve's (3, 2) jet (no finite differences)."""
+    derivatives from the curve's (..., 3, 2) jets (no finite differences)."""
     g, g_z, g_zzbar = 0.0, 0.0 + 0.0j, 0.0 + 0.0j
-    for a, da, dda in jet.T:
+    for a, da, dda in np.moveaxis(jet, (-1, -2), (0, 1)):
         b, db, ddb = np.conj(a), np.conj(da), np.conj(dda)
         h = 1.0 / (1.0 + a * b)
         g += (da * db * h).real
@@ -244,24 +263,27 @@ def _induced_curvature(jet: np.ndarray) -> float:
             - (dda * a * db**2 + da**2 * b * ddb + da**2 * db**2) * h**2
             + 2.0 * da**2 * db**2 * a * b * h**3
         )
-    if g <= 0.0:
+    if np.any(g <= 0.0):
         raise ValueError("degenerate induced metric (both derivatives vanish)")
-    return -float(g_zzbar.real) + abs(complex(g_z)) ** 2 / float(g)
+    return -g_zzbar.real + abs(g_z) ** 2 / g
 
 
-def curvature_defect(pair: HoloCurvePair, z: complex) -> tuple[float, float]:
-    """(direct, viaA): induced-minus-restricted curvature, both routes.
+def curvature_defect(pair: HoloCurvePair, z: complex | np.ndarray) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
+    """(direct, viaA): induced-minus-restricted curvature, both routes, at z,
+    or a pair of arrays over an array of z.
 
     The direct route differentiates the induced metric and subtracts the
     ambient R(T, Tbar, T, Tbar) along the tangent; the closed route is
     -|A|^2 / D.  Totally geodesic curves give 0; the defect is never positive.
-    Where the evaluation overflows, a ValueError names z; a NaN z gives NaNs.
+    Where the evaluation overflows, a ValueError names z (in an array, the
+    first such point, with that point's own error); a NaN z gives NaNs.
     """
+    zs = np.atleast_1d(z)
     try:
         # a NaN propagates quietly, for the caller's verdict to read
         with np.errstate(over="raise", invalid="ignore"):
-            jet = pair.jet(z)
-            (f1, f2), (df1, df2), _ = jet
+            jet = pair.jet(zs)
+            (f1, f2), (df1, df2), _ = np.moveaxis(jet, (-2, -1), (0, 1))
             m1 = 1.0 + abs(f1) ** 2
             m2 = 1.0 + abs(f2) ** 2
             direct = _induced_curvature(jet) - (abs(df1) ** 4 / m1**3 + abs(df2) ** 4 / m2**3)
@@ -269,9 +291,12 @@ def curvature_defect(pair: HoloCurvePair, z: complex) -> tuple[float, float]:
             d2 = abs(df2) ** 2
             denom = (d1 * m2 + d2 * m1) * m1**2 * m2**2
             via_a = -abs(_obstruction(jet)) ** 2 / denom
-    except ArithmeticError as err:  # numpy's FloatingPointError or Python's OverflowError
+    except ArithmeticError as err:  # numpy's FloatingPointError
+        if np.ndim(z) > 0:
+            for zi in zs:
+                curvature_defect(pair, zi)  # the first overflowing point raises its own error
         raise ValueError(f"the curvature defect at z = {z} overflows: {err}") from err
-    return float(direct), float(via_a)
+    return (float(direct[0]), float(via_a[0])) if np.ndim(z) == 0 else (direct, via_a)
 
 
 class CurveDistanceError(ArithmeticError):
@@ -284,8 +309,9 @@ _RANK_RTOL = 1e-6  # _complex_rank: singular values below this share of the larg
 _LINEARITY_BOUND = 1e-9  # max distance of a mapped sample from the mapped tangent span
 
 
-def curve_distance(pair: HoloCurvePair, point: Sequence[complex]) -> float:
-    """Euclidean distance from a point p in C^2 to the curve image.
+def curve_distance(pair: HoloCurvePair, points: Sequence[complex] | np.ndarray) -> float | np.ndarray:
+    """Euclidean distance from a point p in C^2 to the curve image: a float
+    for one point of shape (2,), an array for points of shape (B, 2).
 
     Newton on the stationarity condition G = sum_m conj(f_m')(f_m - p) = 0 of
     E(w) = |f(w) - p|^2 from three starts: the first coordinate and both square
@@ -293,37 +319,82 @@ def curve_distance(pair: HoloCurvePair, point: Sequence[complex]) -> float:
     such as (z, z^2), the only pair the suite uses; for a general pair every
     start can land in a local minimum of E, and the result then overstates
     the distance (61 of 745 random cubic pairs and points did).
-    Each start converges or raises CurveDistanceError; a NaN propagates.
+    Every start of every point runs in one lockstep Newton, and each row
+    equals the call on its point alone, bit for bit.  Each start converges or
+    raises CurveDistanceError; a NaN propagates to its own point only.
     """
-    point = np.asarray(point, dtype=complex)
-    root = np.sqrt(complex(point[1]))
-    values = [_newton_energy(pair, point, w0) for w0 in (complex(point[0]), root, -root)]
+    points = np.asarray(points, dtype=complex)
+    rows = points.reshape(-1, 2)
+    root = np.sqrt(rows[:, 1])
+    starts = np.stack([rows[:, 0], root, -root], axis=1)
+    energies = _newton_energies(pair, np.repeat(rows, 3, axis=0), starts.ravel()).reshape(-1, 3)
     # numpy reductions propagate a NaN from any start; Python's min drops it
-    return float(np.sqrt(np.maximum(np.min(values), 0.0)))
+    distances = np.sqrt(np.maximum(np.min(energies, axis=1), 0.0))
+    return float(distances[0]) if points.ndim == 1 else distances
 
 
-def _newton_energy(pair: HoloCurvePair, point: np.ndarray, w: complex) -> float:
-    """E at the stationary point Newton reaches from w, halving steps that raise E."""
-    dw, e = 0.0, np.inf
-    for _ in range(_NEWTON_CAP):
-        jet = pair.jet(w + dw)
-        e_trial = np.linalg.norm(jet[0] - point) ** 2
-        if e_trial > e:
-            dw /= 2.0
-        else:
-            w, e = w + dw, e_trial
-            f, df, ddf = jet
-            a = np.vdot(df, df).real
-            b = np.vdot(ddf, f - point)
-            g = np.vdot(df, f - point)
+def _newton_energies(pair: HoloCurvePair, points: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """E at the stationary point Newton reaches from each start w[i] toward
+    points[i], halving steps that raise E; every start keeps its own iterate,
+    step and stopping tests, and leaves the lockstep when it stops.
+
+    The arithmetic is the scalar iteration's, operation by operation: vdot as
+    ``np.vecdot`` (the same BLAS dot per row), complex products on the parts,
+    moduli as hypot and squares as ``**`` on Python floats (libm's pow, which
+    can differ from x * x in the last bit).
+    """
+    out = np.empty(len(w))
+    index = np.arange(len(w))
+    dw = np.zeros(len(w), dtype=complex)
+    e = np.full(len(w), np.inf)
+    eps = np.finfo(float).eps
+    # steps are formed on every live row, also on those that halve and discard
+    # theirs, so a zero or NaN there must stay quiet; a NaN row stops at once
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_NEWTON_CAP):
+            if not len(w):
+                return out
+            trial = w + dw
+            f, df, ddf = np.moveaxis(pair.jet(trial), -2, 0)
+            r = f - points
+            e_trial = _squares(np.sqrt(np.vecdot(r.real, r.real) + np.vecdot(r.imag, r.imag)))
+            accept = ~(e_trial > e)
+            a = np.vecdot(df, df).real
+            b = np.vecdot(ddf, r)
+            g = np.vecdot(df, r)
             # Newton step of a dw + b conj(dw) = -g while E's Hessian is definite, else Gauss-Newton
-            dw = (b * np.conj(g) - a * g) / (a * a - abs(b) ** 2) if a > abs(b) else -g / a
-            if not abs(g * dw) > np.finfo(float).eps * e:  # E cannot move beyond roundoff, or NaN
-                return e
-        # a Newton or halved step below roundoff in w: no representable step lowers E
-        if not abs(dw) > _STEP_RTOL * max(1.0, abs(w)):
-            return e
-    raise CurveDistanceError(f"Newton did not converge in {_NEWTON_CAP} jets (w = {w})")
+            abs_b = np.hypot(b.real, b.imag)
+            newton = (_product(b, np.conj(g)) - a * g) / (a * a - _squares(abs_b))
+            step = np.where(a > abs_b, newton, -g / a)
+            w = np.where(accept, trial, w)
+            e = np.where(accept, e_trial, e)
+            dw = np.where(accept, step, dw / 2.0)
+            g_dw = _product(g, step)
+            # E cannot move beyond roundoff (or is NaN), or a Newton or halved
+            # step is below roundoff in w: no representable step lowers E
+            flat = accept & ~(np.hypot(g_dw.real, g_dw.imag) > eps * e)
+            tiny = ~(np.hypot(dw.real, dw.imag) > _STEP_RTOL * np.fmax(1.0, np.hypot(w.real, w.imag)))
+            stop = flat | tiny
+            out[index[stop]] = e[stop]
+            live = ~stop
+            index, w, dw, e, points = index[live], w[live], dw[live], e[live], points[live]
+    if not len(w):
+        return out
+    raise CurveDistanceError(f"Newton did not converge in {_NEWTON_CAP} jets (w = {complex(w[0])})")
+
+
+def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x * y elementwise by the plain formula on the parts, as a scalar complex
+    product rounds; numpy's array product fuses multiply-adds on some CPUs."""
+    out = np.empty(x.shape, dtype=complex)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
+
+
+def _squares(v: np.ndarray) -> np.ndarray:
+    """v ** 2 elementwise by a scalar float's pow, as ``float ** 2`` rounds."""
+    return np.array([x**2 for x in v.tolist()])
 
 
 def curve_geodesy_residual(
@@ -340,9 +411,9 @@ def curve_geodesy_residual(
     """
     if model.n != 2:
         raise ValueError("curve geodesy runs in the two-cigar model")
-    jets = np.array([pair.jet(w) for w in np.atleast_1d(w0)])
+    jets = pair.jet(np.atleast_1d(w0))
     runs = _unit_speed_runs(model, jets[:, 0], jets[:, 1], length)
-    residuals = [np.max([curve_distance(pair, p) for p in points]) for points in runs]
+    residuals = [np.max(curve_distance(pair, points)) for points in runs]
     return float(residuals[0]) if np.ndim(w0) == 0 else np.array(residuals)
 
 
@@ -411,7 +482,7 @@ def curve_image_rank(
     """Complex rank of 50 mapped curve samples over the radius-2 disc (2 for
     the (z, z^2) non-example)."""
     params = sample_polydisc(np.random.default_rng(seed), 50, 1, 2.0)[:, 0]
-    images = darboux_map.map_point(np.array([pair.jet(w)[0] for w in params]))
+    images = darboux_map.map_point(pair.jet(params)[:, 0])
     return _complex_rank(images)
 
 

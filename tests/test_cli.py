@@ -314,8 +314,10 @@ class TestOutOfRangePoint:
         ("soliton:1", "1e200", "at z=[1.e+200+0.j]"),
         ("poly:2", "1e200,0", "at z=[1.e+200+0.j 0.e+000+0.j]"),
         (FOLD, "1e100", "at z=[1.e+100+0.j]"),
+        # poly-n2's det 1 + t1 + t2 cancels in floats once t1 t2 >> 1e16
+        ("poly:2", "1e9,1e9", "singular metric at z=[1.e+09+0.j 1.e+09+0.j]"),
     ], ids=["cigar-t-inf", "cigar-powers", "soliton-s-powers", "soliton-s-inf", "soliton-n1-s-inf",
-            "poly-t-inf", "fold-square-overflows"])
+            "poly-t-inf", "fold-square-overflows", "poly-singular-metric"])
     def test_one_error_line_names_the_point(self, runner, model, point, named):
         # a RuntimeWarning fails the test (pytest's filterwarnings), a traceback shows in the output
         result = runner.invoke(main, ["curvature", "--model", model, "--point", point])
@@ -404,10 +406,12 @@ class TestDefectCommand:
         def defect(pair, z):
             calls.append(z)
             direct, via_a = real(pair, z)
-            return (float("nan"), via_a) if len(calls) == 3 else (direct, via_a)
+            direct[2] = math.nan
+            return direct, via_a
 
         monkeypatch.setattr(reporting, "curvature_defect", defect)
         result = invoke(runner, ["defect", "--f1", "1", "--f2", "0,1", "--points", "6"])
+        assert [len(z) for z in calls] == [6]  # one call over every point
         assert result.exit_code == 1
         data = json.loads(result.output)
         assert data["pass"] is False

@@ -288,3 +288,21 @@ class TestSectionalGeneralProperties:
             z = 2.0 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
             v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             assert holomorphic_sectional(model, z, v) > 0.0
+
+
+class TestSingularMetric:
+    # poly-n2's det 1 + t1 + t2 cancels in floats once t1 t2 >> 1e16
+    @pytest.mark.parametrize("call", [
+        christoffel_at,
+        curvature_at,
+        lambda model, z: curvature_at(model, z, method="fd"),
+    ], ids=["christoffel", "curvature-analytic", "curvature-fd"])
+    def test_batch_names_the_point_as_it_alone_does(self, call):
+        model = poly_test_model()
+        pts = np.array([[0.3, 0.1j], [1e9, 1e9], [0.5, 0.5]], dtype=complex)
+        with pytest.raises(ValueError, match=r"^singular metric at z=\[1\.e\+09\+0\.j 1\.e\+09\+0\.j\]$") as alone:
+            call(model, pts[1])
+        with pytest.raises(ValueError) as batch:
+            call(model, pts)
+        assert type(batch.value) is type(alone.value)
+        assert str(batch.value) == str(alone.value)

@@ -30,7 +30,7 @@ from darbouxkit import (
     metric_at,
     unit_directions,
 )
-from darbouxkit import curvature, darboux
+from darbouxkit import curvature, darboux, potentials
 
 
 def std_symplectic(n: int) -> np.ndarray:
@@ -341,7 +341,8 @@ class TestPropernessLadder:
         model = model()
         calls = []
         growth = model.log_ray_growth
-        monkeypatch.setattr(model, "log_ray_growth", lambda log_r, d: calls.append(list(log_r)) or growth(log_r, d))
+        monkeypatch.setattr(model, "log_ray_growth",
+                            lambda log_r, d: calls.append((list(log_r), np.shape(d))) or growth(log_r, d))
         scans = []
         scan = DarbouxMap.properness_scan
 
@@ -353,13 +354,25 @@ class TestPropernessLadder:
         rep = properness_auto_scan(DarbouxMap(model), unit_directions(model.n, 8, rng))
         assert rep.passed == passes
         assert scans == rungs  # one scan per rung, over that rung's new radii only
-        # one log_ray_growth call per ray per rung, covering exactly that rung's radii
+        # one log_ray_growth call per rung over all 8 rays, covering exactly that rung's radii
         starts = np.cumsum([0, *rungs])
         expected = [[math.log(r) for r in rep.radii[a:b]] for a, b in zip(starts, starts[1:])]
-        assert calls == [rung for rung in expected for _ in range(8)]
-        log_radii = [v for call in calls for v in call]
-        assert len(log_radii) == 8 * sum(rungs) == 8 * len(rep.radii)
-        assert len(set(log_radii)) == len(rep.radii)
+        assert calls == [(rung, (8, model.n)) for rung in expected]
+        log_radii = [v for call, _ in calls for v in call]
+        assert len(log_radii) == sum(rungs) == len(set(log_radii)) == len(rep.radii)
+
+    def test_soliton_solves_each_distinct_log_s_once(self, rng, monkeypatch):
+        model = soliton_potential(SolitonProfile(2))
+        solved = []
+        u_prime = SolitonProfile.u_prime
+        monkeypatch.setattr(SolitonProfile, "u_prime", lambda self, t: solved.append(t) or u_prime(self, t))
+        dirs = unit_directions(model.n, 8, rng)
+        rep = properness_auto_scan(DarbouxMap(model), dirs)
+        log_radii = np.array([math.log(r) for r in rep.radii])
+        log_s = potentials._logsumexp(potentials._log_ray_coords(log_radii, dirs), np.ones(model.n))[0]
+        distinct = set(log_s[log_s >= -700.0].tolist())
+        assert len(solved) == len(set(solved)) == len(distinct) < log_s.size
+        assert set(solved) == distinct
 
     # the fold model's failing rays hold log S = -inf at consecutive radii
     @pytest.mark.filterwarnings("error::RuntimeWarning")

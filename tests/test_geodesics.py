@@ -234,9 +234,10 @@ class TestControls:
         # the 1 and 16 step runs finish (unconverged), and the row keeps the last
         traj = geodesic_integrate(poly_test_model(), [2.0, 1.0], [3.0, 2j], 40.0, steps=1)
         assert (traj.steps, traj.converged) == (16, False)
-        with pytest.raises(geodesics_mod._RunFailure, match=r"^step 2/2 at z=\[.*\]: Singular matrix$") as failure:
+        with pytest.raises(geodesics_mod._RunFailure,
+                           match=r"^step 2/2 at z=\[.*\]: singular metric at z=\[.*\]$") as failure:
             geodesics_mod._rk4_run(poly_test_model(), np.array([[2.0, 1.0]]), np.array([[3.0, 2j]]), 40.0, 2)
-        assert isinstance(failure.value.__cause__, np.linalg.LinAlgError)
+        assert type(failure.value.__cause__) is ValueError
 
     def test_integer_input_is_complex(self):
         traj = geodesic_integrate(flat_potential(2), [1, 2], [3, 4], 1.0, steps=4)

@@ -584,6 +584,24 @@ class TestOutOfRangePoints:
             with pytest.raises(ValueError, match=named):
                 DarbouxMap(model).pullback_residual(z)
 
+    @pytest.mark.parametrize("make", [
+        lambda: flat_potential(1), fold_test_model, poly_test_model,
+        lambda: CigarProductPotential(1), lambda: SolitonPotential(SolitonProfile(2)),
+    ], ids=["flat", "fold", "poly", "cigar", "soliton"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, complex(0.0, -math.inf)], ids=["nan", "inf", "-inf-j"])
+    def test_map_names_a_non_finite_z_as_the_metric_does(self, make, value):
+        model = make()
+        z = np.full(model.n, 0.3 + 0j)
+        z[-1] = value
+        dm = DarbouxMap(model)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError) as metric:
+                metric_at(model, z)
+            for call in (dm.map_point, dm.jacobian):
+                with pytest.raises(ValueError) as err:
+                    call(z)
+                assert type(err.value) is ValueError and str(err.value) == str(metric.value)
+
 
 class TestDescriptors:
     def test_round_trip_all_shipped(self, rng):
@@ -832,6 +850,24 @@ class TestRayGrowth:
             ref = np.array([_scalar_log_ray_growth(model, v, d) for v in _LOG_RADII.tolist()])
             assert batch.shape == _LOG_RADII.shape
             assert batch.tobytes() == ref.tobytes(), (model.name, d)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "model",
+        [*shipped_models(), fold_test_model(),
+         PolyTestPotential(2, {(i, j): (-1.0) ** (i * j) * (1 + i + j) for i in range(4) for j in range(3)})],
+        ids=lambda m: m.name,
+    )
+    def test_direction_rows_match_single_directions_bitwise(self, model, rng):
+        directions = np.array([
+            *unit_directions(model.n, model.n + 3, rng),
+            np.zeros(model.n),
+            np.arange(model.n) * (0.5 - 2j),
+        ])
+        batch = model.log_ray_growth(_LOG_RADII, directions)
+        assert batch.shape == (len(directions), len(_LOG_RADII))
+        for d, row in zip(directions, batch):
+            assert row.tobytes() == model.log_ray_growth(_LOG_RADII, d).tobytes(), (model.name, d)
 
     def test_constant_polynomial_never_grows(self):
         # S = sum_j Phi_j t_j is 0 for a constant potential: log S is -inf

@@ -209,13 +209,16 @@ class TestTotalGeodesy:
     def test_nan_distance_past_first_sample_propagates(self, monkeypatch):
         calls = []
 
-        def distance(pair, point):
-            calls.append(point)
-            return np.nan if len(calls) == 2 else 1.0
+        def distance(pair, points):
+            calls.append(points)
+            out = np.ones(len(points))
+            out[1] = np.nan
+            return out
 
         monkeypatch.setattr(submanifolds_mod, "curve_distance", distance)
         model = CigarProductPotential(2)
         assert np.isnan(curve_geodesy_residual(model, graph_counterexample_pair(), 0.5, 1.0))
+        assert len(calls) == 1  # one call per trajectory
 
     def test_reads_every_step_point(self, monkeypatch):
         # at length 10 the 40 default steps put a sample every quarter of arclength
@@ -227,11 +230,12 @@ class TestTotalGeodesy:
             return runs[-1]
 
         monkeypatch.setattr(submanifolds_mod, "geodesic_integrate", recording)
-        monkeypatch.setattr(submanifolds_mod, "curve_distance", lambda pair, p: seen.append(p) or 0.0)
+        monkeypatch.setattr(submanifolds_mod, "curve_distance", lambda pair, p: seen.append(p) or np.zeros(len(p)))
         curve_geodesy_residual(CigarProductPotential(2), graph_counterexample_pair(), 0.5, 10.0)
         (trajectory,) = runs[0]
         np.testing.assert_array_equal(trajectory.times, 0.25 * np.arange(41))
-        np.testing.assert_array_equal(np.array(seen), trajectory.points)
+        (points,) = seen  # one call over the whole trajectory
+        np.testing.assert_array_equal(points, trajectory.points)
 
     @pytest.mark.parametrize("seed", [RunConfig().seed, 1])
     def test_suite_residuals_match_a_dense_run(self, seed, monkeypatch):
@@ -373,16 +377,17 @@ class TestCurveDistance:
         original = HoloCurvePair.jet
         starts = []
 
-        def jet(self, z):
-            out = original(self, z)
-            if z == second_start:
-                starts.append(z)
-                out = np.full_like(out, np.nan)
+        def jet(self, w):
+            out = original(self, w)
+            hit = np.asarray(w) == second_start
+            if np.any(hit):
+                starts.append(np.asarray(w)[hit].tolist())
+                out[hit] = np.nan
             return out
 
         monkeypatch.setattr(HoloCurvePair, "jet", jet)
         assert np.isnan(curve_distance(pair, point))
-        assert starts == [second_start]
+        assert starts == [[second_start]]
 
     def test_complex_line_oracle(self, rng):
         # w -> (w, beta w) is the line spanned by v = (1, beta): distance |p - proj_v p|
@@ -422,6 +427,134 @@ class TestCurveDistance:
             check=True,
         )
         assert out.stdout.split() == ["False", "False", "False"]
+
+
+def _reference_energy(pair, point, w, kinds):
+    """The scalar Newton from one start, the reference for ``curve_distance``'s
+    lockstep rows; ``kinds`` collects the steps it takes."""
+    dw, e = 0.0, np.inf
+    for _ in range(submanifolds_mod._NEWTON_CAP):
+        jet = pair.jet(w + dw)
+        e_trial = np.linalg.norm(jet[0] - point) ** 2
+        if e_trial > e:
+            dw /= 2.0
+            kinds.add("halving")
+        else:
+            w, e = w + dw, e_trial
+            f, df, ddf = jet
+            a = np.vdot(df, df).real
+            b = np.vdot(ddf, f - point)
+            g = np.vdot(df, f - point)
+            if a > abs(b):
+                dw = (b * np.conj(g) - a * g) / (a * a - abs(b) ** 2)
+                kinds.add("newton")
+            else:
+                dw = -g / a
+                kinds.add("gauss-newton")
+            if not abs(g * dw) > np.finfo(float).eps * e:
+                return e
+        if not abs(dw) > submanifolds_mod._STEP_RTOL * max(1.0, abs(w)):
+            return e
+    raise CurveDistanceError("reference start capped")
+
+
+def _reference_distance(pair, point, kinds):
+    root = np.sqrt(complex(point[1]))
+    values = [_reference_energy(pair, point, w0, kinds) for w0 in (complex(point[0]), root, -root)]
+    return float(np.sqrt(np.maximum(np.min(values), 0.0)))
+
+
+def _random_cubic_pair(rng):
+    return HoloCurvePair(*(rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in range(2)))
+
+
+class TestArrayKernels:
+    """A row of every array call equals the call on that row alone, bit for bit."""
+
+    @pytest.mark.parametrize("size", [1, 2, 41, 123])
+    def test_jet_rows(self, size, rng):
+        c1, c2 = (rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in range(2))
+        pair = HoloCurvePair(c1, c2)
+        ws = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        jets = pair.jet(ws)
+        assert jets.shape == (size, 3, 2)
+        for w, row in zip(ws, jets):
+            assert row.tobytes() == pair.jet(w).tobytes() == _polynomial_jet(c1, c2, w).tobytes()
+        assert pair.jet(ws.reshape(1, size)).tobytes() == jets.tobytes()
+
+    def test_jet_at_non_finite_w_matches_polynomial_reference(self):
+        # f1'' is a constant row, whose value at an infinite w is NaN, as polyval's
+        c1, c2 = (1.0, 0.5 - 2j), (0.0, 1.0, -0.3j)
+        pair = HoloCurvePair(c1, c2)
+        ws = np.array([complex(np.inf, 0.0), complex(0.0, -np.inf), complex(np.nan, 1.0), 1e200 + 1e200j])
+        with np.errstate(invalid="ignore", over="ignore"):
+            for w, row in zip(ws, pair.jet(ws)):
+                assert row.tobytes() == pair.jet(w).tobytes() == _polynomial_jet(c1, c2, w).tobytes()
+
+    @pytest.mark.parametrize("size", [1, 2, 41, 123])
+    def test_curve_distance_rows(self, size, rng):
+        pair = graph_counterexample_pair()
+        points = 1.5 * (rng.standard_normal((size, 2)) + 1j * rng.standard_normal((size, 2)))
+        batch = curve_distance(pair, points)
+        assert batch.shape == (size,)
+        for point, row in zip(points, batch):
+            assert row == curve_distance(pair, point) == _reference_distance(pair, point, set())
+
+    def test_lockstep_takes_every_step_kind(self):
+        # 41 points put Newton, Gauss-Newton and halving steps in one lockstep,
+        # and every row still equals the scalar iteration's value
+        rng = np.random.default_rng(41)
+        pair = graph_counterexample_pair()
+        points = 1.5 * (rng.standard_normal((41, 2)) + 1j * rng.standard_normal((41, 2)))
+        kinds = set()
+        expected = [_reference_distance(pair, point, kinds) for point in points]
+        assert kinds == {"newton", "gauss-newton", "halving"}
+        assert curve_distance(pair, points).tolist() == expected
+
+    def test_capped_start_raises_as_its_point_alone(self, monkeypatch):
+        monkeypatch.setattr(submanifolds_mod, "_NEWTON_CAP", 2)
+        pair = graph_counterexample_pair()
+        points = np.array([[0.5, 0.75], [1.0, 2.0], [0.2j, -0.5]])
+        with pytest.raises(CurveDistanceError) as alone:
+            curve_distance(pair, points[0])
+        with pytest.raises(CurveDistanceError) as batch:
+            curve_distance(pair, points)
+        assert str(batch.value) == str(alone.value)
+
+    def test_nan_point_stays_in_its_row(self):
+        pair = graph_counterexample_pair()
+        points = np.array([[0.5, 0.5], [np.nan, 0.3], [0.2 + 1j, np.nan], [1.0, 2.0]], dtype=complex)
+        batch = curve_distance(pair, points)
+        assert np.isnan(batch[1]) and np.isnan(batch[2])
+        assert [batch[0], batch[3]] == [curve_distance(pair, points[0]), curve_distance(pair, points[3])]
+
+    @pytest.mark.parametrize("size", [1, 2, 41, 123])
+    def test_defect_and_obstruction_rows(self, size, rng):
+        pair = _random_cubic_pair(rng)
+        zs = 1.5 * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
+        direct, via_a = curvature_defect(pair, zs)
+        obstruction = a_obstruction(pair, zs)
+        assert direct.shape == via_a.shape == obstruction.shape == (size,)
+        for z, d, v, a in zip(zs, direct, via_a, obstruction):
+            assert (d, v) == curvature_defect(pair, z)
+            assert a == a_obstruction(pair, z)
+        # the routes agree to the bound of the defect claims
+        assert np.all(abs(direct - via_a) <= 1e-8 * np.fmax(1.0, abs(direct)))
+
+    def test_nan_z_stays_in_its_row(self):
+        pair = graph_counterexample_pair()
+        direct, via_a = curvature_defect(pair, np.array([0.5, np.nan, 1.0]))
+        assert np.isnan(direct[1]) and np.isnan(via_a[1])
+        assert (direct[2], via_a[2]) == curvature_defect(pair, 1.0)
+
+    def test_batched_overflow_names_the_point_as_it_alone_does(self):
+        pair = graph_counterexample_pair()
+        zs = np.array([0.5, 1e200, 1e20])
+        with pytest.raises(ValueError, match=r"^the curvature defect at z = 1e\+200 overflows: ") as alone:
+            curvature_defect(pair, zs[1])
+        with pytest.raises(ValueError) as batch:
+            curvature_defect(pair, zs)
+        assert str(batch.value) == str(alone.value)
 
 
 class TestCirizaProperty:
