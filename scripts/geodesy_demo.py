@@ -27,12 +27,11 @@ import numpy as np
 
 from darbouxkit import (
     CigarProductPotential,
-    SolitonProfile,
     curve_distance,
     geodesic_integrate,
     graph_counterexample_pair,
+    model_from_descriptor,
     resolve_out,
-    soliton_potential,
     standard_catalog,
 )
 from darbouxkit.potentials import metric_energy
@@ -60,10 +59,7 @@ def main() -> None:
     parser.add_argument("--out", default=None, help="output directory")
     args = parser.parse_args()
 
-    if args.kind == "cigar":
-        model = CigarProductPotential(args.n)
-    else:
-        model = soliton_potential(SolitonProfile(args.n))
+    model = model_from_descriptor({"kind": args.kind, "n": args.n})
     confined_path = resolve_out("geodesy_confined.csv", args.out)
     departure_path = resolve_out("geodesy_departure.csv", args.out)
 

@@ -19,7 +19,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .curvature import curvature_at, curvature_symmetry_residual
+from .curvature import _sectional, curvature_at, curvature_symmetry_residual
 from .darboux import DarbouxMap, MapDomainError
 from .geodesics import GeodesicDriftError, geodesic_integrate
 from .potentials import metric_at, model_from_descriptor, sample_polydisc
@@ -180,7 +180,7 @@ def curvature_cmd(model_arg, point, method, out) -> None:
     with _usage_errors(), np.errstate(all="ignore"):
         r = curvature_at(model, z, method=method)
         # the holomorphic sectional curvature along e_1 of the tensor printed below
-        sectional = float(r[0, 0, 0, 0].real) / metric_at(model, z)[0, 0].real ** 2
+        sectional = _sectional(r, metric_at(model, z), np.eye(model.n)[0])
     if not (np.all(np.isfinite(r)) and np.isfinite(sectional)):
         raise click.BadParameter(f"the curvature at point {point!r} is not finite")
     payload = {

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .potentials import PotentialModel, metric_at, metric_energy, metric_from_jet, radial_coords
+from .potentials import PotentialModel, _energy, metric_at, metric_from_jet, radial_coords
 
 __all__ = [
     "christoffel_at",
@@ -139,9 +139,15 @@ def holomorphic_sectional(
     """R(v, vbar, v, vbar) / g(v, vbar)^2 at z."""
     if np.linalg.norm(v) == 0.0:
         raise ValueError("direction must be nonzero")
-    r = curvature_at(model, z)
+    return _sectional(curvature_at(model, z), metric_at(model, z), np.asarray(v, dtype=complex))
+
+
+def _sectional(r: np.ndarray, g: np.ndarray, v: np.ndarray) -> float:
+    """R(v, vbar, v, vbar) / g(v, vbar)^2 from one point's curvature tensor r
+    and metric g, in numpy scalars: a g(v, vbar)^2 that underflows gives inf
+    or NaN under numpy's error state, not ZeroDivisionError."""
     num = np.einsum("ijkl,i,j,k,l->", r, v, np.conj(v), v, np.conj(v))
-    return float(np.real(num)) / metric_energy(model, z, v) ** 2
+    return float(np.real(num) / _energy(g, v) ** 2)
 
 
 def curvature_symmetry_residual(r: np.ndarray) -> float | np.ndarray:

@@ -105,7 +105,6 @@ class DarbouxMap:
             j = self._jacobian_analytic(z, jet)
             g = metric_from_jet(z, jet) if return_metric else None
         elif method == "fd":
-            # the metric first: there a non-finite z fails naming itself, not a stencil point
             g = metric_at(self.model, z) if return_metric else None
             j = self._jacobian_fd(z)
         else:
@@ -151,12 +150,10 @@ class DarbouxMap:
             raise ValueError("ray directions must be finite")
         if np.any(np.linalg.norm(directions, axis=-1) == 0.0):
             raise ValueError("zero ray direction")
-        # math.log per radius: numpy's array log can round differently in the last bit
-        log_radii = np.array([log(r) for r in radii.tolist()])
         return PropernessReport(
             threshold=float(threshold),
             radii=tuple(float(r) for r in radii),
-            log_values=self.model.log_ray_growth(log_radii, directions),
+            log_values=self.model.log_ray_growth(np.log(radii), directions),
         )
 
     # -- internals -------------------------------------------------------------
@@ -185,10 +182,16 @@ class DarbouxMap:
         """Central differences of ``map_point``: the 4n stencil points of every
         point of z in one batched call."""
         n = self.n
-        # fmax, like Python's max(1.0, x), gives 1.0 for a NaN x
-        step = _FD_STEP * np.fmax(1.0, np.maximum.reduce(np.abs(z), axis=-1))[..., None, None]
-        dz = self._fd_basis * step
-        w = self.map_point(np.concatenate([z[..., None, :] + dz, z[..., None, :] - dz], axis=-2))
+        try:
+            # fmax, like Python's max(1.0, x), gives 1.0 for a NaN x
+            step = _FD_STEP * np.fmax(1.0, np.maximum.reduce(np.abs(z), axis=-1))[..., None, None]
+            dz = self._fd_basis * step
+            w = self.map_point(np.concatenate([z[..., None, :] + dz, z[..., None, :] - dz], axis=-2))
+        except (ValueError, FloatingPointError, RuntimeWarning):
+            # a NaN or infinite z fails on its stencil points (at inf, already
+            # in forming them): a bad z raises first, as the analytic route does
+            self.map_point(z)
+            raise
         d = (w[..., : 2 * n, :] - w[..., 2 * n:, :]) / (2.0 * step)
         j = np.empty(z.shape[:-1] + (2 * n, 2 * n))
         j[..., 0::2, :] = d.real.swapaxes(-1, -2)

@@ -147,32 +147,16 @@ def _cigar_diagonals(t: np.ndarray, order: int) -> list[np.ndarray]:
 def _logsumexp(x: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """log |sum_i signs_i e^(x_i)| and the sign of the sum, over the last axis of x.
 
-    scipy.special.logsumexp(x, b=signs, return_sign=True) for nonzero signs,
-    bitwise, row by row, without loading scipy.  The terms equal to max(x)
-    are split off, so the sum is e^(x_max) (m + m s) with m their signed
-    count, and the log is taken through log1p.  Where that form is not finite
-    (m = 0, s = -1, a NaN or +inf maximum) the direct log |sum| answers, as in
-    scipy.  An all -inf row gives (-inf, 0).
+    The terms are shifted by the row's maximum (by 0 where that is not
+    finite), so none overflows; each row is summed alone, so a row of a batch
+    equals its call alone.  A row that is all -inf, or cancels to 0, gives
+    (-inf, 0).
     """
-    x_max = np.max(x, axis=-1, keepdims=True)
-    a_max = x_max[..., 0]
-    top = x == x_max
-    m = np.add.reduce(np.where(top, signs, 0.0), axis=-1)
-    # every row takes both forms; the masks pick each row's answer
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        e = signs * np.exp(x - x_max)
-        e[top] = 0.0
-        s = np.add.reduce(e, axis=-1)
-        s = np.where(s != 0.0, s / m, s)
-        scaled = (m != 0.0) & (a_max < np.inf) & (s != -1.0)  # False for a NaN maximum
-        sign = np.sign(s + 1.0) * np.sign(m)
-        s = np.where(s < -1.0, -s - 2.0, s)
-        value = np.log1p(s) + np.log(np.abs(m)) + a_max
-        total = np.add.reduce(signs * np.exp(x), axis=-1)
-        value = np.where(scaled, value, np.log(np.abs(total)))
-        sign = np.where(scaled, sign, np.sign(total))
-    empty = a_max == -np.inf
-    return np.where(empty, -np.inf, value), np.where(empty, 0.0, sign)
+    shift = np.max(x, axis=-1, keepdims=True)
+    shift = np.where(np.isfinite(shift), shift, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        total = np.add.reduce(signs * np.exp(x - shift), axis=-1)
+        return np.log(np.abs(total)) + shift[..., 0], np.sign(total)
 
 
 def _log_ray_coords(log_r: np.ndarray, direction: Sequence[complex]) -> np.ndarray:
@@ -235,7 +219,13 @@ class CigarProductPotential(PotentialModel):
 
     def derivative_tensors(self, t, order):
         t = np.asarray(t, dtype=float)
-        diagonals = _cigar_diagonals(t, _jet_order(order))
+        try:
+            diagonals = _cigar_diagonals(t, _jet_order(order))
+        except (RuntimeWarning, FloatingPointError):
+            # inf * 0 in the closed form at an infinite t, where numpy's warning
+            # or error raises: NaN there, quietly, for metric_from_jet to name z
+            with np.errstate(invalid="ignore"):
+                diagonals = _cigar_diagonals(t, order)
         out = [diagonals[0]]
         for q in range(2, order + 1):
             tensor = np.zeros(t.shape + (self.n,) * (q - 1))  # C order, so reshape gives a view
@@ -245,10 +235,8 @@ class CigarProductPotential(PotentialModel):
 
     def log_ray_growth(self, log_r, direction):
         summands = np.logaddexp(0.0, _log_ray_coords(log_r, direction))  # log(1 + t_j)
-        totals = np.add.reduce(summands, axis=-1)
-        # math.log per value: numpy's array log can round differently in the last bit
-        logs = [log(v) if v > 0.0 else -np.inf for v in totals.ravel().tolist()]
-        return np.array(logs).reshape(totals.shape)
+        with np.errstate(divide="ignore"):  # a zero direction sums to 0
+            return np.log(np.add.reduce(summands, axis=-1))
 
 
 class SolitonPotential(PotentialModel):
@@ -315,10 +303,13 @@ class SolitonPotential(PotentialModel):
         return jet
 
     def log_ray_growth(self, log_r, direction):
-        log_s = _logsumexp(_log_ray_coords(log_r, direction), np.ones(self.n))[0]
-        # one solve per distinct log s: the model is U(n)-invariant, so unit rays
-        # share their s at each radius.  u'(t) ~ e^t, so log S ~ t below -700;
-        # u_prime stays scalar (per-t branch and solve)
+        # the model is U(n)-invariant: s = r^2 |d|^2, so log s = 2 (log r + log |d|)
+        with np.errstate(divide="ignore"):  # a zero direction gives log s = -inf
+            log_d = np.log(np.linalg.norm(np.asarray(direction, dtype=complex), axis=-1))
+        log_s = 2.0 * (np.asarray(log_r, dtype=float) + log_d[..., None])
+        # one solve per distinct log s: unit rays share their s at each radius.
+        # u'(t) ~ e^t, so log S ~ t below -700; u_prime stays scalar (per-t
+        # branch and solve)
         ts, where = np.unique(log_s, return_inverse=True)
         values = np.array([t if t < -700.0 else log(self.profile.u_prime(t)) for t in ts.tolist()])
         return values[where].reshape(log_s.shape)
@@ -429,10 +420,8 @@ class PolyTestPotential(PotentialModel):
             signs.append(1.0 if c > 0 else -1.0)
         if not monomials:
             return np.full(log_t.shape[:-1], -np.inf)
-        # one np.dot per radius and monomial: a dot over the radii axis could round differently
-        rows = log_t.reshape(-1, self.n)
-        terms = np.array([[w + float(np.dot(e, row[mask])) for w, e, mask in monomials] for row in rows])
-        total, sign = _logsumexp(terms.reshape(log_t.shape[:-1] + (len(monomials),)), np.array(signs))
+        terms = np.stack([w + np.add.reduce(log_t[..., mask] * e, axis=-1) for w, e, mask in monomials], axis=-1)
+        total, sign = _logsumexp(terms, np.array(signs))
         return np.where(sign > 0, total, -np.inf)
 
 

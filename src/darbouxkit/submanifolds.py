@@ -338,10 +338,8 @@ def _newton_energies(pair: HoloCurvePair, points: np.ndarray, w: np.ndarray) -> 
     points[i], halving steps that raise E; every start keeps its own iterate,
     step and stopping tests, and leaves the lockstep when it stops.
 
-    The arithmetic is the scalar iteration's, operation by operation: vdot as
-    ``np.vecdot`` (the same BLAS dot per row), complex products on the parts,
-    moduli as hypot and squares as ``**`` on Python floats (libm's pow, which
-    can differ from x * x in the last bit).
+    Every quantity is formed per row (dots as ``np.vecdot``, complex products
+    on the parts), so a row's value does not depend on the batch.
     """
     out = np.empty(len(w))
     index = np.arange(len(w))
@@ -357,14 +355,14 @@ def _newton_energies(pair: HoloCurvePair, points: np.ndarray, w: np.ndarray) -> 
             trial = w + dw
             f, df, ddf = np.moveaxis(pair.jet(trial), -2, 0)
             r = f - points
-            e_trial = _squares(np.sqrt(np.vecdot(r.real, r.real) + np.vecdot(r.imag, r.imag)))
+            e_trial = np.vecdot(r.real, r.real) + np.vecdot(r.imag, r.imag)
             accept = ~(e_trial > e)
             a = np.vecdot(df, df).real
             b = np.vecdot(ddf, r)
             g = np.vecdot(df, r)
             # Newton step of a dw + b conj(dw) = -g while E's Hessian is definite, else Gauss-Newton
             abs_b = np.hypot(b.real, b.imag)
-            newton = (_product(b, np.conj(g)) - a * g) / (a * a - _squares(abs_b))
+            newton = (_product(b, np.conj(g)) - a * g) / (a * a - abs_b * abs_b)
             step = np.where(a > abs_b, newton, -g / a)
             w = np.where(accept, trial, w)
             e = np.where(accept, e_trial, e)
@@ -390,11 +388,6 @@ def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     out.real = x.real * y.real - x.imag * y.imag
     out.imag = x.real * y.imag + x.imag * y.real
     return out
-
-
-def _squares(v: np.ndarray) -> np.ndarray:
-    """v ** 2 elementwise by a scalar float's pow, as ``float ** 2`` rounds."""
-    return np.array([x**2 for x in v.tolist()])
 
 
 def curve_geodesy_residual(

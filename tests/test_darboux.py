@@ -30,7 +30,7 @@ from darbouxkit import (
     metric_at,
     unit_directions,
 )
-from darbouxkit import curvature, darboux, potentials
+from darbouxkit import curvature, darboux
 
 
 def std_symplectic(n: int) -> np.ndarray:
@@ -246,6 +246,22 @@ class TestBatchedPullback:
         assert type(batch.value) is type(alone.value)
         assert str(batch.value) == str(alone.value)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("return_metric", [False, True])
+    @pytest.mark.parametrize("method", ["analytic", "fd"])
+    @pytest.mark.parametrize("make", [lambda: CigarProductPotential(2), poly_test_model],
+                             ids=["cigar-n2", "poly-n2"])
+    def test_jacobian_names_a_non_finite_z(self, make, method, return_metric):
+        # every route names z itself, never an FD stencil point such as z=[0.200001+0.j nan+0.j]
+        dm = DarbouxMap(make())
+        pts = np.array([[0.3, 0.1j], [0.2, np.nan], [0.5, 0.5], [np.inf, 0.2]])
+        for z, bad in ((pts[1], pts[1]), (pts[3], pts[3]), (pts, pts[1])):
+            with pytest.raises(ValueError) as metric:
+                metric_at(dm.model, bad)
+            with pytest.raises(ValueError) as err:
+                dm.jacobian(z, method=method, return_metric=return_metric)
+            assert type(err.value) is ValueError and str(err.value) == str(metric.value)
+
 
 class TestDataclassBehaviour:
     """The per-n constants are not fields: equality, hashing, repr and
@@ -368,8 +384,8 @@ class TestPropernessLadder:
         monkeypatch.setattr(SolitonProfile, "u_prime", lambda self, t: solved.append(t) or u_prime(self, t))
         dirs = unit_directions(model.n, 8, rng)
         rep = properness_auto_scan(DarbouxMap(model), dirs)
-        log_radii = np.array([math.log(r) for r in rep.radii])
-        log_s = potentials._logsumexp(potentials._log_ray_coords(log_radii, dirs), np.ones(model.n))[0]
+        # s = r^2 |d|^2 on the U(n)-invariant model, as log_ray_growth forms it
+        log_s = 2.0 * (np.log(rep.radii) + np.log(np.linalg.norm(dirs, axis=-1))[:, None])
         distinct = set(log_s[log_s >= -700.0].tolist())
         assert len(solved) == len(set(solved)) == len(distinct) < log_s.size
         assert set(solved) == distinct

@@ -498,7 +498,10 @@ class TestArrayKernels:
         batch = curve_distance(pair, points)
         assert batch.shape == (size,)
         for point, row in zip(points, batch):
-            assert row == curve_distance(pair, point) == _reference_distance(pair, point, set())
+            assert row == curve_distance(pair, point)
+            # E is a sum of squares here, the scalar reference squares a norm
+            ref = _reference_distance(pair, point, set())
+            assert abs(row - ref) <= 4.0 * np.spacing(ref)
 
     def test_lockstep_takes_every_step_kind(self):
         # 41 points put Newton, Gauss-Newton and halving steps in one lockstep,
