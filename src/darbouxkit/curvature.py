@@ -2,13 +2,12 @@
 
 For a Kahler metric only the pure-holomorphic Christoffel symbols survive:
 
-    Gamma^m_ij = sum_l g^{m lbar} dg_{i lbar} / dz_j,
+    Gamma^m_ij = sum_l g^{m lbar} D_ilj,   D_ilj = dg_{i lbar} / dz_j,
 
 and the curvature tensor in the convention fixed here (positive on the
-shipped models) is
+shipped models) reads the same Gamma, one contraction for both:
 
-    R_{i jbar k lbar} = - d^2 g_{i jbar} / dz_k dzbar_l
-                        + sum_{p,q} g^{p qbar} (dg_{i qbar}/dz_k)(dg_{p jbar}/dzbar_l).
+    R_{i jbar k lbar} = - d^2 g_{i jbar} / dz_k dzbar_l + sum_p Gamma^p_ik conj(D_jpl).
 
 Both ingredients come in an analytic path (tensor assembly from one
 ``derivative_tensors`` jet, the potential's t-derivatives to order four,
@@ -77,8 +76,13 @@ def christoffel_at(
     z = np.asarray(z, dtype=complex)
     jet = model.derivative_tensors(radial_coords(z), 3)
     g = metric_from_jet(z, jet)
-    gamma = np.einsum("...ml,...ilj->...mij", _inverse_metric_conj(z, g), metric_z_derivative(z, jet))
+    gamma = _christoffel(z, g, metric_z_derivative(z, jet))
     return (gamma, g) if return_metric else gamma
+
+
+def _christoffel(z: np.ndarray, g: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Gamma[..., m, i, j] = sum_l g^{m lbar} D[..., i, l, j] from g and D at z."""
+    return np.einsum("...ml,...ilj->...mij", _inverse_metric_conj(z, g), d)
 
 
 def _second_metric_derivative(z: np.ndarray, jet: Sequence[np.ndarray]) -> np.ndarray:
@@ -105,7 +109,8 @@ def _second_metric_derivative(z: np.ndarray, jet: Sequence[np.ndarray]) -> np.nd
 def curvature_at(
     model: PotentialModel, z: Sequence[complex], method: str = "analytic"
 ) -> np.ndarray:
-    """R[..., i, j, k, l] = R_{i jbar k lbar} at z of shape (..., n).
+    """R[..., i, j, k, l] = R_{i jbar k lbar} at z of shape (..., n):
+    -H_ijkl + sum_p Gamma^p_ik conj(D_jpl), with the Gamma of ``christoffel_at``.
 
     ``method="fd"`` replaces the metric derivatives with Richardson-
     extrapolated Wirtinger central differences of ``metric_at`` (the inverse
@@ -122,13 +127,7 @@ def curvature_at(
         g, d, h = _fd_metric_derivatives(model, z)
     else:
         raise ValueError(f"unknown curvature method {method!r}")
-    ginv_c = _inverse_metric_conj(z, g)
-    # one einsum per point: its summation order over p, q can follow the batch
-    # shape; each result is copied into its row (einsum's out= rounds differently)
-    n = z.shape[-1]
-    quad = np.empty(h.shape, dtype=complex)
-    for qi, gi, di in zip(quad.reshape(-1, n, n, n, n), ginv_c.reshape(-1, n, n), d.reshape(-1, n, n, n)):
-        qi[...] = np.einsum("pq,iqk,jpl->ijkl", gi, di, np.conj(di))
+    quad = np.einsum("...pik,...jpl->...ijkl", _christoffel(z, g, d), np.conj(d), order="C")
     # -h + quad in place, in that operand order, so even a NaN keeps its sign bit
     return np.add(np.negative(h, out=h), quad, out=quad)
 

@@ -146,6 +146,8 @@ class DarbouxMap:
         ):
             raise ValueError("radii must be a strictly increasing finite positive sequence")
         directions = np.asarray(directions, dtype=complex)
+        if directions.ndim != 2 or len(directions) == 0 or directions.shape[1] != self.n:
+            raise ValueError(f"ray directions must have shape (D, {self.n}) with D >= 1, not {directions.shape}")
         if not np.all(np.isfinite(directions)):
             raise ValueError("ray directions must be finite")
         if np.any(np.linalg.norm(directions, axis=-1) == 0.0):
@@ -238,7 +240,7 @@ def properness_auto_scan(
     rungs' half-decade grids are nested, so each rung scans only the radii
     above the previous one and extends its table.
     """
-    report = PropernessReport(float(threshold), (), np.empty((len(directions), 0)))
+    report = PropernessReport(float(threshold), (), np.empty(np.shape(directions)[:-1] + (0,)))
     for top in (8, 30, 80, 250):
         radii = np.logspace(0, top, 2 * top + 1)
         rung = darboux_map.properness_scan(directions, radii[len(report.radii):], threshold)

@@ -151,12 +151,8 @@ def ref_curvature(model, z, method):
         g, d, h = ref_metric_from_jet(z, jet), ref_metric_z_derivative(z, jet), ref_second_metric_derivative(z, jet)
     else:
         g, d, h = curvature._fd_metric_derivatives(model, z)
-    ginv_c = np.conj(np.linalg.inv(g))
-    n = z.shape[-1]
-    quad = np.empty(h.shape, dtype=complex)
-    for qi, gi, di in zip(quad.reshape(-1, n, n, n, n), ginv_c.reshape(-1, n, n), d.reshape(-1, n, n, n)):
-        qi[...] = np.einsum("pq,iqk,jpl->ijkl", gi, di, np.conj(di))
-    return -h + quad
+    gamma = np.einsum("...pq,...iqk->...pik", np.conj(np.linalg.inv(g)), d)
+    return -h + np.einsum("...pik,...jpl->...ijkl", gamma, np.conj(d))
 
 
 def ref_curvature_symmetry_residual(r):

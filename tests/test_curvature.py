@@ -27,6 +27,7 @@ from darbouxkit import (
     soliton_potential,
 )
 from darbouxkit import curvature as curvature_module
+from darbouxkit.potentials import metric_from_jet
 
 small_complex = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
 
@@ -180,6 +181,40 @@ class TestBatchedCurvature:
         assert shapes == [(5, 1 + 8 * 2 + 32 * 4, 2)]
 
 
+def _derivatives(model, z, method):
+    """(G, D, H) at z as the given ``curvature_at`` route forms them."""
+    if method == "fd":
+        return curvature_module._fd_metric_derivatives(model, z)
+    jet = model.derivative_tensors(radial_coords(z), 4)
+    return metric_from_jet(z, jet), metric_z_derivative(z, jet), curvature_module._second_metric_derivative(z, jet)
+
+
+class TestQuadraticTerm:
+    """The quadratic term sum_pq g^{p qbar} D_iqk conj(D_jpl) is read as
+    sum_p Gamma^p_ik conj(D_jpl), with the Gamma of ``christoffel_at``."""
+
+    def test_is_the_christoffel_contraction_bitwise(self, batch_model, batch_points):
+        pts = batch_points(batch_model.n)
+        _, d, h = _derivatives(batch_model, pts, "analytic")
+        quad = np.einsum("...pik,...jpl->...ijkl", christoffel_at(batch_model, pts), np.conj(d))
+        r = curvature_at(batch_model, pts)
+        assert r.flags.c_contiguous
+        assert r.tobytes() == (-h + quad).tobytes()
+
+    @pytest.mark.parametrize("method", ["analytic", "fd"])
+    @pytest.mark.parametrize("model", shipped_models(), ids=lambda m: m.name)
+    def test_agrees_with_the_three_operand_form(self, model, method, seam_points):
+        # the retired form: one sum over (p, q); the two orders differ by
+        # roundoff in the terms, plus one rounding of the final -H + quad
+        z = seam_points(model.n)
+        g, d, h = _derivatives(model, z, method)
+        ginv_c = np.conj(np.linalg.inv(g))
+        old = -h + np.einsum("...pq,...iqk,...jpl->...ijkl", ginv_c, d, np.conj(d))
+        terms = np.einsum("...pq,...iqk,...jpl->...ijkl", np.abs(ginv_c), np.abs(d), np.abs(d))
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(curvature_at(model, z, method=method) - old) <= 8 * eps * terms + eps * np.abs(old))
+
+
 def _loop_wirtinger(f, z, k, h, bar):
     """Central-difference d/dz_k (or d/dzbar_k) of a matrix-valued f."""
     ek = np.zeros(len(z), dtype=complex)
@@ -210,8 +245,8 @@ def _loop_fd_curvature(model, z):
     for k in range(n):
         for l in range(n):
             h4[:, :, k, l] = _loop_richardson(lambda h: composite(k, l, h), step)
-    ginv_c = np.conj(np.linalg.inv(metric_at(model, z)))
-    return -h4 + np.einsum("pq,iqk,jpl->ijkl", ginv_c, d, np.conj(d))
+    gamma = np.einsum("pq,iqk->pik", np.conj(np.linalg.inv(metric_at(model, z))), d)
+    return -h4 + np.einsum("pik,jpl->ijkl", gamma, np.conj(d))
 
 
 class TestFirstDerivativeTensor:

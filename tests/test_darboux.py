@@ -8,6 +8,7 @@ Frozen oracles:
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -325,6 +326,20 @@ class TestProperness:
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="direction"):
                 dm2.properness_scan([[bad, 1.0]], radii=[1.0, 2.0])
+
+    @pytest.mark.parametrize("scan", [
+        lambda dm, d: dm.properness_scan(d, radii=[1.0, 2.0]),
+        properness_auto_scan,
+    ], ids=["scan", "auto-scan"])
+    @pytest.mark.parametrize("model", [CigarProductPotential(2), soliton_potential(SolitonProfile(2)),
+                                       poly_test_model()], ids=lambda m: m.name)
+    def test_directions_must_be_d_by_n(self, model, scan):
+        # one bare (n,) direction, a direction of n + 1 coordinates, no directions, a scalar
+        cases = (([1.0, 0.0], "(2,)"), ([[1.0, 0.0, 0.0]], "(1, 3)"), (np.empty((0, 2)), "(0, 2)"), (1.0, "()"))
+        for bad, shape in cases:
+            message = f"ray directions must have shape (D, 2) with D >= 1, not {shape}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                scan(DarbouxMap(model), bad)
 
     def test_unit_directions_layout(self, rng):
         dirs = unit_directions(3, 8, rng)

@@ -1,12 +1,13 @@
 """Smoke tests: each experiment script runs end to end on small arguments."""
 
+import hashlib
 import runpy
 import sys
 from pathlib import Path
 
 import pytest
 
-from darbouxkit import DarbouxMap, GeodesicDriftError, geodesic_integrate
+from darbouxkit import DarbouxMap, GeodesicDriftError, RunConfig, geodesic_integrate, run_suite
 from darbouxkit.potentials import metric_energy
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -73,3 +74,12 @@ def test_geodesy_demo_rejects_unconverged_trajectory(tmp_path, monkeypatch):
     monkeypatch.setattr("darbouxkit.geodesic_integrate", coarse)
     with pytest.raises(GeodesicDriftError):
         run_script("geodesy_demo.py", ["--length", "1", "--out", str(tmp_path)], monkeypatch)
+
+
+def test_suite_digests(monkeypatch, capsys):
+    with pytest.raises(SystemExit) as status:
+        run_script("suite_digests.py", ["--seeds", "1"], monkeypatch)
+    reports = run_suite(RunConfig(seed=1))
+    digest = hashlib.sha256("".join(r.body() for r in reports).encode()).hexdigest()
+    assert all(r.passed for r in reports) and status.value.code == 0
+    assert capsys.readouterr().out == f"1 {digest[:16]} PASS\n"
