@@ -7,32 +7,80 @@ takes; a refactor that keeps every body byte-identical keeps every digest.
 One line per seed: the seed, the digest's first 16 hex digits, and PASS if
 every claim passed, else FAIL.  The exit status is 1 if any seed fails.
 
+``--save DIR`` also writes each body to DIR/<seed>/<claim>.json.
+``--against DIR`` compares each body with the one saved there and prints,
+instead of the digest lines, one line per JSON leaf that moved: the seed,
+the claim, the leaf's path, the saved and the new value, and the relative
+change |new - old| / |old| of a number ("-" otherwise).  Nothing is printed
+when every body matches.
+
 Usage:
     python3 scripts/suite_digests.py
     python3 scripts/suite_digests.py --seeds 1 3
+    python3 scripts/suite_digests.py --save /tmp/before
+    python3 scripts/suite_digests.py --against /tmp/before
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import sys
+from pathlib import Path
 
 from darbouxkit import RunConfig, run_suite
+
+
+def _leaves(value, path: str = ""):
+    """(path, leaf) of every leaf of a parsed JSON body, paths like details.points[2]."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _leaves(item, f"{path}.{key}" if path else key)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _leaves(item, f"{path}[{i}]")
+    else:
+        yield path, value
+
+
+def _moved(old_body: str, new_body: str):
+    """(path, old, new, relative change) of every leaf that differs; a leaf
+    present on one side only reads None on the other."""
+    old, new = dict(_leaves(json.loads(old_body))), dict(_leaves(json.loads(new_body)))
+    for path in sorted(old.keys() | new.keys()):
+        a, b = old.get(path), new.get(path)
+        if json.dumps(a) == json.dumps(b):  # equal values, and NaN equal to NaN
+            continue
+        numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b))
+        rel = f"{abs(b - a) / abs(a):.3g}" if numbers and a != 0 else "-"
+        yield path, a, b, rel
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[20260814, 1, 3, 7])
+    parser.add_argument("--save", type=Path, metavar="DIR", help="write each seed's bodies under DIR")
+    parser.add_argument("--against", type=Path, metavar="DIR", help="print the leaves that moved from DIR's bodies")
     args = parser.parse_args()
 
     failed = False
     for seed in args.seeds:
         reports = run_suite(RunConfig(seed=seed))
-        digest = hashlib.sha256("".join(r.body() for r in reports).encode()).hexdigest()
         passed = all(r.passed for r in reports)
         failed |= not passed
-        print(f"{seed} {digest[:16]} {'PASS' if passed else 'FAIL'}")
+        if args.save is not None:
+            (args.save / str(seed)).mkdir(parents=True, exist_ok=True)
+            for r in reports:
+                (args.save / str(seed) / f"{r.claim}.json").write_text(r.body())
+        if args.against is not None:
+            for r in reports:
+                saved = (args.against / str(seed) / f"{r.claim}.json").read_text()
+                for path, old, new, rel in _moved(saved, r.body()):
+                    print(f"{seed} {r.claim} {path} {old!r} {new!r} {rel}")
+        else:
+            digest = hashlib.sha256("".join(r.body() for r in reports).encode()).hexdigest()
+            print(f"{seed} {digest[:16]} {'PASS' if passed else 'FAIL'}")
     sys.exit(1 if failed else 0)
 
 

@@ -9,12 +9,12 @@ shipped models) reads the same Gamma, one contraction for both:
 
     R_{i jbar k lbar} = - d^2 g_{i jbar} / dz_k dzbar_l + sum_p Gamma^p_ik conj(D_jpl).
 
-Both ingredients come in an analytic path (tensor assembly from one
-``derivative_tensors`` jet, the potential's t-derivatives to order four,
-taken once per call) and a finite-difference path
-(Richardson-extrapolated Wirtinger differences of ``metric_at``, one batched
-call over every stencil point of both step sizes), kept independent so they
-can cross-validate each other.  Points may carry leading batch axes, (..., n);
+Gamma is one batched solve conj(G) Gamma = D.  D and H come in an analytic
+path (a = conj(z) (x) z broadcast against one ``derivative_tensors`` jet to
+order four, taken once per call) and a finite-difference path (Richardson-
+extrapolated Wirtinger differences of ``metric_at``, one batched call over
+every stencil point of both step sizes), kept independent so they can
+cross-validate each other.  Points may carry leading batch axes, (..., n);
 each point's result equals the call on that point alone, bit for bit.
 """
 
@@ -36,29 +36,14 @@ __all__ = [
 ]
 
 
-def _inverse_metric_conj(z: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Matrices with [..., m, l] = g^{m lbar}, conj(inv(G)) for Hermitian G, of
-    the metrics g at z; where a metric is singular in floats, a ValueError
-    names the first such point of z, with the text of that point alone."""
-    try:
-        return np.conj(np.linalg.inv(g))
-    except np.linalg.LinAlgError:
-        n = z.shape[-1]
-        for zk, gk in zip(z.reshape(-1, n), g.reshape(-1, n, n)):
-            try:
-                np.linalg.inv(gk)
-            except np.linalg.LinAlgError:
-                raise ValueError(f"singular metric at z={zk}") from None
-        raise
-
-
 def metric_z_derivative(z: Sequence[complex], jet: Sequence[np.ndarray]) -> np.ndarray:
     """Tensor D[..., i, l, j] = d g_{i lbar} / d z_j from a ``derivative_tensors``
     jet of order >= 3 at z, over the leading batch axes of z."""
     z = np.asarray(z, dtype=complex)
     _, d2, d3 = jet[:3]
     zb = np.conj(z)
-    d = np.einsum("...i,...l,...j,...ilj->...ilj", zb, z, zb, d3.astype(complex), order="C")
+    a = zb[..., :, None] * z[..., None, :]  # a[..., i, l] = conj(z_i) z_l
+    d = np.multiply(a[..., None] * zb[..., None, None, :], d3, order="C")
     # diagonals through strided views of d, which C order makes views, not copies
     n, batch = z.shape[-1], d.shape[:-3]
     d.reshape(batch + (n * n, n))[..., :: n + 1, :] += d2 * zb[..., None, :]  # d[..., i, i, :]
@@ -81,28 +66,38 @@ def christoffel_at(
 
 
 def _christoffel(z: np.ndarray, g: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Gamma[..., m, i, j] = sum_l g^{m lbar} D[..., i, l, j] from g and D at z."""
-    return np.einsum("...ml,...ilj->...mij", _inverse_metric_conj(z, g), d)
+    """Gamma[..., m, i, j] = sum_l g^{m lbar} D[..., i, l, j] by one batched solve
+    conj(G) Gamma = D, D's l axis first; a metric singular in floats raises a
+    ValueError naming the first point of z whose own solve fails."""
+    n = z.shape[-1]
+    rhs = d.swapaxes(-3, -2).reshape(d.shape[:-3] + (n, n * n))
+    try:
+        return np.linalg.solve(np.conj(g), rhs).reshape(d.shape)
+    except np.linalg.LinAlgError:
+        for zk, gk, rk in zip(z.reshape(-1, n), g.reshape(-1, n, n), rhs.reshape(-1, n, n * n)):
+            try:
+                np.linalg.solve(np.conj(gk), rk)
+            except np.linalg.LinAlgError:
+                raise ValueError(f"singular metric at z={zk}") from None
+        raise
 
 
 def _second_metric_derivative(z: np.ndarray, jet: Sequence[np.ndarray]) -> np.ndarray:
     """Tensor H[..., i, j, k, l] = d^2 g_{i jbar} / dz_k dzbar_l, analytic path,
     over the leading batch axes of z."""
     _, d2, d3, d4 = jet
-    d3 = d3.astype(complex)
-    zb = np.conj(z)
+    a = np.conj(z)[..., :, None] * z[..., None, :]  # a[..., i, l] = conj(z_i) z_l
     n, batch = z.shape[-1], z.shape[:-1]
     # C order makes the reshapes of h and m1 views; the two permuted diagonals use einsum's
-    h = np.einsum("...i,...j,...k,...l,...ijkl->...ijkl", zb, z, zb, z, d4.astype(complex), order="C")
-    m1 = np.einsum("...l,...k,...ikl->...ikl", z, zb, d3, order="C")
+    h = np.multiply(a[..., :, :, None, None] * a[..., None, None, :, :], d4, order="C")
+    m1 = np.multiply(a[..., None, :, :], d3, order="C")  # conj(z_k) z_l d3[i, k, l]
     m1.reshape(batch + (n, n * n))[..., :: n + 1] += d2  # m1[..., i, k, k]
     h.reshape(batch + (n * n, n, n))[..., :: n + 1, :, :] += m1  # h[..., i, i, :, :]
-    m2 = np.einsum("...i,...l,...ijl->...ijl", zb, z, d3)
+    m2 = a[..., :, None, :] * d3  # conj(z_i) z_l d3[i, j, l]
     np.einsum("...iji->...ij", m2)[...] += d2
     h.reshape(batch + (n, n * n, n))[..., :: n + 1, :] += m2  # h[..., :, j, j, :]
-    m3 = np.einsum("...j,...k,...ijk->...ikj", z, zb, d3)
-    np.einsum("...ikji->...ijk", h)[...] += m3  # h[..., i, k, j, i] += m3[..., i, j, k]
-    h.reshape(batch + (n, n, n * n))[..., :: n + 1] += np.einsum("...i,...j,...ijk->...ijk", zb, z, d3)
+    np.einsum("...ikji->...ijk", h)[...] += a[..., None, :, :] * d3.swapaxes(-1, -2)  # h[..., i, k, j, i]
+    h.reshape(batch + (n, n, n * n))[..., :: n + 1] += a[..., :, :, None] * d3  # conj(z_i) z_j d3[i, j, k]
     return h
 
 
@@ -112,17 +107,16 @@ def curvature_at(
     """R[..., i, j, k, l] = R_{i jbar k lbar} at z of shape (..., n):
     -H_ijkl + sum_p Gamma^p_ik conj(D_jpl), with the Gamma of ``christoffel_at``.
 
+    D and H are broadcast from a = conj(z) (x) z; Gamma is one solve against conj(G).
     ``method="fd"`` replaces the metric derivatives with Richardson-
-    extrapolated Wirtinger central differences of ``metric_at`` (the inverse
-    metric stays exact); it exists to cross-check the analytic path.  Each
-    point's tensor equals the call on that point alone, bit for bit.
+    extrapolated Wirtinger central differences of ``metric_at`` (the solve
+    against the metric stays exact); it exists to cross-check the analytic
+    path.  Each point's tensor equals the call on that point alone, bit for bit.
     """
     z = np.asarray(z, dtype=complex)
     if method == "analytic":
         jet = model.derivative_tensors(radial_coords(z), 4)
-        g = metric_from_jet(z, jet)
-        d = metric_z_derivative(z, jet)
-        h = _second_metric_derivative(z, jet)
+        g, d, h = metric_from_jet(z, jet), metric_z_derivative(z, jet), _second_metric_derivative(z, jet)
     elif method == "fd":
         g, d, h = _fd_metric_derivatives(model, z)
     else:

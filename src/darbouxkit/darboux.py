@@ -184,14 +184,16 @@ class DarbouxMap:
         """Central differences of ``map_point``: the 4n stencil points of every
         point of z in one batched call."""
         n = self.n
+        if not np.logical_and.reduce(np.isfinite(z), axis=None):
+            self.map_point(z)  # a NaN or infinite z raises there, before its stencil warns
         try:
             # fmax, like Python's max(1.0, x), gives 1.0 for a NaN x
             step = _FD_STEP * np.fmax(1.0, np.maximum.reduce(np.abs(z), axis=-1))[..., None, None]
             dz = self._fd_basis * step
             w = self.map_point(np.concatenate([z[..., None, :] + dz, z[..., None, :] - dz], axis=-2))
         except (ValueError, FloatingPointError, RuntimeWarning):
-            # a NaN or infinite z fails on its stencil points (at inf, already
-            # in forming them): a bad z raises first, as the analytic route does
+            # a z outside the domain can fail first on its stencil points: a
+            # bad z raises first, as the analytic route does
             self.map_point(z)
             raise
         d = (w[..., : 2 * n, :] - w[..., 2 * n:, :]) / (2.0 * step)

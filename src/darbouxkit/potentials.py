@@ -219,13 +219,8 @@ class CigarProductPotential(PotentialModel):
 
     def derivative_tensors(self, t, order):
         t = np.asarray(t, dtype=float)
-        try:
+        with np.errstate(invalid="ignore"):  # inf * 0 at an infinite t: NaN, for metric_from_jet to name z
             diagonals = _cigar_diagonals(t, _jet_order(order))
-        except (RuntimeWarning, FloatingPointError):
-            # inf * 0 in the closed form at an infinite t, where numpy's warning
-            # or error raises: NaN there, quietly, for metric_from_jet to name z
-            with np.errstate(invalid="ignore"):
-                diagonals = _cigar_diagonals(t, order)
         out = [diagonals[0]]
         for q in range(2, order + 1):
             tensor = np.zeros(t.shape + (self.n,) * (q - 1))  # C order, so reshape gives a view
@@ -251,9 +246,6 @@ class SolitonPotential(PotentialModel):
 
     kind = "soliton"
 
-    # rows of signed Stirling numbers: C_q = sum_m row[m] * u^(m+1) / s^q
-    _CHAIN_ROWS = {1: (1.0,), 2: (-1.0, 1.0), 3: (2.0, -3.0, 1.0), 4: (-6.0, 11.0, -6.0, 1.0)}
-
     def __init__(self, profile: SolitonProfile):
         self.profile = profile
         self.n = profile.n
@@ -274,13 +266,9 @@ class SolitonPotential(PotentialModel):
                     acc[q - 1] += weight * b * s ** (k - q)
                     weight *= k - q
             return tuple(acc)
-        derivs = self.profile.derivatives(log(s))
-        sums = []
-        for q in range(1, order + 1):
-            total = 0.0
-            for c, d in zip(self._CHAIN_ROWS[q], derivs):
-                total += c * d
-            sums.append(total)
+        # signed Stirling numbers of the first kind: C_q s^q = sum_m s(q, m) u^(m)
+        u1, u2, u3, u4 = self.profile.derivatives(log(s))
+        sums = (u1, -u1 + u2, 2.0 * u1 - 3.0 * u2 + u3, -6.0 * u1 + 11.0 * u2 - 6.0 * u3 + u4)[:order]
         try:
             return tuple([v / s**q for q, v in enumerate(sums, 1)])
         except OverflowError:  # s**q is past the float range: C_q underflows instead

@@ -21,8 +21,8 @@ root solve.  Two branches keep the solve stable on the whole line:
 
 ``_newton(t)`` is seeded from the asymptotic inverses of F_n, safeguarded by
 a bracket, and raises ``ProfileSolveError`` instead of returning an
-unconverged iterate, or where F_n or its slope leaves the float range (for
-|t| <= 10 from n = 117 on).  The closed form's tail polynomial p runs one
+unconverged iterate, or where F_n leaves the float range (for |t| <= 10
+from n = 133 on).  The closed form's tail polynomial p runs one
 Horner kernel on Python floats, ``_horner``, in numpy's polyval order:
 polyval's values bit for bit, without its per-call array overhead.  Each t
 costs one solve: ``derivatives`` gets u'' ... u'''' from u' through the
@@ -178,14 +178,19 @@ class FIntegral:
 
     def log_eval(self, x: float) -> float:
         """log F_n(x): the log of ``eval`` below the closed form's cutoff, and
-        x + log(p(x) + c e^(-x)) = log(e^x p(x) + c) above it, without e^x."""
+        x + log(p(x) + c e^(-x)) = log(e^x p(x) + c) above it, without e^x
+        (or x^(n-1), factored out of p where p(x) overflows)."""
         if x >= _F_SERIES_CUTOFF:
             cutoff, p, c = self._closed
             if x >= cutoff:
+                shift = 0.0
                 tail = _horner(p, x) + c * exp(-x)
+                if tail == inf:  # p(x) ~ x^(n-1) overflows (n >= 117, near x = 455)
+                    shift = (self.n - 1) * log(x)
+                    tail = _horner(p[::-1], 1.0 / x) + c * exp(-x - shift)
                 if not tail > 0.0:
                     raise ValueError(f"log form of F_{self.n} has p(x) + c e^(-x) = {tail!r} at x={x!r}")
-                return x + log(tail)
+                return x + shift + log(tail)
         return log(self.eval(x))
 
     def _series(self, x: float) -> float:
@@ -294,7 +299,7 @@ class SolitonProfile:
     def _newton(self, t: float) -> float:
         """Root x = u'(t) of log F_n(x) = n t - log n, bracketed below by 0,
         with one ``FIntegral.log_eval`` per iteration and the slope
-        x^(n-1) e^(x - log F_n(x)).
+        x^(n-1) e^(x - log F_n(x)), taken in logs where x^(n-1) overflows.
 
         F_n integrates the log-concave x^(n-1) e^x, so log F_n is concave: a
         Newton step never overshoots the root from below, and after the first
@@ -312,7 +317,10 @@ class SolitonProfile:
         for _ in range(_MAX_NEWTON_ITER):
             try:
                 value = f.log_eval(phi)
-                slope = phi ** (n - 1) * exp(phi - value)
+                try:
+                    slope = phi ** (n - 1) * exp(phi - value)
+                except OverflowError:  # phi^(n-1) is past the float range (n >= 117)
+                    slope = exp((n - 1) * log(phi) + phi - value)
             except (ArithmeticError, ValueError) as exc:
                 # an overflow, a failed F_n series or a non-positive F_n or tail (large n)
                 raise ProfileSolveError(

@@ -25,6 +25,7 @@ from darbouxkit import (
     PolyTestPotential,
     SolitonPotential,
     SolitonProfile,
+    christoffel_at,
     curvature_at,
     curvature_symmetry_residual,
     flat_potential,
@@ -55,7 +56,8 @@ def ref_metric_z_derivative(z, jet):
     z = np.asarray(z, dtype=complex)
     _, d2, d3 = jet[:3]
     zb = np.conj(z)
-    d = np.einsum("...i,...l,...j,...ilj->...ilj", zb, z, zb, d3.astype(complex))
+    a = zb[..., :, None] * z[..., None, :]
+    d = a[..., :, :, None] * zb[..., None, None, :] * d3
     idx = np.arange(z.shape[-1])
     d[..., idx, idx, :] += d2 * zb[..., None, :]
     d[..., :, idx, idx] += zb[..., :, None] * d2
@@ -64,19 +66,19 @@ def ref_metric_z_derivative(z, jet):
 
 def ref_second_metric_derivative(z, jet):
     _, d2, d3, d4 = jet
-    d3 = d3.astype(complex)
     zb = np.conj(z)
+    a = zb[..., :, None] * z[..., None, :]
     idx = np.arange(z.shape[-1])
-    h = np.einsum("...i,...j,...k,...l,...ijkl->...ijkl", zb, z, zb, z, d4.astype(complex))
-    m1 = np.einsum("...l,...k,...ikl->...ikl", z, zb, d3)
+    h = a[..., :, :, None, None] * a[..., None, None, :, :] * d4
+    m1 = a[..., None, :, :] * d3
     m1[..., :, idx, idx] += d2
     h[..., idx, idx, :, :] += m1
-    m2 = np.einsum("...i,...l,...ijl->...ijl", zb, z, d3)
+    m2 = a[..., :, None, :] * d3
     m2.swapaxes(-2, -1)[..., idx, idx, :] += d2  # m2[..., i, :, i]
     h[..., :, idx, idx, :] += m2
-    m3 = np.einsum("...j,...k,...ijk->...ikj", z, zb, d3)
+    m3 = a[..., None, :, :] * d3.swapaxes(-1, -2)
     h.swapaxes(-3, -1)[..., idx, idx, :, :] += m3  # h[..., i, :, :, i]
-    h[..., :, :, idx, idx] += np.einsum("...i,...j,...ijk->...ijk", zb, z, d3)
+    h[..., :, :, idx, idx] += a[..., :, :, None] * d3
     return h
 
 
@@ -151,7 +153,9 @@ def ref_curvature(model, z, method):
         g, d, h = ref_metric_from_jet(z, jet), ref_metric_z_derivative(z, jet), ref_second_metric_derivative(z, jet)
     else:
         g, d, h = curvature._fd_metric_derivatives(model, z)
-    gamma = np.einsum("...pq,...iqk->...pik", np.conj(np.linalg.inv(g)), d)
+    n = z.shape[-1]
+    rhs = np.swapaxes(d, -3, -2).reshape(d.shape[:-3] + (n, n * n))
+    gamma = np.linalg.solve(np.conj(g), rhs).reshape(d.shape)
     return -h + np.einsum("...pik,...jpl->...ijkl", gamma, np.conj(d))
 
 
@@ -263,6 +267,65 @@ class TestViewWritesMatchReferences:
             assert _same_bytes(r, ref_curvature(model, z, method))
             got, ref = curvature_symmetry_residual(r), ref_curvature_symmetry_residual(r)
             assert type(got) is type(ref) and _same_bytes(np.asarray(got), np.asarray(ref))
+
+
+def retired_metric_z_derivative(z, jet):
+    """D from one four-operand product einsum, before D was broadcast from a = conj(z) (x) z."""
+    _, d2, d3 = jet[:3]
+    zb = np.conj(z)
+    d = np.einsum("...i,...l,...j,...ilj->...ilj", zb, z, zb, d3.astype(complex))
+    idx = np.arange(z.shape[-1])
+    d[..., idx, idx, :] += d2 * zb[..., None, :]
+    d[..., :, idx, idx] += zb[..., :, None] * d2
+    return d
+
+
+def retired_second_metric_derivative(z, jet):
+    """H from five product einsums, before H was broadcast from a = conj(z) (x) z."""
+    _, d2, d3, d4 = jet
+    d3 = d3.astype(complex)
+    zb = np.conj(z)
+    idx = np.arange(z.shape[-1])
+    h = np.einsum("...i,...j,...k,...l,...ijkl->...ijkl", zb, z, zb, z, d4.astype(complex))
+    m1 = np.einsum("...l,...k,...ikl->...ikl", z, zb, d3)
+    m1[..., :, idx, idx] += d2
+    h[..., idx, idx, :, :] += m1
+    m2 = np.einsum("...i,...l,...ijl->...ijl", zb, z, d3)
+    m2.swapaxes(-2, -1)[..., idx, idx, :] += d2
+    h[..., :, idx, idx, :] += m2
+    h.swapaxes(-3, -1)[..., idx, idx, :, :] += np.einsum("...j,...k,...ijk->...ikj", z, zb, d3)
+    h[..., :, :, idx, idx] += np.einsum("...i,...j,...ijk->...ijk", zb, z, d3)
+    return h
+
+
+@pytest.mark.parametrize("method", ["analytic", "fd"])
+@pytest.mark.parametrize("model", list(MODELS.values()), ids=list(MODELS))
+def test_agrees_with_the_retired_einsum_and_inverse_forms(model, method, seam_points):
+    # D and H as product einsums and Gamma through conj(inv(G)); the forms
+    # differ by roundoff in each product, bounded by the same forms on
+    # absolute values (the sums of absolute products); on 40 draws of seam
+    # and radius-3 points the worst ratio was 2.7 of eps times that sum
+    z = seam_points(model.n)
+    if method == "analytic":
+        jet = model.derivative_tensors(radial_coords(z), 4)
+        g, d_new, h_new = metric_at(model, z), metric_z_derivative(z, jet), curvature._second_metric_derivative(z, jet)
+        d, h = retired_metric_z_derivative(z, jet), retired_second_metric_derivative(z, jet)
+        abs_jet = [np.abs(t) for t in jet]
+        d_abs = retired_metric_z_derivative(np.abs(z), abs_jet).real
+        h_abs = retired_second_metric_derivative(np.abs(z), abs_jet).real
+    else:
+        g, d, h = curvature._fd_metric_derivatives(model, z)  # the FD path shares D and H
+        d_new, h_new, d_abs, h_abs = d, h, np.abs(d), np.abs(h)
+    ginv_c = np.conj(np.linalg.inv(g))
+    gamma = np.einsum("...ml,...ilj->...mij", ginv_c, d)
+    gamma_abs = np.einsum("...ml,...ilj->...mij", np.abs(ginv_c), d_abs)
+    r = -h + np.einsum("...pik,...jpl->...ijkl", gamma, np.conj(d))
+    r_abs = h_abs + np.einsum("...pq,...iqk,...jpl->...ijkl", np.abs(ginv_c), d_abs, d_abs)
+    gamma_new = christoffel_at(model, z) if method == "analytic" else curvature._christoffel(z, g, d)
+    eps = np.finfo(float).eps
+    for new, old, bound in ((d_new, d, d_abs), (h_new, h, h_abs), (gamma_new, gamma, gamma_abs),
+                            (curvature_at(model, z, method=method), r, r_abs)):
+        assert np.all(np.abs(new - old) <= 8 * eps * bound)
 
 
 @pytest.mark.parametrize("n", (1, 2, 3, 4))

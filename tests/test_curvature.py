@@ -245,7 +245,8 @@ def _loop_fd_curvature(model, z):
     for k in range(n):
         for l in range(n):
             h4[:, :, k, l] = _loop_richardson(lambda h: composite(k, l, h), step)
-    gamma = np.einsum("pq,iqk->pik", np.conj(np.linalg.inv(metric_at(model, z))), d)
+    rhs = d.transpose(1, 0, 2).reshape(n, n * n)
+    gamma = np.linalg.solve(np.conj(metric_at(model, z)), rhs).reshape(n, n, n)
     return -h4 + np.einsum("pik,jpl->ijkl", gamma, np.conj(d))
 
 
@@ -341,3 +342,24 @@ class TestSingularMetric:
             call(model, pts)
         assert type(batch.value) is type(alone.value)
         assert str(batch.value) == str(alone.value)
+
+    @pytest.mark.parametrize("call", [
+        christoffel_at,
+        curvature_at,
+        lambda model, z: curvature_at(model, z, method="fd"),
+    ], ids=["christoffel", "curvature-analytic", "curvature-fd"])
+    def test_names_the_first_point_whose_own_solve_fails(self, call):
+        # at z = (5e7, 5e7) the metric is rank 1 to matrix_rank's tolerance,
+        # yet its solve succeeds; (1e9, 1e9) and (1e8, 1e8) are singular in floats
+        model = poly_test_model()
+        pts = np.array([[0.3, 0.1j], [5e7, 5e7], [1e9, 1e9], [0.5, 0.5], [1e8, 1e8], [0.2j, 0.1]], dtype=complex)
+        assert np.linalg.matrix_rank(metric_at(model, pts[1])) == 1
+        assert np.all(np.isfinite(call(model, pts[1])))
+        with pytest.raises(ValueError, match=r"^singular metric at z=\[1\.e\+09\+0\.j 1\.e\+09\+0\.j\]$") as alone:
+            call(model, pts[2])
+        for batch in (pts, pts.reshape(2, 3, 2), np.asfortranarray(pts.reshape(3, 2, 2))):
+            with pytest.raises(ValueError) as raised:
+                call(model, batch)
+            assert type(raised.value) is type(alone.value) and str(raised.value) == str(alone.value)
+        with pytest.raises(ValueError, match=r"^singular metric at z=\[1\.e\+08\+0\.j 1\.e\+08\+0\.j\]$"):
+            call(model, pts[[0, 1, 4, 2]])

@@ -9,6 +9,7 @@ Frozen oracles:
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -596,6 +597,31 @@ class TestOutOfRangePoints:
         for call in (lambda z: metric_at(model, z), dm.map_point, dm.pullback_residual):
             with pytest.raises(ValueError, match=named):
                 call(z)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("value", [math.inf, complex(0.0, -math.inf)], ids=["inf", "-inf-j"])
+    def test_cigar_warns_nothing_at_an_infinite_z(self, n, value):
+        # under filters that let warnings through ("always" records each one
+        # that the default filters would print), the closed form's inf * 0
+        # and the FD Jacobian's stencil at inf once printed RuntimeWarnings
+        # before the named error
+        model = CigarProductPotential(n)
+        z = np.full(n, 0.3 + 0j)
+        z[-1] = value
+        dm = DarbouxMap(model)
+        calls = [lambda z: metric_at(model, z), dm.map_point, dm.jacobian, dm.pullback_residual,
+                 lambda z: dm.jacobian(z, method="fd"), lambda z: dm.pullback_residual(z, method="fd")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            texts = []
+            for call in calls:
+                with pytest.raises(ValueError) as err:
+                    call(z)
+                texts.append(str(err.value))
+        assert caught == []
+        assert texts == [texts[0]] * len(calls)
+        assert texts[0].startswith("potential derivatives are not finite: first derivative [")
+        assert texts[0].endswith(f"at z={z}")
 
     @pytest.mark.parametrize("make", [
         lambda: flat_potential(1), fold_test_model, poly_test_model,

@@ -1,6 +1,8 @@
 """Smoke tests: each experiment script runs end to end on small arguments."""
 
 import hashlib
+import json
+import re
 import runpy
 import sys
 from pathlib import Path
@@ -83,3 +85,26 @@ def test_suite_digests(monkeypatch, capsys):
     digest = hashlib.sha256("".join(r.body() for r in reports).encode()).hexdigest()
     assert all(r.passed for r in reports) and status.value.code == 0
     assert capsys.readouterr().out == f"1 {digest[:16]} PASS\n"
+
+
+def test_suite_digests_save_and_against(tmp_path, monkeypatch, capsys):
+    # saving and comparing the same sources prints only --save's digest line
+    args = ["--seeds", "1"]
+    outputs = []
+    for extra in (["--save", str(tmp_path)], ["--against", str(tmp_path)]):
+        with pytest.raises(SystemExit) as status:
+            run_script("suite_digests.py", args + extra, monkeypatch)
+        assert status.value.code == 0
+        outputs.append(capsys.readouterr().out)
+    assert re.fullmatch(r"1 [0-9a-f]{16} PASS\n", outputs[0]) and outputs[1] == ""
+    # one edited saved leaf prints exactly that leaf
+    saved = tmp_path / "1" / "cigar-curvature.json"
+    body = json.loads(saved.read_text())
+    leaf = body["details"]["per_model"]["cigar-n1"]
+    new = leaf["identity"]
+    leaf["identity"] = 2.0 * new
+    saved.write_text(json.dumps(body, sort_keys=True))
+    with pytest.raises(SystemExit):
+        run_script("suite_digests.py", args + ["--against", str(tmp_path)], monkeypatch)
+    path = "details.per_model.cigar-n1.identity"
+    assert capsys.readouterr().out == f"1 cigar-curvature {path} {2.0 * new!r} {new!r} 0.5\n"

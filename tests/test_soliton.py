@@ -369,11 +369,13 @@ class TestEveryDimension:
         values = [p.u_prime(t) for t in grid]
         assert all(v > 0.0 for v in values)
 
-    @pytest.mark.parametrize("n", (104, 108, 112, 116))
+    @pytest.mark.parametrize("n", (104, 108, 112, 116, 117, 120, 125, 130, 132))
     def test_large_n_solves_on_the_scanned_grid(self, n):
-        # a former direct/log hand-off overflowed here (1, 3, 7 and 10 typed
-        # failures on this grid), below where the slope's x^(n-1) leaves the
-        # float range
+        # a former direct/log hand-off overflowed for n = 104..116 (1, 3, 7
+        # and 10 typed failures on this grid); from n = 117 the closed form's
+        # p(x) ~ x^(n-1) and the slope's x^(n-1) left the float range (from
+        # t = 10 at n = 117, t = 7.25 at n = 132), and both are now taken in
+        # logs there
         p = SolitonProfile(n)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -398,9 +400,10 @@ class TestEveryDimension:
 
     @pytest.mark.parametrize("n", (119, 150, 171))
     def test_large_n_solves_or_raises_naming_n_and_t(self, n):
-        # the slope's x^(n-1) overflows from n = 117 on (at t = 9.5 for
-        # n = 119), F_n's power series, which answers at every x from n = 133
-        # on, from x ~ 88 at n = 150, and n! itself at n = 171
+        # n = 119 solves every t here (p(x) and the slope's x^(n-1), which
+        # overflow from n = 117 on, are taken in logs there); F_n's power
+        # series, which answers at every x from n = 133 on, leaves the float
+        # range from x = 72.5 at n = 150, and n! itself at n = 171
         assert _solved_or_named(n, np.linspace(-3.5, 6.67, 200)) >= 50
 
     @pytest.mark.parametrize("n", (172, 200))
@@ -462,6 +465,48 @@ class TestBranchSeams:
         for x in (cutoff, math.nextafter(cutoff, math.inf)):
             series = math.log(f._series(x))
             assert abs(f.log_eval(x) - series) <= 1e-12 * abs(series), x
+
+
+    @pytest.mark.parametrize("n", (117, 120, 132))
+    def test_log_eval_across_the_tail_overflow(self, n):
+        # p(x) ~ x^(n-1) overflows from n = 117 near x = 455; past that x,
+        # log_eval factors x^(n-1) out of p (it once returned inf there)
+        from scipy.special import gammaln, logsumexp
+
+        f = FIntegral(n)
+        cutoff, p, c = soliton._closed_form(n)
+        lo, hi = cutoff, 1e4
+        while math.nextafter(lo, math.inf) < hi:  # the first x where p(x) overflows
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if soliton._horner(p, mid) == math.inf else (mid, hi)
+        shift = (n - 1) * math.log(lo)
+        factored = lo + shift + math.log(soliton._horner(p[::-1], 1.0 / lo) + c * math.exp(-lo - shift))
+        assert abs(f.log_eval(lo) - factored) <= 1e-14 * factored  # both forms at the last finite p(x)
+        k = np.arange(4000.0)
+        for x in (lo, hi, 1.5 * hi):  # 4000 series terms reach x ~ 2000
+            oracle = logsumexp((n + k) * math.log(x) - gammaln(k + 1.0) - np.log(n + k))
+            assert abs(f.log_eval(x) - oracle) <= 1e-13 * oracle, x
+
+    @pytest.mark.parametrize("n", (117, 125))
+    def test_solve_across_the_slope_overflow(self, n):
+        # phi^(n-1) overflows past phi = 454.4 at n = 117; the slope is then
+        # taken as exp((n - 1) log phi + phi - log F_n(phi)), and the solve
+        # once raised there (from t = 10 at n = 117)
+        p = SolitonProfile(n)
+        phi = math.exp(math.log(np.finfo(float).max) / (n - 1))
+        with pytest.raises(OverflowError):
+            (1.001 * phi) ** (n - 1)
+        below = 0.999 * phi  # both slope forms where phi^(n-1) is finite
+        value = p._f.log_eval(below)
+        direct = below ** (n - 1) * math.exp(below - value)
+        assert abs(math.exp((n - 1) * math.log(below) + below - value) - direct) <= 1e-12 * direct
+        t_seam = (p._f.log_eval(phi) + math.log(n)) / n  # where u'(t) = phi
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t in np.linspace(t_seam - 0.05, t_seam + 0.05, 11):
+                up = p.u_prime(float(t))
+                assert p.ode_residual(float(t)) <= 1e-12
+                assert abs(p._f.log_eval(up) - (n * t - math.log(n))) <= 1e-12 * n * t
 
 
 def _count_calls(monkeypatch, cls, attr) -> list:
@@ -529,9 +574,13 @@ def reference_derivatives(profile: SolitonProfile, t: float) -> tuple:
     return profile._recursion_jet(t, profile._newton(t))
 
 
+# rows of signed Stirling numbers of the first kind: C_q s^q = sum_m row[m] u^(m+1)
+STIRLING_ROWS = {1: (1.0,), 2: (-1.0, 1.0), 3: (2.0, -3.0, 1.0), 4: (-6.0, 11.0, -6.0, 1.0)}
+
+
 def reference_radial_deriv(model: SolitonPotential, s: float, order: int) -> tuple:
     """``SolitonPotential.radial_deriv`` as it was: the series double loop over
-    the numpy b_k, and generator sums over ``_CHAIN_ROWS`` on the reference jet."""
+    the numpy b_k, and generator sums over ``STIRLING_ROWS`` on the reference jet."""
     from darbouxkit import potentials
 
     if s < potentials._RADIAL_SERIES_S:
@@ -544,7 +593,7 @@ def reference_radial_deriv(model: SolitonPotential, s: float, order: int) -> tup
                 weight *= k - q
         return tuple(acc)
     derivs = reference_derivatives(model.profile, math.log(s))
-    sums = [sum(c * d for c, d in zip(model._CHAIN_ROWS[q], derivs)) for q in range(1, order + 1)]
+    sums = [sum(c * d for c, d in zip(STIRLING_ROWS[q], derivs)) for q in range(1, order + 1)]
     try:
         return tuple(v / s**q for q, v in enumerate(sums, 1))
     except OverflowError:
