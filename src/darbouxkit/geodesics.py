@@ -198,18 +198,18 @@ def _runs(
     return {k: run for row in rows for k, run in _runs(model, z0, v0, [row], length, steps).items()}
 
 
-def _weighted(weights: Sequence[float], h: float, stages: Sequence[np.ndarray]) -> list[tuple[float, np.ndarray]]:
-    """The (h * weight, stage) pairs of the nonzero weights, in stage order."""
-    return [(h * w, stage) for w, stage in zip(weights, stages) if w]
+def _weighted(weights: Sequence[float], h: float) -> tuple[np.ndarray, np.ndarray]:
+    """The stage indices of the nonzero weights, and h times those as a (terms, 1, 1) column."""
+    index = np.flatnonzero(weights)
+    return index, (h * np.asarray(weights)[index])[:, None, None]
 
 
-def _stage_sum(terms: list[tuple[float, np.ndarray]]) -> np.ndarray:
-    """sum of weight * stage over the terms, added elementwise in their order."""
-    (w, stage), *rest = terms
-    total = w * stage
-    for w, stage in rest:
-        total += w * stage
-    return total
+def _stage_sum(terms: tuple[np.ndarray, np.ndarray], stages: np.ndarray) -> np.ndarray:
+    """sum of weight * stage over the terms, from the (stage, batch, width)
+    stack: one reduction over the stage axis, which adds elementwise in stage
+    order, so a row's sum does not depend on its batch."""
+    index, weights = terms
+    return np.add.reduce(weights * stages[index], axis=0)
 
 
 def _rk4_run(
@@ -227,14 +227,13 @@ def _rk4_run(
     h = length / steps
     n = z0.shape[1]
     # the state (z, v) as one (batch, 2n) row of complex, summed through its
-    # float view; k[s] is stage s's (dz, dv) = (v_s, accel_s), and the stage
-    # sums hold views of k, which every step overwrites
+    # float view; k[s] is stage s's (dz, dv) = (v_s, accel_s), which every
+    # step overwrites, and the stage sums read it through two views
     y = np.concatenate([z0, v0], axis=1)
     k = np.empty((len(_B),) + y.shape, dtype=complex)
-    stages, position_rates = list(k.view(float)), [stage[:, :n] for stage in k]
-    stage_terms = [_weighted(row, h, stages) for row in _A]
-    update_terms = _weighted(_B, h, stages)
-    e5_terms, e3_terms = _weighted(_E5, h, position_rates), _weighted(_E3, h, position_rates)
+    stages, position_rates = k.view(float), k[:, :, :n]
+    stage_terms = [_weighted(row, h) for row in _A]
+    update_terms, e5_terms, e3_terms = (_weighted(row, h) for row in (_B, _E5, _E3))
     points = np.empty((len(y), steps + 1, n), dtype=complex)
     velocities = np.empty_like(points)
     energies = np.empty((len(y), steps + 1))
@@ -253,16 +252,16 @@ def _rk4_run(
             k[0, :, :n], k[0, :, n:] = y[:, n:], accel
             yf = y.view(float)
             for s, terms in enumerate(stage_terms, 1):
-                ys = (yf + _stage_sum(terms)).view(complex)
+                ys = (yf + _stage_sum(terms, stages)).view(complex)
                 at = ys[:, :n]
                 k[s, :, :n] = ys[:, n:]
                 k[s, :, n:] = _acceleration(christoffel_at(model, at), ys[:, n:])
-            y = (yf + _stage_sum(update_terms)).view(complex)
+            y = (yf + _stage_sum(update_terms, stages)).view(complex)
             at = y[:, :n]
             if not np.all(np.isfinite(y)):
                 raise FloatingPointError("the update is not finite")
             # the error pair reads the stages' position rates v_s only
-            e5, e3 = np.abs(_stage_sum(e5_terms)), np.abs(_stage_sum(e3_terms))
+            e5, e3 = (np.abs(_stage_sum(terms, position_rates)) for terms in (e5_terms, e3_terms))
             scale = np.hypot(e5, 0.1 * e3)
             estimate = np.divide(e5 * e5, scale, out=np.zeros_like(e5), where=scale > 0.0)
             position_error += np.max(estimate, axis=1)

@@ -200,28 +200,18 @@ class HoloCurvePair:
 
     def jet(self, w: complex | np.ndarray) -> np.ndarray:
         """(..., 3, 2) array whose rows are f, f' and f'' of (f1, f2) at each
-        parameter of w; a scalar w gives one (3, 2) jet."""
+        parameter of w; a scalar w gives one (3, 2) jet.  Horner on the complex
+        array w in polyval's order: numpy's complex kernels are elementwise, so
+        each row is polyval's value on an array bit for bit, whatever the batch."""
         w = np.asarray(w, dtype=complex)
-        x, y = w.real, w.imag
         out = np.empty(w.shape + (3, 2), dtype=complex)
         for i, row in enumerate(self._rows):
             for m, p in enumerate(row):
-                out.real[..., i, m], out.imag[..., i, m] = _horner_parts(p, x, y)
+                acc = p[-1] + w * 0.0
+                for c in reversed(p[:-1]):
+                    acc = c + acc * w
+                out[..., i, m] = acc
         return out
-
-
-def _horner_parts(p: tuple[complex, ...], x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of p(x + iy) for ascending Python complex
-    coefficients p, elementwise: the scalar Horner kernel's operations (Python's
-    complex product written on the parts), so each value is polyval's bit for
-    bit.  numpy's complex array product fuses multiply-adds on some CPUs and
-    rounds differently."""
-    # acc = p[-1] + z * 0.0, with 0.0 taken as the complex 0 + 0j
-    zx, zy = x * 0.0, y * 0.0
-    re, im = p[-1].real + (zx - zy), p[-1].imag + (zx + zy)
-    for c in reversed(p[:-1]):
-        re, im = c.real + (re * x - im * y), c.imag + (re * y + im * x)
-    return re, im
 
 
 def graph_counterexample_pair() -> HoloCurvePair:
@@ -319,8 +309,9 @@ def curve_distance(pair: HoloCurvePair, points: Sequence[complex] | np.ndarray) 
     such as (z, z^2), the only pair the suite uses; for a general pair every
     start can land in a local minimum of E, and the result then overstates
     the distance (61 of 745 random cubic pairs and points did).
-    Every start of every point runs in one lockstep Newton, and each row
-    equals the call on its point alone, bit for bit.  Each start converges or
+    Every start of every point runs in one lockstep Newton, whose kernels are
+    elementwise or per row, so each row equals the call on its point alone,
+    bit for bit.  Each start converges or
     raises CurveDistanceError; a NaN propagates to its own point only.
     """
     points = np.asarray(points, dtype=complex)
@@ -338,8 +329,9 @@ def _newton_energies(pair: HoloCurvePair, points: np.ndarray, w: np.ndarray) -> 
     points[i], halving steps that raise E; every start keeps its own iterate,
     step and stopping tests, and leaves the lockstep when it stops.
 
-    Every quantity is formed per row (dots as ``np.vecdot``, complex products
-    on the parts), so a row's value does not depend on the batch.
+    Every quantity is formed per row (dots as ``np.vecdot``, products by
+    numpy's elementwise complex kernels), so a row's value does not depend on
+    the batch.
     """
     out = np.empty(len(w))
     index = np.arange(len(w))
@@ -362,12 +354,12 @@ def _newton_energies(pair: HoloCurvePair, points: np.ndarray, w: np.ndarray) -> 
             g = np.vecdot(df, r)
             # Newton step of a dw + b conj(dw) = -g while E's Hessian is definite, else Gauss-Newton
             abs_b = np.hypot(b.real, b.imag)
-            newton = (_product(b, np.conj(g)) - a * g) / (a * a - abs_b * abs_b)
+            newton = (b * np.conj(g) - a * g) / (a * a - abs_b * abs_b)
             step = np.where(a > abs_b, newton, -g / a)
             w = np.where(accept, trial, w)
             e = np.where(accept, e_trial, e)
             dw = np.where(accept, step, dw / 2.0)
-            g_dw = _product(g, step)
+            g_dw = g * step
             # E cannot move beyond roundoff (or is NaN), or a Newton or halved
             # step is below roundoff in w: no representable step lowers E
             flat = accept & ~(np.hypot(g_dw.real, g_dw.imag) > eps * e)
@@ -379,15 +371,6 @@ def _newton_energies(pair: HoloCurvePair, points: np.ndarray, w: np.ndarray) -> 
     if not len(w):
         return out
     raise CurveDistanceError(f"Newton did not converge in {_NEWTON_CAP} jets (w = {complex(w[0])})")
-
-
-def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x * y elementwise by the plain formula on the parts, as a scalar complex
-    product rounds; numpy's array product fuses multiply-adds on some CPUs."""
-    out = np.empty(x.shape, dtype=complex)
-    out.real = x.real * y.real - x.imag * y.imag
-    out.imag = x.real * y.imag + x.imag * y.real
-    return out
 
 
 def curve_geodesy_residual(

@@ -35,6 +35,27 @@ class TestScheme:
             np.testing.assert_array_equal(ours, theirs[:stages])
             assert theirs[stages] == 0.0
 
+    @pytest.mark.parametrize("row", [*geodesics_mod._A, geodesics_mod._B, geodesics_mod._E5, geodesics_mod._E3])
+    @pytest.mark.parametrize("shape", [(1, 4), (3, 8), (64, 24)])
+    def test_stage_sum_is_the_ordered_sum(self, row, shape, rng):
+        # one reduction over the stage axis must add the weighted stages in
+        # stage order, bit for bit, on the float stack and on a complex view
+        h = 0.37
+        k = rng.standard_normal((len(geodesics_mod._B),) + shape) + 1j * rng.standard_normal(shape)
+        terms = geodesics_mod._weighted(row, h)
+        for stages in (k.view(float), k[:, :, : shape[1] // 2]):
+            expected = None
+            for w, stage in zip(row, stages):
+                if w:
+                    expected = h * w * stage if expected is None else expected + h * w * stage
+            assert geodesics_mod._stage_sum(terms, stages).tobytes() == expected.tobytes()
+        # a stage of zero weight, or past the row, is not read: NaN or inf there
+        # leaves the sum finite
+        unread = [s for s in range(len(k)) if s >= len(row) or not row[s]]
+        k[unread[::2]], k[unread[1::2]] = np.nan, np.inf
+        for stages in (k.view(float), k[:, :, : shape[1] // 2]):
+            assert np.all(np.isfinite(geodesics_mod._stage_sum(terms, stages)))
+
     def test_observed_order_is_eight(self, monkeypatch):
         # log2 of the endpoint error ratio at h and h/2 against a 320-step
         # run, with no refinement

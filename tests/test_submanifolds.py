@@ -431,29 +431,31 @@ class TestCurveDistance:
 
 def _reference_energy(pair, point, w, kinds):
     """The scalar Newton from one start, the reference for ``curve_distance``'s
-    lockstep rows; ``kinds`` collects the steps it takes."""
-    dw, e = 0.0, np.inf
+    lockstep rows; ``kinds`` collects the steps it takes.  E sums the squares
+    of the parts as the lockstep does, and w, dw, b and g are 1-element
+    arrays, so their products run numpy's array kernels as the lockstep's do."""
+    w, dw, e = np.array([w], dtype=complex), np.zeros(1, dtype=complex), np.inf
     for _ in range(submanifolds_mod._NEWTON_CAP):
-        jet = pair.jet(w + dw)
-        e_trial = np.linalg.norm(jet[0] - point) ** 2
+        f, df, ddf = pair.jet(w + dw)[0]
+        r = f - point
+        e_trial = np.vecdot(r.real, r.real) + np.vecdot(r.imag, r.imag)
         if e_trial > e:
-            dw /= 2.0
+            dw = dw / 2.0
             kinds.add("halving")
         else:
             w, e = w + dw, e_trial
-            f, df, ddf = jet
             a = np.vdot(df, df).real
-            b = np.vdot(ddf, f - point)
-            g = np.vdot(df, f - point)
-            if a > abs(b):
-                dw = (b * np.conj(g) - a * g) / (a * a - abs(b) ** 2)
+            b, g = np.array([np.vdot(ddf, r)]), np.array([np.vdot(df, r)])
+            abs_b = abs(b[0])
+            if a > abs_b:
+                dw = (b * np.conj(g) - a * g) / (a * a - abs_b * abs_b)
                 kinds.add("newton")
             else:
                 dw = -g / a
                 kinds.add("gauss-newton")
-            if not abs(g * dw) > np.finfo(float).eps * e:
+            if not abs((g * dw)[0]) > np.finfo(float).eps * e:
                 return e
-        if not abs(dw) > submanifolds_mod._STEP_RTOL * max(1.0, abs(w)):
+        if not abs(dw[0]) > submanifolds_mod._STEP_RTOL * max(1.0, abs(w[0])):
             return e
     raise CurveDistanceError("reference start capped")
 
@@ -468,10 +470,14 @@ def _random_cubic_pair(rng):
     return HoloCurvePair(*(rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in range(2)))
 
 
+# batch sizes on both sides of the vector widths numpy's complex kernels use
+_KERNEL_SIZES = [1, 3, 4, 5, 8, 9, 16, 17, 41, 123]
+
+
 class TestArrayKernels:
     """A row of every array call equals the call on that row alone, bit for bit."""
 
-    @pytest.mark.parametrize("size", [1, 2, 41, 123])
+    @pytest.mark.parametrize("size", _KERNEL_SIZES)
     def test_jet_rows(self, size, rng):
         c1, c2 = (rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in range(2))
         pair = HoloCurvePair(c1, c2)
@@ -479,8 +485,10 @@ class TestArrayKernels:
         jets = pair.jet(ws)
         assert jets.shape == (size, 3, 2)
         for w, row in zip(ws, jets):
-            assert row.tobytes() == pair.jet(w).tobytes() == _polynomial_jet(c1, c2, w).tobytes()
+            assert row.tobytes() == pair.jet(w).tobytes() == pair.jet(np.array([w]))[0].tobytes()
+            assert row.tobytes() == _polynomial_jet(c1, c2, w).tobytes()
         assert pair.jet(ws.reshape(1, size)).tobytes() == jets.tobytes()
+        assert pair.jet(ws[::3]).tobytes() == jets[::3].tobytes()
 
     def test_jet_at_non_finite_w_matches_polynomial_reference(self):
         # f1'' is a constant row, whose value at an infinite w is NaN, as polyval's
@@ -491,15 +499,16 @@ class TestArrayKernels:
             for w, row in zip(ws, pair.jet(ws)):
                 assert row.tobytes() == pair.jet(w).tobytes() == _polynomial_jet(c1, c2, w).tobytes()
 
-    @pytest.mark.parametrize("size", [1, 2, 41, 123])
+    @pytest.mark.parametrize("size", _KERNEL_SIZES)
     def test_curve_distance_rows(self, size, rng):
         pair = graph_counterexample_pair()
         points = 1.5 * (rng.standard_normal((size, 2)) + 1j * rng.standard_normal((size, 2)))
         batch = curve_distance(pair, points)
         assert batch.shape == (size,)
+        assert curve_distance(pair, points[::3]).tobytes() == batch[::3].tobytes()
         for point, row in zip(points, batch):
-            assert row == curve_distance(pair, point)
-            # E is a sum of squares here, the scalar reference squares a norm
+            assert row == curve_distance(pair, point) == curve_distance(pair, point[None])[0]
+            # the scalar reference, whose bits test_lockstep_takes_every_step_kind pins
             ref = _reference_distance(pair, point, set())
             assert abs(row - ref) <= 4.0 * np.spacing(ref)
 
@@ -668,7 +677,7 @@ class TestHoloCurvePair:
                     assert np.array(r, dtype=complex).tobytes() == polyder(c, m).astype(complex).tobytes()
 
     def test_jet_equals_polyval_bitwise(self):
-        # the jet's Horner kernel on Python complex must reproduce numpy's polyval
+        # the jet's Horner kernel must reproduce numpy's polyval on a complex array
         rng = np.random.default_rng(18)
         pairs = [((1.0,), (0.0, 1.0))]  # the graph pair (z, z^2)
         pairs += [tuple(rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in range(2))
@@ -679,11 +688,14 @@ class TestHoloCurvePair:
             zs = [complex(*rng.standard_normal(2)), np.complex128(complex(*rng.standard_normal(2))),
                   np.float64(rng.standard_normal()), -float(rng.uniform()), 0.0, -0.0]
             for z in zs:
-                expected = [[polyval(z, polyder(c, m)) for c in coeffs] for m in range(3)]
+                w = np.asarray([z], dtype=complex)
+                expected = [[polyval(w, polyder(c, m))[0] for c in coeffs] for m in range(3)]
                 assert pair.jet(z).tobytes() == np.array(expected, dtype=complex).tobytes()
 
 
 def _polynomial_jet(coeffs1, coeffs2, z):
-    """Rows f, f', f'' of a HoloCurvePair at z from np.polynomial.Polynomial objects."""
+    """Rows f, f', f'' of a HoloCurvePair at z from np.polynomial.Polynomial
+    objects, evaluated on the 1-element array [z]."""
     polys = [np.polynomial.Polynomial([0.0, *np.asarray(c, dtype=complex)]) for c in (coeffs1, coeffs2)]
-    return np.array([[f.deriv(m)(z) if m else f(z) for f in polys] for m in range(3)], dtype=complex)
+    w = np.asarray([z], dtype=complex)
+    return np.array([[f.deriv(m)(w)[0] if m else f(w)[0] for f in polys] for m in range(3)], dtype=complex)
