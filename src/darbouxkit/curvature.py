@@ -194,7 +194,7 @@ def _fd_metric_derivatives(
     # one step size drives both nesting levels, so the composite has a clean
     # O(h^2) leading error term; points nest as (z + s_l) + s_k, outer step first
     second = first[..., :, None, :, None, :, :] + steps[:, None]  # [..., ql, qk, l, k, size, :]
-    rows = [z[..., None, :], first.reshape(batch + (-1, n)), second.reshape(batch + (-1, n))]
+    rows = [z[..., None, :], first.reshape(batch + (8 * n, n)), second.reshape(batch + (32 * n * n, n))]
     g = metric_at(model, np.concatenate(rows, axis=-2))
     # q axes to the front and the step size last: [q, ..., k, i, j, size]
     g1 = g[..., 1:1 + 8 * n, :, :].reshape(batch + (4, n, 2, n, n))

@@ -375,7 +375,7 @@ class PolyTestPotential(PotentialModel):
                 return np.full(rows, np.inf)
             rows_at = [self._evaluate(tp, rows) for tp in t.reshape(-1, self.n)]
             return np.reshape(rows_at, t.shape[:-1] + (rows,))
-        t_powers = t_powers.reshape(t.shape[:-1] + (-1,))
+        t_powers = t_powers.reshape(t.shape[:-1] + (self.n * len(self._exponents),))
         terms = np.multiply.reduce(t_powers[..., self._powers[:rows]], axis=-1)
         return np.add.reduce(self._weights[:rows] * terms, axis=-1)
 

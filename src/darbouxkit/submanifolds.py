@@ -10,11 +10,11 @@ Two kinds of probe objects live here:
   linearity check).
 
 * ``HoloCurvePair`` — a holomorphic curve z -> (f1(z), f2(z)) in C^2 with
-  f(0) = 0, used for the two-cigar curvature-defect identity: the Gauss
-  curvature of the induced metric minus the restricted ambient curvature
-  equals -|A|^2 / D for an explicit polynomial-in-derivatives obstruction A,
-  so the curve is totally geodesic exactly when A vanishes.  The shipped
-  counterexample is the graph z -> (z, z^2).
+  f(0) = 0, used for the two-cigar curvature-defect identity: induced minus
+  restricted ambient curvature, -|II(f', f')|^2 by the Gauss equation on the
+  model's Gamma and g, equals -|A|^2 / D for an explicit obstruction A in the
+  derivatives, so the curve is totally geodesic exactly when A vanishes.
+  The shipped counterexample is the graph z -> (z, z^2).
 """
 
 from __future__ import annotations
@@ -24,9 +24,10 @@ from typing import Sequence
 
 import numpy as np
 
+from .curvature import christoffel_at
 from .darboux import DarbouxMap
 from .geodesics import geodesic_integrate
-from .potentials import PotentialModel, metric_energy, sample_polydisc
+from .potentials import CigarProductPotential, PotentialModel, metric_energy, sample_polydisc
 
 __all__ = [
     "PhaseBlockEmbedding",
@@ -238,33 +239,32 @@ def _obstruction(jet: np.ndarray) -> np.ndarray:
     )
 
 
-def _induced_curvature(jet: np.ndarray) -> np.ndarray:
-    """Curvature R = -g_zzbar + |g_z|^2 / g of the two-cigar metric pulled back
-    along a curve, g = sum_m |f_m'|^2 / (1 + |f_m|^2), with analytic z / zbar
-    derivatives from the curve's (..., 3, 2) jets (no finite differences)."""
-    g, g_z, g_zzbar = 0.0, 0.0 + 0.0j, 0.0 + 0.0j
-    for a, da, dda in np.moveaxis(jet, (-1, -2), (0, 1)):
-        b, db, ddb = np.conj(a), np.conj(da), np.conj(dda)
-        h = 1.0 / (1.0 + a * b)
-        g += (da * db * h).real
-        g_z += dda * db * h - da**2 * db * b * h**2
-        g_zzbar += (
-            dda * ddb * h
-            - (dda * a * db**2 + da**2 * b * ddb + da**2 * db**2) * h**2
-            + 2.0 * da**2 * db**2 * a * b * h**3
-        )
-    if np.any(g <= 0.0):
+def _gauss_defect(model: PotentialModel, jet: np.ndarray) -> np.ndarray:
+    """Gauss equation's -|II(f', f')|^2_g for the (..., 3, 2) curve jets in an n = 2
+    model, from one ``christoffel_at`` call's Gamma and g: II is N = f'' + Gamma(f', f')
+    projected g-orthogonally to f', which keeps small defects accurate where
+    |g(N, f'bar)|^2 / g(f', f'bar) - g(N, Nbar) cancels.  NaN where f is not finite;
+    ValueError where g(f', f'bar) <= 0; each row is its own call's, bit for bit."""
+    f, df, ddf = np.moveaxis(jet, -2, 0)
+    finite = np.all(np.isfinite(f), axis=-1)
+    gamma, g = christoffel_at(model, np.where(finite[..., None], f, 0.0), return_metric=True)
+    normal = ddf + np.sum(np.sum(gamma * df[..., None, None, :], axis=-1) * df[..., None, :], axis=-1)
+    g_df = np.sum(g * np.conj(df)[..., None, :], axis=-1)  # g_{j kbar} conj(f'^k)
+    g_tangent = np.sum(df * g_df, axis=-1).real
+    if np.any(g_tangent <= 0.0):
         raise ValueError("degenerate induced metric (both derivatives vanish)")
-    return -g_zzbar.real + abs(g_z) ** 2 / g
+    normal -= (np.sum(normal * g_df, axis=-1) / g_tangent)[..., None] * df
+    defect = -np.sum(normal * np.sum(g * np.conj(normal)[..., None, :], axis=-1), axis=-1).real
+    return np.where(finite, defect, np.nan)
 
 
 def curvature_defect(pair: HoloCurvePair, z: complex | np.ndarray) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """(direct, viaA): induced-minus-restricted curvature, both routes, at z,
-    or a pair of arrays over an array of z.
+    or a pair of arrays over an array of z, in the two-cigar model.
 
-    The direct route differentiates the induced metric and subtracts the
-    ambient R(T, Tbar, T, Tbar) along the tangent; the closed route is
-    -|A|^2 / D.  Totally geodesic curves give 0; the defect is never positive.
+    The direct route is the Gauss equation on the model's Gamma and g,
+    -|II(f', f')|^2_g; the closed route is -|A|^2 / D.  Totally geodesic
+    curves give 0; the defect is never positive.
     Where the evaluation overflows, a ValueError names z (in an array, the
     first such point, with that point's own error); a NaN z gives NaNs.
     """
@@ -276,11 +276,11 @@ def curvature_defect(pair: HoloCurvePair, z: complex | np.ndarray) -> tuple[floa
             (f1, f2), (df1, df2), _ = np.moveaxis(jet, (-2, -1), (0, 1))
             m1 = 1.0 + abs(f1) ** 2
             m2 = 1.0 + abs(f2) ** 2
-            direct = _induced_curvature(jet) - (abs(df1) ** 4 / m1**3 + abs(df2) ** 4 / m2**3)
             d1 = abs(df1) ** 2
             d2 = abs(df2) ** 2
             denom = (d1 * m2 + d2 * m1) * m1**2 * m2**2
             via_a = -abs(_obstruction(jet)) ** 2 / denom
+            direct = _gauss_defect(CigarProductPotential(2), jet)
     except ArithmeticError as err:  # numpy's FloatingPointError
         if np.ndim(z) > 0:
             for zi in zs:

@@ -27,9 +27,12 @@ from darbouxkit import (
     SampleRegion,
     SolitonPotential,
     SolitonProfile,
+    christoffel_at,
     cond0_scan,
+    curvature_at,
     flat_potential,
     fold_test_model,
+    geodesic_integrate,
     hermitian_to_two_form,
     metric_at,
     model_from_descriptor,
@@ -431,6 +434,27 @@ class TestBatchedJets:
         stacked = model.derivative_tensors(np.stack([rows, rows[::-1]]), 2)
         assert stacked[1][0].tobytes() == batch[1].tobytes()
         assert stacked[1][1].tobytes() == batch[1][::-1].tobytes()
+
+    @pytest.mark.parametrize("make", [
+        lambda: CigarProductPotential(2),
+        lambda: soliton_potential(SolitonProfile(2)),
+        poly_test_model,
+        lambda: flat_potential(3),
+    ], ids=["cigar", "soliton", "poly", "flat"])
+    def test_empty_batch_on_every_routine(self, make):
+        # a (0, n) batch gives empty results of the batch's shape, not a reshape error
+        model = make()
+        n = model.n
+        z = np.empty((0, n), dtype=complex)
+        dm = DarbouxMap(model)
+        assert metric_at(model, z).shape == (0, n, n)
+        assert christoffel_at(model, z).shape == (0, n, n, n)
+        for method in ("analytic", "fd"):
+            assert curvature_at(model, z, method=method).shape == (0, n, n, n, n)
+        assert dm.map_point(z).shape == (0, n)
+        assert dm.jacobian(z, method="fd").shape == (0, 2 * n, 2 * n)
+        assert dm.pullback_residual(z).shape == (0,)
+        assert geodesic_integrate(model, z, z, 1.0) == []
 
     @pytest.mark.parametrize("model", [*shipped_models(), fold_test_model()], ids=lambda m: m.name)
     def test_jet_prefix_is_order_independent(self, model, rng):

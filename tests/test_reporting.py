@@ -312,9 +312,9 @@ class TestBatchedClaims:
 
         monkeypatch.setattr(reporting_mod, "curvature_at", counted)
         assert run_claim("cigar-curvature", RunConfig(points=30)).passed
-        # the FD cross-check stays one point per call (its stencil is 1 + 8n + 32n^2 rows)
+        # the FD cross-check runs in calls of five points (its stencil is 1 + 8n + 32n^2 rows)
         assert shapes == [call for n in (1, 2, 3)
-                          for call in [(n, "analytic", (30, n))] + [(n, "fd", (n,))] * 25]
+                          for call in [(n, "analytic", (30, n))] + [(n, "fd", (5, n))] * 5]
 
     @pytest.mark.parametrize("claim", ["cigar-pullback", "soliton-pullback"])
     def test_nan_in_one_row_fails_the_claim(self, monkeypatch, claim):

@@ -32,13 +32,17 @@ from darbouxkit import (
     SolitonProfile,
     a_obstruction,
     ciriza_image_check,
+    curvature_at,
     curvature_defect,
     curve_distance,
     curve_geodesy_residual,
     curve_image_rank,
     geodesic_integrate,
     graph_counterexample_pair,
+    metric_at,
+    poly_test_model,
     run_claim,
+    sample_polydisc,
     soliton_potential,
     standard_catalog,
     total_geodesy_residual,
@@ -336,12 +340,53 @@ class TestObstruction:
         assert abs(via) <= 1e-13
 
 
+def _induced_curvature(jet: np.ndarray) -> np.ndarray:
+    """Reference: curvature R = -g_zzbar + |g_z|^2 / g of the two-cigar metric
+    pulled back along a curve, g = sum_m |f_m'|^2 / (1 + |f_m|^2), with z / zbar
+    derivatives derived by hand from the curve's (..., 3, 2) jets."""
+    g, g_z, g_zzbar = 0.0, 0.0 + 0.0j, 0.0 + 0.0j
+    for a, da, dda in np.moveaxis(jet, (-1, -2), (0, 1)):
+        b, db, ddb = np.conj(a), np.conj(da), np.conj(dda)
+        h = 1.0 / (1.0 + a * b)
+        g += (da * db * h).real
+        g_z += dda * db * h - da**2 * db * b * h**2
+        g_zzbar += (
+            dda * ddb * h
+            - (dda * a * db**2 + da**2 * b * ddb + da**2 * db**2) * h**2
+            + 2.0 * da**2 * db**2 * a * b * h**3
+        )
+    return -g_zzbar.real + abs(g_z) ** 2 / g
+
+
+def _hand_defect(jet: np.ndarray) -> np.ndarray:
+    """Reference: the induced curvature minus the two-cigar ambient term
+    R(f', f'bar, f', f'bar) = sum_m |f_m'|^4 / (1 + |f_m|^2)^3."""
+    (f1, f2), (df1, df2), _ = np.moveaxis(jet, (-2, -1), (0, 1))
+    ambient = abs(df1) ** 4 / (1.0 + abs(f1) ** 2) ** 3 + abs(df2) ** 4 / (1.0 + abs(f2) ** 2) ** 3
+    return _induced_curvature(jet) - ambient
+
+
+def _fd_induced_curvature(model, pair: HoloCurvePair, w: np.ndarray, h: float = 1e-3) -> np.ndarray:
+    """R_C = -g_C (1/4) Laplacian(log g_C) of the induced metric
+    g_C = g(f', f'bar), from Richardson-extrapolated five-point Laplacians
+    (steps h and h/2) of ``metric_at`` along the curve."""
+    sizes = np.array([h, h / 2.0])
+    steps = np.array([1.0, -1.0, 1j, -1j])[:, None] * sizes  # [direction, size]
+    jet = pair.jet(w[:, None] + np.concatenate([[0.0], steps.ravel()]))
+    df = jet[..., 1, :]
+    g_c = np.sum(df * np.sum(metric_at(model, jet[..., 0, :]) * np.conj(df)[..., None, :], axis=-1), axis=-1).real
+    log_g = np.log(g_c)
+    ring = log_g[:, 1:].reshape(-1, 4, 2).sum(axis=1)  # [point, size]
+    laplacian = (ring - 4.0 * log_g[:, :1]) / sizes**2
+    return -g_c[:, 0] * 0.25 * (4.0 * laplacian[:, 1] - laplacian[:, 0]) / 3.0
+
+
 class TestInducedMetric:
     def test_curvature_finite(self, rng):
         pair = graph_counterexample_pair()
         for _ in range(5):
             z = complex(*rng.uniform(-1.0, 1.0, size=2))
-            assert np.isfinite(submanifolds_mod._induced_curvature(pair.jet(z)))
+            assert np.isfinite(_induced_curvature(pair.jet(z)))
 
     def test_flat_direction_curvature(self):
         # curve (z, 0) inherits a single cigar factor with g = 1/(1+t):
@@ -349,7 +394,55 @@ class TestInducedMetric:
         pair = HoloCurvePair((1.0,), (0.0,))
         for z in (0.0, 0.5, 1.0 + 0.5j):
             t = abs(z) ** 2
-            assert submanifolds_mod._induced_curvature(pair.jet(z)) == pytest.approx(1.0 / (1.0 + t) ** 3, rel=1e-11)
+            assert _induced_curvature(pair.jet(z)) == pytest.approx(1.0 / (1.0 + t) ** 3, rel=1e-11)
+
+
+class TestGaussDefect:
+    """The direct defect is the Gauss equation on the model's Gamma and g."""
+
+    def test_matches_the_hand_derived_two_cigar_defect(self, rng):
+        for _ in range(20):
+            pair = _random_cubic_pair(rng)
+            zs = 1.5 * (rng.standard_normal(25) + 1j * rng.standard_normal(25))
+            direct, _ = curvature_defect(pair, zs)
+            assert np.all(abs(direct - _hand_defect(pair.jet(zs))) <= 1e-12 * np.fmax(1.0, abs(direct)))
+
+    @pytest.mark.parametrize("make", [
+        lambda: CigarProductPotential(2),
+        lambda: soliton_potential(SolitonProfile(2)),
+        poly_test_model,
+    ], ids=["cigar-n2", "soliton-n2", "poly-n2"])
+    def test_equals_induced_minus_ambient_curvature(self, make, rng):
+        # R_C from differences of metric_at along the curve, R_M from curvature_at:
+        # no Gamma and no second fundamental form on this route
+        model = make()
+        for _ in range(10):
+            pair = _random_cubic_pair(rng)
+            w = sample_polydisc(rng, 10, 1, 1.0)[:, 0]
+            jet = pair.jet(w)
+            df = jet[:, 1]
+            r = curvature_at(model, jet[:, 0])
+            ambient = np.sum(r * (df[:, :, None, None, None] * np.conj(df)[:, None, :, None, None]
+                                  * df[:, None, None, :, None] * np.conj(df)[:, None, None, None, :]),
+                             axis=(1, 2, 3, 4)).real
+            induced = _fd_induced_curvature(model, pair, w)
+            gauss = submanifolds_mod._gauss_defect(model, jet)
+            assert np.all(abs(induced - ambient - gauss) <= 1e-7 * np.fmax(abs(induced), abs(ambient)))
+
+    @pytest.mark.parametrize("make, geodesic", [
+        (lambda: soliton_potential(SolitonProfile(2)), True),
+        (lambda: CigarProductPotential(2), False),
+        (poly_test_model, False),
+    ], ids=["soliton-n2", "cigar-n2", "poly-n2"])
+    def test_line_is_totally_geodesic_only_on_the_u2_invariant_soliton(self, make, geodesic, rng):
+        # the complex line (z, 2z) is fixed by a unitary reflection of the
+        # U(2)-invariant soliton, which the cigar product and the poly model lack
+        w = np.linspace(0.3, 1.5, 13) * np.exp(2j * np.pi * rng.uniform(size=13))
+        defect = submanifolds_mod._gauss_defect(make(), HoloCurvePair((1.0,), (2.0,)).jet(w))
+        if geodesic:
+            assert np.max(abs(defect)) <= 1e-14
+        else:
+            assert np.max(defect) < -1e-3
 
 
 class TestCurveGeodesyModel:
@@ -540,7 +633,7 @@ class TestArrayKernels:
         assert np.isnan(batch[1]) and np.isnan(batch[2])
         assert [batch[0], batch[3]] == [curve_distance(pair, points[0]), curve_distance(pair, points[3])]
 
-    @pytest.mark.parametrize("size", [1, 2, 41, 123])
+    @pytest.mark.parametrize("size", sorted([2, *_KERNEL_SIZES]))
     def test_defect_and_obstruction_rows(self, size, rng):
         pair = _random_cubic_pair(rng)
         zs = 1.5 * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
