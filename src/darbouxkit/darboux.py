@@ -20,8 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .potentials import (PotentialModel, _check_domain, hermitian_to_two_form, metric_at, metric_from_jet,
-                         radial_coords)
+from .potentials import (PotentialModel, _check_domain, _check_jet_finite, hermitian_to_two_form, metric_at,
+                         metric_from_jet, radial_coords)
 
 __all__ = [
     "MapDomainError",
@@ -48,7 +48,7 @@ def _check_first_derivative(z: np.ndarray, d1: np.ndarray, bad: np.ndarray, what
         n = z.shape[-1]
         k = np.flatnonzero(np.any(bad.reshape(-1, n), axis=-1))[0]
         z, d1, bad = z.reshape(-1, n)[k], d1.reshape(-1, n)[k], bad.reshape(-1, n)[k]
-        _check_domain(z, d1, ~np.isfinite(d1), "potential derivatives are not finite: first derivative")
+        _check_jet_finite(z, d1, ~np.isfinite(d1))
         _check_domain(z, d1, bad, what, MapDomainError)
 
 

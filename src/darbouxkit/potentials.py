@@ -74,6 +74,22 @@ def _check_domain(
         raise error(f"{what} {values.reshape(-1, n)[k]} at z={z.reshape(-1, n)[k]}")
 
 
+def _check_jet_finite(z: np.ndarray, d1: np.ndarray, bad: np.ndarray) -> None:
+    """``metric_from_jet``'s ValueError for the first point of z where ``bad``
+    holds: "potential derivatives are not finite: first derivative {its row of
+    d1} at z=...", or, where that point is finite but some |z_j|^2 overflows,
+    "radial coordinate |z_j|^2 overflows: t=... at z=..."."""
+    if np.logical_or.reduce(bad, axis=None):
+        n = z.shape[-1]
+        k = np.flatnonzero(np.any(bad.reshape(-1, n), axis=-1))[0]
+        z, d1 = z.reshape(-1, n)[k], d1.reshape(-1, n)[k]
+        with np.errstate(over="ignore"):
+            t = radial_coords(z)
+        if np.isfinite(z).all() and np.isinf(t).any():
+            raise ValueError(f"radial coordinate |z_j|^2 overflows: t={t} at z={z}")
+        raise ValueError(f"potential derivatives are not finite: first derivative {d1} at z={z}")
+
+
 def _jet_order(order: int) -> int:
     """``order`` if ``derivative_tensors`` answers it (1 to 4), else ValueError."""
     if order not in (1, 2, 3, 4):
@@ -527,8 +543,7 @@ def metric_from_jet(z: Sequence[complex], jet: Sequence[np.ndarray]) -> np.ndarr
     d1, d2 = jet[:2]
     all_finite = np.logical_and.reduce
     if not (all_finite(np.isfinite(d1), axis=None) and all_finite(np.isfinite(d2), axis=None)):
-        bad = ~(np.isfinite(d1) & np.isfinite(d2).all(axis=-1))
-        _check_domain(z, d1, bad, "potential derivatives are not finite: first derivative")
+        _check_jet_finite(z, d1, ~(np.isfinite(d1) & np.isfinite(d2).all(axis=-1)))
     g = np.zeros(d2.shape, dtype=complex)  # C order, so reshape gives a view
     n = z.shape[-1]
     g.reshape(g.shape[:-2] + (n * n,))[..., :: n + 1] = d1

@@ -198,7 +198,9 @@ class VerificationReport:
 # the claim skeleton
 # ---------------------------------------------------------------------------
 
-_ClaimBody = Callable[[RunConfig, np.random.Generator], tuple[object, int, float, Mapping]]
+# a forward reference: evaluating np.random.Generator would load numpy.random
+# at import, and only a claim run samples
+_ClaimBody = Callable[[RunConfig, "np.random.Generator"], tuple[object, int, float, Mapping]]
 
 # claim id -> (body, tolerance); ``run_claim`` turns a body's result into a report
 _CLAIMS: dict[str, tuple[_ClaimBody, float]] = {}

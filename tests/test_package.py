@@ -1,10 +1,15 @@
 """The package namespace re-exports exactly the library modules' public names,
 so a name dropped from a module cannot linger in ``darbouxkit.__all__``, and
 every public name, and every module-level private name of the library, has a
-reader outside the tests."""
+reader outside the tests.  The claim layers (geodesics, submanifolds,
+reporting) load on first use, so evaluating a point loads none of them."""
 
 import ast
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 from types import FunctionType
 
@@ -20,13 +25,105 @@ ROOT = Path(__file__).resolve().parent.parent
 def test_all_is_the_union_of_the_module_lists():
     lists = [darbouxkit.__all__, *(module.__all__ for module in MODULES)]
     assert all(len(names) == len(set(names)) for names in lists)
-    assert set(darbouxkit.__all__) == set().union(*(module.__all__ for module in MODULES))
+    # the package lists the lazily loaded names itself, so they must follow
+    # the modules' own lists, in order
+    assert darbouxkit.__all__ == [name for module in MODULES for name in module.__all__]
 
 
 def test_every_listed_name_resolves_to_its_module_object():
     for module in MODULES:
         for name in module.__all__:
             assert getattr(darbouxkit, name) is getattr(module, name), f"{module.__name__}.{name}"
+
+
+def _fresh(code: str):
+    """The JSON that ``code`` prints from a fresh interpreter on the library."""
+    src = str(Path(darbouxkit.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return json.loads(out.stdout)
+
+
+CLAIM_LAYERS = ["darbouxkit.geodesics", "darbouxkit.submanifolds", "darbouxkit.reporting", "numpy.random"]
+
+
+def test_point_evaluation_loads_no_claim_layer():
+    code = f"""if True:
+        import json, sys
+        import darbouxkit as dk
+        def loaded():
+            return [m for m in {CLAIM_LAYERS!r} if m in sys.modules]
+        z = [0.3 + 0.2j, 0.7 - 0.1j]
+        for model in (dk.CigarProductPotential(2), dk.SolitonPotential(dk.SolitonProfile(2))):
+            dk.metric_at(model, z)
+            dk.christoffel_at(model, z)
+            dk.curvature_at(model, z)
+            dk.DarbouxMap(model).pullback_residual(z)
+            dk.DarbouxMap(model).pullback_residual(z, method="fd")
+        points = loaded()
+        dk.run_claim
+        print(json.dumps([points, loaded()]))
+    """
+    # reading a claim-layer name loads the layers; only a claim run samples
+    assert _fresh(code) == [[], CLAIM_LAYERS[:3]]
+
+
+def test_reporting_import_leaves_numpy_random_unloaded():
+    assert _fresh("import json, sys, darbouxkit.reporting; print(json.dumps('numpy.random' in sys.modules))") is False
+
+
+def test_lazy_names_bind_nothing_in_the_package():
+    # a name bound here on first use would stay bound to whatever its module
+    # held then, say the benchmark tracer's wrapper
+    code = """if True:
+        import json, sys
+        import darbouxkit as dk
+        modules = set(sys.modules)
+        misses = []
+        for probe in ("__wrapped__", "no_such_name"):
+            try:
+                getattr(dk, probe)
+            except AttributeError:
+                misses.append(probe)
+        loaded_by_misses = sorted(set(sys.modules) - modules)
+        before = dict(vars(dk))
+        for name in dk.__all__:
+            getattr(dk, name)
+        after = vars(dk)
+        star = {}
+        exec("from darbouxkit import *", star)
+        print(json.dumps({
+            "misses": misses,
+            "loaded_by_misses": loaded_by_misses,
+            "added": sorted(set(after) - set(before)),
+            "rebound": sorted(k for k in before if after[k] is not before[k]),
+            "star": sorted(set(star) - {"__builtins__"}) == sorted(dk.__all__),
+            "count": len(dk.__all__),
+            "dir": "__all__" in dir(dk) and set(dk.__all__) <= set(dir(dk)),
+        }))
+    """
+    assert _fresh(code) == {
+        "misses": ["__wrapped__", "no_such_name"],
+        "loaded_by_misses": [],
+        "added": ["geodesics", "reporting", "submanifolds"],
+        "rebound": [],
+        "star": True,
+        "count": 57,
+        "dir": True,
+    }
+
+
+def test_a_claim_layer_module_resolves_on_the_package():
+    code = """if True:
+        import json, darbouxkit
+        print(json.dumps(darbouxkit.reporting.__name__))
+    """
+    assert _fresh(code) == "darbouxkit.reporting"
 
 
 def _names_read(sources) -> set[str]:

@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
-import darbouxkit  # noqa: F401  (loads every module the tracer patches)
+# every module the tracer patches; the package alone loads the claim layers
+# only on first use, and _bindings() must see them before the patching
+from darbouxkit import geodesics, reporting, submanifolds  # noqa: F401
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 

@@ -581,15 +581,27 @@ class TestOutOfRangePoints:
         with pytest.raises(ProfileSolveError, match="no convergence at s=1.0"):
             model.derivative_tensors([[0.5, 0.5]], 2)
 
-    @pytest.mark.parametrize("model, z", [
-        (SolitonPotential(SolitonProfile(2)), [1e200, 0.0]),
-        (SolitonPotential(SolitonProfile(1)), [1e200]),
-        (fold_test_model(), [1e100]),
-    ], ids=["soliton-n2", "soliton-n1", "fold"])
-    def test_metric_names_the_point(self, model, z):
-        with np.errstate(over="ignore"):  # |z_j|^2 itself overflows at 1e200
-            with pytest.raises(ValueError, match=r"potential derivatives are not finite.* at z=\[1\.e\+"):
-                metric_at(model, z)
+    def test_metric_names_the_point(self):
+        # t = 1e200 is finite; the fold's t^2 overflows
+        with pytest.raises(ValueError, match=r"potential derivatives are not finite.* at z=\[1\.e\+100"):
+            metric_at(fold_test_model(), [1e100])
+
+    @pytest.mark.parametrize("make, z, t", [
+        (lambda: CigarProductPotential(1), [1e200], r"\[inf\]"),
+        (lambda: SolitonPotential(SolitonProfile(1)), [1e200], r"\[inf\]"),
+        (lambda: SolitonPotential(SolitonProfile(2)), [1e200, 0.0], r"\[inf  0\.\]"),
+        (poly_test_model, [1e200, 0.5], r"\[ inf 0\.25\]"),
+    ], ids=["cigar-n1", "soliton-n1", "soliton-n2", "poly-n2"])
+    def test_overflowing_radial_coordinate_is_named(self, make, z, t):
+        # z is finite, so "first derivative [nan]" blamed the potential for
+        # what is the overflow of |z_j|^2
+        model = make()
+        dm = DarbouxMap(model)
+        named = rf"^radial coordinate \|z_j\|\^2 overflows: t={t} at z=\[1\.e\+200\+0\.j"
+        calls = [lambda z: metric_at(model, z), dm.map_point, dm.jacobian, lambda z: dm.jacobian(z, method="fd")]
+        for call in calls:
+            with np.errstate(over="ignore"), pytest.raises(ValueError, match=named):
+                call(z)
 
     @pytest.mark.parametrize("make", [
         lambda: flat_potential(1), fold_test_model, poly_test_model,
