@@ -37,7 +37,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .soliton import SolitonProfile, _dimension, _series_weights
+from .soliton import SolitonProfile, _dimension, _horner, _radial_weights
 
 __all__ = [
     "PotentialModel",
@@ -146,15 +146,13 @@ def _cigar_diagonals(t: np.ndarray, order: int) -> list[np.ndarray]:
         ts = t[series]
         if ts.min() < 0.0:
             raise ValueError("radial coordinate must be nonnegative")
-        # two columns at least: numpy sums a lone column pairwise, which would
-        # make D1 at order 1 round differently from D1 at orders 2..4
-        columns = _CIGAR_SERIES[:, :max(order, 2)]
-        # in blocks of rows, so the (rows, 48, columns) table stays small; a
-        # row's sum is the same in any block
-        values = np.empty((len(ts), columns.shape[1]))
+        # every order sums all four columns, so D1 rounds alike at orders 1..4;
+        # in blocks of rows, so the (rows, 48, 4) table stays small; a row's
+        # sum is the same in any block
+        values = np.empty((len(ts), 4))
         for i in range(0, len(ts), _CIGAR_SERIES_BLOCK):
             block = ts[i:i + _CIGAR_SERIES_BLOCK, None, None]
-            values[i:i + _CIGAR_SERIES_BLOCK] = np.add.reduce(np.power(block, _CIGAR_POWERS) * columns, axis=1)
+            values[i:i + _CIGAR_SERIES_BLOCK] = np.add.reduce(np.power(block, _CIGAR_POWERS) * _CIGAR_SERIES, axis=1)
         for p, diagonal in enumerate(out):
             diagonal[series] = values[:, p]
     return out
@@ -273,15 +271,7 @@ class SolitonPotential(PotentialModel):
         if s < 0.0:
             raise ValueError("s must be nonnegative")
         if s < _RADIAL_SERIES_S:
-            # Phi'(s) = u'(log s)/s = sum_k b_k s^(k-1), so q-th derivatives
-            # carry the falling factorial (k-1)...(k-q+1), zero for k < q
-            acc = [0.0] * order
-            for k, b in enumerate(_series_weights(self.n, 0), 1):
-                weight = 1.0
-                for q in range(1, min(k, order) + 1):
-                    acc[q - 1] += weight * b * s ** (k - q)
-                    weight *= k - q
-            return tuple(acc)
+            return tuple([_horner(_radial_weights(self.n, q), s) for q in range(1, order + 1)])
         # signed Stirling numbers of the first kind: C_q s^q = sum_m s(q, m) u^(m)
         u1, u2, u3, u4 = self.profile.derivatives(log(s))
         sums = (u1, -u1 + u2, 2.0 * u1 - 3.0 * u2 + u3, -6.0 * u1 + 11.0 * u2 - 6.0 * u3 + u4)[:order]

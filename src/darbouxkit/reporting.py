@@ -88,8 +88,9 @@ _DEFECT_BOUND = 1e-8  # relative gap between the two curvature-defect routes
 class RunConfig:
     """Suite configuration; every field has a sensible default.
 
-    ``claims`` restricts which claims run (default all).  Tolerances, the
-    sampling radius and the properness threshold are fixed by the claims.
+    ``claims``, a list of claim ids kept as a tuple, restricts which claims
+    run (default all).  Tolerances, the sampling radius and the properness
+    threshold are fixed by the claims.
     """
 
     seed: int = 20260814
@@ -103,11 +104,17 @@ class RunConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
                 raise ValueError(f"config error: {name} must be an integer >= {low}")
-        if not 0.0 < self.geodesic_length < inf:
-            raise ValueError("config error: geodesic_length must be finite and > 0")
-        for claim in self.claims or ():
-            if claim not in CLAIM_IDS:
-                raise ValueError(f"config error: unknown claim id {claim!r}")
+        length = self.geodesic_length
+        real = isinstance(length, (int, float, np.integer, np.floating)) and not isinstance(length, bool)
+        if not (real and 0.0 < length < inf):
+            raise ValueError(f"config error: geodesic_length must be finite and > 0, got {length!r}")
+        if self.claims is not None:
+            if not isinstance(self.claims, (list, tuple)) or not all(isinstance(c, str) for c in self.claims):
+                raise ValueError(f"config error: claims must be a list of claim ids, got {self.claims!r}")
+            object.__setattr__(self, "claims", tuple(self.claims))
+            for claim in self.claims:
+                if claim not in CLAIM_IDS:
+                    raise ValueError(f"config error: unknown claim id {claim!r}")
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "RunConfig":
@@ -115,10 +122,7 @@ class RunConfig:
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"config error: unknown keys {sorted(unknown)}")
-        kwargs = dict(data)
-        if "claims" in kwargs and kwargs["claims"] is not None:
-            kwargs["claims"] = tuple(kwargs["claims"])
-        return cls(**kwargs)
+        return cls(**data)
 
     @classmethod
     def from_json(cls, path: str | Path) -> "RunConfig":

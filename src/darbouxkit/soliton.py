@@ -22,31 +22,28 @@ root solve.  Two branches keep the solve stable on the whole line:
 ``_newton(t)`` is seeded from the asymptotic inverses of F_n, safeguarded by
 a bracket, and raises ``ProfileSolveError`` instead of returning an
 unconverged iterate, or where F_n leaves the float range (for |t| <= 10
-from n = 133 on).  The closed form's tail polynomial p runs one
-Horner kernel on Python floats, ``_horner``, in numpy's polyval order:
-polyval's values bit for bit, without its per-call array overhead.  Each t
-costs one solve: ``derivatives`` gets u'' ... u'''' from u' through the
-profile equation (Cao 1996), or from the same series on the series branch.
+from n = 133 on).  Each t costs one solve: ``derivatives`` gets u'' ... u''''
+from u' through the profile equation (Cao 1996), or from the series.
 
-Nothing that depends on n alone is rebuilt per solve: a ``SolitonProfile``
-builds its ``FIntegral`` at construction, an ``FIntegral`` reads
-``_closed_form(n)`` on its first closed-form evaluation, and the series
-branch runs the same Horner kernel over ``_series_weights(n, p)``, the k^p b_k
-as Python floats (the radial series of ``SolitonPotential`` reads p = 0, the
-b_k).  ``_MAX_NEWTON_ITER`` stays a module constant read per solve.
+One Horner kernel, ``_horner`` in numpy's polyval order, sums the series of
+F_n's tail polynomial p, the profile's k^p b_k (``_series_weights(n, p)``),
+the radial jet's (k-1)...(k-q+1) b_k (``_radial_weights(n, q)``, for
+``SolitonPotential``) and the curve jets of ``submanifolds.HoloCurvePair``.
+Nothing that depends on n alone is rebuilt per solve: the tables are Python
+floats cached per n, and an ``FIntegral`` reads ``_closed_form(n)`` once.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from math import exp, expm1, factorial, inf, isfinite, log
+from math import exp, expm1, factorial, inf, isfinite, log, perm
 
 import numpy as np
 
 __all__ = ["FIntegral", "ProfileSolveError", "SolitonProfile", "profile_table"]
 
-_F_SERIES_CUTOFF = 0.5   # F_n power series below, closed form above (at least)
+_F_SERIES_CUTOFF = 0.5   # the lowest closed-form cutoff of F_n, where its search starts
 _F_CLOSED_COND = 1e4     # largest condition number of F_n's closed form in use
 _F_SERIES_TERMS = 400    # cap of the F_n power series (182 terms at n = 120's cutoff)
 _F_SERIES_RESCALE = 2.0**900  # scale of the series' running power and factorial
@@ -57,10 +54,11 @@ _MAX_NEWTON_ITER = 100  # cap of the profile root solve
 _NEWTON_TOL = 1e-13     # the root solve stops once |step| <= this * u'
 
 
-def _horner(p: tuple[float, ...], x: float) -> float:
-    """p(x) for ascending coefficients p, by Horner on Python floats in
+def _horner(p: tuple, x):
+    """p(x) for ascending coefficients p, by Horner in
     ``numpy.polynomial.polynomial.polyval``'s operation order, so every value
-    is polyval's bit for bit without its per-call array overhead."""
+    is polyval's bit for bit without its per-call array overhead, on a Python
+    float or elementwise on a complex array x."""
     acc = p[-1] + x * 0.0
     for c in reversed(p[:-1]):
         acc = c + acc * x
@@ -135,6 +133,15 @@ def _series_weights(n: int, p: int) -> tuple[float, ...]:
     return tuple(float(float(k) ** p * b[k]) for k in range(1, len(b)))
 
 
+@functools.lru_cache(maxsize=None)
+def _radial_weights(n: int, q: int) -> tuple[float, ...]:
+    """((k-1)(k-2)...(k-q+1) b_k for k = q, q+1, ...) on Python floats: the
+    series C_q(s) = sum_k (k-1)...(k-q+1) b_k s^(k-q), the (q-1)-th
+    derivative of Phi'(s) = u'(log s) / s = sum_k b_k s^(k-1)."""
+    b = _series_coefficients(n)
+    return tuple(float(perm(k - 1, q - 1) * b[k]) for k in range(q, len(b)))
+
+
 def _dimension(n) -> int:
     """n as an int if it is an int or numpy integer >= 1; ValueError otherwise,
     for a bool or a float too."""
@@ -163,14 +170,12 @@ class FIntegral:
 
     @functools.cached_property
     def _closed(self) -> tuple[float, tuple[float, ...], float]:
-        """``_closed_form(n)``, read on the first evaluation that needs it."""
+        """``_closed_form(n)``, read on the first evaluation."""
         return _closed_form(self.n)
 
     def eval(self, x: float) -> float:
         if x < 0.0:
             raise ValueError("F is only evaluated on x >= 0")
-        if x < _F_SERIES_CUTOFF:
-            return self._series(x)
         cutoff, p, c = self._closed
         if x < cutoff:
             return self._series(x)
@@ -180,17 +185,16 @@ class FIntegral:
         """log F_n(x): the log of ``eval`` below the closed form's cutoff, and
         x + log(p(x) + c e^(-x)) = log(e^x p(x) + c) above it, without e^x
         (or x^(n-1), factored out of p where p(x) overflows)."""
-        if x >= _F_SERIES_CUTOFF:
-            cutoff, p, c = self._closed
-            if x >= cutoff:
-                shift = 0.0
-                tail = _horner(p, x) + c * exp(-x)
-                if tail == inf:  # p(x) ~ x^(n-1) overflows (n >= 117, near x = 455)
-                    shift = (self.n - 1) * log(x)
-                    tail = _horner(p[::-1], 1.0 / x) + c * exp(-x - shift)
-                if not tail > 0.0:
-                    raise ValueError(f"log form of F_{self.n} has p(x) + c e^(-x) = {tail!r} at x={x!r}")
-                return x + shift + log(tail)
+        cutoff, p, c = self._closed
+        if x >= cutoff:
+            shift = 0.0
+            tail = _horner(p, x) + c * exp(-x)
+            if tail == inf:  # p(x) ~ x^(n-1) overflows (n >= 117, near x = 455)
+                shift = (self.n - 1) * log(x)
+                tail = _horner(p[::-1], 1.0 / x) + c * exp(-x - shift)
+            if not tail > 0.0:
+                raise ValueError(f"log form of F_{self.n} has p(x) + c e^(-x) = {tail!r} at x={x!r}")
+            return x + shift + log(tail)
         return log(self.eval(x))
 
     def _series(self, x: float) -> float:

@@ -28,6 +28,7 @@ from .curvature import christoffel_at
 from .darboux import DarbouxMap
 from .geodesics import geodesic_integrate
 from .potentials import CigarProductPotential, PotentialModel, metric_energy, sample_polydisc
+from .soliton import _horner
 
 __all__ = [
     "PhaseBlockEmbedding",
@@ -201,17 +202,14 @@ class HoloCurvePair:
 
     def jet(self, w: complex | np.ndarray) -> np.ndarray:
         """(..., 3, 2) array whose rows are f, f' and f'' of (f1, f2) at each
-        parameter of w; a scalar w gives one (3, 2) jet.  Horner on the complex
-        array w in polyval's order: numpy's complex kernels are elementwise, so
-        each row is polyval's value on an array bit for bit, whatever the batch."""
+        parameter of w; a scalar w gives one (3, 2) jet.  Each entry is
+        ``soliton._horner`` on the complex array w: polyval's value on an array
+        bit for bit, whatever the batch."""
         w = np.asarray(w, dtype=complex)
         out = np.empty(w.shape + (3, 2), dtype=complex)
         for i, row in enumerate(self._rows):
             for m, p in enumerate(row):
-                acc = p[-1] + w * 0.0
-                for c in reversed(p[:-1]):
-                    acc = c + acc * w
-                out[..., i, m] = acc
+                out[..., i, m] = _horner(p, w)
         return out
 
 

@@ -456,6 +456,25 @@ class TestSuiteCommand:
         assert result.exit_code != 0
         assert "config error" in result.output
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"geodesic_length": "10"}, "geodesic_length must be finite and > 0, got '10'"),
+            ({"geodesic_length": True}, "geodesic_length must be finite and > 0, got True"),
+            ({"claims": 5}, "claims must be a list of claim ids, got 5"),
+            ({"claims": "cigar-pullback"}, "claims must be a list of claim ids, got 'cigar-pullback'"),
+        ],
+        ids=["length-string", "length-bool", "claims-int", "claims-string"],
+    )
+    def test_mistyped_config_is_click_error(self, runner, tmp_path, data, message):
+        # reported as a config error, without a traceback and before any claim runs
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"claims": ["profile-ode"], "points": 2, **data}))
+        result = invoke(runner, ["suite", "--config", str(cfg)])
+        assert result.exit_code == 1
+        assert f"Error: config error: {message}" in result.output
+        assert "PASS" not in result.output
+
     def test_loosening_config_is_rejected(self, runner, tmp_path):
         # these keys once let a config file pass any claim
         cfg = tmp_path / "cfg.json"

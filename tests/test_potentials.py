@@ -169,6 +169,26 @@ class TestSolitonRadial:
             hi = m.radial_deriv(0.1 + 1e-9, q)[q - 1]
             assert hi == pytest.approx(lo, rel=1e-6, abs=1e-8)
 
+    @pytest.mark.parametrize("n", (1, 2, 3, 4))
+    @pytest.mark.parametrize("s", (0.0999, 0.1, 0.1001))
+    def test_both_branches_at_the_seam(self, n, s, monkeypatch):
+        # the same s through the series (switch moved above s) and through the
+        # Stirling chain C_q s^q = sum_m s(q, m) u^(m) (switch moved to 0); the
+        # chain's sums cancel, so the gap is bounded by the size of their
+        # terms.  Measured: <= 5.5 eps of that scale for n <= 4
+        m = SolitonPotential(SolitonProfile(n))
+        stirling = ((1.0,), (-1.0, 1.0), (2.0, -3.0, 1.0), (-6.0, 11.0, -6.0, 1.0))
+        derivs = m.profile.derivatives(math.log(s))
+        for order in (1, 2, 3, 4):
+            monkeypatch.setattr(potentials, "_RADIAL_SERIES_S", np.inf)
+            series = m.radial_deriv(s, order)
+            monkeypatch.setattr(potentials, "_RADIAL_SERIES_S", 0.0)
+            chain = m.radial_deriv(s, order)
+            assert len(series) == len(chain) == order
+            for q, (a, b) in enumerate(zip(series, chain), 1):
+                scale = sum(abs(c * d) for c, d in zip(stirling[q - 1], derivs)) / s**q
+                assert abs(a - b) <= 16 * np.finfo(float).eps * scale, (order, q, a, b)
+
     @pytest.mark.parametrize("n", (1, 2, 3))
     def test_radial_deriv_is_derivative_of_value(self, n):
         m = SolitonPotential(SolitonProfile(n))

@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -89,6 +90,27 @@ class TestRunConfig:
             p.write_text(f'{{"{field}": NaN}}')  # Python's json parser accepts NaN
             with pytest.raises(ValueError, match=f"config error: {field}"):
                 RunConfig.from_json(p)
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"geodesic_length": "10"}, "geodesic_length must be finite and > 0, got '10'"),
+            ({"geodesic_length": True}, "geodesic_length must be finite and > 0, got True"),
+            ({"claims": 5}, "claims must be a list of claim ids, got 5"),
+            ({"claims": "cigar-pullback"}, "claims must be a list of claim ids, got 'cigar-pullback'"),
+        ],
+        ids=["length-string", "length-bool", "claims-int", "claims-string"],
+    )
+    def test_from_dict_rejects_mistyped_values(self, data, message):
+        # a string length once escaped as a TypeError and a bool one was read
+        # as 1; an int claims raised TypeError and a string one was iterated
+        # character by character ("unknown claim id 'c'")
+        with pytest.raises(ValueError, match=f"config error: {re.escape(message)}"):
+            RunConfig.from_dict(data)
+
+    def test_claims_are_kept_as_a_tuple(self):
+        assert RunConfig(claims=["profile-ode"]).claims == ("profile-ode",)
+        assert RunConfig(claims=None).claims is None
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="config error"):

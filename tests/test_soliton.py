@@ -579,19 +579,15 @@ STIRLING_ROWS = {1: (1.0,), 2: (-1.0, 1.0), 3: (2.0, -3.0, 1.0), 4: (-6.0, 11.0,
 
 
 def reference_radial_deriv(model: SolitonPotential, s: float, order: int) -> tuple:
-    """``SolitonPotential.radial_deriv`` as it was: the series double loop over
-    the numpy b_k, and generator sums over ``STIRLING_ROWS`` on the reference jet."""
+    """``SolitonPotential.radial_deriv`` by numpy: polyval over the radial
+    series weights (k-1)...(k-q+1) b_k, built here from the numpy b_k, and
+    generator sums over ``STIRLING_ROWS`` on the reference jet."""
     from darbouxkit import potentials
 
     if s < potentials._RADIAL_SERIES_S:
         b = soliton._series_coefficients(model.n)
-        acc = [0.0] * order
-        for k in range(1, len(b)):
-            weight = 1.0
-            for q in range(1, min(k, order) + 1):
-                acc[q - 1] += weight * b[k] * s ** (k - q)
-                weight *= k - q
-        return tuple(acc)
+        weights = [[math.perm(k - 1, q - 1) * b[k] for k in range(q, len(b))] for q in range(1, order + 1)]
+        return tuple(polyval(s, w) for w in weights)
     derivs = reference_derivatives(model.profile, math.log(s))
     sums = [sum(c * d for c, d in zip(STIRLING_ROWS[q], derivs)) for q in range(1, order + 1)]
     try:
@@ -617,7 +613,7 @@ def _around(x: float, width: float) -> list:
 
 class TestTablesMatchReferences:
     """The float tables of the series branches and the chain sums give the
-    reference loops' values bit for bit, across every profile and radial seam."""
+    numpy references' values bit for bit, across every profile and radial seam."""
 
     @pytest.mark.parametrize("n", (*SEAM_NS, 14, 16))
     def test_jet_and_residual_bitwise(self, n):
@@ -648,6 +644,8 @@ class TestTablesMatchReferences:
         # the float tables exist to take numpy scalars out of the series loops
         for p in range(4):
             assert all(type(v) is float for v in soliton._series_weights(3, p))
+        for q in range(1, 5):
+            assert all(type(v) is float for v in soliton._radial_weights(3, q))
         assert type(SolitonProfile(3).derivatives(-5.0)[0]) is float
         assert type(SolitonPotential(SolitonProfile(3)).radial_deriv(0.05, 4)[3]) is float
 
