@@ -7,12 +7,19 @@ takes; a refactor that keeps every body byte-identical keeps every digest.
 One line per seed: the seed, the digest's first 16 hex digits, and PASS if
 every claim passed, else FAIL.  The exit status is 1 if any seed fails.
 
-``--save DIR`` also writes each body to DIR/<seed>/<claim>.json.
+The bodies are byte-identical on one host only: numpy's CPU dispatch of
+``power`` and ``log1p`` (the cigar series) and OpenBLAS's kernel choice move
+their last bits.  ``--save DIR`` also writes each body to
+DIR/<seed>/<claim>.json, and what decides that dispatch to DIR/host.json:
+numpy's version, its ``power`` and ``log1p`` float64 loops where numpy reports
+them, and the NPY_DISABLE_CPU_FEATURES and OPENBLAS_CORETYPE variables.
 ``--against DIR`` compares each body with the one saved there and prints,
 instead of the digest lines, one line per JSON leaf that moved: the seed,
 the claim, the leaf's path, the saved and the new value, and the relative
 change |new - old| / |old| of a number ("-" otherwise).  Nothing is printed
-when every body matches.
+when every body matches.  If DIR's host.json differs from this host's, one
+line on stderr says so, so that a dispatch change is not read as a code
+change.
 
 Usage:
     python3 scripts/suite_digests.py
@@ -26,10 +33,28 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from darbouxkit import RunConfig, run_suite
+
+_DISPATCH_VARIABLES = ("NPY_DISABLE_CPU_FEATURES", "OPENBLAS_CORETYPE")
+
+
+def _host() -> dict:
+    """What besides the sources decides the bodies' last bits on this host."""
+    host = {"numpy": np.__version__}
+    try:
+        from numpy.lib.introspect import opt_func_info  # numpy >= 2.0
+    except ImportError:
+        pass
+    else:
+        host["loops"] = opt_func_info(func_name="power|log1p", signature="float64.*")
+    host.update((name, os.environ.get(name)) for name in _DISPATCH_VARIABLES)
+    return host
 
 
 def _leaves(value, path: str = ""):
@@ -64,6 +89,17 @@ def main() -> None:
     parser.add_argument("--against", type=Path, metavar="DIR", help="print the leaves that moved from DIR's bodies")
     args = parser.parse_args()
 
+    host = _host()
+    if args.save is not None:
+        args.save.mkdir(parents=True, exist_ok=True)
+        (args.save / "host.json").write_text(json.dumps(host, indent=1, sort_keys=True))
+    if args.against is not None:
+        saved_host = args.against / "host.json"
+        saved = json.loads(saved_host.read_text()) if saved_host.exists() else {}
+        moved = sorted(k for k in saved.keys() | host.keys() if saved.get(k) != host.get(k))
+        if moved:
+            print(f"{saved_host} differs from this host in {', '.join(moved)}: a moved leaf may come"
+                  " from numpy's or OpenBLAS's dispatch, not from the code", file=sys.stderr)
     failed = False
     for seed in args.seeds:
         reports = run_suite(RunConfig(seed=seed))

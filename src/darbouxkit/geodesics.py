@@ -17,10 +17,11 @@ Trajectories of one model run as a batch: points and velocities are (B, n)
 stacks, and each stage is one ``christoffel_at`` call over the whole stack,
 whose jets carry the batch as a leading axis.  Every stage sum adds its
 terms elementwise in a fixed order, so a row's numbers do not depend on what
-else is in its batch; a single (n,) point is a batch of one.  A step's last
-evaluation, at its new point, is the next step's first stage, and the metric
-of its jet gives the energy at that point; the run's last point needs only
-``metric_at``.
+else is in its batch; a single (n,) point is a batch of one.  The start is
+evaluated once per integration, and its metric and acceleration serve the
+checks and every run.  A step's last evaluation, at its new point, is the next
+step's first stage, and the metric of its jet gives the energy at that point;
+the run's last point needs only ``metric_at``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .curvature import christoffel_at
-from .potentials import PotentialModel, _check_domain, _energy, metric_at, metric_energy
+from .potentials import PotentialModel, _check_domain, _energy, metric_at
 
 __all__ = ["GeodesicTrajectory", "GeodesicDriftError", "geodesic_integrate"]
 
@@ -157,10 +158,14 @@ def geodesic_integrate(
         raise ValueError("geodesic start point and velocity must be finite")
     single = z0.ndim == 1
     z0, v0 = np.atleast_2d(z0, v0)
-    # a velocity too large for the metric would otherwise fail at a stage point
+    # a velocity too large for the metric, or Christoffels that overflow at the
+    # start, would otherwise fail at a NaN stage point
     with np.errstate(over="ignore", invalid="ignore"):
-        bad = ~np.isfinite(metric_energy(model, z0, v0))[:, None]
+        gamma, g0 = christoffel_at(model, z0, return_metric=True)
+        bad = ~np.isfinite(_energy(g0, v0))[:, None]
+        accel0 = _acceleration(gamma, v0)
     _check_domain(z0, v0, np.broadcast_to(bad, v0.shape), "the metric energy is not finite for the velocity")
+    _check_domain(z0, accel0, ~np.isfinite(accel0), "the geodesic acceleration is not finite:")
     if steps is None:
         steps = max(20, int(4 * length))
     trajectories: list[GeodesicTrajectory] = [None] * len(z0)
@@ -169,7 +174,7 @@ def geodesic_integrate(
     for _ in range(_MAX_REFINEMENTS + 1):
         if not active:
             break
-        for k, run in _runs(model, z0, v0, active, length, steps).items():
+        for k, run in _runs(model, (z0, v0, g0, accel0), active, length, steps).items():
             if isinstance(run, _RunFailure):
                 failures[k] = run  # the row keeps its last finished run, if any
             else:
@@ -183,19 +188,20 @@ def geodesic_integrate(
 
 
 def _runs(
-    model: PotentialModel, z0: np.ndarray, v0: np.ndarray, rows: list[int], length: float, steps: int
+    model: PotentialModel, start: tuple[np.ndarray, ...], rows: list[int], length: float, steps: int
 ) -> dict[int, GeodesicTrajectory | _RunFailure]:
-    """The run of each row of ``rows`` at ``steps`` steps, or its failure.
+    """The run of each row of ``rows`` at ``steps`` steps, or its failure;
+    ``start`` is the (z0, v0, g0, accel0) stack of every row.
 
     The rows run as one batch; if that batch fails, each row runs alone, so a
     row's run never depends on what else is in its batch.
     """
     try:
-        return dict(zip(rows, _rk4_run(model, z0[rows], v0[rows], length, steps)))
+        return dict(zip(rows, _rk4_run(model, *(a[rows] for a in start), length, steps)))
     except _RunFailure as failure:
         if len(rows) == 1:
             return {rows[0]: failure}
-    return {k: run for row in rows for k, run in _runs(model, z0, v0, [row], length, steps).items()}
+    return {k: run for row in rows for k, run in _runs(model, start, [row], length, steps).items()}
 
 
 def _weighted(weights: Sequence[float], h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -213,12 +219,13 @@ def _stage_sum(terms: tuple[np.ndarray, np.ndarray], stages: np.ndarray) -> np.n
 
 
 def _rk4_run(
-    model: PotentialModel, z0: np.ndarray, v0: np.ndarray, length: float, steps: int
+    model: PotentialModel, z0: np.ndarray, v0: np.ndarray, g: np.ndarray, accel: np.ndarray, length: float, steps: int
 ) -> list[GeodesicTrajectory]:
-    """One fixed-step DOP853 run of every trajectory in the (batch, n) stack (z0, v0).
+    """One fixed-step DOP853 run of every trajectory in the (batch, n) stack (z0, v0),
+    whose metric g and acceleration accel at the start are given.
 
-    It takes 12 * steps ``christoffel_at`` calls and one ``metric_at`` call,
-    at the last point.  If an evaluation past the start raises or an update
+    It takes 12 * steps - 1 ``christoffel_at`` calls and one ``metric_at``
+    call, at the last point.  If an evaluation past the start raises or an update
     leaves the float range, _RunFailure names the step and the point (the
     first row's).  The name is the RK4 scheme's it replaced: the benchmark's
     tracer binds it, and the rename waits on a scheme-neutral tracer (ROADMAP
@@ -239,12 +246,6 @@ def _rk4_run(
     energies = np.empty((len(y), steps + 1))
     position_error = np.zeros(len(y))
     points[:, 0], velocities[:, 0] = z0, v0
-    # the start's first stage is checked: Christoffels that overflow there
-    # would otherwise fail at a NaN stage point
-    with np.errstate(over="ignore", invalid="ignore"):
-        gamma, g = christoffel_at(model, z0, return_metric=True)
-        accel = _acceleration(gamma, v0)
-    _check_domain(z0, accel, ~np.isfinite(accel), "the geodesic acceleration is not finite:")
     at = z0  # the points of the evaluation under way, which a failure names
     try:
         for i in range(steps):

@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from math import factorial, isfinite, log, perm, prod
+from math import factorial, log, perm, prod
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -343,10 +343,11 @@ class PolyTestPotential(PotentialModel):
         # One exponent table for orders 1..4: row i is an index tuple (order by
         # order, each in the flattened tensor's order) with multiplicity m, and
         # monomial c_a t^a enters it with weight c_a * prod_j a_j! / (a_j - m_j)!
-        # (0 when some a_j < m_j) and exponents max(a - m, 0), stored as
-        # positions in the list of powers t_j^e that ``_evaluate`` builds.
+        # and exponents a - m, stored as positions in the table of powers t_j^e
+        # that ``_evaluate`` builds.  Where some a_j < m_j the weight is 0 and
+        # the exponents are 0: 0 * t^a would be NaN where t^a overflows.
         exps = np.array(list(self.monomials), dtype=int).reshape(-1, self.n)
-        self._exponents = range(int(exps.max(initial=0)) + 1)
+        self._exponents = np.arange(int(exps.max(initial=0)) + 1)
         rows = [idx for q in range(1, 5) for idx in itertools.product(range(self.n), repeat=q)]
         # order q occupies rows _order_start[q - 1] : _order_start[q]
         self._order_start = list(itertools.accumulate((self.n**q for q in range(1, 5)), initial=0))
@@ -354,36 +355,25 @@ class PolyTestPotential(PotentialModel):
         self._powers = np.zeros((len(rows), len(exps), self.n), dtype=int)
         for i, idx in enumerate(rows):
             m = [idx.count(j) for j in range(self.n)]
-            self._powers[i] = np.maximum(exps - m, 0) + len(self._exponents) * np.arange(self.n)
             for k, (a, c) in enumerate(self.monomials.items()):
                 self._weights[i, k] = c * prod(perm(aj, mj) for aj, mj in zip(a, m))
+            live = self._weights[i, :, None] != 0.0
+            self._powers[i] = np.where(live, exps - m, 0) + len(self._exponents) * np.arange(self.n)
 
     def _evaluate(self, t, rows: int) -> np.ndarray:
-        """The first ``rows`` table rows at t: sum_a weight * prod_j t_j^exponent."""
-        # t_j ** e by scalar pow, not numpy's vectorised power, which rounds
-        # differently in the last bit on some CPUs
+        """The first ``rows`` table rows at t: sum_a weight * prod_j t_j^exponent,
+        from one numpy ``power`` over the batch; a power past the float range is
+        inf in the rows that read it only."""
         t = np.asarray(t, dtype=float)
-        values = t.ravel().tolist()
-        if not all(map(isfinite, values)):
-            # NaN ** 0 and inf ** 0 are 1, so rows without a power of t would
-            # read finite there: NaN rows instead, for metric_from_jet to name
-            # the point
-            finite = np.isfinite(t)
-            out = self._evaluate(np.where(finite, t, 0.0), rows)
-            out[~np.logical_and.reduce(finite, axis=-1)] = np.nan
-            return out
-        try:
-            t_powers = np.array([tj**e for tj in values for e in self._exponents])
-        except OverflowError:
-            # a power past the float range: that point's rows are inf, for
-            # metric_from_jet to name the point
-            if t.ndim == 1:
-                return np.full(rows, np.inf)
-            rows_at = [self._evaluate(tp, rows) for tp in t.reshape(-1, self.n)]
-            return np.reshape(rows_at, t.shape[:-1] + (rows,))
-        t_powers = t_powers.reshape(t.shape[:-1] + (self.n * len(self._exponents),))
-        terms = np.multiply.reduce(t_powers[..., self._powers[:rows]], axis=-1)
-        return np.add.reduce(self._weights[:rows] * terms, axis=-1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            t_powers = np.power(t[..., None], self._exponents)
+            t_powers = t_powers.reshape(t.shape[:-1] + (self.n * len(self._exponents),))
+            terms = np.multiply.reduce(t_powers[..., self._powers[:rows]], axis=-1)
+            out = np.add.reduce(self._weights[:rows] * terms, axis=-1)
+        # NaN ** 0 and inf ** 0 are 1, so rows without a power of t would read
+        # finite there: NaN rows instead, for metric_from_jet to name the point
+        out[~np.logical_and.reduce(np.isfinite(t), axis=-1)] = np.nan
+        return out
 
     def descriptor(self) -> dict:
         return {

@@ -221,20 +221,21 @@ def graph_counterexample_pair() -> HoloCurvePair:
 def a_obstruction(pair: HoloCurvePair, z: complex | np.ndarray) -> complex | np.ndarray:
     """The obstruction A(f1, f2) at z, or at each point of an array of z; the
     curve is totally geodesic iff A = 0."""
-    a = _obstruction(pair.jet(np.atleast_1d(z)))
+    a = _obstruction(pair.jet(np.atleast_1d(z)))[0]
     return complex(a[0]) if np.ndim(z) == 0 else a
 
 
-def _obstruction(jet: np.ndarray) -> np.ndarray:
-    """A(f1, f2) from the curve's (..., 3, 2) jets."""
+def _obstruction(jet: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(A(f1, f2), m1, m2) from the curve's (..., 3, 2) jets, m_j = 1 + |f_j|^2."""
     (f1, f2), (d1, d2), (s1, s2) = np.moveaxis(jet, (-2, -1), (0, 1))
     m1 = 1.0 + abs(f1) ** 2
     m2 = 1.0 + abs(f2) ** 2
-    return (
+    a = (
         (s2 * d1 - s1 * d2) * m1 * m2
         + d1**2 * d2 * np.conj(f1) * m2
         - d2**2 * d1 * np.conj(f2) * m1
     )
+    return a, m1, m2
 
 
 def _gauss_defect(model: PotentialModel, jet: np.ndarray) -> np.ndarray:
@@ -271,13 +272,11 @@ def curvature_defect(pair: HoloCurvePair, z: complex | np.ndarray) -> tuple[floa
         # a NaN propagates quietly, for the caller's verdict to read
         with np.errstate(over="raise", invalid="ignore"):
             jet = pair.jet(zs)
-            (f1, f2), (df1, df2), _ = np.moveaxis(jet, (-2, -1), (0, 1))
-            m1 = 1.0 + abs(f1) ** 2
-            m2 = 1.0 + abs(f2) ** 2
-            d1 = abs(df1) ** 2
-            d2 = abs(df2) ** 2
+            a, m1, m2 = _obstruction(jet)
+            d1 = abs(jet[..., 1, 0]) ** 2
+            d2 = abs(jet[..., 1, 1]) ** 2
             denom = (d1 * m2 + d2 * m1) * m1**2 * m2**2
-            via_a = -abs(_obstruction(jet)) ** 2 / denom
+            via_a = -abs(a) ** 2 / denom
             direct = _gauss_defect(CigarProductPotential(2), jet)
     except ArithmeticError as err:  # numpy's FloatingPointError
         if np.ndim(z) > 0:

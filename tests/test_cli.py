@@ -305,6 +305,7 @@ class TestCurvatureCommand:
 
 class TestOutOfRangePoint:
     FOLD = '{"kind": "poly", "n": 1, "label": "fold"}'
+    CUBE = '{"kind": "poly", "n": 2, "monomials": {"3,0": 1.0, "0,1": 1.0}}'
 
     @pytest.mark.parametrize("model, point, named", [
         ("cigar:2", "1e200,0", "at z=[1.e+200+0.j 0.e+000+0.j]"),
@@ -313,11 +314,13 @@ class TestOutOfRangePoint:
         ("soliton:2", "1e200,0", "at z=[1.e+200+0.j 0.e+000+0.j]"),
         ("soliton:1", "1e200", "at z=[1.e+200+0.j]"),
         ("poly:2", "1e200,0", "at z=[1.e+200+0.j 0.e+000+0.j]"),
-        (FOLD, "1e100", "at z=[1.e+100+0.j]"),
+        # the fold's jet at t = 1e200 is finite, its curvature is not
+        (FOLD, "1e100", "the curvature at point '1e100' is not finite"),
+        (CUBE, "1e80,0.5", "at z=[1.e+80+0.j 5.e-01+0.j]"),
         # poly-n2's det 1 + t1 + t2 cancels in floats once t1 t2 >> 1e16
         ("poly:2", "1e9,1e9", "singular metric at z=[1.e+09+0.j 1.e+09+0.j]"),
     ], ids=["cigar-t-inf", "cigar-powers", "soliton-s-powers", "soliton-s-inf", "soliton-n1-s-inf",
-            "poly-t-inf", "fold-square-overflows", "poly-singular-metric"])
+            "poly-t-inf", "fold-beyond-the-fold", "cube-square-overflows", "poly-singular-metric"])
     def test_one_error_line_names_the_point(self, runner, model, point, named):
         # a RuntimeWarning fails the test (pytest's filterwarnings), a traceback shows in the output
         result = runner.invoke(main, ["curvature", "--model", model, "--point", point])

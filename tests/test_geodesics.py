@@ -17,6 +17,8 @@ from darbouxkit import (
     soliton_potential,
 )
 from darbouxkit import geodesics as geodesics_mod
+from darbouxkit import potentials as potentials_mod
+from darbouxkit.curvature import christoffel_at
 from darbouxkit.potentials import metric_energy
 
 
@@ -231,6 +233,21 @@ class TestControls:
         assert geodesic_integrate(CigarProductPotential(2), [0.3, 0.1j], [0.05, 0.02], 1.0, steps=24).converged
         assert calls == ["G"] * (12 * 24) + ["g"]
 
+    def test_start_evaluated_once_per_integration(self, monkeypatch):
+        # one christoffel_at call at the start serves the energy check, the
+        # acceleration check and every run, which then takes 12 * steps - 1;
+        # no metric_energy call
+        monkeypatch.setattr(geodesics_mod, "_POSITION_TOL", 1e-10)
+        calls = []
+        christoffel, run = geodesics_mod.christoffel_at, geodesics_mod._rk4_run
+        monkeypatch.setattr(geodesics_mod, "christoffel_at", lambda *a, **k: calls.append("G") or christoffel(*a, **k))
+        monkeypatch.setattr(geodesics_mod, "_rk4_run", lambda *a: calls.append(a[-1]) or run(*a))
+        for module in (geodesics_mod, potentials_mod):
+            monkeypatch.setattr(module, "metric_energy", lambda *a: pytest.fail("metric_energy called"), raising=False)
+        traj = geodesic_integrate(CigarProductPotential(2), [0.5, 0.1j], [0.4, 0.16], 8.0, steps=2)
+        assert (traj.steps, traj.converged) == (16, True)
+        assert calls == ["G"] + [c for steps in (2, 4, 8, 16) for c in [steps] + ["G"] * (12 * steps - 1)]
+
     def test_non_finite_update_fails_every_level(self, monkeypatch):
         # every stage's Christoffel symbols finite, but the accelerations sum past the float range
         def christoffel(model, z, return_metric=False):
@@ -255,9 +272,12 @@ class TestControls:
         # the 1 and 16 step runs finish (unconverged), and the row keeps the last
         traj = geodesic_integrate(poly_test_model(), [2.0, 1.0], [3.0, 2j], 40.0, steps=1)
         assert (traj.steps, traj.converged) == (16, False)
+        z0, v0 = np.array([[2.0, 1.0]]), np.array([[3.0, 2j]])
+        gamma, g0 = christoffel_at(poly_test_model(), z0, return_metric=True)
+        accel0 = geodesics_mod._acceleration(gamma, v0)
         with pytest.raises(geodesics_mod._RunFailure,
                            match=r"^step 2/2 at z=\[.*\]: singular metric at z=\[.*\]$") as failure:
-            geodesics_mod._rk4_run(poly_test_model(), np.array([[2.0, 1.0]]), np.array([[3.0, 2j]]), 40.0, 2)
+            geodesics_mod._rk4_run(poly_test_model(), z0, v0, g0, accel0, 40.0, 2)
         assert type(failure.value.__cause__) is ValueError
 
     def test_integer_input_is_complex(self):

@@ -558,20 +558,32 @@ def _value_at(model, t, j, s):
 
 
 class TestOutOfRangePoints:
-    """A point past the float range gets a non-finite jet, so that
-    ``metric_from_jet`` names it; the other rows of a batch keep their jets."""
+    """A point where a derivative the jet reads is past the float range gets
+    that entry non-finite (a non-finite t gets NaN rows), so that
+    ``metric_from_jet`` names it; the other rows of a batch keep their jets.
+    A power of t past the float range that no derivative reads changes
+    nothing."""
 
-    @pytest.mark.parametrize("model, t", [
-        (SolitonPotential(SolitonProfile(2)), [math.inf, 0.0]),
-        (fold_test_model(), [1e200]),
-        (PolyTestPotential(2, {(3, 0): 1.0, (0, 1): 1.0}), [1e110, 0.5]),
-    ], ids=["soliton-s-inf", "fold-square-overflows", "poly-cube-overflows"])
-    def test_jet_is_not_finite_and_other_rows_keep_theirs(self, model, t):
+    @pytest.mark.parametrize("model, t, d1", [
+        (SolitonPotential(SolitonProfile(2)), [math.inf, 0.0], [math.nan, math.nan]),
+        (PolyTestPotential(2, {(3, 0): 1.0, (0, 1): 1.0}), [1e160, 0.5], [math.inf, 1.0]),
+        (PolyTestPotential(2, {(2, 2): 1.0}), [1e150, 1e150], [math.inf, math.inf]),
+    ], ids=["soliton-s-inf", "poly-cube-square-overflows", "poly-product-overflows"])
+    def test_jet_is_not_finite_and_other_rows_keep_theirs(self, model, t, d1):
         inside = np.full(model.n, 0.3)
         batch = model.derivative_tensors(np.array([inside, t]), 4)
         for tensor, alone in zip(batch, model.derivative_tensors(inside, 4)):
             assert tensor[0].tobytes() == alone.tobytes()
-        assert not np.isfinite(batch[0][1]).any()
+        np.testing.assert_array_equal(batch[0][1], d1)
+
+    def test_unread_powers_past_the_range_leave_the_jet_exact(self):
+        # the fold t - t^2/2 reads t^0 and t^1 only, so t^2 = inf is unread;
+        # the cube's zero-weight entries read t^0, not 0 * inf = NaN
+        fold = fold_test_model().derivative_tensors([1e200], 4)
+        assert [x.tolist() for x in fold] == [[1.0 - 1e200], [[-1.0]], [[[0.0]]], [[[[0.0]]]]]
+        cube = PolyTestPotential(2, {(3, 0): 1.0, (0, 1): 1.0}).derivative_tensors([1e110, 0.5], 4)
+        assert cube[0].tolist() == pytest.approx([3e220, 1.0], rel=1e-15)  # 3 * (1e110)^2 rounds
+        assert all(np.isfinite(x).all() for x in cube)
 
     @pytest.mark.parametrize("row", [0, 1, 3])
     def test_one_solve_per_finite_row(self, row, monkeypatch):
@@ -602,9 +614,10 @@ class TestOutOfRangePoints:
             model.derivative_tensors([[0.5, 0.5]], 2)
 
     def test_metric_names_the_point(self):
-        # t = 1e200 is finite; the fold's t^2 overflows
-        with pytest.raises(ValueError, match=r"potential derivatives are not finite.* at z=\[1\.e\+100"):
-            metric_at(fold_test_model(), [1e100])
+        # t1 = 1e160 is finite; the cube's first derivative 3 t1^2 overflows
+        named = r"potential derivatives are not finite: first derivative \[inf  1\.\] at z=\[1\.e\+80"
+        with pytest.raises(ValueError, match=named):
+            metric_at(PolyTestPotential(2, {(3, 0): 1.0, (0, 1): 1.0}), [1e80, 0.5])
 
     @pytest.mark.parametrize("make, z, t", [
         (lambda: CigarProductPotential(1), [1e200], r"\[inf\]"),

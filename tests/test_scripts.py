@@ -7,6 +7,7 @@ import runpy
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from darbouxkit import DarbouxMap, GeodesicDriftError, RunConfig, geodesic_integrate, run_suite
@@ -108,3 +109,25 @@ def test_suite_digests_save_and_against(tmp_path, monkeypatch, capsys):
         run_script("suite_digests.py", args + ["--against", str(tmp_path)], monkeypatch)
     path = "details.per_model.cigar-n1.identity"
     assert capsys.readouterr().out == f"1 cigar-curvature {path} {2.0 * new!r} {new!r} 0.5\n"
+
+
+def test_suite_digests_records_the_host(tmp_path, monkeypatch, capsys):
+    # --save records numpy's version and the dispatch variables; --against
+    # names what differs on stderr and leaves stdout as it was
+    for name in ("NPY_DISABLE_CPU_FEATURES", "OPENBLAS_CORETYPE"):
+        monkeypatch.delenv(name, raising=False)
+    args = ["--seeds", "1"]
+    with pytest.raises(SystemExit):
+        run_script("suite_digests.py", args + ["--save", str(tmp_path)], monkeypatch)
+    capsys.readouterr()
+    host = json.loads((tmp_path / "host.json").read_text())
+    assert host["numpy"] == np.__version__ and host["OPENBLAS_CORETYPE"] is None
+    with pytest.raises(SystemExit):
+        run_script("suite_digests.py", args + ["--against", str(tmp_path)], monkeypatch)
+    assert capsys.readouterr() == ("", "")
+    monkeypatch.setenv("OPENBLAS_CORETYPE", "Haswell")
+    with pytest.raises(SystemExit):
+        run_script("suite_digests.py", args + ["--against", str(tmp_path)], monkeypatch)
+    out, err = capsys.readouterr()
+    assert out == "" and err == (f"{tmp_path / 'host.json'} differs from this host in OPENBLAS_CORETYPE: a moved"
+                                 " leaf may come from numpy's or OpenBLAS's dispatch, not from the code\n")
