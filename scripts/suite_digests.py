@@ -5,7 +5,8 @@ The digest is the sha256 of the concatenated ``VerificationReport.body()``
 strings of one ``run_suite`` pass, the hash perfbench's ``suite_digest``
 takes; a refactor that keeps every body byte-identical keeps every digest.
 One line per seed: the seed, the digest's first 16 hex digits, and PASS if
-every claim passed, else FAIL.  The exit status is 1 if any seed fails.
+every claim passed, else FAIL.  The exit status is 1 if any seed fails, or,
+under ``--against``, if any leaf moved.
 
 The bodies are byte-identical on one host only: numpy's CPU dispatch of
 ``power`` and ``log1p`` (the cigar series) and OpenBLAS's kernel choice move
@@ -113,6 +114,7 @@ def main() -> None:
             for r in reports:
                 saved = (args.against / str(seed) / f"{r.claim}.json").read_text()
                 for path, old, new, rel in _moved(saved, r.body()):
+                    failed = True
                     print(f"{seed} {r.claim} {path} {old!r} {new!r} {rel}")
         else:
             digest = hashlib.sha256("".join(r.body() for r in reports).encode()).hexdigest()

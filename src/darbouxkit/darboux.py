@@ -20,8 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .potentials import (PotentialModel, _check_domain, _check_jet_finite, hermitian_to_two_form, metric_at,
-                         metric_from_jet, radial_coords)
+from .potentials import (PotentialModel, _check_jet_finite, hermitian_to_two_form, metric_at, metric_from_jet,
+                         radial_coords)
 
 __all__ = [
     "MapDomainError",
@@ -37,19 +37,6 @@ _FD_STEP = 1e-6  # relative central-difference step of the FD Jacobian
 
 class MapDomainError(ValueError):
     """A first derivative Phi_j is negative (or zero where 1/psi is needed)."""
-
-
-def _check_first_derivative(z: np.ndarray, d1: np.ndarray, bad: np.ndarray, what: str) -> None:
-    """Raise for the first point of z where ``bad`` holds: ``metric_from_jet``'s
-    ValueError where that point's first derivative is not finite (a NaN or
-    infinite z), else ``MapDomainError`` "{what} ... at z=...".  ``bad`` must
-    hold wherever d1 is NaN."""
-    if np.logical_or.reduce(bad, axis=None):
-        n = z.shape[-1]
-        k = np.flatnonzero(np.any(bad.reshape(-1, n), axis=-1))[0]
-        z, d1, bad = z.reshape(-1, n)[k], d1.reshape(-1, n)[k], bad.reshape(-1, n)[k]
-        _check_jet_finite(z, d1, ~np.isfinite(d1))
-        _check_domain(z, d1, bad, what, MapDomainError)
 
 
 def unit_directions(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -91,7 +78,7 @@ class DarbouxMap:
         z the ValueError that ``metric_at`` raises there."""
         z = np.asarray(z, dtype=complex)
         d1 = self.model.derivative_tensors(radial_coords(z), 1)[0]
-        _check_first_derivative(z, d1, ~(d1 >= 0.0), "negative first derivative")
+        _check_jet_finite(z, d1, ~(d1 >= 0.0), "negative first derivative", MapDomainError)
         return np.sqrt(d1) * z
 
     def jacobian(self, z: Sequence[complex], method: str = "analytic",
@@ -105,8 +92,8 @@ class DarbouxMap:
             j = self._jacobian_analytic(z, jet)
             g = metric_from_jet(z, jet) if return_metric else None
         elif method == "fd":
+            j = self._jacobian_fd(z)  # before G, so both routes name the same first bad point
             g = metric_at(self.model, z) if return_metric else None
-            j = self._jacobian_fd(z)
         else:
             raise ValueError(f"unknown jacobian method {method!r}")
         return (j, g) if return_metric else j
@@ -162,7 +149,7 @@ class DarbouxMap:
 
     def _jacobian_analytic(self, z: np.ndarray, jet: Sequence[np.ndarray]) -> np.ndarray:
         n, (d1, d2) = self.n, jet
-        _check_first_derivative(z, d1, ~(d1 > 0.0), "nonpositive first derivative")
+        _check_jet_finite(z, d1, ~(d1 > 0.0), "nonpositive first derivative", MapDomainError)
         psi = np.sqrt(d1)
         # Wirtinger blocks: A = dw/dz, B = dw/dzbar; the z_j prefactor makes
         # both terms finite at z_j = 0 with no special-casing.

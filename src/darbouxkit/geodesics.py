@@ -26,7 +26,8 @@ the run's last point needs only ``metric_at``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -89,7 +90,6 @@ class GeodesicTrajectory:
     energies: np.ndarray
     steps: int
     position_error: float  # per-step embedded estimates, max over coordinates, summed over steps
-    converged: bool = False  # drift met _DRIFT_TOL and position_error _POSITION_TOL
 
     @property
     def drifts(self) -> np.ndarray:
@@ -103,6 +103,14 @@ class GeodesicTrajectory:
         """Max relative deviation of the energy from its initial value."""
         return float(np.max(self.drifts))
 
+    @cached_property
+    def converged(self) -> bool:
+        """Whether the drift meets _DRIFT_TOL and the position error
+        _POSITION_TOL (relative to max(1, max |z_j|)), as the bounds read when
+        ``geodesic_integrate`` first asked."""
+        scale = max(1.0, float(np.max(np.abs(self.points))))
+        return self.drift <= _DRIFT_TOL and self.position_error <= _POSITION_TOL * scale
+
     def converged_points(self) -> np.ndarray:
         """The points; GeodesicDriftError if a bound was not met."""
         if not self.converged:
@@ -115,11 +123,6 @@ class GeodesicTrajectory:
 
 def _acceleration(gamma: np.ndarray, v: np.ndarray) -> np.ndarray:
     return -np.einsum("...mij,...i,...j->...m", gamma, v, v)
-
-
-def _meets_bounds(trajectory: GeodesicTrajectory) -> bool:
-    scale = max(1.0, float(np.max(np.abs(trajectory.points))))
-    return trajectory.drift <= _DRIFT_TOL and trajectory.position_error <= _POSITION_TOL * scale
 
 
 def geodesic_integrate(
@@ -178,7 +181,7 @@ def geodesic_integrate(
             if isinstance(run, _RunFailure):
                 failures[k] = run  # the row keeps its last finished run, if any
             else:
-                trajectories[k] = replace(run, converged=_meets_bounds(run))
+                trajectories[k] = run
         active = [k for k in active if trajectories[k] is None or not trajectories[k].converged]
         steps *= 2
     for k, trajectory in enumerate(trajectories):

@@ -32,6 +32,7 @@ from __future__ import annotations
 import itertools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import cached_property
 from math import factorial, log, perm, prod
 from typing import Mapping, Sequence
 
@@ -74,15 +75,21 @@ def _check_domain(
         raise error(f"{what} {values.reshape(-1, n)[k]} at z={z.reshape(-1, n)[k]}")
 
 
-def _check_jet_finite(z: np.ndarray, d1: np.ndarray, bad: np.ndarray) -> None:
-    """``metric_from_jet``'s ValueError for the first point of z where ``bad``
-    holds: "potential derivatives are not finite: first derivative {its row of
-    d1} at z=...", or, where that point is finite but some |z_j|^2 overflows,
-    "radial coordinate |z_j|^2 overflows: t=... at z=..."."""
+def _check_jet_finite(
+    z: np.ndarray, d1: np.ndarray, bad: np.ndarray, what: str | None = None, error: type[ValueError] = ValueError
+) -> None:
+    """Raise for the first point of z where ``bad`` holds.  Where that point's
+    row of d1 is finite and ``what`` is given: ``error`` "{what} {its row of
+    d1} at z=...".  Else ``metric_from_jet``'s ValueError: "potential
+    derivatives are not finite: first derivative {its row of d1} at z=...",
+    or, where the point is finite but some |z_j|^2 overflows, "radial
+    coordinate |z_j|^2 overflows: t=... at z=..."."""
     if np.logical_or.reduce(bad, axis=None):
         n = z.shape[-1]
         k = np.flatnonzero(np.any(bad.reshape(-1, n), axis=-1))[0]
         z, d1 = z.reshape(-1, n)[k], d1.reshape(-1, n)[k]
+        if what is not None and np.isfinite(d1).all():
+            raise error(f"{what} {d1} at z={z}")
         with np.errstate(over="ignore"):
             t = radial_coords(z)
         if np.isfinite(z).all() and np.isinf(t).any():
@@ -198,8 +205,9 @@ class PotentialModel(ABC):
     n: int
     kind: str
 
-    @property
+    @cached_property
     def name(self) -> str:
+        """The label "{kind}-n{n}", built on first use and kept: one string per model."""
         return f"{self.kind}-n{self.n}"
 
     @abstractmethod

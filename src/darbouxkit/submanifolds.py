@@ -238,12 +238,12 @@ def _obstruction(jet: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return a, m1, m2
 
 
-def _gauss_defect(model: PotentialModel, jet: np.ndarray) -> np.ndarray:
-    """Gauss equation's -|II(f', f')|^2_g for the (..., 3, 2) curve jets in an n = 2
+def _gauss_defect(model: PotentialModel, jet: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Gauss equation's -|II(f', f')|^2_g for the (..., 3, 2) curve jets at z in an n = 2
     model, from one ``christoffel_at`` call's Gamma and g: II is N = f'' + Gamma(f', f')
     projected g-orthogonally to f', which keeps small defects accurate where
-    |g(N, f'bar)|^2 / g(f', f'bar) - g(N, Nbar) cancels.  NaN where f is not finite;
-    ValueError where g(f', f'bar) <= 0; each row is its own call's, bit for bit."""
+    |g(N, f'bar)|^2 / g(f', f'bar) - g(N, Nbar) cancels.  NaN where f is not finite; ValueError
+    naming the first z where g(f', f'bar) <= 0; each row is its own call's, bit for bit."""
     f, df, ddf = np.moveaxis(jet, -2, 0)
     finite = np.all(np.isfinite(f), axis=-1)
     gamma, g = christoffel_at(model, np.where(finite[..., None], f, 0.0), return_metric=True)
@@ -251,7 +251,7 @@ def _gauss_defect(model: PotentialModel, jet: np.ndarray) -> np.ndarray:
     g_df = np.sum(g * np.conj(df)[..., None, :], axis=-1)  # g_{j kbar} conj(f'^k)
     g_tangent = np.sum(df * g_df, axis=-1).real
     if np.any(g_tangent <= 0.0):
-        raise ValueError("degenerate induced metric (both derivatives vanish)")
+        raise ValueError(f"degenerate induced metric (both derivatives vanish) at z = {z[g_tangent <= 0.0][0]}")
     normal -= (np.sum(normal * g_df, axis=-1) / g_tangent)[..., None] * df
     defect = -np.sum(normal * np.sum(g * np.conj(normal)[..., None, :], axis=-1), axis=-1).real
     return np.where(finite, defect, np.nan)
@@ -264,8 +264,8 @@ def curvature_defect(pair: HoloCurvePair, z: complex | np.ndarray) -> tuple[floa
     The direct route is the Gauss equation on the model's Gamma and g,
     -|II(f', f')|^2_g; the closed route is -|A|^2 / D.  Totally geodesic
     curves give 0; the defect is never positive.
-    Where the evaluation overflows, a ValueError names z (in an array, the
-    first such point, with that point's own error); a NaN z gives NaNs.
+    Where the evaluation overflows or f' = 0, a ValueError names z (in an array,
+    the first such point, with that point's own error); a NaN z gives NaNs.
     """
     zs = np.atleast_1d(z)
     try:
@@ -277,7 +277,7 @@ def curvature_defect(pair: HoloCurvePair, z: complex | np.ndarray) -> tuple[floa
             d2 = abs(jet[..., 1, 1]) ** 2
             denom = (d1 * m2 + d2 * m1) * m1**2 * m2**2
             via_a = -abs(a) ** 2 / denom
-            direct = _gauss_defect(CigarProductPotential(2), jet)
+            direct = _gauss_defect(CigarProductPotential(2), jet, zs)
     except ArithmeticError as err:  # numpy's FloatingPointError
         if np.ndim(z) > 0:
             for zi in zs:

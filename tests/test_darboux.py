@@ -247,6 +247,30 @@ class TestBatchedPullback:
         assert type(batch.value) is type(alone.value)
         assert str(batch.value) == str(alone.value)
 
+    @pytest.mark.parametrize("route", ["map_point", "analytic", "fd", "pullback-analytic", "pullback-fd"])
+    @pytest.mark.parametrize("rows, error, named", [
+        ([[1.5], [np.nan]], MapDomainError, "first derivative [-1.25] at z=[1.5+0.j]"),
+        ([[np.nan], [1.5]], ValueError, "potential derivatives are not finite: first derivative [nan] at z=[nan+0.j]"),
+    ], ids=["domain-first", "nan-first"])
+    def test_mixed_batch_raises_its_first_bad_point(self, route, rows, error, named):
+        # fold-n1 leaves its domain past t = 1: the batch's first bad row decides
+        # both the error class and the point named, whichever kind comes first
+        dm = DarbouxMap(fold_test_model())
+        call = {
+            "map_point": dm.map_point,
+            "analytic": lambda z: dm.jacobian(z, method="analytic"),
+            "fd": lambda z: dm.jacobian(z, method="fd"),
+            "pullback-analytic": lambda z: dm.pullback_residual(z, method="analytic"),
+            "pullback-fd": lambda z: dm.pullback_residual(z, method="fd"),
+        }[route]
+        pts = np.array(rows, dtype=complex)
+        with pytest.raises(ValueError) as alone:
+            call(pts[0])
+        with pytest.raises(ValueError) as batch:
+            call(pts)
+        assert type(batch.value) is type(alone.value) is error
+        assert str(batch.value) == str(alone.value) and str(batch.value).endswith(named)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("return_metric", [False, True])
     @pytest.mark.parametrize("method", ["analytic", "fd"])

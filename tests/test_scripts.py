@@ -105,10 +105,11 @@ def test_suite_digests_save_and_against(tmp_path, monkeypatch, capsys):
     new = leaf["identity"]
     leaf["identity"] = 2.0 * new
     saved.write_text(json.dumps(body, sort_keys=True))
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as status:
         run_script("suite_digests.py", args + ["--against", str(tmp_path)], monkeypatch)
     path = "details.per_model.cigar-n1.identity"
     assert capsys.readouterr().out == f"1 cigar-curvature {path} {2.0 * new!r} {new!r} 0.5\n"
+    assert status.value.code == 1  # a moved leaf fails the comparison, though every claim passed
 
 
 def test_suite_digests_records_the_host(tmp_path, monkeypatch, capsys):

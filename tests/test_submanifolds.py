@@ -426,7 +426,7 @@ class TestGaussDefect:
                                   * df[:, None, None, :, None] * np.conj(df)[:, None, None, None, :]),
                              axis=(1, 2, 3, 4)).real
             induced = _fd_induced_curvature(model, pair, w)
-            gauss = submanifolds_mod._gauss_defect(model, jet)
+            gauss = submanifolds_mod._gauss_defect(model, jet, w)
             assert np.all(abs(induced - ambient - gauss) <= 1e-7 * np.fmax(abs(induced), abs(ambient)))
 
     @pytest.mark.parametrize("make, geodesic", [
@@ -438,7 +438,7 @@ class TestGaussDefect:
         # the complex line (z, 2z) is fixed by a unitary reflection of the
         # U(2)-invariant soliton, which the cigar product and the poly model lack
         w = np.linspace(0.3, 1.5, 13) * np.exp(2j * np.pi * rng.uniform(size=13))
-        defect = submanifolds_mod._gauss_defect(make(), HoloCurvePair((1.0,), (2.0,)).jet(w))
+        defect = submanifolds_mod._gauss_defect(make(), HoloCurvePair((1.0,), (2.0,)).jet(w), w)
         if geodesic:
             assert np.max(abs(defect)) <= 1e-14
         else:
@@ -656,6 +656,17 @@ class TestArrayKernels:
         pair = graph_counterexample_pair()
         zs = np.array([0.5, 1e200, 1e20])
         with pytest.raises(ValueError, match=r"^the curvature defect at z = 1e\+200 overflows: ") as alone:
+            curvature_defect(pair, zs[1])
+        with pytest.raises(ValueError) as batch:
+            curvature_defect(pair, zs)
+        assert str(batch.value) == str(alone.value)
+
+    def test_batched_degenerate_point_is_named_as_it_alone_does(self):
+        # f' = (2z, 3z^2) vanishes at z = 0 alone
+        pair = HoloCurvePair((0, 1), (0, 0, 1))
+        zs = np.array([0.5, 0.0, 0.7, 0.0])
+        named = r"^degenerate induced metric \(both derivatives vanish\) at z = 0\.0$"
+        with pytest.raises(ValueError, match=named) as alone:
             curvature_defect(pair, zs[1])
         with pytest.raises(ValueError) as batch:
             curvature_defect(pair, zs)
