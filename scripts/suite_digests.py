@@ -16,7 +16,8 @@ numpy's version, its ``power`` and ``log1p`` float64 loops where numpy reports
 them, and the NPY_DISABLE_CPU_FEATURES and OPENBLAS_CORETYPE variables.
 ``--against DIR`` compares each body with the one saved there and prints,
 instead of the digest lines, one line per JSON leaf that moved: the seed,
-the claim, the leaf's path, the saved and the new value, and the relative
+the claim, the leaf's path, the saved and the new value (<absent> where the leaf is
+on one side only; an empty object or list is a leaf), and the relative
 change |new - old| / |old| of a number ("-" otherwise).  Nothing is printed
 when every body matches.  If DIR's host.json differs from this host's, one
 line on stderr says so, so that a dispatch change is not read as a code
@@ -59,11 +60,12 @@ def _host() -> dict:
 
 
 def _leaves(value, path: str = ""):
-    """(path, leaf) of every leaf of a parsed JSON body, paths like details.points[2]."""
-    if isinstance(value, dict):
+    """(path, leaf) of every leaf of a parsed JSON body, paths like
+    details.points[2]; an empty object or list is a leaf."""
+    if isinstance(value, dict) and value:
         for key, item in value.items():
             yield from _leaves(item, f"{path}.{key}" if path else key)
-    elif isinstance(value, list):
+    elif isinstance(value, list) and value:
         for i, item in enumerate(value):
             yield from _leaves(item, f"{path}[{i}]")
     else:
@@ -71,16 +73,20 @@ def _leaves(value, path: str = ""):
 
 
 def _moved(old_body: str, new_body: str):
-    """(path, old, new, relative change) of every leaf that differs; a leaf
-    present on one side only reads None on the other."""
+    """(path, old, new, relative change) of every leaf that differs, the
+    values as their repr; a leaf present on one side only reads <absent> on
+    the other."""
     old, new = dict(_leaves(json.loads(old_body))), dict(_leaves(json.loads(new_body)))
     for path in sorted(old.keys() | new.keys()):
-        a, b = old.get(path), new.get(path)
-        if json.dumps(a) == json.dumps(b):  # equal values, and NaN equal to NaN
-            continue
-        numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b))
-        rel = f"{abs(b - a) / abs(a):.3g}" if numbers and a != 0 else "-"
-        yield path, a, b, rel
+        if path in old and path in new:
+            a, b = old[path], new[path]
+            if json.dumps(a) == json.dumps(b):  # equal values, and NaN equal to NaN
+                continue
+            numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b))
+            rel = f"{abs(b - a) / abs(a):.3g}" if numbers and a != 0 else "-"
+            yield path, repr(a), repr(b), rel
+        else:
+            yield path, *(repr(side[path]) if path in side else "<absent>" for side in (old, new)), "-"
 
 
 def main() -> None:
@@ -115,7 +121,7 @@ def main() -> None:
                 saved = (args.against / str(seed) / f"{r.claim}.json").read_text()
                 for path, old, new, rel in _moved(saved, r.body()):
                     failed = True
-                    print(f"{seed} {r.claim} {path} {old!r} {new!r} {rel}")
+                    print(f"{seed} {r.claim} {path} {old} {new} {rel}")
         else:
             digest = hashlib.sha256("".join(r.body() for r in reports).encode()).hexdigest()
             print(f"{seed} {digest[:16]} {'PASS' if passed else 'FAIL'}")

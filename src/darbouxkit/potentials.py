@@ -64,30 +64,36 @@ _CIGAR_SERIES_T = 0.25    # per-coordinate series/closed-form switch
 _RADIAL_SERIES_S = 0.1    # radial chain-rule/series switch
 
 
+def _first_bad(z: np.ndarray, values: np.ndarray, bad: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(the point, its row of values) at the first point of z (shape (..., n))
+    where ``bad`` (shape (..., n)) holds; None where it holds nowhere."""
+    if np.logical_or.reduce(bad, axis=None):
+        n = z.shape[-1]
+        k = np.flatnonzero(np.any(bad.reshape(-1, n), axis=-1))[0]
+        return z.reshape(-1, n)[k], values.reshape(-1, n)[k]
+    return None
+
+
 def _check_domain(
     z: np.ndarray, values: np.ndarray, bad: np.ndarray, what: str, error: type[ValueError] = ValueError
 ) -> None:
     """Raise ``error`` naming the first point of z (shape (..., n)) where ``bad``
     (shape (..., n)) holds: "{what} {that point's row of values} at z={the point}"."""
-    if np.logical_or.reduce(bad, axis=None):
-        n = z.shape[-1]
-        k = np.flatnonzero(np.any(bad.reshape(-1, n), axis=-1))[0]
-        raise error(f"{what} {values.reshape(-1, n)[k]} at z={z.reshape(-1, n)[k]}")
+    if (first := _first_bad(z, values, bad)) is not None:
+        raise error(f"{what} {first[1]} at z={first[0]}")
 
 
 def _check_jet_finite(
     z: np.ndarray, d1: np.ndarray, bad: np.ndarray, what: str | None = None, error: type[ValueError] = ValueError
 ) -> None:
     """Raise for the first point of z where ``bad`` holds.  Where that point's
-    row of d1 is finite and ``what`` is given: ``error`` "{what} {its row of
-    d1} at z=...".  Else ``metric_from_jet``'s ValueError: "potential
-    derivatives are not finite: first derivative {its row of d1} at z=...",
-    or, where the point is finite but some |z_j|^2 overflows, "radial
-    coordinate |z_j|^2 overflows: t=... at z=..."."""
-    if np.logical_or.reduce(bad, axis=None):
-        n = z.shape[-1]
-        k = np.flatnonzero(np.any(bad.reshape(-1, n), axis=-1))[0]
-        z, d1 = z.reshape(-1, n)[k], d1.reshape(-1, n)[k]
+    row of d1 is finite and ``what`` is given: ``_check_domain``'s ``error``
+    "{what} {its row of d1} at z=...".  Else ``metric_from_jet``'s ValueError:
+    "potential derivatives are not finite: first derivative {its row of d1}
+    at z=...", or, where the point is finite but some |z_j|^2 overflows,
+    "radial coordinate |z_j|^2 overflows: t=... at z=..."."""
+    if (first := _first_bad(z, d1, bad)) is not None:
+        z, d1 = first
         if what is not None and np.isfinite(d1).all():
             raise error(f"{what} {d1} at z={z}")
         with np.errstate(over="ignore"):

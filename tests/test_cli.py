@@ -466,8 +466,10 @@ class TestSuiteCommand:
             ({"geodesic_length": True}, "geodesic_length must be finite and > 0, got True"),
             ({"claims": 5}, "claims must be a list of claim ids, got 5"),
             ({"claims": "cigar-pullback"}, "claims must be a list of claim ids, got 'cigar-pullback'"),
+            ({"claims": []}, "claims must name at least one claim id"),
+            ({"claims": ["profile-limits", "profile-limits"]}, "duplicate claim id 'profile-limits'"),
         ],
-        ids=["length-string", "length-bool", "claims-int", "claims-string"],
+        ids=["length-string", "length-bool", "claims-int", "claims-string", "claims-empty", "claims-duplicate"],
     )
     def test_mistyped_config_is_click_error(self, runner, tmp_path, data, message):
         # reported as a config error, without a traceback and before any claim runs

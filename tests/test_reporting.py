@@ -98,13 +98,16 @@ class TestRunConfig:
             ({"geodesic_length": True}, "geodesic_length must be finite and > 0, got True"),
             ({"claims": 5}, "claims must be a list of claim ids, got 5"),
             ({"claims": "cigar-pullback"}, "claims must be a list of claim ids, got 'cigar-pullback'"),
+            ({"claims": []}, "claims must name at least one claim id"),
+            ({"claims": ["profile-limits", "profile-limits"]}, "duplicate claim id 'profile-limits'"),
         ],
-        ids=["length-string", "length-bool", "claims-int", "claims-string"],
+        ids=["length-string", "length-bool", "claims-int", "claims-string", "claims-empty", "claims-duplicate"],
     )
     def test_from_dict_rejects_mistyped_values(self, data, message):
         # a string length once escaped as a TypeError and a bool one was read
         # as 1; an int claims raised TypeError and a string one was iterated
-        # character by character ("unknown claim id 'c'")
+        # character by character ("unknown claim id 'c'"); an empty list ran
+        # nothing and passed, and a repeated id ran and printed twice
         with pytest.raises(ValueError, match=f"config error: {re.escape(message)}"):
             RunConfig.from_dict(data)
 
@@ -205,15 +208,20 @@ class TestClaimExecution:
         def boom(cfg, rng):
             raise RuntimeError("synthetic failure")
 
-        monkeypatch.setitem(reporting_mod._CLAIMS, "profile-ode", (boom, 1e-9))
+        monkeypatch.setitem(reporting_mod._CLAIMS, "profile-ode", boom)
         rep = run_claim("profile-ode", RunConfig())
         assert not rep.passed
         assert rep.max_residual == np.inf
         assert "synthetic failure" in json.dumps(rep.details)
+        assert rep.details["binding"] == "error"
+        assert rep.summary_line().endswith(" binding=error")
 
     def test_crash_report_keeps_claim_tolerance(self, monkeypatch):
-        # a crashing claim reports its registered tolerance, not 1.0
+        # every claim, crashed or not, is judged against 1.0; profile-ode's
+        # bound 1e-9 is applied as the ratio residual / 1e-9
         normal = run_claim("profile-ode", RunConfig(points=3))
+        worst = max(part["ode_residual"] for part in normal.details["per_n"].values())
+        assert normal.max_residual == worst / 1e-9 and normal.details["bounds"] == {"ode_residual": 1e-9}
 
         def zero_division(self, t):
             raise ZeroDivisionError("float division by zero")
@@ -221,13 +229,13 @@ class TestClaimExecution:
         monkeypatch.setattr(SolitonProfile, "ode_residual", zero_division)
         crashed = run_claim("profile-ode", RunConfig(points=3))
         assert "ZeroDivisionError" in crashed.details["error"]
-        assert crashed.tolerance == normal.tolerance == 1e-9
+        assert crashed.tolerance == normal.tolerance == 1.0
 
     def test_exception_keeps_traceback(self, monkeypatch):
         def raising_claim_body(cfg, rng):
             raise RuntimeError("synthetic failure")
 
-        monkeypatch.setitem(reporting_mod._CLAIMS, "profile-ode", (raising_claim_body, 1e-9))
+        monkeypatch.setitem(reporting_mod._CLAIMS, "profile-ode", raising_claim_body)
         trace = run_claim("profile-ode", RunConfig()).details["traceback"]
         assert 'in raising_claim_body\n    raise RuntimeError("synthetic failure")' in trace
         assert trace.rstrip().endswith("RuntimeError: synthetic failure")
@@ -305,6 +313,82 @@ class TestClaimExecution:
         rep = run_claim(claim, RunConfig(points=3))
         assert not rep.passed
         assert np.isnan(rep.max_residual)
+
+
+class TestBinding:
+    """Every claim is a table of parts; details.binding names the one that set
+    max_residual, and details.bounds the bound of each bounded kind."""
+
+    @staticmethod
+    def _ratio(path, part) -> float:
+        if isinstance(part, tuple):
+            observed, bound = part
+            return float(bound / observed if path.endswith("_min") else observed / bound)
+        return float(part)
+
+    @pytest.mark.parametrize("seed", [20260814, 1, 3, 7])
+    def test_binding_part_sets_the_residual(self, monkeypatch, seed):
+        tables = []
+        verdict = reporting_mod._verdict
+        monkeypatch.setattr(reporting_mod, "_verdict", lambda parts, details: verdict(tables.append(parts) or parts, details))
+        for claim in CLAIM_IDS:
+            rep = run_claim(claim, RunConfig(seed=seed))
+            (parts,) = tables
+            tables.clear()
+            ratios = {path: self._ratio(path, part) for path, part in parts.items()}
+            binding, bounds = rep.details["binding"], rep.details["bounds"]
+            assert rep.passed and rep.tolerance == 1.0, claim
+            assert ratios[binding].hex() == rep.max_residual.hex(), claim
+            assert max(ratios.values()) == rep.max_residual, claim
+            for path, part in parts.items():
+                if isinstance(part, tuple):
+                    head, _, kind = path.rpartition("/")
+                    bound = bounds[kind][head] if isinstance(bounds[kind], dict) else bounds[kind]
+                    assert bound == part[1], (claim, path)
+            assert rep.summary_line().endswith(f" binding={binding}")
+
+    def test_a_failing_bounded_part_binds(self, monkeypatch):
+        original = DarbouxMap.pullback_residual
+
+        def fd_off_on_cigar_n3(self, z, method="analytic"):
+            out = original(self, z, method=method)
+            return out + 2e-5 if (self.model.name, method) == ("cigar-n3", "fd") else out
+
+        monkeypatch.setattr(DarbouxMap, "pullback_residual", fd_off_on_cigar_n3)
+        rep = run_claim("cigar-pullback", RunConfig(points=5))
+        assert not rep.passed and rep.details["binding"] == "per_model/cigar-n3/fd"
+        assert rep.max_residual == rep.details["per_model"]["cigar-n3"]["fd"] / 1e-5
+
+    def test_a_failing_lower_bound_binds(self, monkeypatch):
+        # the counterexample must depart by at least 1e-2: 1e-3 reads 1e-2 / 1e-3
+        monkeypatch.setattr(reporting_mod, "curve_geodesy_residual", lambda *args: np.array([1e-3, 5e-4]))
+        rep = run_claim("total-geodesy", RunConfig(seed=1))
+        assert not rep.passed and rep.details["binding"] == "counterexample_min"
+        assert rep.max_residual == 1e-2 / 1e-3
+        assert rep.details["bounds"] == {"catalog": 1e-7, "counterexample_min": 1e-2}
+
+    def test_a_failing_pass_fail_part_binds(self, monkeypatch):
+        # a ray that never clears the threshold fails properness; its part once
+        # read 1.0, which the tolerance 1.0 passed
+        original = reporting_mod.properness_auto_scan
+
+        def unbounded_threshold_on_soliton_n2(dm, directions, threshold):
+            report = original(dm, directions, threshold)
+            return dataclasses.replace(report, threshold=np.inf) if dm.model.name == "soliton-n2" else report
+
+        monkeypatch.setattr(reporting_mod, "properness_auto_scan", unbounded_threshold_on_soliton_n2)
+        rep = run_claim("map-side-conditions", RunConfig(points=5, rays=2))
+        assert not rep.passed and rep.details["binding"] == "per_model/soliton-n2/properness_pass"
+        assert rep.details["per_model"]["soliton-n2"]["properness_pass"] is False
+        assert rep.details["bounds"] == {}
+
+    def test_nan_binds_first_and_ties_bind_the_first(self):
+        details = {}
+        parts = {"a": (1.0, 0.5), "per_n/n=1/b": (2.0, 1.0), "per_n/n=2/b": (np.nan, 2.0), "c": 3.0}
+        assert np.isnan(reporting_mod._verdict(parts, details))
+        assert details == {"bounds": {"a": 0.5, "b": {"per_n/n=1": 1.0, "per_n/n=2": 2.0}}, "binding": "per_n/n=2/b"}
+        del parts["per_n/n=2/b"], parts["c"]  # three parts at 2.0: the first binds
+        assert reporting_mod._verdict({"x": 2.0, **parts}, details) == 2.0 and details["binding"] == "x"
 
 
 class TestBatchedClaims:

@@ -110,6 +110,33 @@ def test_suite_digests_save_and_against(tmp_path, monkeypatch, capsys):
     path = "details.per_model.cigar-n1.identity"
     assert capsys.readouterr().out == f"1 cigar-curvature {path} {2.0 * new!r} {new!r} 0.5\n"
     assert status.value.code == 1  # a moved leaf fails the comparison, though every claim passed
+    # a leaf present on one side only reads <absent> on the other, an empty
+    # container (map-side-conditions' bounds are {}) and a null included
+    saved = tmp_path / "1" / "map-side-conditions.json"
+    body = json.loads(saved.read_text())
+    assert body["details"].pop("bounds") == {}
+    body["details"]["gone"] = []
+    body["details"]["was_null"] = None
+    saved.write_text(json.dumps(body, sort_keys=True))
+    with pytest.raises(SystemExit) as status:
+        run_script("suite_digests.py", args + ["--against", str(tmp_path)], monkeypatch)
+    out = capsys.readouterr().out.splitlines()
+    assert out[1:] == [
+        "1 map-side-conditions details.bounds <absent> {} -",
+        "1 map-side-conditions details.gone [] <absent> -",
+        "1 map-side-conditions details.was_null None <absent> -",
+    ]
+    assert status.value.code == 1
+
+
+def test_suite_digests_moved_sees_every_leaf():
+    # an added null or {} and a removed [] each read as a moved leaf
+    moved = runpy.run_path(str(SCRIPTS / "suite_digests.py"))["_moved"]
+    assert list(moved('{"a": 1}', '{"a": 1, "b": null}')) == [("b", "<absent>", "None", "-")]
+    assert list(moved('{"a": 1}', '{"a": 1, "b": {}}')) == [("b", "<absent>", "{}", "-")]
+    assert list(moved('{"a": [], "b": 2}', '{"b": 2}')) == [("a", "[]", "<absent>", "-")]
+    assert list(moved('{"a": [1.0]}', '{"a": [1.5]}')) == [("a[0]", "1.0", "1.5", "0.5")]
+    assert list(moved('{"a": {}}', '{"a": {}}')) == []
 
 
 def test_suite_digests_records_the_host(tmp_path, monkeypatch, capsys):
